@@ -19,17 +19,18 @@ import sys
 
 import mpmath as mp
 
-from .identities import (Identity, adjudication_findings, catalog,
-                         evaluate_combination, reduce, substitute_bases,
-                         summarize, verify_all)
+from .identities import (Identity, adjudication_findings, catalog, reduce,
+                         substitute_bases, summarize, verify_all)
 from .identities import fit_closed_form
-from .summation import (EvalOptions, SumSpecSyntaxError, evaluate_sum,
-                        lemma1_aux, lemma2_g, lemma3_f, parse_sumspec)
-from .zeta_algebra import (ExprSyntaxError, evaluate, format_expr, parse_expr)
+from .summation import (EvalOptions, evaluate_sum, lemma1_aux, lemma2_g,
+                        lemma3_f, parse_sumspec)
+from .zeta_algebra import evaluate, format_expr, parse_expr
 from .numerics import ConstantsTable
 
 REPORT_FIELDS = ("id", "lhs_value", "rhs_value", "residual", "tolerance",
                  "verdict", "digits", "K")
+
+_FORMATS = ("table", "json", "csv")
 
 _DEFAULTS = {"digits": 40, "K": 10 ** 4, "tolerance": "1e-11",
              "format": "table", "ids": (), "family": None, "catalog": ()}
@@ -49,7 +50,16 @@ def _fmt(value, digits: int) -> str:
 # ---- configuration ---------------------------------------------------------
 
 
-_FILE_KEYS = {"digits", "K", "tolerance", "format", "id", "family", "catalog"}
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+# config-file key -> (resolved key, parser of the file's text).  Each
+# resolved key is also the argparse dest of the flag that overrides it.
+_CONFIG_KEYS = {"digits": ("digits", int), "K": ("K", int),
+                "tolerance": ("tolerance", str), "format": ("format", str),
+                "id": ("ids", _names), "family": ("family", str),
+                "catalog": ("catalog", _names)}
 
 
 def _read_config_file(path: str) -> dict:
@@ -63,54 +73,34 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _FILE_KEYS:
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             pairs[key] = val.strip()
     return pairs
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
+    """Defaults, overridden by the config file, overridden by flags.
+
+    lemma-check defaults to a looser tolerance.  The evaluation options
+    are built and checked once, under the "opts" key.
+    """
     cfg = dict(_DEFAULTS)
+    if args.command == "lemma-check":
+        cfg["tolerance"] = "1e-9"
     path = getattr(args, "config", None)
     if path:
         pairs = _read_config_file(path)
-        if "digits" in pairs:
-            cfg["digits"] = int(pairs["digits"])
-        if "K" in pairs:
-            cfg["K"] = int(pairs["K"])
-        if "tolerance" in pairs:
-            cfg["tolerance"] = pairs["tolerance"]
-        if "format" in pairs:
-            if pairs["format"] not in ("table", "json", "csv"):
-                raise ValueError(f"bad format {pairs['format']!r} in {path}")
-            cfg["format"] = pairs["format"]
-        if "id" in pairs:
-            cfg["ids"] = tuple(s.strip() for s in pairs["id"].split(",")
-                               if s.strip())
-        if "family" in pairs:
-            cfg["family"] = pairs["family"]
-        if "catalog" in pairs:
-            cfg["catalog"] = tuple(s.strip() for s in pairs["catalog"].split(",")
-                                   if s.strip())
-    if getattr(args, "digits", None) is not None:
-        cfg["digits"] = args.digits
-    if getattr(args, "K", None) is not None:
-        cfg["K"] = args.K
-    if getattr(args, "tolerance", None) is not None:
-        cfg["tolerance"] = args.tolerance
-    if getattr(args, "format", None) is not None:
-        cfg["format"] = args.format
-    if getattr(args, "ids", None):
-        cfg["ids"] = tuple(args.ids)
-    if getattr(args, "family", None) is not None:
-        cfg["family"] = args.family
-    if getattr(args, "catalog", None):
-        cfg["catalog"] = tuple(args.catalog)
-    if cfg["digits"] < 20:
-        raise ValueError(f"digits must be >= 20, got {cfg['digits']}")
-    if cfg["K"] < 100:
-        raise ValueError(f"K must be >= 100, got {cfg['K']}")
+        for key, (name, parse) in _CONFIG_KEYS.items():
+            if key in pairs:
+                cfg[name] = parse(pairs[key])
+        if cfg["format"] not in _FORMATS:
+            raise ValueError(f"bad format {cfg['format']!r} in {path}")
+    for name, _ in _CONFIG_KEYS.values():
+        value = getattr(args, name, None)
+        if value is not None:
+            cfg[name] = tuple(value) if isinstance(value, list) else value
+    cfg["opts"] = EvalOptions(digits=cfg["digits"], K=cfg["K"])
     float(cfg["tolerance"])
     return cfg
 
@@ -122,10 +112,6 @@ def _echo_config(cfg: dict) -> None:
           f"tolerance={cfg['tolerance']} format={cfg['format']} "
           f"ids={ids} family={cfg['family'] or '*'} catalog={cat}",
           file=sys.stderr)
-
-
-def _opts(cfg: dict) -> EvalOptions:
-    return EvalOptions(digits=cfg["digits"], K=cfg["K"])
 
 
 # ---- report emission -------------------------------------------------------
@@ -149,6 +135,14 @@ def _csv_text(rows: list[dict], fields) -> str:
     return buf.getvalue()
 
 
+def _rows_text(rows: list[dict], fields, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    if fmt == "csv":
+        return _csv_text(rows, fields)
+    return _table_text(rows, fields)
+
+
 def emit_report(reports, fmt: str) -> str:
     """Render VerificationReports; identical data in every format."""
     rows = []
@@ -162,12 +156,9 @@ def emit_report(reports, fmt: str) -> str:
                      "digits": str(r.digits),
                      "K": str(r.K)})
     if fmt == "json":
-        payload = [{**row, "digits": int(row["digits"]), "K": int(row["K"])}
-                   for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_text(rows, REPORT_FIELDS)
-    return _table_text(rows, REPORT_FIELDS)
+        rows = [{**row, "digits": int(row["digits"]), "K": int(row["K"])}
+                for row in rows]
+    return _rows_text(rows, REPORT_FIELDS, fmt)
 
 
 # ---- subcommands -----------------------------------------------------------
@@ -193,9 +184,9 @@ def _select(entries: list[Identity], cfg: dict) -> list[Identity]:
 def _cmd_verify(args, cfg) -> int:
     entries = _select(catalog(cfg["catalog"]), cfg)
     tol = mp.mpf(cfg["tolerance"])
-    reports = verify_all(_opts(cfg), tolerance=tol, entries=entries)
+    reports = verify_all(cfg["opts"], tolerance=tol, entries=entries)
     sys.stdout.write(emit_report(reports, cfg["format"]))
-    for note in adjudication_findings(reports, _opts(cfg)):
+    for note in adjudication_findings(reports, cfg["opts"]):
         print(note, file=sys.stderr)
     stats = summarize(reports, entries)
     print(f"summary: {stats['total']} checked, {stats['pass']} pass, "
@@ -206,7 +197,7 @@ def _cmd_verify(args, cfg) -> int:
 
 def _cmd_eval_sum(args, cfg) -> int:
     spec = parse_sumspec(args.spec)
-    res = evaluate_sum(spec, _opts(cfg))
+    res = evaluate_sum(spec, cfg["opts"])
     fields = {"value": _fmt(res.value, res.digits),
               "err_estimate": _fmt(res.err_estimate, res.digits),
               "K": res.K, "digits": res.digits}
@@ -235,7 +226,7 @@ def _emit_fields(fields: dict, fmt: str) -> None:
 
 
 def _cmd_reduce(args, cfg) -> int:
-    comb = reduce(args.rule, args.m, _opts(cfg))
+    comb = reduce(args.rule, args.m, cfg["opts"])
     sub = format_expr(substitute_bases(comb,
                                        catalog(cfg["catalog"]))) \
         if args.substitute else None
@@ -253,7 +244,7 @@ def _cmd_reduce(args, cfg) -> int:
 def _cmd_fit(args, cfg) -> int:
     spec = parse_sumspec(args.spec)
     expr = fit_closed_form(spec, args.weight, include_ln2=args.include_ln2,
-                           max_den=args.max_den, opts=_opts(cfg))
+                           max_den=args.max_den, opts=cfg["opts"])
     text = format_expr(expr) if expr is not None else "no fit"
     if cfg["format"] == "json":
         sys.stdout.write(json.dumps(
@@ -272,12 +263,7 @@ def _cmd_list(args, cfg) -> int:
              "source": e.source,
              "expected": e.expected} for e in entries]
     fields = ("id", "lhs", "rhs", "source", "expected")
-    if cfg["format"] == "json":
-        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
-    elif cfg["format"] == "csv":
-        sys.stdout.write(_csv_text(rows, fields))
-    else:
-        sys.stdout.write(_table_text(rows, fields))
+    sys.stdout.write(_rows_text(rows, fields, cfg["format"]))
     return 0
 
 
@@ -304,8 +290,10 @@ def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
 
 
 def _cmd_lemma_check(args, cfg) -> int:
+    if args.kmax < 1:
+        raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     tol = mp.mpf(cfg["tolerance"])
-    rows = _lemma_rows(args.kmax, _opts(cfg), tol)
+    rows = _lemma_rows(args.kmax, cfg["opts"], tol)
     fields = ("check", "k", "truncated", "closed", "residual", "verdict")
     if cfg["format"] == "json":
         sys.stdout.write(json.dumps({"convention": LEMMA_CONVENTION,
@@ -330,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="direct summation cutoff (default 10000)")
     common.add_argument("--tolerance", default=None,
                         help="pass/fail residual threshold (default 1e-11)")
-    common.add_argument("--format", choices=["table", "json", "csv"],
+    common.add_argument("--format", choices=_FORMATS,
                         default=None, help="output format (default table)")
     common.add_argument("--config", default=None,
                         help="flat 'key = value' config file")
@@ -398,15 +386,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "lemma-check" and args.tolerance is None \
-                and (not args.config
-                     or "tolerance" not in _read_config_file(args.config)):
-            cfg["tolerance"] = "1e-9"
         _echo_config(cfg)
         return args.func(args, cfg)
-    except (ExprSyntaxError, SumSpecSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, ArithmeticError, RuntimeError,
             OSError) as exc:
         msg = exc.args[0] if exc.args else str(exc)

@@ -12,12 +12,14 @@ every odd-kind asymptotic expansion here is produced from the even one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .numerics import HighFloat, Rational, bernoulli, constant
+from .numerics import (ConstantsTable, HighFloat, Rational, euler_maclaurin,
+                       series_eval)
 
 _EXACT_LIMIT = 10 ** 5
 
@@ -141,29 +143,53 @@ class PrefixStream:
         return tuple(self._vals)
 
 
-# ---- asymptotic tails ----------------------------------------------------
+# ---- asymptotic expansions ----------------------------------------------
 
 
-def _even_pieces(n: int, x: HighFloat) -> list:
-    # For n >= 2 the pieces add up to the tail zeta(n) - H(n, x); for
-    # n = 1 they add up to H(1, x) itself (there is no finite limit).
-    if n == 1:
-        g = constant("euler_gamma", mp.mp.dps)
-        out = [mp.log(x), g, 1 / (2 * x)]
-        for r in (1, 2, 3):
-            b = bernoulli(2 * r)
-            out.append(-mp.mpf(b.numerator) / (b.denominator * 2 * r) * x ** (-2 * r))
-        return out
-    out = [x ** (1 - n) / (n - 1), -(x ** (-n)) / 2]
-    poch = n
-    fact = 2
-    for r in (1, 2, 3, 4):
-        if r > 1:
-            poch *= (n + 2 * r - 3) * (n + 2 * r - 2)
-            fact *= (2 * r - 1) * (2 * r)
-        b = bernoulli(2 * r)
-        out.append(mp.mpf(b.numerator * poch) / (b.denominator * fact) * x ** (1 - n - 2 * r))
-    return out
+def _even_value_series(n: int, s_cap: int, table: ConstantsTable) -> dict:
+    # H(n, x) = (zeta(n), or gamma at n = 1) + Euler-Maclaurin groups of
+    # x^{-n}, keeping the terms up to x^{-s_cap}
+    out = {(0, 0): +(table.euler_gamma if n == 1 else table.zeta(n))}
+    for group in euler_maclaurin({(0, n): 1}):
+        kept = {key: c for key, c in group.items() if key[1] <= s_cap}
+        if not kept:
+            return out
+        out.update(kept)
+
+
+def value_series(kind: HarmonicKind, s_cap: int, table: ConstantsTable) -> dict:
+    """Asymptotic log-power series of the prefix H(n, x) or h(n, x).
+
+    Terms run up to x^{-s_cap}; coefficients are at the table's precision,
+    and an mpmath working precision must be active.  The odd kind comes
+    from the even one through h(n, x) = H(n, 2x) - 2^{-n} H(n, x).
+    """
+    even = _even_value_series(kind.order, s_cap, table)
+    if kind.parity == "even":
+        return even
+    # x -> 2x: (ln 2x)^a expands binomially, x^{-s} scales
+    ln2 = +table.ln2
+    shrink = mp.mpf(2) ** (-kind.order)
+    out: dict = {}
+    for (a, s), c in even.items():
+        scale = c * mp.mpf(2) ** (-s)
+        for j in range(a + 1):
+            key = (a - j, s)
+            out[key] = out.get(key, mp.mpf(0)) + scale * math.comb(a, j) * ln2 ** j
+        out[(a, s)] -= shrink * c
+    return {k: v for k, v in out.items() if v}
+
+
+def _expansion_pieces(n: int, x: HighFloat, table: ConstantsTable) -> list:
+    # Monomials of the H(n, x) series valued at x, leading first.  For
+    # n >= 2 they are negated and zeta(n) dropped, so that they add up to
+    # the tail zeta(n) - H(n, x); for n = 1 they add up to H(1, x) itself.
+    series = _even_value_series(n, n + 7, table)
+    if n > 1:
+        series = {key: -c for key, c in series.items() if key != (0, 0)}
+    lnx = mp.log(x) if n == 1 else None
+    return [series_eval({key: series[key]}, x, lnx)
+            for key in sorted(series, key=lambda key: (key[1], -key[0]))]
 
 
 def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> HighFloat:
@@ -186,13 +212,12 @@ def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> 
         raise ValueError("precision too low: digits must be >= 10")
     n = kind.order
     with mp.workdps(digits + 5):
-        if kind.parity == "even":
-            pieces = _even_pieces(n, mp.mpf(k))[:terms]
-        else:
-            at_2k = _even_pieces(n, mp.mpf(2 * k))
-            at_k = _even_pieces(n, mp.mpf(k))
+        table = ConstantsTable(digits + 5)
+        pieces = _expansion_pieces(n, mp.mpf(k), table)
+        if kind.parity == "odd":
+            at_2k = _expansion_pieces(n, mp.mpf(2 * k), table)
             scale = mp.mpf(2) ** (-n)
-            pieces = [a - scale * b for a, b in zip(at_2k, at_k)][:terms]
-        total = mp.fsum(pieces)
+            pieces = [a - scale * b for a, b in zip(at_2k, pieces)]
+        total = mp.fsum(pieces[:terms])
     with mp.workdps(digits):
         return +total

@@ -3,13 +3,14 @@
 Two number kinds flow through the rest of the package: `Rational` (exact,
 never rounded) and mpmath floats created at an explicit decimal precision.
 The constants zeta(n), ln 2 and Euler's gamma are computed here from
-truncated series with Bernoulli-number corrections rather than pulled from
-a library table, so the test suite can cross-check them against a second,
-independent evaluation route.
+head sums and the Euler-Maclaurin core below (shared with the harmonic
+and summation modules) rather than pulled from a library table, so the
+test suite can cross-check them against a second, independent route.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -58,44 +59,81 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
+# ---- log-power series and the Euler-Maclaurin core ----------------------
+#
+# A series is a dict {(a, s): c} standing for sum c (ln x)^a x^{-s}, with
+# mpf coefficients (exact integers also work and keep derivatives exact).
+# All series code assumes an mpmath working precision is already active.
+
+
+def series_deriv(series: dict) -> dict:
+    """d/dx of a log-power series."""
+    out: dict = {}
+    for (a, s), c in series.items():
+        if a:
+            out[(a - 1, s + 1)] = out.get((a - 1, s + 1), 0) + c * a
+        if s:
+            out[(a, s + 1)] = out.get((a, s + 1), 0) - c * s
+    return out
+
+
+def series_eval(series: dict, x: HighFloat, lnx: HighFloat | None) -> HighFloat:
+    """Value of a series at x; lnx may be None when no term carries a log."""
+    total = mp.mpf(0)
+    for (a, s), c in series.items():
+        total += c * lnx ** a * x ** (-s) if a else c * x ** (-s)
+    return total
+
+
+def _series_antideriv(series: dict) -> dict:
+    # (ln x)^a / x integrates to (ln x)^{a+1}/(a+1); for s != 1, parts give
+    # -sum_j a!/(a-j)! (ln x)^{a-j} x^{1-s} / (s-1)^{j+1}, which is minus
+    # the integral over (x, inf) whenever s > 1
+    out: dict = {}
+    for (a, s), c in series.items():
+        if s == 1:
+            out[(a + 1, 0)] = out.get((a + 1, 0), 0) + mp.mpf(c) / (a + 1)
+            continue
+        coef = -mp.mpf(c) / (s - 1)
+        for j in range(a + 1):
+            out[(a - j, s - 1)] = out.get((a - j, s - 1), 0) + coef
+            coef = coef * (a - j) / (s - 1)
+    return out
+
+
+def euler_maclaurin(series: dict):
+    """Euler-Maclaurin expansion of sum_{k<=x} f(k), one group at a time.
+
+    f is a log-power series.  Group 0 is the antiderivative of f plus f/2;
+    group r >= 1 is B_{2r}/(2r)! f^{(2r-1)}.  The constant of summation is
+    the caller's: for a decaying f the groups add up to minus the tail
+    sum_{k>x} f(k).  The expansion is asymptotic; at fixed x its groups
+    shrink until r is about pi x and then grow.
+
+    >>> with mp.workdps(20):
+    ...     groups = euler_maclaurin({(0, 2): mp.mpf(1)})
+    ...     [mp.nstr(series_eval(next(groups), mp.mpf(10), None), 8)
+    ...      for _ in range(3)]
+    ['-0.095', '-0.00016666667', '3.3333333e-7']
+    """
+    group = _series_antideriv(series)
+    for key, c in series.items():
+        group[key] = group.get(key, 0) + mp.mpf(c) / 2
+    yield group
+    deriv = series_deriv(series)
+    for r in itertools.count(1):
+        b = bernoulli(2 * r)
+        scale = mp.mpf(b.numerator) / (b.denominator * math.factorial(2 * r))
+        yield {key: scale * c for key, c in deriv.items()}
+        deriv = series_deriv(series_deriv(deriv))
+
+
 # ---- constants from scratch --------------------------------------------
 
 
 def _require_digits(digits: int) -> None:
     if digits < _MIN_DIGITS:
         raise ValueError(f"precision too low: digits must be >= {_MIN_DIGITS}, got {digits}")
-
-
-def _zeta_series(n: int, dps: int) -> mp.mpf:
-    # Truncated sum plus integral, half-term and Bernoulli corrections.
-    # The correction loop runs until the next term drops below the target,
-    # with at least four corrections applied.
-    with mp.workdps(dps):
-        big_k = max(100, 2 * dps)
-        target = mp.mpf(10) ** (-(dps + 2))
-        partial = mp.mpf(0)
-        for k in range(big_k, 0, -1):
-            partial += mp.mpf(k) ** (-n)
-        kf = mp.mpf(big_k)
-        total = partial + kf ** (1 - n) / (n - 1) - kf ** (-n) / 2
-        poch = n  # (n)_{2r-1} as an exact integer
-        fact = 2  # (2r)!
-        r = 0
-        prev = mp.inf
-        while True:
-            r += 1
-            if r > 1:
-                poch *= (n + 2 * r - 3) * (n + 2 * r - 2)
-                fact *= (2 * r - 1) * (2 * r)
-            b = bernoulli(2 * r)
-            term = (mp.mpf(b.numerator * poch) / (b.denominator * fact)) * kf ** (1 - n - 2 * r)
-            if abs(term) >= prev:
-                raise ArithmeticError("correction terms stopped decreasing")
-            total += term
-            prev = abs(term)
-            if r >= 4 and abs(term) < target:
-                break
-        return total
 
 
 def _ln2_series(dps: int) -> mp.mpf:
@@ -105,42 +143,38 @@ def _ln2_series(dps: int) -> mp.mpf:
         x2 = mp.mpf(1) / 9
         power = mp.mpf(1) / 3
         total = mp.mpf(0)
-        j = 0
-        while True:
+        for j in itertools.count():
             term = power / (2 * j + 1)
             total += term
             if term < target:
-                break
+                return 2 * total
             power *= x2
-            j += 1
-        return 2 * total
 
 
-def _euler_gamma_series(dps: int) -> mp.mpf:
-    # gamma = H_K - ln K - 1/(2K) + sum_r B_{2r}/(2r) K^{-2r} with K a
-    # power of two, so ln K reduces to an integer multiple of ln 2.
+def _em_constant(n: int, big_k: int, dps: int) -> mp.mpf:
+    # Constant of summation of 1/k^n (zeta(n), or gamma at n = 1): the head
+    # sum to big_k minus the Euler-Maclaurin groups of x^{-n} at big_k.
+    # The head is summed in fixed point with 16 guard bits.  Groups are
+    # taken until one drops below the target, with at least four
+    # corrections applied.  ln K only enters at n = 1, where K must be a
+    # power of two so that ln K is an integer multiple of ln 2.
     with mp.workdps(dps):
-        a = max(7, int(math.ceil(math.log2(2 * dps))))
-        big_k = 2 ** a
+        lnk = (big_k.bit_length() - 1) * _ln2_series(dps) if n == 1 else None
+        wp = mp.mp.prec + 16
+        total = mp.mpf((sum((1 << wp) // k ** n for k in range(1, big_k + 1)), -wp))
         target = mp.mpf(10) ** (-(dps + 2))
-        h = mp.mpf(0)
-        for k in range(big_k, 0, -1):
-            h += mp.mpf(1) / k
-        kf = mp.mpf(big_k)
-        total = h - a * _ln2_series(dps) - 1 / (2 * kf)
+        x = mp.mpf(big_k)
+        groups = euler_maclaurin({(0, n): 1})
+        total -= series_eval(next(groups), x, lnk)
         prev = mp.inf
-        r = 0
-        while True:
-            r += 1
-            b = bernoulli(2 * r)
-            term = (mp.mpf(b.numerator) / (b.denominator * 2 * r)) * kf ** (-2 * r)
+        for r, group in enumerate(groups, 1):
+            term = series_eval(group, x, lnk)
             if abs(term) >= prev:
                 raise ArithmeticError("correction terms stopped decreasing")
-            total += term
+            total -= term
             prev = abs(term)
             if r >= 4 and abs(term) < target:
-                break
-        return total
+                return total
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +183,7 @@ def _constant_cached(name: str, digits: int) -> mp.mpf:
     if name == "ln2":
         value = _ln2_series(dps)
     elif name == "euler_gamma":
-        value = _euler_gamma_series(dps)
+        value = _em_constant(1, 2 ** max(7, int(math.ceil(math.log2(2 * dps)))), dps)
     elif name.startswith("zeta(") and name.endswith(")"):
         inner = name[5:-1]
         try:
@@ -160,7 +194,7 @@ def _constant_cached(name: str, digits: int) -> mp.mpf:
             raise ValueError("zeta(1) divergent")
         if n < 1:
             raise ValueError(f"zeta argument must be >= 2, got {n}")
-        value = _zeta_series(n, dps)
+        value = _em_constant(n, max(100, 2 * dps), dps)
     else:
         raise ValueError(f"unknown constant {name!r}")
     with mp.workdps(digits):

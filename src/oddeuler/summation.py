@@ -6,12 +6,14 @@ A sum here is sum_{k>=1} f(k) with
 
 convergent whenever p + q >= 2 (the numerator only contributes powers of
 log).  Evaluation is a direct partial sum to K followed by an
-Euler-Maclaurin tail: the summand is expanded into monomials
-c * (ln x)^a * x^{-s}, each of which is integrated and corrected
-exactly, so the result carries 30+ correct digits at the default K.
+Euler-Maclaurin tail: the summand is expanded into a log-power series
+of monomials c * (ln x)^a * x^{-s} (the harmonic factors' expansions
+times a binomial expansion of the denominator), which the shared
+Euler-Maclaurin core in numerics integrates and corrects exactly, so
+the result carries 30+ correct digits at the default K.
 
-The lemma evaluators at the bottom compare a truncated two-sided series
-against its closed form; they share the same tail machinery.
+The lemma evaluators at the bottom compare one truncated two-sided
+kernel sum against closed forms; its tail goes through the same routine.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .harmonic import HarmonicKind, PrefixStream, harmonic_exact
-from .numerics import ConstantsTable, HighFloat, Rational, bernoulli
+from .harmonic import HarmonicKind, PrefixStream, harmonic_exact, value_series
+from .numerics import (ConstantsTable, HighFloat, Rational, euler_maclaurin,
+                       series_eval)
 from .zeta_algebra import ZetaExpr
 
 
@@ -198,8 +201,10 @@ def term_exact(spec: SumSpec, k: int) -> Rational:
 
 # ---- log-power series ----------------------------------------------------
 #
-# A series is a dict {(a, s): mpf} standing for sum c (ln x)^a x^{-s}.
-# All series code assumes an mpmath working precision is already active.
+# A series is a dict {(a, s): mpf} standing for sum c (ln x)^a x^{-s}; the
+# Euler-Maclaurin core and the harmonic value series live in numerics and
+# harmonic.  All series code assumes an mpmath working precision is
+# already active.
 
 
 def _series_mul(sa: dict, sb: dict, s_cap: int) -> dict:
@@ -214,136 +219,43 @@ def _series_mul(sa: dict, sb: dict, s_cap: int) -> dict:
     return out
 
 
-def _series_deriv(series: dict) -> dict:
-    out: dict = {}
-    for (a, s), c in series.items():
-        if a:
-            key = (a - 1, s + 1)
-            out[key] = out.get(key, mp.mpf(0)) + c * a
-        if s:
-            key = (a, s + 1)
-            out[key] = out.get(key, mp.mpf(0)) - c * s
+def _power_series(c: int, b: int, a: int, q: int, s_cap: int) -> dict:
+    # x^{-c} (b - a/x)^{-q} = sum_j C(q+j-1, j) a^j b^{-q-j} x^{-c-j},
+    # coefficients exact until the final rounding
+    out = {}
+    coef = Fraction(1, b ** q)
+    for j in range(s_cap - c + 1):
+        out[(0, c + j)] = mp.mpf(coef.numerator) / coef.denominator
+        coef = coef * a * (q + j) / ((j + 1) * b)
+        if not coef:
+            break
     return out
 
 
-def _series_eval(series: dict, x: HighFloat, lnx: HighFloat) -> HighFloat:
-    total = mp.mpf(0)
-    for (a, s), c in series.items():
-        total += c * lnx ** a * x ** (-s)
-    return total
+def _em_tail(lead: int, build, cutoff: int, m_at: int,
+             opts: EvalOptions) -> tuple[HighFloat, HighFloat]:
+    """(sum_{k > m_at} of a summand, |first omitted correction|).
 
-
-def _mono_integral(a: int, s: int, x: HighFloat, lnx: HighFloat) -> HighFloat:
-    # integral over (x, inf) of (ln t)^a t^{-s} dt, s >= 2
-    if s < 2:
-        raise ValueError("tail integral needs s >= 2")
-    total = lnx ** a * x ** (1 - s) / (s - 1)
-    if a:
-        total += _mono_integral(a - 1, s, x, lnx) * a / (s - 1)
-    return total
-
-
-def _em_tail(series: dict, m_at: int, corrections: int) -> tuple[HighFloat, HighFloat]:
-    """(sum_{k > m_at} of the series, |first omitted correction|)."""
+    The summand's series starts at x^{-lead}; build(s_cap) returns it up
+    to x^{-s_cap}, where s_cap keeps every power still worth
+    10^-(digits + 12) at the summation cutoff.  The tail is Euler-Maclaurin
+    group 0 plus opts.tail_terms corrections.
+    """
+    extra = int(math.ceil((opts.digits + 12) / math.log10(cutoff))) + 2
+    groups = euler_maclaurin(build(lead + extra))
     x = mp.mpf(m_at)
     lnx = mp.log(x)
     total = mp.mpf(0)
-    for (a, s), c in series.items():
-        total += c * _mono_integral(a, s, x, lnx)
-    total -= _series_eval(series, x, lnx) / 2
-    deriv = _series_deriv(series)  # f'
-    fact = 2
-    for r in range(1, corrections + 1):
-        if r > 1:
-            deriv = _series_deriv(_series_deriv(deriv))
-            fact *= (2 * r - 1) * (2 * r)
-        b = bernoulli(2 * r)
-        total -= (mp.mpf(b.numerator) / (b.denominator * fact)) * \
-            _series_eval(deriv, x, lnx)
-    deriv = _series_deriv(_series_deriv(deriv))
-    r = corrections + 1
-    fact *= (2 * r - 1) * (2 * r)
-    b = bernoulli(2 * r)
-    omitted = abs((mp.mpf(b.numerator) / (b.denominator * fact)) *
-                  _series_eval(deriv, x, lnx))
-    return total, omitted
+    for _ in range(opts.tail_terms + 1):
+        total -= series_eval(next(groups), x, lnx)
+    return total, abs(series_eval(next(groups), x, lnx))
 
 
-# ---- asymptotic series of the harmonic factors ---------------------------
-
-
-def _even_value_series(n: int, s_cap: int, table: ConstantsTable) -> dict:
-    # series of H(n, x) in descending powers of x
-    if n == 1:
-        out = {(1, 0): mp.mpf(1), (0, 0): +table.euler_gamma,
-               (0, 1): mp.mpf(1) / 2}
-        r = 1
-        while 2 * r <= s_cap:
-            b = bernoulli(2 * r)
-            out[(0, 2 * r)] = -mp.mpf(b.numerator) / (b.denominator * 2 * r)
-            r += 1
-        return out
-    out = {(0, 0): +table.zeta(n)}
-    if n - 1 <= s_cap:
-        out[(0, n - 1)] = mp.mpf(-1) / (n - 1)
-    if n <= s_cap:
-        out[(0, n)] = mp.mpf(1) / 2
-    poch = n
-    fact = 2
-    r = 1
-    while n + 2 * r - 1 <= s_cap:
-        if r > 1:
-            poch *= (n + 2 * r - 3) * (n + 2 * r - 2)
-            fact *= (2 * r - 1) * (2 * r)
-        b = bernoulli(2 * r)
-        out[(0, n + 2 * r - 1)] = -mp.mpf(b.numerator * poch) / (b.denominator * fact)
-        r += 1
-    return out
-
-
-def _series_at_2x(series: dict, table: ConstantsTable) -> dict:
-    # substitute x -> 2x: (ln 2x)^a expands binomially, x^{-s} scales
-    ln2 = +table.ln2
-    out: dict = {}
-    for (a, s), c in series.items():
-        scale = c * mp.mpf(2) ** (-s)
-        for j in range(a + 1):
-            key = (a - j, s)
-            out[key] = out.get(key, mp.mpf(0)) + scale * math.comb(a, j) * ln2 ** j
-    return out
-
-
-def _odd_value_series(n: int, s_cap: int, table: ConstantsTable) -> dict:
-    # h(n, x) = H(n, 2x) - 2^{-n} H(n, x), applied to the expansions
-    even = _even_value_series(n, s_cap, table)
-    out = _series_at_2x(even, table)
-    scale = mp.mpf(2) ** (-n)
-    for key, c in even.items():
-        out[key] = out.get(key, mp.mpf(0)) - scale * c
-    return {k: v for k, v in out.items() if v}
-
-
-def _odd_recip_series(q: int, s_cap: int) -> dict:
-    # (2x-1)^{-q} = 2^{-q} x^{-q} (1 - 1/(2x))^{-q}
-    if q == 0:
-        return {(0, 0): mp.mpf(1)}
-    out = {}
-    j = 0
-    while q + j <= s_cap:
-        out[(0, q + j)] = mp.mpf(math.comb(q + j - 1, j)) * mp.mpf(2) ** (-q - j)
-        j += 1
-    return out
-
-
-def _summand_series(spec: SumSpec, s_cap: int, table: ConstantsTable) -> dict:
-    series = {(0, spec.k_power): mp.mpf(1)}
-    series = _series_mul(series, _odd_recip_series(spec.odd_power, s_cap), s_cap)
-    for kind in spec.factors:
-        if kind.parity == "even":
-            factor = _even_value_series(kind.order, s_cap, table)
-        else:
-            factor = _odd_value_series(kind.order, s_cap, table)
-        series = _series_mul(series, factor, s_cap)
+def _summand_series(kinds: tuple, series: dict, s_cap: int,
+                    table: ConstantsTable) -> dict:
+    # a series times the value series of every harmonic factor
+    for kind in kinds:
+        series = _series_mul(series, value_series(kind, s_cap, table), s_cap)
     return series
 
 
@@ -377,15 +289,13 @@ def evaluate_sum(spec: SumSpec, opts: EvalOptions | None = None) -> EvalResult:
                 term *= v if counts[idx] == 1 else v ** counts[idx]
             partial += term
 
-        extra = int(math.ceil((opts.digits + 12) / math.log10(opts.K))) + 2
-        s_cap = spec.k_power + spec.odd_power + extra
-        series = _summand_series(spec, s_cap, table)
-        tail, omitted = _em_tail(series, opts.K, opts.tail_terms)
+        # x^{-p} (2x-1)^{-q} = x^{-p-q} (2 - 1/x)^{-q}
+        lead = spec.k_power + spec.odd_power
+        tail, omitted = _em_tail(lead, lambda cap: _summand_series(
+            spec.factors, _power_series(lead, 2, 1, spec.odd_power, cap), cap, table),
+            opts.K, opts.K, opts)
         value = partial + tail
-        err = 10 * omitted
-        floor = mp.mpf(10) ** (_ERR_FLOOR_OFFSET - opts.digits)
-        if err < floor:
-            err = floor
+        err = max(10 * omitted, mp.mpf(10) ** (_ERR_FLOOR_OFFSET - opts.digits))
     with mp.workdps(opts.digits):
         return EvalResult(+value, +err, opts.K, opts.digits)
 
@@ -457,6 +367,33 @@ def _harmonic_mpf(kind: HarmonicKind, k: int) -> HighFloat:
     return mp.mpf(v.numerator) / v.denominator
 
 
+def _kernel_truncated(kind: HarmonicKind | None, c: int, k0: int,
+                      opts: EvalOptions) -> HighFloat:
+    # Truncated side of every lemma: the two-sided sum over i >= 1, i != k0,
+    # of f(i) / (i^c (k0 - i)), with f the prefix of kind (1 without one).
+    # Direct to a cutoff past max(k0, 0), then minus the Euler-Maclaurin
+    # tail of the series of f(x) x^{-c-1} (1 - k0/x)^{-1}.
+    wp, table = _lemma_table(opts)
+    with mp.workdps(wp):
+        cutoff = max(2000, 50 * abs(k0))
+        end = max(k0, 0) + cutoff
+        stream = PrefixStream((kind,), wp) if kind else None
+        f = mp.mpf(1)
+        total = mp.mpf(0)
+        for i in range(1, end + 1):
+            if stream:
+                stream.advance()
+                f = stream.values()[0]
+            if i != k0:
+                total += f / (i ** c * (k0 - i))
+        tail, _ = _em_tail(c + 1, lambda cap: _summand_series(
+            (kind,) if kind else (), _power_series(c + 1, 1, k0, 1, cap), cap, table),
+            cutoff, end, opts)
+        total -= tail
+    with mp.workdps(opts.digits):
+        return +total
+
+
 def shifted_kernel_closed(n: int, k: int, opts: EvalOptions | None = None) -> HighFloat:
     """Closed form of sum_i h(n, i) / (i (i + k)) for k >= 1.
 
@@ -487,35 +424,13 @@ def shifted_kernel_closed(n: int, k: int, opts: EvalOptions | None = None) -> Hi
         return +total
 
 
-def _shifted_kernel_truncated(n: int, k: int, opts: EvalOptions) -> HighFloat:
-    # direct sum of h(n, i)/(i (i + k)) to a cutoff, then an E-M tail on
-    # the series of h(n, x) * x^{-2} (1 + k/x)^{-1}
-    wp, table = _lemma_table(opts)
-    with mp.workdps(wp):
-        cutoff = max(2000, 50 * k)
-        stream = PrefixStream((HarmonicKind.odd(n),), wp)
-        partial = mp.mpf(0)
-        for i in range(1, cutoff + 1):
-            stream.advance()
-            partial += stream.values()[0] / (mp.mpf(i) * (i + k))
-        extra = int(math.ceil((opts.digits + 12) / math.log10(cutoff))) + 2
-        s_cap = 2 + extra
-        shift = {}
-        t = 0
-        while 2 + t <= s_cap:
-            shift[(0, 2 + t)] = mp.mpf((-k) ** t)
-            t += 1
-        series = _series_mul(_odd_value_series(n, s_cap, table), shift, s_cap)
-        tail, _ = _em_tail(series, cutoff, opts.tail_terms)
-        total = partial + tail
-    with mp.workdps(opts.digits):
-        return +total
-
-
 def lemma1_aux(k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
     """(truncated, closed) for sum_i h(1, i) / (i (i + k))."""
     opts = opts or EvalOptions()
-    return _shifted_kernel_truncated(1, k, opts), shifted_kernel_closed(1, k, opts)
+    # the shifted kernel is minus the two-sided one at k0 = -k
+    with mp.workdps(opts.digits):
+        truncated = -_kernel_truncated(HarmonicKind.odd(1), 1, -k, opts)
+    return truncated, shifted_kernel_closed(1, k, opts)
 
 
 def recip_kernel_closed(p: int, k: int, opts: EvalOptions | None = None) -> HighFloat:
@@ -536,29 +451,6 @@ def recip_kernel_closed(p: int, k: int, opts: EvalOptions | None = None) -> High
         return +total
 
 
-def _recip_kernel_truncated(p: int, k: int, opts: EvalOptions) -> HighFloat:
-    wp, _ = _lemma_table(opts)
-    with mp.workdps(wp):
-        finite = mp.mpf(0)
-        for i in range(1, k):
-            finite += mp.mpf(i) ** (-p) / (k - i)
-        cutoff = max(2000, 50 * k)
-        away = mp.mpf(0)
-        for i in range(k + 1, k + cutoff + 1):
-            away += mp.mpf(i) ** (-p) / (i - k)
-        extra = int(math.ceil((opts.digits + 12) / math.log10(cutoff))) + 2
-        s_cap = p + 1 + extra
-        series = {}
-        t = 0
-        while p + 1 + t <= s_cap:
-            series[(0, p + 1 + t)] = mp.mpf(k ** t)
-            t += 1
-        tail, _ = _em_tail(series, k + cutoff, opts.tail_terms)
-        total = finite - away - tail
-    with mp.workdps(opts.digits):
-        return +total
-
-
 def lemma2_g(n: int, k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
     """(truncated, closed) for the two-sided sum_{i != k} 1/(i^{2n} (k - i)).
 
@@ -568,60 +460,24 @@ def lemma2_g(n: int, k: int, opts: EvalOptions | None = None) -> tuple[HighFloat
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     opts = opts or EvalOptions()
-    return (_recip_kernel_truncated(2 * n, k, opts),
+    return (_kernel_truncated(None, 2 * n, k, opts),
             recip_kernel_closed(2 * n, k, opts))
 
 
-def _cross_kernel_truncated(m: int, k: int, opts: EvalOptions) -> HighFloat:
-    # two-sided sum_{i != k} h(m, i)/(i (k - i)), split at i = k
-    wp, table = _lemma_table(opts)
-    with mp.workdps(wp):
-        finite = mp.mpf(0)
-        for i in range(1, k):
-            finite += _harmonic_mpf(HarmonicKind.odd(m), i) / (mp.mpf(i) * (k - i))
-        cutoff = max(2000, 50 * k)
-        stream = PrefixStream((HarmonicKind.odd(m),), wp)
-        for _ in range(k):
-            stream.advance()
-        away = mp.mpf(0)
-        for i in range(k + 1, k + cutoff + 1):
-            stream.advance()
-            away += stream.values()[0] / (mp.mpf(i) * (i - k))
-        extra = int(math.ceil((opts.digits + 12) / math.log10(cutoff))) + 2
-        s_cap = 2 + extra
-        shift = {}
-        t = 0
-        while 2 + t <= s_cap:
-            shift[(0, 2 + t)] = mp.mpf(k ** t)
-            t += 1
-        series = _series_mul(_odd_value_series(m, s_cap, table), shift, s_cap)
-        tail, _ = _em_tail(series, k + cutoff, opts.tail_terms)
-        total = finite - away - tail
-    with mp.workdps(opts.digits):
-        return +total
-
-
 def _cross_kernel_closed(m: int, k: int, opts: EvalOptions) -> HighFloat:
+    # the shifted-kernel block enters with sign +1 for odd m, -1 for even m
     wp, table = _lemma_table(opts)
-    half = (m + 1) // 2
     with mp.workdps(wp):
         kf = mp.mpf(k)
         shifted = shifted_kernel_closed(m, k, EvalOptions(opts.digits + 15, opts.K,
                                                           opts.tail_terms))
         hm = _harmonic_mpf(HarmonicKind.odd(m), k)
         hm1 = _harmonic_mpf(HarmonicKind.odd(m + 1), k)
-        if m % 2 == 1:
-            n = half  # m = 2n - 1
-            total = shifted - (4 * n - 2) * hm1 / kf - hm / kf ** 2
-            for i in range(1, n):
-                total += 4 * (1 - mp.mpf(4) ** (-i)) * table.zeta(2 * i) * \
-                    _harmonic_mpf(HarmonicKind.odd(m + 1 - 2 * i), k) / kf
-        else:
-            n = m // 2
-            total = -shifted - 4 * n * hm1 / kf - hm / kf ** 2
-            for i in range(1, n + 1):
-                total += 4 * (1 - mp.mpf(4) ** (-i)) * table.zeta(2 * i) * \
-                    _harmonic_mpf(HarmonicKind.odd(m - 2 * i + 1), k) / kf
+        sign = 1 if m % 2 == 1 else -1
+        total = sign * shifted - 2 * m * hm1 / kf - hm / kf ** 2
+        for i in range(1, m // 2 + 1):
+            total += 4 * (1 - mp.mpf(4) ** (-i)) * table.zeta(2 * i) * \
+                _harmonic_mpf(HarmonicKind.odd(m + 1 - 2 * i), k) / kf
     with mp.workdps(opts.digits):
         return +total
 
@@ -641,7 +497,8 @@ def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions | None = None) \
         raise ValueError(f"k must be >= 1, got {k}")
     opts = opts or EvalOptions()
     m = 2 * n - 1 if parity == "odd" else 2 * n
-    return _cross_kernel_truncated(m, k, opts), _cross_kernel_closed(m, k, opts)
+    return (_kernel_truncated(HarmonicKind.odd(m), 1, k, opts),
+            _cross_kernel_closed(m, k, opts))
 
 
 def lemma1_f(k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:

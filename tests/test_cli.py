@@ -201,6 +201,38 @@ def test_lemma_check_small():
     assert all(line.endswith("pass") for line in lines[2:])
 
 
+@pytest.mark.parametrize("kmax", ("0", "-3"))
+def test_lemma_check_rejects_kmax_below_1(kmax):
+    rc, out, err = run_cli("lemma-check", "--kmax", kmax)
+    assert rc == 2
+    assert out == ""
+    assert f"error: --kmax must be >= 1, got {kmax}" in err.splitlines()
+
+
+@pytest.mark.parametrize("command", (("verify",), ("eval-expr", "z3")))
+@pytest.mark.parametrize("flag,value,message", (
+    ("--digits", "19", "error: digits must be >= 20, got 19"),
+    ("--K", "99", "error: K must be >= 100, got 99")))
+def test_low_digits_and_k_exit_2(command, flag, value, message):
+    rc, out, err = run_cli(*command, flag, value)
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [message]
+
+
+def test_config_tolerance_overrides_lemma_default(tmp_path):
+    rc, _, err = run_cli("lemma-check", "--kmax", "1", "--digits", "20")
+    assert rc == 0
+    assert "tolerance=1e-9" in err.splitlines()[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance = 1e-3\n")
+    rc, out, err = run_cli("lemma-check", "--kmax", "1", "--digits", "20",
+                           "--config", str(cfg), "--format", "csv")
+    assert rc == 0
+    assert "tolerance=1e-3" in err.splitlines()[0]
+    assert all(line.endswith("pass") for line in out.splitlines()[2:])
+
+
 def test_lemma_check_convention_documented():
     rc, out, _ = run_cli("lemma-check", "--kmax", "1", "--digits", "25")
     assert rc == 0

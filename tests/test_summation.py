@@ -82,6 +82,26 @@ def test_sums_match_independent_30_digit_oracles(text):
         assert abs(res.value - mp.mpf(FROZEN_SUMS_30[text])) < mp.mpf("1e-27")
 
 
+# Every frozen reference with the rounding of its printed decimal: the
+# 30-digit references are good to 1e-29, the 52-digit ones far beyond
+# any digits setting below.
+FROZEN_WITH_ROUNDING = ([(text, value, "0") for text, value in sorted(FROZEN_SUMS.items())]
+                        + [(text, value, "1e-29")
+                           for text, value in sorted(FROZEN_SUMS_30.items())])
+
+
+@pytest.mark.parametrize("tail_terms", (1, 8))
+@pytest.mark.parametrize("K", (100, 1000))
+@pytest.mark.parametrize("digits", (20, 52))
+@pytest.mark.parametrize("text,frozen,rounding", FROZEN_WITH_ROUNDING,
+                         ids=[entry[0] for entry in FROZEN_WITH_ROUNDING])
+def test_err_estimate_bounds_true_error(text, frozen, rounding, digits, K, tail_terms):
+    res = evaluate_sum(parse_sumspec(text), EvalOptions(digits, K, tail_terms))
+    with mp.workdps(70):
+        error = abs(res.value - mp.mpf(frozen)) - mp.mpf(rounding)
+        assert error <= res.err_estimate
+
+
 def test_result_metadata():
     res = evaluate_sum(parse_sumspec("h1/k^2"), EvalOptions(digits=25,
                                                             K=2000))
