@@ -293,6 +293,11 @@ def _cmd_lemma_check(args, cfg) -> int:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     tol = mp.mpf(cfg["tolerance"])
+    # the sides are compared as printed: 10^(1 - digits) apart below 10
+    spacing = f"1e{1 - cfg['opts'].digits}"
+    if tol < mp.mpf(spacing):
+        raise ValueError(f"--tolerance {cfg['tolerance']} is below {spacing}, "
+                         "the spacing of the printed values")
     rows = _lemma_rows(args.kmax, cfg["opts"], tol)
     fields = ("check", "k", "truncated", "closed", "residual", "verdict")
     if cfg["format"] == "json":
@@ -390,7 +395,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, cfg)
     except (ValueError, KeyError, ArithmeticError, RuntimeError,
             OSError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
+        # str() names an OSError's file; it would quote a KeyError's text
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
 

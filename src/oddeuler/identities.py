@@ -23,8 +23,8 @@ from importlib import resources
 import mpmath as mp
 
 from .numerics import ConstantsTable, HighFloat
-from .summation import (EvalOptions, EvalResult, SumSpec, evaluate_sum,
-                        parse_sumspec, reciprocal_sum_closed_form)
+from .summation import (EvalOptions, EvalResult, SumSpec, err_floor,
+                        evaluate_sum, parse_sumspec, reciprocal_sum_closed_form)
 from .zeta_algebra import (ZetaExpr, canonicalize, evaluate, format_expr,
                            parse_expr)
 
@@ -154,9 +154,7 @@ def evaluate_combination(comb: FormalCombination,
             cval = evaluate(coef, table)
             total += cval * r.value ** power
             err += abs(cval) * power * abs(r.value) ** (power - 1) * r.err_estimate
-        floor = mp.mpf(10) ** (8 - opts.digits)
-        if err < floor:
-            err = floor
+        err = max(err, err_floor(opts.digits))
     with mp.workdps(opts.digits):
         return EvalResult(+total, +err, opts.K, opts.digits)
 
@@ -208,8 +206,6 @@ def catalog_by_id(extra_paths: tuple[str, ...] = ()) -> dict[str, Identity]:
 
 
 # ---- verification ----------------------------------------------------------
-
-DEFAULT_TOLERANCE = Fraction(1, 10 ** 11)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ times a binomial expansion of the denominator), which the shared
 Euler-Maclaurin core in numerics integrates and corrects exactly, so
 the result carries 30+ correct digits at the default K.
 
-The lemma evaluators at the bottom compare one truncated two-sided
-kernel sum against closed forms; its tail goes through the same routine.
+The lemma evaluators at the bottom compare truncated kernel sums against
+closed forms; one head-plus-tail routine sums those kernels and every sum.
 """
 
 from __future__ import annotations
@@ -199,12 +199,12 @@ def term_exact(spec: SumSpec, k: int) -> Rational:
     return value
 
 
-# ---- log-power series ----------------------------------------------------
+# ---- log-power series and the one summation routine ---------------------
 #
 # A series is a dict {(a, s): mpf} standing for sum c (ln x)^a x^{-s}; the
 # Euler-Maclaurin core and the harmonic value series live in numerics and
-# harmonic.  All series code assumes an mpmath working precision is
-# already active.
+# harmonic.  Series code assumes an active mpmath working precision.
+# _head_tail sums every infinite series; each caller picks (c, b, a, q).
 
 
 def _series_mul(sa: dict, sb: dict, s_cap: int) -> dict:
@@ -232,72 +232,71 @@ def _power_series(c: int, b: int, a: int, q: int, s_cap: int) -> dict:
     return out
 
 
-def _em_tail(lead: int, build, cutoff: int, m_at: int,
-             opts: EvalOptions) -> tuple[HighFloat, HighFloat]:
-    """(sum_{k > m_at} of a summand, |first omitted correction|).
+def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
+               opts: EvalOptions) -> tuple[HighFloat, HighFloat]:
+    """(sum_{i>=1} f(i) / (i^c (b i - a)^q), |first omitted correction|).
 
-    The summand's series starts at x^{-lead}; build(s_cap) returns it up
-    to x^{-s_cap}, where s_cap keeps every power still worth
-    10^-(digits + 12) at the summation cutoff.  The tail is Euler-Maclaurin
-    group 0 plus opts.tail_terms corrections.
+    f is the product of the prefixes in factors (1 without any); a term
+    with a zero denominator is skipped.  The head to end is summed
+    directly, one exact integer denominator and one division per term;
+    the tail is Euler-Maclaurin group 0 plus opts.tail_terms corrections.
+    Both values are at the working precision digits + 15, unrounded.
     """
-    extra = int(math.ceil((opts.digits + 12) / math.log10(cutoff))) + 2
-    groups = euler_maclaurin(build(lead + extra))
-    x = mp.mpf(m_at)
-    lnx = mp.log(x)
-    total = mp.mpf(0)
-    for _ in range(opts.tail_terms + 1):
-        total -= series_eval(next(groups), x, lnx)
-    return total, abs(series_eval(next(groups), x, lnx))
+    wp = opts.digits + 15
+    with mp.workdps(wp):
+        kinds = tuple(dict.fromkeys(factors))
+        slots = [kinds.index(kind) for kind in factors]
+        stream = PrefixStream(kinds, wp)
+        f = mp.mpf(1)
+        total = mp.mpf(0)
+        for i in range(1, end + 1):
+            if slots:
+                stream.advance()
+                vals = stream.values()
+                f = vals[slots[0]]
+                for slot in slots[1:]:
+                    f *= vals[slot]
+            den = i ** c * (b * i - a) ** q
+            if den:
+                total += f / den
 
-
-def _summand_series(kinds: tuple, series: dict, s_cap: int,
-                    table: ConstantsTable) -> dict:
-    # a series times the value series of every harmonic factor
-    for kind in kinds:
-        series = _series_mul(series, value_series(kind, s_cap, table), s_cap)
-    return series
+        # x^{-c} (b x - a)^{-q} = x^{-c-q} (b - a/x)^{-q}, kept to every
+        # power still worth 10^-(digits + 12) at end
+        s_cap = c + q + int(math.ceil((opts.digits + 12) / math.log10(end))) + 2
+        series = _power_series(c + q, b, a, q, s_cap)
+        table = ConstantsTable(wp)
+        for kind in factors:
+            series = _series_mul(series, value_series(kind, s_cap, table), s_cap)
+        groups = euler_maclaurin(series)
+        x = mp.mpf(end)
+        lnx = mp.log(x)
+        tail = mp.mpf(0)
+        for _ in range(opts.tail_terms + 1):
+            tail -= series_eval(next(groups), x, lnx)
+        return total + tail, abs(series_eval(next(groups), x, lnx))
 
 
 # ---- the evaluator --------------------------------------------------------
 
-_ERR_FLOOR_OFFSET = 8
+
+def err_floor(digits: int) -> HighFloat:
+    """10^(8 - digits), the smallest error estimate reported at digits."""
+    return mp.mpf(10) ** (8 - digits)
 
 
 def evaluate_sum(spec: SumSpec, opts: EvalOptions | None = None) -> EvalResult:
     """Partial sum to K plus Euler-Maclaurin tail.
 
     The error estimate is ten times the first omitted correction term,
-    floored at 10^(8 - digits); doubling K moves the value by less than
-    that estimate.
+    floored at err_floor(digits); doubling K moves the value by less
+    than that estimate.
     """
     opts = opts or EvalOptions()
-    wp = opts.digits + 15
-    with mp.workdps(wp):
-        table = ConstantsTable(wp)
-        kinds = tuple(dict.fromkeys(spec.factors))
-        counts = [spec.factors.count(kind) for kind in kinds]
-        stream = PrefixStream(kinds, wp)
-        partial = mp.mpf(0)
-        for k in range(1, opts.K + 1):
-            stream.advance()
-            term = mp.mpf(k) ** (-spec.k_power)
-            if spec.odd_power:
-                term *= mp.mpf(2 * k - 1) ** (-spec.odd_power)
-            for idx, kind in enumerate(kinds):
-                v = stream.value(kind)
-                term *= v if counts[idx] == 1 else v ** counts[idx]
-            partial += term
-
-        # x^{-p} (2x-1)^{-q} = x^{-p-q} (2 - 1/x)^{-q}
-        lead = spec.k_power + spec.odd_power
-        tail, omitted = _em_tail(lead, lambda cap: _summand_series(
-            spec.factors, _power_series(lead, 2, 1, spec.odd_power, cap), cap, table),
-            opts.K, opts.K, opts)
-        value = partial + tail
-        err = max(10 * omitted, mp.mpf(10) ** (_ERR_FLOOR_OFFSET - opts.digits))
+    value, omitted = _head_tail(spec.factors, spec.k_power, 2, 1,
+                                spec.odd_power, opts.K, opts)
     with mp.workdps(opts.digits):
-        return EvalResult(+value, +err, opts.K, opts.digits)
+        err = max(10 * omitted, err_floor(opts.digits))
+        return EvalResult(+value, err, opts.K, opts.digits)
 
 
 # ---- closed forms for pure reciprocal sums --------------------------------
@@ -351,13 +350,8 @@ def reciprocal_sum_closed_form(p: int, q: int) -> ZetaExpr:
 # ---- lemma evaluators ------------------------------------------------------
 #
 # Each returns a (truncated, closed) pair at the option's precision.  The
-# truncated side really sums the series (two-sided, split at i = k, with
-# an Euler-Maclaurin tail), so agreement is evidence and not circularity.
-
-
-def _lemma_table(opts: EvalOptions) -> tuple[int, ConstantsTable]:
-    wp = opts.digits + 15
-    return wp, ConstantsTable(wp)
+# truncated side really sums the series (direct head plus Euler-Maclaurin
+# tail), so agreement is evidence and not circularity.
 
 
 def _harmonic_mpf(kind: HarmonicKind, k: int) -> HighFloat:
@@ -367,29 +361,13 @@ def _harmonic_mpf(kind: HarmonicKind, k: int) -> HighFloat:
     return mp.mpf(v.numerator) / v.denominator
 
 
-def _kernel_truncated(kind: HarmonicKind | None, c: int, k0: int,
+def _kernel_truncated(factors: tuple, c: int, b: int, k: int,
                       opts: EvalOptions) -> HighFloat:
-    # Truncated side of every lemma: the two-sided sum over i >= 1, i != k0,
-    # of f(i) / (i^c (k0 - i)), with f the prefix of kind (1 without one).
-    # Direct to a cutoff past max(k0, 0), then minus the Euler-Maclaurin
-    # tail of the series of f(x) x^{-c-1} (1 - k0/x)^{-1}.
-    wp, table = _lemma_table(opts)
-    with mp.workdps(wp):
-        cutoff = max(2000, 50 * abs(k0))
-        end = max(k0, 0) + cutoff
-        stream = PrefixStream((kind,), wp) if kind else None
-        f = mp.mpf(1)
-        total = mp.mpf(0)
-        for i in range(1, end + 1):
-            if stream:
-                stream.advance()
-                f = stream.values()[0]
-            if i != k0:
-                total += f / (i ** c * (k0 - i))
-        tail, _ = _em_tail(c + 1, lambda cap: _summand_series(
-            (kind,) if kind else (), _power_series(c + 1, 1, k0, 1, cap), cap, table),
-            cutoff, end, opts)
-        total -= tail
+    # Truncated side of every lemma: sum_{i>=1} f(i) / (i^c (b i + k)), f
+    # the prefix in factors or 1; b = 1 is the shifted kernel, b = -1 the
+    # two-sided one, whose i = k pole is skipped and whose head is k longer.
+    end = max(2000, 50 * k) + (k if b < 0 else 0)
+    total, _ = _head_tail(factors, c, b, -k, 1, end, opts)
     with mp.workdps(opts.digits):
         return +total
 
@@ -407,9 +385,9 @@ def shifted_kernel_closed(n: int, k: int, opts: EvalOptions | None = None) -> Hi
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     opts = opts or EvalOptions()
-    wp, table = _lemma_table(opts)
+    table = ConstantsTable(opts.digits + 15)
     sign = 1 if n % 2 == 1 else -1
-    with mp.workdps(wp):
+    with mp.workdps(table.digits):
         ladder = mp.mpf(0)
         for i in range(1, k + 1):
             ladder += _harmonic_mpf(HarmonicKind.even(1), i - 1) * \
@@ -427,10 +405,8 @@ def shifted_kernel_closed(n: int, k: int, opts: EvalOptions | None = None) -> Hi
 def lemma1_aux(k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
     """(truncated, closed) for sum_i h(1, i) / (i (i + k))."""
     opts = opts or EvalOptions()
-    # the shifted kernel is minus the two-sided one at k0 = -k
-    with mp.workdps(opts.digits):
-        truncated = -_kernel_truncated(HarmonicKind.odd(1), 1, -k, opts)
-    return truncated, shifted_kernel_closed(1, k, opts)
+    return (_kernel_truncated((HarmonicKind.odd(1),), 1, 1, k, opts),
+            shifted_kernel_closed(1, k, opts))
 
 
 def recip_kernel_closed(p: int, k: int, opts: EvalOptions | None = None) -> HighFloat:
@@ -440,8 +416,8 @@ def recip_kernel_closed(p: int, k: int, opts: EvalOptions | None = None) -> High
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     opts = opts or EvalOptions()
-    wp, table = _lemma_table(opts)
-    with mp.workdps(wp):
+    table = ConstantsTable(opts.digits + 15)
+    with mp.workdps(table.digits):
         kf = mp.mpf(k)
         total = _harmonic_mpf(HarmonicKind.even(1), k) * kf ** (-p)
         total -= (p + 1) * kf ** (-(p + 1))
@@ -460,14 +436,14 @@ def lemma2_g(n: int, k: int, opts: EvalOptions | None = None) -> tuple[HighFloat
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     opts = opts or EvalOptions()
-    return (_kernel_truncated(None, 2 * n, k, opts),
+    return (_kernel_truncated((), 2 * n, -1, k, opts),
             recip_kernel_closed(2 * n, k, opts))
 
 
 def _cross_kernel_closed(m: int, k: int, opts: EvalOptions) -> HighFloat:
     # the shifted-kernel block enters with sign +1 for odd m, -1 for even m
-    wp, table = _lemma_table(opts)
-    with mp.workdps(wp):
+    table = ConstantsTable(opts.digits + 15)
+    with mp.workdps(table.digits):
         kf = mp.mpf(k)
         shifted = shifted_kernel_closed(m, k, EvalOptions(opts.digits + 15, opts.K,
                                                           opts.tail_terms))
@@ -497,7 +473,7 @@ def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions | None = None) \
         raise ValueError(f"k must be >= 1, got {k}")
     opts = opts or EvalOptions()
     m = 2 * n - 1 if parity == "odd" else 2 * n
-    return (_kernel_truncated(HarmonicKind.odd(m), 1, k, opts),
+    return (_kernel_truncated((HarmonicKind.odd(m),), 1, -1, k, opts),
             _cross_kernel_closed(m, k, opts))
 
 

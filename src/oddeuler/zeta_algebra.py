@@ -153,10 +153,6 @@ class ZetaExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def max_weight(self) -> int:
-        return max((m.weight for m, _ in self.terms), default=0)
-
     def __add__(self, other: "ZetaExpr") -> "ZetaExpr":
         return ZetaExpr.from_terms(list(self.terms) + list(other.terms))
 

@@ -107,7 +107,18 @@ def test_unknown_flag_exits_2():
 def test_unknown_id_exits_2():
     rc, _, err = run_cli("verify", "--id", "nope")
     assert rc == 2
-    assert "nope" in err
+    # a KeyError's message is printed without the quotes str() would add
+    assert "error: unknown identity ids: ['nope']" in err.splitlines()
+
+
+@pytest.mark.parametrize("flag,name", (("--config", "missing.cfg"),
+                                       ("--catalog", "nope.jsonl")))
+def test_missing_file_exits_2_naming_it(tmp_path, flag, name):
+    rc, out, err = run_cli("list", flag, str(tmp_path / name))
+    assert rc == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and name in errors[0], err
 
 
 def test_must_pass_failure_exits_1(tmp_path):
@@ -218,6 +229,20 @@ def test_low_digits_and_k_exit_2(command, flag, value, message):
     assert rc == 2
     assert out == ""
     assert err.splitlines() == [message]
+
+
+def test_lemma_check_rejects_tolerance_below_printed_spacing():
+    rc, out, err = run_cli("lemma-check", "--kmax", "1", "--digits", "20",
+                           "--tolerance", "1e-30")
+    assert rc == 2
+    assert out == ""
+    assert ("error: --tolerance 1e-30 is below 1e-19, the spacing of the "
+            "printed values") in err.splitlines()
+    # the spacing itself is accepted (the 1e-9 default is run below)
+    rc, out, _ = run_cli("lemma-check", "--kmax", "1", "--digits", "20",
+                         "--tolerance", "1e-19", "--format", "csv")
+    assert rc == 0
+    assert len(out.splitlines()) == 2 + 8
 
 
 def test_config_tolerance_overrides_lemma_default(tmp_path):

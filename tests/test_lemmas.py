@@ -56,6 +56,11 @@ def test_lemma2_frozen_values():
                    - mp.mpf(FROZEN_LEMMAS[("recip", 4, 7)])) < mp.mpf("1e-30")
         assert abs(recip_kernel_closed(6, 7, EvalOptions(digits=35))
                    - mp.mpf(FROZEN_LEMMAS[("recip", 6, 7)])) < mp.mpf("1e-30")
+        # the truncated sides, summed head plus tail, hit the frozen values
+        for n in (2, 3):
+            trunc, _ = lemma2_g(n, 7, EvalOptions(digits=35))
+            assert abs(trunc - mp.mpf(FROZEN_LEMMAS[("recip", 2 * n, 7)])) \
+                < mp.mpf("1e-30"), n
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -76,13 +81,15 @@ def test_lemma3_truncated_equals_closed(m):
 
 
 def test_lemma3_frozen_values():
+    opts = EvalOptions(digits=35)
     with mp.workdps(40):
-        _, c = lemma3_f(1, "even", 4, EvalOptions(digits=35))
-        assert abs(c - mp.mpf(FROZEN_LEMMAS[("cross", 2, 4)])) \
-            < mp.mpf("1e-30")
-        _, c = lemma3_f(2, "odd", 9, EvalOptions(digits=35))
-        assert abs(c - mp.mpf(FROZEN_LEMMAS[("cross", 3, 9)])) \
-            < mp.mpf("1e-30")
+        for key, (trunc, closed) in (
+                (("cross", 2, 4), lemma3_f(1, "even", 4, opts)),
+                (("cross", 3, 9), lemma3_f(2, "odd", 9, opts)),
+                (("cross", 1, 1), lemma1_f(1, opts))):
+            frozen = mp.mpf(FROZEN_LEMMAS[key])
+            assert abs(closed - frozen) < mp.mpf("1e-30"), key
+            assert abs(trunc - frozen) < mp.mpf("1e-30"), key
 
 
 def test_lemma_argument_validation():
