@@ -32,6 +32,10 @@ REPORT_FIELDS = ("id", "lhs_value", "rhs_value", "residual", "tolerance",
 
 _FORMATS = ("table", "json", "csv")
 
+# lemma-check's largest k: the kernel cutoff 50k reaches the default
+# K = 10^4 there, and each row's cost grows with it
+LEMMA_KMAX = 200
+
 _DEFAULTS = {"digits": 40, "K": 10 ** 4, "tolerance": "1e-11",
              "format": "table", "ids": (), "family": None, "catalog": ()}
 
@@ -292,6 +296,8 @@ def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
 def _cmd_lemma_check(args, cfg) -> int:
     if args.kmax < 1:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
+    if args.kmax > LEMMA_KMAX:
+        raise ValueError(f"--kmax must be <= {LEMMA_KMAX}, got {args.kmax}")
     tol = mp.mpf(cfg["tolerance"])
     # the sides are compared as printed: 10^(1 - digits) apart below 10
     spacing = f"1e{1 - cfg['opts'].digits}"

@@ -106,41 +106,41 @@ def even_odd_split(n: int, k: int) -> tuple[Rational, Rational]:
 
 
 class PrefixStream:
-    """Incrementally updated float prefixes for several kinds at once.
+    """Fixed-point prefixes for several kinds at once, advanced together.
 
-    Values live at a fixed decimal precision chosen at construction; one
-    advance() appends the k-th term of every kind.  The stream never
-    rounds twice: each increment is computed and added at the working
-    precision.
+    Each prefix is an int scaled by 2^prec: one advance() adds the k-th
+    term of every kind as the floor of 2^prec / base^n, so after k
+    advances a prefix lies in [exact - k 2^-prec, exact].  prec is the
+    binary precision of `digits` plus terms.bit_length() + 16 guard
+    bits, where `terms` is the number of advances the caller plans.
     """
 
-    def __init__(self, kinds: tuple[HarmonicKind, ...], digits: int):
+    def __init__(self, kinds: tuple[HarmonicKind, ...], digits: int, terms: int = 1):
         if digits < 10:
             raise ValueError("precision too low: digits must be >= 10")
         self.kinds = tuple(kinds)
         self.digits = digits
+        self.prec = mp.libmp.dps_to_prec(digits) + terms.bit_length() + 16
+        self.one = 1 << self.prec
+        self.prefixes = [0] * len(self.kinds)
+        self._shape = [(kind.parity == "odd", kind.order) for kind in self.kinds]
         self._k = 0
-        with mp.workdps(digits):
-            self._vals = [mp.mpf(0) for _ in self.kinds]
 
     @property
     def k(self) -> int:
         return self._k
 
     def advance(self) -> int:
-        self._k += 1
-        i = self._k
-        with mp.workdps(self.digits):
-            for idx, kind in enumerate(self.kinds):
-                base = i if kind.parity == "even" else 2 * i - 1
-                self._vals[idx] += mp.mpf(base) ** (-kind.order)
-        return self._k
+        self._k = i = self._k + 1
+        one, prefixes = self.one, self.prefixes
+        for idx, (odd, n) in enumerate(self._shape):
+            prefixes[idx] += one // (2 * i - 1 if odd else i) ** n
+        return i
 
     def value(self, kind: HarmonicKind) -> HighFloat:
-        return self._vals[self.kinds.index(kind)]
-
-    def values(self) -> tuple[HighFloat, ...]:
-        return tuple(self._vals)
+        """The prefix of kind, rounded to the stream's digits."""
+        with mp.workdps(self.digits):
+            return mp.mpf((self.prefixes[self.kinds.index(kind)], -self.prec))
 
 
 # ---- asymptotic expansions ----------------------------------------------

@@ -5,19 +5,22 @@ A sum here is sum_{k>=1} f(k) with
     f(k) = product of harmonic prefixes at k / (k^p (2k-1)^q),
 
 convergent whenever p + q >= 2 (the numerator only contributes powers of
-log).  Evaluation is a direct partial sum to K followed by an
-Euler-Maclaurin tail: the summand is expanded into a log-power series
-of monomials c * (ln x)^a * x^{-s} (the harmonic factors' expansions
-times a binomial expansion of the denominator), which the shared
-Euler-Maclaurin core in numerics integrates and corrects exactly, so
-the result carries 30+ correct digits at the default K.
+log).  Evaluation is a direct partial sum to K, in fixed-point integers
+on the harmonic prefix streams, followed by an Euler-Maclaurin tail: the
+summand is expanded into a log-power series of monomials
+c * (ln x)^a * x^{-s} (the harmonic factors' expansions times a binomial
+expansion of the denominator), which the shared Euler-Maclaurin core in
+numerics integrates and corrects exactly, so the result carries 30+
+correct digits at the default K.
 
 The lemma evaluators at the bottom compare truncated kernel sums against
-closed forms; one head-plus-tail routine sums those kernels and every sum.
+closed forms; one head-plus-tail routine sums those kernels and every sum,
+and is memoized, so no series is summed twice in one process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,6 +167,11 @@ def parse_sumspec(text: str) -> SumSpec:
         raise SumSpecSyntaxError(str(exc)) from None
 
 
+# largest direct-summation cutoff: at K = 10^6 one sum costs seconds, and
+# the head's fixed-point guard bits are sized up to it
+MAX_K = 10 ** 6
+
+
 @dataclass(frozen=True)
 class EvalOptions:
     """Evaluation knobs shared across the package."""
@@ -177,6 +185,8 @@ class EvalOptions:
             raise ValueError(f"digits must be >= 20, got {self.digits}")
         if self.K < 100:
             raise ValueError(f"K must be >= 100, got {self.K}")
+        if self.K > MAX_K:
+            raise ValueError(f"K must be <= {MAX_K}, got {self.K}")
         if not 1 <= self.tail_terms <= 8:
             raise ValueError(f"tail_terms must be in 1..8, got {self.tail_terms}")
 
@@ -232,34 +242,47 @@ def _power_series(c: int, b: int, a: int, q: int, s_cap: int) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
                opts: EvalOptions) -> tuple[HighFloat, HighFloat]:
     """(sum_{i>=1} f(i) / (i^c (b i - a)^q), |first omitted correction|).
 
     f is the product of the prefixes in factors (1 without any); a term
-    with a zero denominator is skipped.  The head to end is summed
-    directly, one exact integer denominator and one division per term;
-    the tail is Euler-Maclaurin group 0 plus opts.tail_terms corrections.
-    Both values are at the working precision digits + 15, unrounded.
+    with a zero denominator is skipped.  The head to end is a fixed-point
+    integer sum on a PrefixStream: per term one product of the prefixes,
+    a shift and a floor division by the exact integer denominator, then
+    one conversion to mpf.  The tail is Euler-Maclaurin group 0 plus
+    opts.tail_terms corrections.  Both values are at the working
+    precision digits + 15, unrounded, and memoized for the process: equal
+    arguments (SumSpec sorts its factors) sum the series once.
     """
     wp = opts.digits + 15
-    with mp.workdps(wp):
-        kinds = tuple(dict.fromkeys(factors))
-        slots = [kinds.index(kind) for kind in factors]
-        stream = PrefixStream(kinds, wp)
-        f = mp.mpf(1)
-        total = mp.mpf(0)
-        for i in range(1, end + 1):
-            if slots:
-                stream.advance()
-                vals = stream.values()
-                f = vals[slots[0]]
-                for slot in slots[1:]:
-                    f *= vals[slot]
-            den = i ** c * (b * i - a) ** q
-            if den:
-                total += f / den
+    kinds = tuple(dict.fromkeys(factors))
+    slots = [kinds.index(kind) for kind in factors]
+    stream = PrefixStream(kinds, wp, end)
+    prec, prefixes = stream.prec, stream.prefixes
+    # In units of 2^-prec each prefix is at most i low at term i, so the
+    # product of m prefixes, each below X = 1 + ln(end), is at most
+    # m i X^(m-1) off; the shift and the division floor once more each.
+    # Every caller's |denominator| is at least i, so the head is at most
+    # end (m X^(m-1) + 2) units off, which is below 2^-(bits of wp) since
+    # prec carries end.bit_length() + 16 guard bits and m X^(m-1) + 2 <
+    # 2^16 for up to four factors at end <= 10^6.
+    shift = prec * (len(factors) - 1)
+    num = stream.one
+    head = 0
+    for i in range(1, end + 1):
+        if slots:
+            stream.advance()
+            num = prefixes[slots[0]]
+            for slot in slots[1:]:
+                num *= prefixes[slot]
+            num >>= shift
+        den = i ** c * (b * i - a) ** q
+        if den:
+            head += num // den
 
+    with mp.workdps(wp):
         # x^{-c} (b x - a)^{-q} = x^{-c-q} (b - a/x)^{-q}, kept to every
         # power still worth 10^-(digits + 12) at end
         s_cap = c + q + int(math.ceil((opts.digits + 12) / math.log10(end))) + 2
@@ -273,7 +296,7 @@ def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
         tail = mp.mpf(0)
         for _ in range(opts.tail_terms + 1):
             tail -= series_eval(next(groups), x, lnx)
-        return total + tail, abs(series_eval(next(groups), x, lnx))
+        return mp.mpf((head, -prec)) + tail, abs(series_eval(next(groups), x, lnx))
 
 
 # ---- the evaluator --------------------------------------------------------

@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 CSV_HEADER = "id,lhs_value,rhs_value,residual,tolerance,verdict,digits,K"
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -218,6 +221,32 @@ def test_lemma_check_rejects_kmax_below_1(kmax):
     assert rc == 2
     assert out == ""
     assert f"error: --kmax must be >= 1, got {kmax}" in err.splitlines()
+
+
+def test_lemma_check_rejects_kmax_above_cap():
+    rc, out, err = run_cli("lemma-check", "--kmax", "201")
+    assert rc == 2
+    assert out == ""
+    assert "error: --kmax must be <= 200, got 201" in err.splitlines()
+
+
+@pytest.mark.parametrize("command", (("verify",), ("eval-sum", "h1/k^2")))
+def test_k_above_cap_exits_2(command):
+    rc, out, err = run_cli(*command, "--K", "1000001")
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == ["error: K must be <= 1000000, got 1000001"]
+
+
+# stdout of the default runs, saved before the fixed-point head and the
+# memo went in: the CLI contract is byte-identical stdout
+@pytest.mark.parametrize("command,golden", (
+    ("verify", "verify_default.csv"),
+    ("lemma-check", "lemma_default.csv")))
+def test_default_csv_stdout_matches_golden(command, golden):
+    rc, out, _ = run_cli(command, "--format", "csv")
+    assert rc == 0
+    assert out == (DATA / golden).read_text()
 
 
 @pytest.mark.parametrize("command", (("verify",), ("eval-expr", "z3")))

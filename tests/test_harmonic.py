@@ -72,6 +72,19 @@ def test_prefix_stream_matches_exact():
                 < mp.mpf(10) ** (6 - 30)
 
 
+@pytest.mark.parametrize("parity", ("even", "odd"))
+def test_prefix_stream_floor_bound(parity):
+    # each advance floors one term, so after k advances every integer
+    # prefix is at most k units of 2^-prec below the exact value
+    kinds = tuple(HarmonicKind(parity, n) for n in (1, 2, 3))
+    stream = PrefixStream(kinds, digits=20, terms=500)
+    for k in range(1, 501):
+        stream.advance()
+        for kind, prefix in zip(kinds, stream.prefixes):
+            gap = harmonic_exact(kind, k) * 2 ** stream.prec - prefix
+            assert 0 <= gap <= k
+
+
 def test_tail_expansion_even_order2_example():
     # three correction terms of the order-2 tail at k = 10
     val = tail_expansion(HarmonicKind.even(2), 10, 3)

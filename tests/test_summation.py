@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddeuler.harmonic import HarmonicKind
-from oddeuler.summation import (EvalOptions, SumSpec, SumSpecSyntaxError,
-                                evaluate_sum, format_sumspec, parse_sumspec,
+from oddeuler.summation import (MAX_K, EvalOptions, SumSpec, SumSpecSyntaxError,
+                                _head_tail, evaluate_sum, format_sumspec, parse_sumspec,
                                 reciprocal_sum_closed_form, term_exact)
 from oddeuler.numerics import ConstantsTable
 from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr
@@ -63,6 +63,32 @@ def test_eval_options_validation():
         EvalOptions(tail_terms=0)
     with pytest.raises(ValueError):
         EvalOptions(tail_terms=9)
+    # a cost guard: only the refusal is run
+    with pytest.raises(ValueError, match=f"K must be <= {MAX_K}"):
+        EvalOptions(K=MAX_K + 1)
+
+
+def test_equal_sums_run_the_head_once():
+    _head_tail.cache_clear()
+    opts = EvalOptions(digits=25, K=300)
+    first = evaluate_sum(parse_sumspec("h1*h2/k^3"), opts)
+    # factor order is normalized by SumSpec, so this is the same entry
+    again = evaluate_sum(parse_sumspec("h2*h1/k^3"), opts)
+    info = _head_tail.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert repr(again) == repr(first)
+
+
+@pytest.mark.parametrize("other", (EvalOptions(digits=40, K=100),
+                                   EvalOptions(digits=30, K=1000)))
+def test_different_options_get_their_own_entry(other):
+    _head_tail.cache_clear()
+    spec = parse_sumspec("h1*h2/k^3")
+    base = evaluate_sum(spec, EvalOptions(digits=30, K=100))
+    moved = evaluate_sum(spec, other)
+    info = _head_tail.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    assert moved.value != base.value
 
 
 @pytest.mark.parametrize("text", sorted(FROZEN_SUMS))
