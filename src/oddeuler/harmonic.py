@@ -13,13 +13,13 @@ every odd-kind asymptotic expansion here is produced from the even one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .numerics import (ConstantsTable, HighFloat, Rational, euler_maclaurin,
-                       series_eval)
+from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin, series_eval
 
 _EXACT_LIMIT = 10 ** 5
 
@@ -111,16 +111,18 @@ class PrefixStream:
     Each prefix is an int scaled by 2^prec: one advance() adds the k-th
     term of every kind as the floor of 2^prec / base^n, so after k
     advances a prefix lies in [exact - k 2^-prec, exact].  prec is the
-    binary precision of `digits` plus terms.bit_length() + 16 guard
-    bits, where `terms` is the number of advances the caller plans.
+    binary precision of `digits` plus terms.bit_length() + guard bits,
+    where `terms` is the number of advances the caller plans and `guard`
+    covers what the caller does with the prefixes.
     """
 
-    def __init__(self, kinds: tuple[HarmonicKind, ...], digits: int, terms: int = 1):
+    def __init__(self, kinds: tuple[HarmonicKind, ...], digits: int, terms: int = 1,
+                 guard: int = 16):
         if digits < 10:
             raise ValueError("precision too low: digits must be >= 10")
         self.kinds = tuple(kinds)
         self.digits = digits
-        self.prec = mp.libmp.dps_to_prec(digits) + terms.bit_length() + 16
+        self.prec = mp.libmp.dps_to_prec(digits) + terms.bit_length() + guard
         self.one = 1 << self.prec
         self.prefixes = [0] * len(self.kinds)
         self._shape = [(kind.parity == "odd", kind.order) for kind in self.kinds]
@@ -146,37 +148,40 @@ class PrefixStream:
 # ---- asymptotic expansions ----------------------------------------------
 
 
-def _even_value_series(n: int, s_cap: int, table: ConstantsTable) -> dict:
+def _even_value_series(n: int, s_cap: int, table: ConstantsTable, prec: int) -> dict:
     # H(n, x) = (zeta(n), or gamma at n = 1) + Euler-Maclaurin groups of
-    # x^{-n}, keeping the terms up to x^{-s_cap}
-    out = {(0, 0): +(table.euler_gamma if n == 1 else table.zeta(n))}
-    for group in euler_maclaurin({(0, n): 1}):
-        kept = {key: c for key, c in group.items() if key[1] <= s_cap}
+    # x^{-n}, keeping the terms up to x^{-s_cap}; ints scaled by 2^prec
+    const = table.euler_gamma if n == 1 else table.zeta(n)
+    out = {(0, 0): mp.libmp.to_fixed(const._mpf_, prec)}
+    for scale, group in euler_maclaurin({(0, n): 1 << prec}, operator.floordiv):
+        kept = {key: c * scale.numerator // scale.denominator
+                for key, c in group.items() if key[1] <= s_cap}
         if not kept:
             return out
         out.update(kept)
 
 
-def value_series(kind: HarmonicKind, s_cap: int, table: ConstantsTable) -> dict:
+def value_series(kind: HarmonicKind, s_cap: int, table: ConstantsTable,
+                 prec: int) -> dict:
     """Asymptotic log-power series of the prefix H(n, x) or h(n, x).
 
-    Terms run up to x^{-s_cap}; coefficients are at the table's precision,
-    and an mpmath working precision must be active.  The odd kind comes
-    from the even one through h(n, x) = H(n, 2x) - 2^{-n} H(n, x).
+    Terms run up to x^{-s_cap}, in fixed point: int coefficients scaled by
+    2^prec, from the table's constants rounded once and the exact
+    Euler-Maclaurin multiples of x^{-n}.  The odd kind comes from the even
+    one through h(n, x) = H(n, 2x) - 2^{-n} H(n, x).
     """
-    even = _even_value_series(kind.order, s_cap, table)
+    even = _even_value_series(kind.order, s_cap, table, prec)
     if kind.parity == "even":
         return even
-    # x -> 2x: (ln 2x)^a expands binomially, x^{-s} scales
-    ln2 = +table.ln2
-    shrink = mp.mpf(2) ** (-kind.order)
+    # x -> 2x: (ln 2x)^a expands binomially, x^{-s} halves s times
+    ln2 = mp.libmp.to_fixed(table.ln2._mpf_, prec)
     out: dict = {}
     for (a, s), c in even.items():
-        scale = c * mp.mpf(2) ** (-s)
         for j in range(a + 1):
             key = (a - j, s)
-            out[key] = out.get(key, mp.mpf(0)) + scale * math.comb(a, j) * ln2 ** j
-        out[(a, s)] -= shrink * c
+            out[key] = out.get(key, 0) + \
+                (math.comb(a, j) * c * ln2 ** j >> (s + prec * j))
+        out[(a, s)] -= c >> kind.order
     return {k: v for k, v in out.items() if v}
 
 
@@ -184,7 +189,10 @@ def _expansion_pieces(n: int, x: HighFloat, table: ConstantsTable) -> list:
     # Monomials of the H(n, x) series valued at x, leading first.  For
     # n >= 2 they are negated and zeta(n) dropped, so that they add up to
     # the tail zeta(n) - H(n, x); for n = 1 they add up to H(1, x) itself.
-    series = _even_value_series(n, n + 7, table)
+    # The series comes in fixed point with 16 guard bits.
+    prec = mp.mp.prec + 16
+    series = {key: mp.mpf((c, -prec))
+              for key, c in _even_value_series(n, n + 7, table, prec).items()}
     if n > 1:
         series = {key: -c for key, c in series.items() if key != (0, 0)}
     lnx = mp.log(x) if n == 1 else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -62,8 +63,8 @@ def bernoulli(n: int) -> Fraction:
 # ---- log-power series and the Euler-Maclaurin core ----------------------
 #
 # A series is a dict {(a, s): c} standing for sum c (ln x)^a x^{-s}, with
-# mpf coefficients (exact integers also work and keep derivatives exact).
-# All series code assumes an mpmath working precision is already active.
+# mpf coefficients or fixed-point ints scaled by 2^prec.  The mpf code
+# assumes an mpmath working precision is already active.
 
 
 def series_deriv(series: dict) -> dict:
@@ -85,23 +86,28 @@ def series_eval(series: dict, x: HighFloat, lnx: HighFloat | None) -> HighFloat:
     return total
 
 
-def _series_antideriv(series: dict) -> dict:
+def _series_antideriv(series: dict, div) -> dict:
     # (ln x)^a / x integrates to (ln x)^{a+1}/(a+1); for s != 1, parts give
     # -sum_j a!/(a-j)! (ln x)^{a-j} x^{1-s} / (s-1)^{j+1}, which is minus
-    # the integral over (x, inf) whenever s > 1
+    # the integral over (x, inf) whenever s > 1.  div(c, n) divides a
+    # coefficient by the int n.
     out: dict = {}
     for (a, s), c in series.items():
         if s == 1:
-            out[(a + 1, 0)] = out.get((a + 1, 0), 0) + mp.mpf(c) / (a + 1)
+            out[(a + 1, 0)] = out.get((a + 1, 0), 0) + div(c, a + 1)
             continue
-        coef = -mp.mpf(c) / (s - 1)
         for j in range(a + 1):
-            out[(a - j, s - 1)] = out.get((a - j, s - 1), 0) + coef
-            coef = coef * (a - j) / (s - 1)
+            key = (a - j, s - 1)
+            out[key] = out.get(key, 0) + div(-c * math.perm(a, j), (s - 1) ** (j + 1))
     return out
 
 
-def euler_maclaurin(series: dict):
+@lru_cache(maxsize=None)
+def _group_scale(r: int) -> Fraction:
+    return bernoulli(2 * r) / math.factorial(2 * r)
+
+
+def euler_maclaurin(series: dict, div):
     """Euler-Maclaurin expansion of sum_{k<=x} f(k), one group at a time.
 
     f is a log-power series.  Group 0 is the antiderivative of f plus f/2;
@@ -110,22 +116,62 @@ def euler_maclaurin(series: dict):
     sum_{k>x} f(k).  The expansion is asymptotic; at fixed x its groups
     shrink until r is about pi x and then grow.
 
+    Each group comes as a (scale, series) pair whose value is scale, an
+    exact Fraction, times the series': (1, antiderivative plus f/2) and
+    (B_{2r}/(2r)!, f^{(2r-1)}).  Only group 0 divides a coefficient, by
+    an int n through div(c, n): operator.truediv for mpf coefficients,
+    operator.floordiv for fixed-point ints.  Everything else multiplies
+    by ints.  euler_maclaurin_fixed values the groups in fixed point.
+
     >>> with mp.workdps(20):
-    ...     groups = euler_maclaurin({(0, 2): mp.mpf(1)})
-    ...     [mp.nstr(series_eval(next(groups), mp.mpf(10), None), 8)
-    ...      for _ in range(3)]
+    ...     groups = euler_maclaurin({(0, 2): mp.mpf(1)}, operator.truediv)
+    ...     [mp.nstr(mp.mpf(scale.numerator) / scale.denominator
+    ...              * series_eval(group, mp.mpf(10), None), 8)
+    ...      for scale, group in itertools.islice(groups, 3)]
     ['-0.095', '-0.00016666667', '3.3333333e-7']
     """
-    group = _series_antideriv(series)
+    group = _series_antideriv(series, div)
     for key, c in series.items():
-        group[key] = group.get(key, 0) + mp.mpf(c) / 2
-    yield group
+        group[key] = group.get(key, 0) + div(c, 2)
+    yield Fraction(1), group
     deriv = series_deriv(series)
     for r in itertools.count(1):
-        b = bernoulli(2 * r)
-        scale = mp.mpf(b.numerator) / (b.denominator * math.factorial(2 * r))
-        yield {key: scale * c for key, c in deriv.items()}
+        yield _group_scale(r), deriv
         deriv = series_deriv(series_deriv(deriv))
+
+
+def euler_maclaurin_fixed(series: dict, x: int, lnx: int, prec: int):
+    """The Euler-Maclaurin groups of series valued at the integer x.
+
+    Fixed point throughout: the coefficients of series are ints scaled by
+    2^prec, and lnx is ln x scaled the same way (any int when no term
+    carries a log).  Group 0's divisions floor; the derivatives are exact
+    integer multiples.  Each group's (ln x)^a factors collapse into one
+    int per power of 1/x, Horner runs in 1/x from the highest power down,
+    and the group's B_{2r}/(2r)! is applied once, as an exact rational.
+
+    Each group comes as (v, t) with value v 2^-prec x^-t, where x^-t is
+    the group's lowest power: v // x**t is the value to within one unit
+    of 2^-prec, and v itself keeps the group's relative precision.
+
+    >>> groups = euler_maclaurin_fixed({(0, 2): 1 << 60}, 10, 0, 60)
+    >>> [(v / 2.0 ** 60, t) for v, t in (next(groups), next(groups))]
+    [(-0.95, 1), (-0.16666666666666666, 3)]
+    """
+    # (ln x)^a up to one past the series' top power: the antiderivative
+    # of (ln x)^a / x raises a
+    powers = [1 << prec]
+    for _ in range(max(a for a, _ in series) + 1):
+        powers.append(powers[-1] * lnx >> prec)
+    for scale, group in euler_maclaurin(series, operator.floordiv):
+        by_power: dict = {}
+        for (a, t), c in group.items():
+            by_power[t] = by_power.get(t, 0) + c * powers[a]
+        low = min(by_power)
+        acc = 0
+        for t in range(max(by_power), low - 1, -1):
+            acc = acc // x + by_power.get(t, 0)
+        yield acc * scale.numerator // (scale.denominator << prec), low
 
 
 # ---- constants from scratch --------------------------------------------
@@ -153,28 +199,31 @@ def _ln2_series(dps: int) -> mp.mpf:
 
 def _em_constant(n: int, big_k: int, dps: int) -> mp.mpf:
     # Constant of summation of 1/k^n (zeta(n), or gamma at n = 1): the head
-    # sum to big_k minus the Euler-Maclaurin groups of x^{-n} at big_k.
-    # The head is summed in fixed point with 16 guard bits.  Groups are
+    # sum to big_k minus the Euler-Maclaurin groups of x^{-n} at big_k, all
+    # in fixed point with 16 guard bits and converted once.  Groups are
     # taken until one drops below the target, with at least four
-    # corrections applied.  ln K only enters at n = 1, where K must be a
-    # power of two so that ln K is an integer multiple of ln 2.
+    # corrections applied; each comes as v 2^-wp big_k^-t, so the size
+    # tests compare exact ints.  ln K only enters at n = 1, where K must be
+    # a power of two so that ln K is an integer multiple of ln 2.
     with mp.workdps(dps):
-        lnk = (big_k.bit_length() - 1) * _ln2_series(dps) if n == 1 else None
         wp = mp.mp.prec + 16
-        total = mp.mpf((sum((1 << wp) // k ** n for k in range(1, big_k + 1)), -wp))
-        target = mp.mpf(10) ** (-(dps + 2))
-        x = mp.mpf(big_k)
-        groups = euler_maclaurin({(0, n): 1})
-        total -= series_eval(next(groups), x, lnk)
-        prev = mp.inf
-        for r, group in enumerate(groups, 1):
-            term = series_eval(group, x, lnk)
-            if abs(term) >= prev:
+        lnk = 0
+        if n == 1:
+            lnk = mp.libmp.to_fixed(((big_k.bit_length() - 1) * _ln2_series(dps))._mpf_, wp)
+        total = sum((1 << wp) // k ** n for k in range(1, big_k + 1))
+        groups = euler_maclaurin_fixed({(0, n): 1 << wp}, big_k, lnk, wp)
+        v, t = next(groups)
+        total -= v // big_k ** t
+        prev_v = prev_t = None
+        for r, (v, t) in enumerate(groups, 1):
+            # |v| big_k^-t >= |prev_v| big_k^-prev_t
+            if prev_v is not None and abs(v) * big_k ** prev_t >= abs(prev_v) * big_k ** t:
                 raise ArithmeticError("correction terms stopped decreasing")
-            total -= term
-            prev = abs(term)
-            if r >= 4 and abs(term) < target:
-                return total
+            total -= v // big_k ** t
+            prev_v, prev_t = v, t
+            # |v| 2^-wp big_k^-t < 10^-(dps + 2), the target
+            if r >= 4 and abs(v) * 10 ** (dps + 2) < big_k ** t << wp:
+                return mp.mpf((total, -wp))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,13 @@ summand is expanded into a log-power series of monomials
 c * (ln x)^a * x^{-s} (the harmonic factors' expansions times a binomial
 expansion of the denominator), which the shared Euler-Maclaurin core in
 numerics integrates and corrects exactly, so the result carries 30+
-correct digits at the default K.
+correct digits at the default K.  The tail is fixed point as well, at
+the head's scale 2^-prec: coefficients are rounded to ints once, the
+derivatives are exact integer multiples, each group is a Horner sum in
+1/K with its Bernoulli factor applied once as an exact rational, and
+head plus tail is converted to mpf once.  Only ln K and the first
+omitted group, which becomes the error estimate and keeps its relative
+precision, are computed in mpf.
 
 The lemma evaluators at the bottom compare truncated kernel sums against
 closed forms; one head-plus-tail routine sums those kernels and every sum,
@@ -28,8 +34,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .harmonic import HarmonicKind, PrefixStream, harmonic_exact, value_series
-from .numerics import (ConstantsTable, HighFloat, Rational, euler_maclaurin,
-                       series_eval)
+from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin_fixed
 from .zeta_algebra import ZetaExpr
 
 
@@ -211,35 +216,88 @@ def term_exact(spec: SumSpec, k: int) -> Rational:
 
 # ---- log-power series and the one summation routine ---------------------
 #
-# A series is a dict {(a, s): mpf} standing for sum c (ln x)^a x^{-s}; the
-# Euler-Maclaurin core and the harmonic value series live in numerics and
-# harmonic.  Series code assumes an active mpmath working precision.
-# _head_tail sums every infinite series; each caller picks (c, b, a, q).
+# A series here is a dict {(a, s): c} standing for sum c (ln x)^a x^{-s},
+# with int coefficients scaled by 2^prec; the Euler-Maclaurin core and
+# the harmonic value series live in numerics and harmonic.  _head_tail
+# sums every infinite series; each caller picks (c, b, a, q).
 
 
-def _series_mul(sa: dict, sb: dict, s_cap: int) -> dict:
+def _series_mul(sa: dict, sb: dict, s_cap: int, prec: int) -> dict:
+    # exact products summed per term, then one floor each
     out: dict = {}
     for (a1, s1), c1 in sa.items():
         for (a2, s2), c2 in sb.items():
             s = s1 + s2
-            if s > s_cap:
-                continue
-            key = (a1 + a2, s)
-            out[key] = out.get(key, mp.mpf(0)) + c1 * c2
-    return out
+            if s <= s_cap:
+                key = (a1 + a2, s)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {key: c >> prec for key, c in out.items()}
 
 
-def _power_series(c: int, b: int, a: int, q: int, s_cap: int) -> dict:
-    # x^{-c} (b - a/x)^{-q} = sum_j C(q+j-1, j) a^j b^{-q-j} x^{-c-j},
-    # coefficients exact until the final rounding
+def _power_series(c: int, b: int, a: int, q: int, s_cap: int, prec: int) -> dict:
+    # x^{-c} (b - a/x)^{-q} = sum_j C(q+j-1, j) a^j b^{-q-j} x^{-c-j}; num
+    # is the exact numerator C(q+j-1, j) a^j, floored once per coefficient
     out = {}
-    coef = Fraction(1, b ** q)
+    num = 1
     for j in range(s_cap - c + 1):
-        out[(0, c + j)] = mp.mpf(coef.numerator) / coef.denominator
-        coef = coef * a * (q + j) / ((j + 1) * b)
-        if not coef:
+        out[(0, c + j)] = (num << prec) // b ** (q + j)
+        num = num * a * (q + j) // (j + 1)
+        if not num:
             break
     return out
+
+
+def _series_cap(c: int, q: int, end: int, digits: int) -> int:
+    # x^{-c} (b x - a)^{-q} = x^{-c-q} (b - a/x)^{-q}, kept to every power
+    # still worth 10^-(digits + 12) at end
+    return c + q + int(math.ceil((digits + 12) / math.log10(end))) + 2
+
+
+def _guard_bits(m: int, end: int, s_cap: int, tail_terms: int) -> int:
+    # Guard bits, beyond end.bit_length(), for a head over m prefixes and
+    # its tail (the bound is stated in _head_tail): 2^guard covers
+    # m X^(m-1) + 2 units per head term plus X^m units for each tail
+    # floor, spread over the end terms.  terms bounds the (a, s) pairs of
+    # the series and of every group the tail values; each pair is floored
+    # once in the power series, twice per factor and m + 1 times by group
+    # 0's antiderivative, and each group floors twice more.  Never fewer
+    # than the stream's default 16.
+    x_bound = 1 + math.log(end)
+    terms = (m + 1) * (s_cap + 2 * tail_terms + 2)
+    floors = terms * (3 * m + 2) + 2 * (tail_terms + 2)
+    units = m * x_bound ** (m - 1) + 2 + floors * x_bound ** m / end
+    return max(16, math.ceil(math.log2(units)))
+
+
+def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
+             opts: EvalOptions, prec: int) -> tuple[int, HighFloat]:
+    """(tail, |first omitted group|) for sum_{i>end} f(i) / (i^c (b i - a)^q).
+
+    The tail is Euler-Maclaurin group 0 plus opts.tail_terms corrections,
+    as an int scaled by 2^prec.  The series is built in fixed point: the
+    power series from exact numerators, times each factor's value_series,
+    each product floored once per term.  Only ln(end) and the omitted
+    group are mpf; the omitted group keeps its relative precision at
+    digits + 15, since it becomes the printed error estimate.
+    """
+    wp = opts.digits + 15
+    s_cap = _series_cap(c, q, end, opts.digits)
+    series = _power_series(c + q, b, a, q, s_cap, prec)
+    lnx = 0
+    if factors:
+        table = ConstantsTable(wp)
+        for kind in factors:
+            series = _series_mul(series, value_series(kind, s_cap, table, prec),
+                                 s_cap, prec)
+        lnx = mp.libmp.to_fixed(mp.libmp.mpf_log(mp.libmp.from_int(end), prec + 8), prec)
+    groups = euler_maclaurin_fixed(series, end, lnx, prec)
+    tail = 0
+    for _ in range(opts.tail_terms + 1):
+        v, t = next(groups)
+        tail -= v // end ** t
+    v, t = next(groups)
+    with mp.workdps(wp):
+        return tail, abs(mp.mpf((v, -prec)) / end ** t)
 
 
 @functools.lru_cache(maxsize=256)
@@ -250,24 +308,29 @@ def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
     f is the product of the prefixes in factors (1 without any); a term
     with a zero denominator is skipped.  The head to end is a fixed-point
     integer sum on a PrefixStream: per term one product of the prefixes,
-    a shift and a floor division by the exact integer denominator, then
-    one conversion to mpf.  The tail is Euler-Maclaurin group 0 plus
-    opts.tail_terms corrections.  Both values are at the working
-    precision digits + 15, unrounded, and memoized for the process: equal
-    arguments (SumSpec sorts its factors) sum the series once.
+    a shift and a floor division by the exact integer denominator.  The
+    tail (_em_tail) is summed at the same scale 2^-prec, so head plus tail
+    is converted to mpf once.  Both values are at the working precision
+    digits + 15, unrounded, and memoized for the process: equal arguments
+    (SumSpec sorts its factors) sum the series once.
     """
     wp = opts.digits + 15
     kinds = tuple(dict.fromkeys(factors))
     slots = [kinds.index(kind) for kind in factors]
-    stream = PrefixStream(kinds, wp, end)
+    guard = _guard_bits(len(factors), end, _series_cap(c, q, end, opts.digits),
+                        opts.tail_terms)
+    stream = PrefixStream(kinds, wp, end, guard)
     prec, prefixes = stream.prec, stream.prefixes
     # In units of 2^-prec each prefix is at most i low at term i, so the
     # product of m prefixes, each below X = 1 + ln(end), is at most
     # m i X^(m-1) off; the shift and the division floor once more each.
     # Every caller's |denominator| is at least i, so the head is at most
-    # end (m X^(m-1) + 2) units off, which is below 2^-(bits of wp) since
-    # prec carries end.bit_length() + 16 guard bits and m X^(m-1) + 2 <
-    # 2^16 for up to four factors at end <= 10^6.
+    # end (m X^(m-1) + 2) units off.  Each floor of the tail moves it by
+    # at most X^m units, since a unit in a coefficient of (ln x)^a x^-s
+    # is weighted by at most (ln end)^a end^(1-s) with s >= 2.  prec
+    # carries end.bit_length() + guard bits, and _guard_bits makes
+    # end 2^guard exceed both together, so head plus tail is within
+    # 2^-(bits of wp) for any number of factors.
     shift = prec * (len(factors) - 1)
     num = stream.one
     head = 0
@@ -281,22 +344,9 @@ def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
         den = i ** c * (b * i - a) ** q
         if den:
             head += num // den
-
+    tail, omitted = _em_tail(factors, c, b, a, q, end, opts, prec)
     with mp.workdps(wp):
-        # x^{-c} (b x - a)^{-q} = x^{-c-q} (b - a/x)^{-q}, kept to every
-        # power still worth 10^-(digits + 12) at end
-        s_cap = c + q + int(math.ceil((opts.digits + 12) / math.log10(end))) + 2
-        series = _power_series(c + q, b, a, q, s_cap)
-        table = ConstantsTable(wp)
-        for kind in factors:
-            series = _series_mul(series, value_series(kind, s_cap, table), s_cap)
-        groups = euler_maclaurin(series)
-        x = mp.mpf(end)
-        lnx = mp.log(x)
-        tail = mp.mpf(0)
-        for _ in range(opts.tail_terms + 1):
-            tail -= series_eval(next(groups), x, lnx)
-        return mp.mpf((head, -prec)) + tail, abs(series_eval(next(groups), x, lnx))
+        return mp.mpf((head + tail, -prec)), omitted
 
 
 # ---- the evaluator --------------------------------------------------------

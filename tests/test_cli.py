@@ -238,15 +238,24 @@ def test_k_above_cap_exits_2(command):
     assert err.splitlines() == ["error: K must be <= 1000000, got 1000001"]
 
 
-# stdout of the default runs, saved before the fixed-point head and the
-# memo went in: the CLI contract is byte-identical stdout
-@pytest.mark.parametrize("command,golden", (
-    ("verify", "verify_default.csv"),
-    ("lemma-check", "lemma_default.csv")))
-def test_default_csv_stdout_matches_golden(command, golden):
-    rc, out, _ = run_cli(command, "--format", "csv")
+def _goldens():
+    # tests/data/<name>.argv holds one argument per line; <name>.<ext> is
+    # the stdout the CLI printed for it when the golden was saved
+    for argv_file in sorted(DATA.glob("*.argv")):
+        outs = [p for p in DATA.glob(argv_file.stem + ".*") if p.suffix != ".argv"]
+        assert len(outs) == 1, f"{argv_file.name} needs exactly one output file"
+        argv = argv_file.read_text().splitlines()
+        yield pytest.param(argv, outs[0], id=f"{argv[0]}-{outs[0].name}")
+
+
+# stdout saved before a change to the summation engine: the CLI contract
+# is byte-identical stdout, err_estimate digits included; a new golden is
+# a data-only addition
+@pytest.mark.parametrize("argv,golden", _goldens())
+def test_default_csv_stdout_matches_golden(argv, golden):
+    rc, out, _ = run_cli(*argv)
     assert rc == 0
-    assert out == (DATA / golden).read_text()
+    assert out == golden.read_text()
 
 
 @pytest.mark.parametrize("command", (("verify",), ("eval-expr", "z3")))

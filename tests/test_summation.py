@@ -1,5 +1,8 @@
 """Series-accelerated summation against frozen oracle values."""
 
+import itertools
+import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,9 +12,10 @@ from hypothesis import strategies as st
 
 from oddeuler.harmonic import HarmonicKind
 from oddeuler.summation import (MAX_K, EvalOptions, SumSpec, SumSpecSyntaxError,
-                                _head_tail, evaluate_sum, format_sumspec, parse_sumspec,
+                                _em_tail, _guard_bits, _head_tail, _series_cap,
+                                evaluate_sum, format_sumspec, parse_sumspec,
                                 reciprocal_sum_closed_form, term_exact)
-from oddeuler.numerics import ConstantsTable
+from oddeuler.numerics import ConstantsTable, euler_maclaurin, series_eval
 from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr
 
 from conftest import FROZEN_SUMS, FROZEN_SUMS_30
@@ -126,6 +130,115 @@ def test_err_estimate_bounds_true_error(text, frozen, rounding, digits, K, tail_
     with mp.workdps(70):
         error = abs(res.value - mp.mpf(frozen)) - mp.mpf(rounding)
         assert error <= res.err_estimate
+
+
+def _mpf(fraction):
+    return mp.mpf(fraction.numerator) / fraction.denominator
+
+
+def _mpf_series(factors, c, b, a, q, s_cap, table):
+    # the tail's series with mpf coefficients, built apart from the
+    # fixed-point route: the power series from exact Fractions, each
+    # factor's value series from euler_maclaurin's mpf groups and the
+    # x -> 2x split
+    coef, series = Fraction(1, b ** q), {}
+    for j in range(s_cap - c - q + 1):
+        series[(0, c + q + j)] = mp.mpf(coef.numerator) / coef.denominator
+        coef = coef * a * (q + j) / ((j + 1) * b)
+    for kind in factors:
+        value = {(0, 0): table.euler_gamma if kind.order == 1 else table.zeta(kind.order)}
+        for scale, group in euler_maclaurin({(0, kind.order): mp.mpf(1)}, operator.truediv):
+            kept = {key: _mpf(scale) * v for key, v in group.items() if key[1] <= s_cap}
+            if not kept:
+                break
+            value.update(kept)
+        if kind.parity == "odd":
+            split = {}
+            for (e, s), v in value.items():
+                for j in range(e + 1):
+                    split[(e - j, s)] = split.get((e - j, s), 0) + \
+                        v * 2 ** -s * math.comb(e, j) * table.ln2 ** j
+                split[(e, s)] -= v * 2 ** -kind.order
+            value = split
+        product = {}
+        for (e1, s1), v1 in series.items():
+            for (e2, s2), v2 in value.items():
+                if s1 + s2 <= s_cap:
+                    key = (e1 + e2, s1 + s2)
+                    product[key] = product.get(key, 0) + v1 * v2
+        series = product
+    return series
+
+
+def _mpf_tail(factors, c, b, a, q, end, opts):
+    # the mpf reference: euler_maclaurin's groups valued by series_eval at
+    # the working precision, (tail, |first omitted group|) like _em_tail
+    wp = opts.digits + 15
+    with mp.workdps(wp):
+        series = _mpf_series(factors, c, b, a, q, _series_cap(c, q, end, opts.digits),
+                             ConstantsTable(wp))
+        groups = euler_maclaurin(series, operator.truediv)
+        x, lnx = mp.mpf(end), mp.log(end)
+        values = [_mpf(scale) * series_eval(group, x, lnx)
+                  for scale, group in itertools.islice(groups, opts.tail_terms + 2)]
+        return -mp.fsum(values[:-1]), abs(values[-1])
+
+
+# every caller's (factors, c, b, a, q) and its k: evaluate_sum is
+# (p, 2, 1, q), the shifted kernel (1, 1, -k, 1) and the two-sided kernels
+# (c, -1, -k, 1)
+TAIL_SHAPES = {
+    "h1*H2/(k^3*(2k-1))": (((HarmonicKind.odd(1), HarmonicKind.even(2)), 3, 2, 1, 1), 0),
+    "H1/k^2": (((HarmonicKind.even(1),), 2, 2, 1, 0), 0),
+    "shifted h1, k=3": (((HarmonicKind.odd(1),), 1, 1, -3, 1), 3),
+    "two-sided 1/i^2, k=5": (((), 2, -1, -5, 1), 5),
+    "two-sided h2, k=4": (((HarmonicKind.odd(2),), 1, -1, -4, 1), 4),
+}
+
+
+@pytest.mark.parametrize("tail_terms", (1, 4, 8))
+@pytest.mark.parametrize("digits", (20, 40, 52))
+@pytest.mark.parametrize("end", ("100", "2000+k", "10^4"))
+@pytest.mark.parametrize("shape", sorted(TAIL_SHAPES))
+def test_fixed_point_tail_matches_mpf_route(shape, end, digits, tail_terms):
+    args, k = TAIL_SHAPES[shape]
+    end = {"100": 100, "2000+k": 2000 + k, "10^4": 10 ** 4}[end]
+    opts = EvalOptions(digits, 10 ** 4, tail_terms)
+    wp_bits = mp.libmp.dps_to_prec(digits + 15)
+    prec = wp_bits + end.bit_length() + 16
+    tail, omitted = _em_tail(*args, end, opts, prec)
+    want_tail, want_omitted = _mpf_tail(*args, end, opts)
+    with mp.workdps(digits + 40):
+        assert abs(mp.mpf((tail, -prec)) - want_tail) <= mp.mpf(2) ** -wp_bits
+        assert abs(omitted - want_omitted) <= \
+            mp.mpf(10) ** -(digits + 5) * want_omitted
+
+
+def test_five_factors_meet_the_rounding_bound():
+    # at end = 2*10^4, m X^(m-1) + 2 is about 7e4 for five factors, more
+    # than a fixed 16 guard bits cover per term; the value must still be
+    # within 2^-(bits of wp) of an mpf head plus the mpf tail
+    factors, end = (HarmonicKind.odd(1),) * 5, 2 * 10 ** 4
+    opts = EvalOptions(digits=20, K=end)
+    wp = opts.digits + 15
+    value, _ = _head_tail(factors, 7, 2, 1, 0, end, opts)
+    with mp.workdps(wp + 20):
+        prefix, head = mp.mpf(0), mp.mpf(0)
+        for i in range(1, end + 1):
+            prefix += mp.mpf(1) / (2 * i - 1)
+            head += prefix ** 5 / mp.mpf(i) ** 7
+    want_tail, _ = _mpf_tail(factors, 7, 2, 1, 0, end, opts)
+    with mp.workdps(wp + 20):
+        assert abs(value - head - want_tail) <= mp.mpf(2) ** -mp.libmp.dps_to_prec(wp)
+
+
+def test_guard_bits_grow_past_four_factors():
+    # up to four factors the default 16 bits hold at end = 10^6; five do not
+    s_cap = _series_cap(7, 0, 10 ** 6, 40)
+    assert _guard_bits(4, 10 ** 6, s_cap, 4) == 16
+    assert _guard_bits(5, 10 ** 6, s_cap, 4) > 16
+    x_bound = 1 + math.log(10 ** 6)
+    assert 2 ** _guard_bits(5, 10 ** 6, s_cap, 4) > 5 * x_bound ** 4 + 2
 
 
 def test_result_metadata():
