@@ -19,9 +19,8 @@ import sys
 
 import mpmath as mp
 
-from .identities import (Identity, adjudication_findings, catalog, reduce,
-                         substitute_bases, summarize, verify_all)
-from .identities import fit_closed_form
+from .identities import (adjudication_findings, catalog, fit_closed_form, reduce,
+                         select, substitute_bases, summarize, verify_all)
 from .summation import (EvalOptions, evaluate_sum, lemma1_aux, lemma2_g,
                         lemma3_f, parse_sumspec)
 from .zeta_algebra import evaluate, format_expr, parse_expr
@@ -35,8 +34,14 @@ _FORMATS = ("table", "json", "csv")
 # lemma-check's largest k: the kernel cutoff 50k reaches the default
 # K = 10^4 there, and each row's cost grows with it
 LEMMA_KMAX = 200
+# largest --digits: costs grow about quadratically, and lemma-check's
+# default rows take about 9 s at 500 digits and 43 s at 1000
+MAX_DIGITS = 500
+# largest fit --weight: the PSLQ basis grows fast (669 terms at weight
+# 41); weight 15 takes about 1.5 s at 40 digits and 40 s at 500
+MAX_FIT_WEIGHT = 15
 
-_DEFAULTS = {"digits": 40, "K": 10 ** 4, "tolerance": "1e-11",
+_DEFAULTS = {"digits": EvalOptions.digits, "K": EvalOptions.K, "tolerance": "1e-11",
              "format": "table", "ids": (), "family": None, "catalog": ()}
 
 LEMMA_CONVENTION = (
@@ -104,6 +109,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, name, None)
         if value is not None:
             cfg[name] = tuple(value) if isinstance(value, list) else value
+    if cfg["digits"] > MAX_DIGITS:
+        raise ValueError(f"digits must be <= {MAX_DIGITS}, got {cfg['digits']}")
     cfg["opts"] = EvalOptions(digits=cfg["digits"], K=cfg["K"])
     float(cfg["tolerance"])
     return cfg
@@ -168,25 +175,8 @@ def emit_report(reports, fmt: str) -> str:
 # ---- subcommands -----------------------------------------------------------
 
 
-def _select(entries: list[Identity], cfg: dict) -> list[Identity]:
-    import fnmatch
-    chosen = entries
-    if cfg["ids"]:
-        known = {e.id for e in entries}
-        missing = [i for i in cfg["ids"] if i not in known]
-        if missing:
-            raise KeyError(f"unknown identity ids: {missing}")
-        wanted = set(cfg["ids"])
-        chosen = [e for e in chosen if e.id in wanted]
-    if cfg["family"]:
-        chosen = [e for e in chosen if fnmatch.fnmatchcase(e.id, cfg["family"])]
-        if not chosen:
-            raise KeyError(f"no identities match family {cfg['family']!r}")
-    return chosen
-
-
 def _cmd_verify(args, cfg) -> int:
-    entries = _select(catalog(cfg["catalog"]), cfg)
+    entries = select(catalog(cfg["catalog"]), cfg["ids"], cfg["family"])
     tol = mp.mpf(cfg["tolerance"])
     reports = verify_all(cfg["opts"], tolerance=tol, entries=entries)
     sys.stdout.write(emit_report(reports, cfg["format"]))
@@ -246,6 +236,8 @@ def _cmd_reduce(args, cfg) -> int:
 
 
 def _cmd_fit(args, cfg) -> int:
+    if args.weight > MAX_FIT_WEIGHT:
+        raise ValueError(f"--weight must be <= {MAX_FIT_WEIGHT}, got {args.weight}")
     spec = parse_sumspec(args.spec)
     expr = fit_closed_form(spec, args.weight, include_ln2=args.include_ln2,
                            max_den=args.max_den, opts=cfg["opts"])
@@ -260,7 +252,7 @@ def _cmd_fit(args, cfg) -> int:
 
 
 def _cmd_list(args, cfg) -> int:
-    entries = _select(catalog(cfg["catalog"]), cfg)
+    entries = select(catalog(cfg["catalog"]), cfg["ids"], cfg["family"])
     rows = [{"id": e.id,
              "lhs": e.lhs.text(),
              "rhs": format_expr(e.rhs),
@@ -324,9 +316,9 @@ def _cmd_lemma_check(args, cfg) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=None,
-                        help="significant decimal digits (default 40)")
+                        help=f"significant decimal digits (default {EvalOptions.digits})")
     common.add_argument("--K", type=int, default=None,
-                        help="direct summation cutoff (default 10000)")
+                        help=f"direct summation cutoff (default {EvalOptions.K})")
     common.add_argument("--tolerance", default=None,
                         help="pass/fail residual threshold (default 1e-11)")
     common.add_argument("--format", choices=_FORMATS,

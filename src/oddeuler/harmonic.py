@@ -13,13 +13,12 @@ every odd-kind asymptotic expansion here is produced from the even one.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin, series_eval
+from .numerics import ConstantsTable, HighFloat, Rational, _require_digits, euler_maclaurin
 
 _EXACT_LIMIT = 10 ** 5
 
@@ -118,8 +117,7 @@ class PrefixStream:
 
     def __init__(self, kinds: tuple[HarmonicKind, ...], digits: int, terms: int = 1,
                  guard: int = 16):
-        if digits < 10:
-            raise ValueError("precision too low: digits must be >= 10")
+        _require_digits(digits)
         self.kinds = tuple(kinds)
         self.digits = digits
         self.prec = mp.libmp.dps_to_prec(digits) + terms.bit_length() + guard
@@ -153,7 +151,7 @@ def _even_value_series(n: int, s_cap: int, table: ConstantsTable, prec: int) -> 
     # x^{-n}, keeping the terms up to x^{-s_cap}; ints scaled by 2^prec
     const = table.euler_gamma if n == 1 else table.zeta(n)
     out = {(0, 0): mp.libmp.to_fixed(const._mpf_, prec)}
-    for scale, group in euler_maclaurin({(0, n): 1 << prec}, operator.floordiv):
+    for scale, group in euler_maclaurin({(0, n): 1 << prec}):
         kept = {key: c * scale.numerator // scale.denominator
                 for key, c in group.items() if key[1] <= s_cap}
         if not kept:
@@ -196,8 +194,8 @@ def _expansion_pieces(n: int, x: HighFloat, table: ConstantsTable) -> list:
     if n > 1:
         series = {key: -c for key, c in series.items() if key != (0, 0)}
     lnx = mp.log(x) if n == 1 else None
-    return [series_eval({key: series[key]}, x, lnx)
-            for key in sorted(series, key=lambda key: (key[1], -key[0]))]
+    return [c * lnx ** a * x ** -s if a else c * x ** -s
+            for (a, s), c in sorted(series.items(), key=lambda kv: (kv[0][1], -kv[0][0]))]
 
 
 def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> HighFloat:
@@ -216,8 +214,7 @@ def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> 
         raise ValueError(f"k must be at least 10 for the asymptotic tail, got {k}")
     if not 1 <= terms <= 6:
         raise ValueError(f"terms must be between 1 and 6, got {terms}")
-    if digits < 10:
-        raise ValueError("precision too low: digits must be >= 10")
+    _require_digits(digits)
     n = kind.order
     with mp.workdps(digits + 5):
         table = ConstantsTable(digits + 5)

@@ -15,6 +15,7 @@ evaluated numerically or collapsed symbolically via substitute_bases.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,8 +26,8 @@ import mpmath as mp
 from .numerics import ConstantsTable, HighFloat
 from .summation import (EvalOptions, EvalResult, SumSpec, err_floor,
                         evaluate_sum, parse_sumspec, reciprocal_sum_closed_form)
-from .zeta_algebra import (ZetaExpr, canonicalize, evaluate, format_expr,
-                           parse_expr)
+from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate,
+                           format_expr, format_terms, parse_expr)
 
 _EXPECTED = ("must_pass", "adjudicate")
 
@@ -54,28 +55,16 @@ class FormalCombination:
     constant: ZetaExpr = ZetaExpr.zero()
 
     def text(self) -> str:
-        pieces = []
-        if not self.constant.is_zero():
-            pieces.append(format_expr(self.constant))
+        terms = [(c, mono.text()) for mono, c in self.constant.terms]
         for coef, spec, power in self.parts:
             if len(coef.terms) != 1:
                 raise ValueError("part coefficients must be single terms")
             mono, c = coef.terms[0]
-            body = f"[{spec.text()}]"
-            if power != 1:
-                body += f"^{power}"
-            mag = -c if c < 0 else c
-            mtext = mono.text()
-            if mtext:
-                prefix = f"{mag}*{mtext}*" if mag != 1 else f"{mtext}*"
-            else:
-                prefix = f"{mag}*" if mag != 1 else ""
-            rendered = prefix + body
-            if not pieces:
-                pieces.append(f"-{rendered}" if c < 0 else rendered)
-            else:
-                pieces.append(f" - {rendered}" if c < 0 else f" + {rendered}")
-        return "".join(pieces) if pieces else "0"
+            body = f"[{spec.text()}]" if power == 1 else f"[{spec.text()}]^{power}"
+            if mono.text():
+                body = f"{mono.text()}*{body}"
+            terms.append((c, body))
+        return format_terms(terms)
 
     def __str__(self) -> str:
         return self.text()
@@ -246,17 +235,28 @@ def verify(identity: Identity | str, opts: EvalOptions | None = None,
         raise RuntimeError(f"{identity.id}: {exc}") from exc
 
 
+def select(entries: list[Identity], ids=(), family: str | None = None) -> list[Identity]:
+    """The entries named in ids (all when empty) whose id matches the glob
+    family; KeyError names unknown ids in the order given."""
+    if ids:
+        known = {e.id for e in entries}
+        missing = [i for i in ids if i not in known]
+        if missing:
+            raise KeyError(f"unknown identity ids: {missing}")
+        wanted = set(ids)
+        entries = [e for e in entries if e.id in wanted]
+    if family:
+        entries = [e for e in entries if fnmatch.fnmatchcase(e.id, family)]
+        if not entries:
+            raise KeyError(f"no identities match family {family!r}")
+    return entries
+
+
 def verify_all(opts: EvalOptions | None = None, tolerance=None,
                entries: list[Identity] | None = None,
                ids: list[str] | None = None) -> list[VerificationReport]:
     """Verify the selected entries, reports sorted by id."""
-    entries = catalog() if entries is None else entries
-    if ids is not None:
-        wanted = set(ids)
-        missing = wanted - {e.id for e in entries}
-        if missing:
-            raise KeyError(f"unknown identity ids: {sorted(missing)}")
-        entries = [e for e in entries if e.id in wanted]
+    entries = select(catalog() if entries is None else entries, ids)
     reports = [verify(e, opts, tolerance) for e in entries]
     return sorted(reports, key=lambda r: r.id)
 
@@ -276,17 +276,13 @@ def summarize(reports: list[VerificationReport],
 # ---- reduction rules -------------------------------------------------------
 
 
-def _spec(text: str) -> SumSpec:
-    return parse_sumspec(text)
-
-
-def _t1_2_rule(m: int) -> tuple[FormalCombination, SumSpec]:
+def _t1_2_rule(m: int) -> FormalCombination:
     if not 1 <= m <= 6:
         raise ValueError(f"T1_2 rule supports m in 1..6, got {m}")
-    parts = [(ZetaExpr.zeta(2 * j), _spec(f"h1/k^{2 * m + 2 - 2 * j}"), 1)
+    parts = [(ZetaExpr.zeta(2 * j), parse_sumspec(f"h1/k^{2 * m + 2 - 2 * j}"), 1)
              for j in range(1, m + 1)]
-    parts.append((ZetaExpr.const(-(m + 1)), _spec(f"h1/k^{2 * m + 2}"), 1))
-    return FormalCombination(tuple(parts)), _spec(f"h2/k^{2 * m + 1}")
+    parts.append((ZetaExpr.const(-(m + 1)), parse_sumspec(f"h1/k^{2 * m + 2}"), 1))
+    return FormalCombination(tuple(parts))
 
 
 _FIXED_RULES: dict[str, tuple[tuple[tuple[str, str, int], ...], str, str]] = {
@@ -311,9 +307,9 @@ def reduction_target(rule: str, m: int | None = None) -> SumSpec:
     if rule == "T1_2":
         if m is None:
             raise ValueError("T1_2 rule needs the parameter m")
-        return _spec(f"h2/k^{2 * m + 1}")
+        return parse_sumspec(f"h2/k^{2 * m + 1}")
     if rule in _FIXED_RULES:
-        return _spec(_FIXED_RULES[rule][2])
+        return parse_sumspec(_FIXED_RULES[rule][2])
     raise KeyError(f"unknown reduction rule {rule!r}")
 
 
@@ -328,11 +324,11 @@ def reduce(rule: str, m: int | None = None,
     are adjudication subjects that do NOT equal their nominal target.
     """
     if rule == "T1_2":
-        comb, target = _t1_2_rule(m if m is not None else 1)
+        comb = _t1_2_rule(m if m is not None else 1)
         if m is not None and m >= 3:
             check = opts or EvalOptions()
             got = evaluate_combination(comb, check).value
-            want = evaluate_sum(target, check).value
+            want = evaluate_sum(reduction_target(rule, m), check).value
             if abs(got - want) > mp.mpf(10) ** (-11):
                 raise ArithmeticError(
                     f"T1_2 emission at m={m} failed numeric verification")
@@ -342,7 +338,7 @@ def reduce(rule: str, m: int | None = None,
             raise ValueError(f"rule {rule!r} takes no parameter")
         parts, const, _ = _FIXED_RULES[rule]
         return FormalCombination(
-            tuple((parse_expr(c), _spec(s), p) for c, s, p in parts),
+            tuple((parse_expr(c), parse_sumspec(s), p) for c, s, p in parts),
             parse_expr(const) if const != "0" else ZetaExpr.zero())
     raise KeyError(f"unknown reduction rule {rule!r}")
 
@@ -385,7 +381,6 @@ def reduction_residual(rule: str, m: int | None = None,
 
 def _weight_monomials(weight: int) -> list:
     # canonical monomials: zeta(2)^a * product of odd zetas, total weight w
-    from .zeta_algebra import ZetaMonomial
     odds = [n for n in range(3, weight + 1, 2)]
     found: list[dict[int, int]] = []
 
@@ -409,7 +404,6 @@ def _weight_monomials(weight: int) -> list:
 
 
 def _fit_basis(weight: int, include_ln2: bool) -> list:
-    from .zeta_algebra import ZetaMonomial
     basis = _weight_monomials(weight)
     if include_ln2:
         for j in range(2, weight):

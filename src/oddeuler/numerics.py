@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,8 +62,8 @@ def bernoulli(n: int) -> Fraction:
 # ---- log-power series and the Euler-Maclaurin core ----------------------
 #
 # A series is a dict {(a, s): c} standing for sum c (ln x)^a x^{-s}, with
-# mpf coefficients or fixed-point ints scaled by 2^prec.  The mpf code
-# assumes an mpmath working precision is already active.
+# int coefficients: fixed point, scaled by 2^prec.  The core is int-only;
+# mpf enters where a caller values a series.
 
 
 def series_deriv(series: dict) -> dict:
@@ -78,27 +77,18 @@ def series_deriv(series: dict) -> dict:
     return out
 
 
-def series_eval(series: dict, x: HighFloat, lnx: HighFloat | None) -> HighFloat:
-    """Value of a series at x; lnx may be None when no term carries a log."""
-    total = mp.mpf(0)
-    for (a, s), c in series.items():
-        total += c * lnx ** a * x ** (-s) if a else c * x ** (-s)
-    return total
-
-
-def _series_antideriv(series: dict, div) -> dict:
+def _series_antideriv(series: dict) -> dict:
     # (ln x)^a / x integrates to (ln x)^{a+1}/(a+1); for s != 1, parts give
     # -sum_j a!/(a-j)! (ln x)^{a-j} x^{1-s} / (s-1)^{j+1}, which is minus
-    # the integral over (x, inf) whenever s > 1.  div(c, n) divides a
-    # coefficient by the int n.
+    # the integral over (x, inf) whenever s > 1.  Divisions floor.
     out: dict = {}
     for (a, s), c in series.items():
         if s == 1:
-            out[(a + 1, 0)] = out.get((a + 1, 0), 0) + div(c, a + 1)
+            out[(a + 1, 0)] = out.get((a + 1, 0), 0) + c // (a + 1)
             continue
         for j in range(a + 1):
             key = (a - j, s - 1)
-            out[key] = out.get(key, 0) + div(-c * math.perm(a, j), (s - 1) ** (j + 1))
+            out[key] = out.get(key, 0) + (-c * math.perm(a, j)) // (s - 1) ** (j + 1)
     return out
 
 
@@ -107,32 +97,31 @@ def _group_scale(r: int) -> Fraction:
     return bernoulli(2 * r) / math.factorial(2 * r)
 
 
-def euler_maclaurin(series: dict, div):
+def euler_maclaurin(series: dict):
     """Euler-Maclaurin expansion of sum_{k<=x} f(k), one group at a time.
 
-    f is a log-power series.  Group 0 is the antiderivative of f plus f/2;
-    group r >= 1 is B_{2r}/(2r)! f^{(2r-1)}.  The constant of summation is
-    the caller's: for a decaying f the groups add up to minus the tail
-    sum_{k>x} f(k).  The expansion is asymptotic; at fixed x its groups
-    shrink until r is about pi x and then grow.
+    f is a log-power series with int coefficients.  Group 0 is the
+    antiderivative of f plus f/2; group r >= 1 is B_{2r}/(2r)! f^{(2r-1)}.
+    The constant of summation is the caller's: for a decaying f the
+    groups add up to minus the tail sum_{k>x} f(k).  The expansion is
+    asymptotic; at fixed x its groups shrink until r is about pi x and
+    then grow.
 
     Each group comes as a (scale, series) pair whose value is scale, an
     exact Fraction, times the series': (1, antiderivative plus f/2) and
-    (B_{2r}/(2r)!, f^{(2r-1)}).  Only group 0 divides a coefficient, by
-    an int n through div(c, n): operator.truediv for mpf coefficients,
-    operator.floordiv for fixed-point ints.  Everything else multiplies
-    by ints.  euler_maclaurin_fixed values the groups in fixed point.
+    (B_{2r}/(2r)!, f^{(2r-1)}).  Only group 0 divides a coefficient, and
+    it floors; the derivatives are exact integer multiples.
+    euler_maclaurin_fixed values the groups at an integer x.
 
-    >>> with mp.workdps(20):
-    ...     groups = euler_maclaurin({(0, 2): mp.mpf(1)}, operator.truediv)
-    ...     [mp.nstr(mp.mpf(scale.numerator) / scale.denominator
-    ...              * series_eval(group, mp.mpf(10), None), 8)
-    ...      for scale, group in itertools.islice(groups, 3)]
-    ['-0.095', '-0.00016666667', '3.3333333e-7']
+    >>> for scale, group in itertools.islice(euler_maclaurin({(0, 2): 60}), 3):
+    ...     print(scale, group)
+    1 {(0, 1): -60, (0, 2): 30}
+    1/12 {(0, 3): -120}
+    -1/720 {(0, 5): -1440}
     """
-    group = _series_antideriv(series, div)
+    group = _series_antideriv(series)
     for key, c in series.items():
-        group[key] = group.get(key, 0) + div(c, 2)
+        group[key] = group.get(key, 0) + c // 2
     yield Fraction(1), group
     deriv = series_deriv(series)
     for r in itertools.count(1):
@@ -163,7 +152,7 @@ def euler_maclaurin_fixed(series: dict, x: int, lnx: int, prec: int):
     powers = [1 << prec]
     for _ in range(max(a for a, _ in series) + 1):
         powers.append(powers[-1] * lnx >> prec)
-    for scale, group in euler_maclaurin(series, operator.floordiv):
+    for scale, group in euler_maclaurin(series):
         by_power: dict = {}
         for (a, t), c in group.items():
             by_power[t] = by_power.get(t, 0) + c * powers[a]

@@ -35,15 +35,11 @@ import mpmath as mp
 
 from .harmonic import HarmonicKind, PrefixStream, harmonic_exact, value_series
 from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin_fixed
-from .zeta_algebra import ZetaExpr
+from .zeta_algebra import ExprSyntaxError, ZetaExpr
 
 
-class SumSpecSyntaxError(ValueError):
-    def __init__(self, message: str, pos: int | None = None):
-        if pos is not None:
-            message = f"{message} (position {pos})"
-        super().__init__(message)
-        self.pos = pos
+class SumSpecSyntaxError(ExprSyntaxError):
+    """Malformed sum spec text; carries the offending position."""
 
 
 @dataclass(frozen=True)

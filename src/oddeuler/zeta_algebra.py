@@ -390,6 +390,25 @@ def parse_expr(text: str) -> ZetaExpr:
     return _Parser(_tokenize(text)).parse_expr()
 
 
+def format_terms(terms) -> str:
+    """Join (coefficient, body) pairs as signed "magnitude*body" terms; a
+    unit magnitude is left out, an empty body shows it alone."""
+    pieces = []
+    for coef, body in terms:
+        mag = -coef if coef < 0 else coef
+        if not body:
+            rendered = str(mag)
+        elif mag == 1:
+            rendered = body
+        else:
+            rendered = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(f"-{rendered}" if coef < 0 else rendered)
+        else:
+            pieces.append(f" - {rendered}" if coef < 0 else f" + {rendered}")
+    return "".join(pieces) if pieces else "0"
+
+
 def format_expr(expr: ZetaExpr) -> str:
     """Render with terms in descending weight, ties in symbol order.
 
@@ -397,20 +416,4 @@ def format_expr(expr: ZetaExpr) -> str:
     a parsed catalog string reproduces term content exactly (order is
     normalized to the display order).
     """
-    if not expr.terms:
-        return "0"
-    pieces = []
-    for idx, (mono, coef) in enumerate(expr.terms):
-        mag = -coef if coef < 0 else coef
-        body = mono.text()
-        if not body:
-            rendered = str(mag)
-        elif mag == 1:
-            rendered = body
-        else:
-            rendered = f"{mag}*{body}"
-        if idx == 0:
-            pieces.append(f"-{rendered}" if coef < 0 else rendered)
-        else:
-            pieces.append(f" - {rendered}" if coef < 0 else f" + {rendered}")
-    return "".join(pieces)
+    return format_terms((coef, mono.text()) for mono, coef in expr.terms)

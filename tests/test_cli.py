@@ -114,6 +114,13 @@ def test_unknown_id_exits_2():
     assert "error: unknown identity ids: ['nope']" in err.splitlines()
 
 
+def test_unknown_ids_named_in_order_given():
+    rc, out, err = run_cli("verify", "--id", "nope", "--id", "gone")
+    assert rc == 2
+    assert out == ""
+    assert "error: unknown identity ids: ['nope', 'gone']" in err.splitlines()
+
+
 @pytest.mark.parametrize("flag,name", (("--config", "missing.cfg"),
                                        ("--catalog", "nope.jsonl")))
 def test_missing_file_exits_2_naming_it(tmp_path, flag, name):
@@ -236,6 +243,25 @@ def test_k_above_cap_exits_2(command):
     assert rc == 2
     assert out == ""
     assert err.splitlines() == ["error: K must be <= 1000000, got 1000001"]
+
+
+# cost guards: the refusals, not the costly runs
+@pytest.mark.parametrize("argv,message", (
+    (("verify", "--digits", "501"), "error: digits must be <= 500, got 501"),
+    (("eval-expr", "z3", "--digits", "501"), "error: digits must be <= 500, got 501"),
+    (("fit", "h1/k^2", "--weight", "16"), "error: --weight must be <= 15, got 16")))
+def test_digits_and_weight_above_cap_exit_2(argv, message):
+    rc, out, err = run_cli(*argv)
+    assert rc == 2
+    assert out == ""
+    assert message in err.splitlines()
+
+
+def test_lemma_check_runs_at_the_digits_cap():
+    # the closed sides work at digits + 15, so the cap may not bind below it
+    rc, out, _ = run_cli("lemma-check", "--digits", "500", "--kmax", "1", "--format", "csv")
+    assert rc == 0
+    assert len(out.splitlines()) == 2 + 8
 
 
 def _goldens():

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddeuler.harmonic import HarmonicKind
-from oddeuler.summation import (MAX_K, EvalOptions, SumSpec, SumSpecSyntaxError,
-                                _em_tail, _guard_bits, _head_tail, _series_cap,
-                                evaluate_sum, format_sumspec, parse_sumspec,
+from oddeuler.summation import (MAX_K, EvalOptions, SumSpec,
+                                SumSpecSyntaxError, _em_tail, _guard_bits, _head_tail,
+                                _series_cap, evaluate_sum, format_sumspec, parse_sumspec,
                                 reciprocal_sum_closed_form, term_exact)
-from oddeuler.numerics import ConstantsTable, euler_maclaurin, series_eval
+from oddeuler.numerics import ConstantsTable, bernoulli
 from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr
 
 from conftest import FROZEN_SUMS, FROZEN_SUMS_30
@@ -136,19 +135,67 @@ def _mpf(fraction):
     return mp.mpf(fraction.numerator) / fraction.denominator
 
 
-def _mpf_series(factors, c, b, a, q, s_cap, table):
-    # the tail's series with mpf coefficients, built apart from the
-    # fixed-point route: the power series from exact Fractions, each
-    # factor's value series from euler_maclaurin's mpf groups and the
+# The mpf reference below shares no code with the fixed-point route: it
+# takes only the Bernoulli numbers from the package, mpmath's constants,
+# and its own calculus on log-power series {(a, s): c}, which stand for
+# sum c (ln x)^a x^-s.
+
+
+def _derivative(series):
+    out = {}
+    for (a, s), c in series.items():
+        if a:
+            out[(a - 1, s + 1)] = out.get((a - 1, s + 1), 0) + a * c
+        if s:
+            out[(a, s + 1)] = out.get((a, s + 1), 0) - s * c
+    return out
+
+
+def _integral(series):
+    # by parts: the integral of (ln x)^a x^-s is (ln x)^a x^(1-s) / (1-s)
+    # minus a / (1-s) times the integral of (ln x)^(a-1) x^-s; at s = 1 it
+    # is (ln x)^(a+1) / (a+1)
+    out = {}
+    for (a, s), c in series.items():
+        if s == 1:
+            out[(a + 1, 0)] = out.get((a + 1, 0), 0) + c / (a + 1)
+            continue
+        for e in range(a, -1, -1):
+            out[(e, s - 1)] = out.get((e, s - 1), 0) + c / (1 - s)
+            c = -c * e / (1 - s)
+    return out
+
+
+def _mpf_groups(series):
+    # Euler-Maclaurin groups with their scales applied: the antiderivative
+    # plus f/2, then B_2r/(2r)! f^(2r-1)
+    group = _integral(series)
+    for key, c in series.items():
+        group[key] = group.get(key, 0) + c / 2
+    yield group
+    deriv = _derivative(series)
+    for r in itertools.count(1):
+        scale = _mpf(bernoulli(2 * r) / math.factorial(2 * r))
+        yield {key: scale * c for key, c in deriv.items()}
+        deriv = _derivative(_derivative(deriv))
+
+
+def _mpf_value(series, x, lnx):
+    return mp.fsum(c * lnx ** a * x ** -s for (a, s), c in series.items())
+
+
+def _mpf_series(factors, c, b, a, q, s_cap):
+    # the tail's series with mpf coefficients: the power series from exact
+    # Fractions, each factor's value series from _mpf_groups and the
     # x -> 2x split
     coef, series = Fraction(1, b ** q), {}
     for j in range(s_cap - c - q + 1):
-        series[(0, c + q + j)] = mp.mpf(coef.numerator) / coef.denominator
+        series[(0, c + q + j)] = _mpf(coef)
         coef = coef * a * (q + j) / ((j + 1) * b)
     for kind in factors:
-        value = {(0, 0): table.euler_gamma if kind.order == 1 else table.zeta(kind.order)}
-        for scale, group in euler_maclaurin({(0, kind.order): mp.mpf(1)}, operator.truediv):
-            kept = {key: _mpf(scale) * v for key, v in group.items() if key[1] <= s_cap}
+        value = {(0, 0): mp.euler if kind.order == 1 else mp.zeta(kind.order)}
+        for group in _mpf_groups({(0, kind.order): mp.mpf(1)}):
+            kept = {key: v for key, v in group.items() if key[1] <= s_cap}
             if not kept:
                 break
             value.update(kept)
@@ -157,7 +204,7 @@ def _mpf_series(factors, c, b, a, q, s_cap, table):
             for (e, s), v in value.items():
                 for j in range(e + 1):
                     split[(e - j, s)] = split.get((e - j, s), 0) + \
-                        v * 2 ** -s * math.comb(e, j) * table.ln2 ** j
+                        v * 2 ** -s * math.comb(e, j) * mp.ln2 ** j
                 split[(e, s)] -= v * 2 ** -kind.order
             value = split
         product = {}
@@ -171,16 +218,14 @@ def _mpf_series(factors, c, b, a, q, s_cap, table):
 
 
 def _mpf_tail(factors, c, b, a, q, end, opts):
-    # the mpf reference: euler_maclaurin's groups valued by series_eval at
-    # the working precision, (tail, |first omitted group|) like _em_tail
+    # the mpf reference at the working precision: (tail, |first omitted
+    # group|) like _em_tail
     wp = opts.digits + 15
     with mp.workdps(wp):
-        series = _mpf_series(factors, c, b, a, q, _series_cap(c, q, end, opts.digits),
-                             ConstantsTable(wp))
-        groups = euler_maclaurin(series, operator.truediv)
+        series = _mpf_series(factors, c, b, a, q, _series_cap(c, q, end, opts.digits))
         x, lnx = mp.mpf(end), mp.log(end)
-        values = [_mpf(scale) * series_eval(group, x, lnx)
-                  for scale, group in itertools.islice(groups, opts.tail_terms + 2)]
+        values = [_mpf_value(group, x, lnx)
+                  for group in itertools.islice(_mpf_groups(series), opts.tail_terms + 2)]
         return -mp.fsum(values[:-1]), abs(values[-1])
 
 
