@@ -20,12 +20,13 @@ import mpmath as mp
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from oddeuler.identities import fit_closed_form  # noqa: E402
+from oddeuler.identities import (Identity, evaluate_combination, fit_closed_form,
+                                 parse_combination, reduce,
+                                 substitute_bases)  # noqa: E402
 from oddeuler.numerics import ConstantsTable  # noqa: E402
 from oddeuler.summation import (EvalOptions, evaluate_sum, parse_sumspec,
                                 reciprocal_sum_closed_form)  # noqa: E402
-from oddeuler.zeta_algebra import (canonicalize, evaluate, format_expr,
-                                   parse_expr)  # noqa: E402
+from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "oddeuler" / \
     "data" / "catalog.jsonl"
@@ -105,26 +106,22 @@ def main() -> None:
         records[ident] = {"id": ident, "lhs": lhs, "rhs": rhs,
                           "source": source, "expected": expected}
 
-    fitted = {}
     for ident, lhs, weight, source, expected in TO_FIT:
         expr = fit_closed_form(parse_sumspec(lhs), weight, opts=FIT_OPTS)
         if expr is None:
             raise SystemExit(f"{ident}: no closed form found at weight "
                              f"{weight}")
-        fitted[ident] = expr
         records[ident] = {"id": ident, "lhs": lhs, "rhs": format_expr(expr),
                           "source": source, "expected": expected}
         print(f"fit {ident}: {format_expr(expr)}")
 
-    # expanded form of the transcribed T1_3_6 combination, using the
-    # fitted base forms (exact symbolic expansion)
-    b6 = fitted["B6"]
-    t1 = parse_expr(records["T1_2_1"]["rhs"])
-    t2 = fitted["T1_2_2"]
-    t3 = fitted["T1_2_3"]
-    eq87 = canonicalize(parse_expr("3/4*z2") * b6 + parse_expr("1/2*z4") * t1
-                        + parse_expr("1/2*z2") * t2
-                        + parse_expr("7/2") * t3)
+    # expanded form of the transcribed T1_3_6 combination (the reduction
+    # rule of that name), using the fitted base forms (exact symbolic
+    # expansion)
+    bases = [Identity(i, parse_sumspec(records[i]["lhs"]),
+                      parse_expr(records[i]["rhs"]), "", "must_pass")
+             for i in ("B6", "T1_2_1", "T1_2_2", "T1_2_3")]
+    eq87 = substitute_bases(reduce("T1_3_6"), bases)
     records["T1_3_6_eq87"] = {"id": "T1_3_6_eq87", "lhs": "h3/k^6",
                               "rhs": format_expr(eq87),
                               "source": "paper:eq87", "expected": "adjudicate"}
@@ -137,13 +134,11 @@ def main() -> None:
     print(f"reciprocal (3,2): {format_expr(recip)}")
 
     # numeric cross-check of every entry at working precision
-    from oddeuler.identities import parse_combination
     bad = []
     for ident in ORDER:
         rec = records[ident]
         with mp.workdps(CHECK_OPTS.digits + 10):
             if "[" in rec["lhs"]:
-                from oddeuler.identities import evaluate_combination
                 lhs_v = evaluate_combination(parse_combination(rec["lhs"]),
                                              CHECK_OPTS).value
             else:

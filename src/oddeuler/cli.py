@@ -37,6 +37,11 @@ LEMMA_KMAX = 200
 # largest --digits: costs grow about quadratically, and lemma-check's
 # default rows take about 9 s at 500 digits and 43 s at 1000
 MAX_DIGITS = 500
+# lemma-check's largest kmax * digits: each row's head grows with k and its
+# arithmetic with digits, so the two caps alone admit runs of minutes.
+# 10^4 admits the default kmax at the digits cap (20 * 500, about 7 s)
+# and the kmax cap at the default digits (200 * 40, about 14 s)
+LEMMA_BUDGET = 10 ** 4
 # largest fit --weight: the PSLQ basis grows fast (669 terms at weight
 # 41); weight 15 takes about 1.5 s at 40 digits and 40 s at 500
 MAX_FIT_WEIGHT = 15
@@ -290,6 +295,9 @@ def _cmd_lemma_check(args, cfg) -> int:
         raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
     if args.kmax > LEMMA_KMAX:
         raise ValueError(f"--kmax must be <= {LEMMA_KMAX}, got {args.kmax}")
+    if args.kmax * cfg["digits"] > LEMMA_BUDGET:
+        raise ValueError(f"--kmax * digits must be <= {LEMMA_BUDGET}, "
+                         f"got {args.kmax} * {cfg['digits']}")
     tol = mp.mpf(cfg["tolerance"])
     # the sides are compared as printed: 10^(1 - digits) apart below 10
     spacing = f"1e{1 - cfg['opts'].digits}"

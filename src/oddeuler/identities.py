@@ -24,10 +24,11 @@ from importlib import resources
 import mpmath as mp
 
 from .numerics import ConstantsTable, HighFloat
-from .summation import (EvalOptions, EvalResult, SumSpec, err_floor,
-                        evaluate_sum, parse_sumspec, reciprocal_sum_closed_form)
-from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate,
-                           format_expr, format_terms, parse_expr)
+from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
+                        parse_sumspec, read_sumspec)
+from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate, expect,
+                           format_terms, parse_expr, parse_terms, read_posint, take,
+                           tokenize)
 
 _EXPECTED = ("must_pass", "adjudicate")
 
@@ -70,32 +71,12 @@ class FormalCombination:
         return self.text()
 
 
-def _split_top_level(text: str) -> list[tuple[int, str]]:
-    # split on +/- outside brackets; returns (sign, segment) pairs
-    out = []
-    depth = 0
-    sign = 1
-    start = 0
-    i = 0
-    if text.lstrip().startswith("-"):
-        sign = -1
-        start = text.index("-") + 1
-        i = start
-    while i <= len(text):
-        ch = text[i] if i < len(text) else None
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif (ch in ("+", "-") and depth == 0) or ch is None:
-            seg = text[start:i].strip()
-            if seg:
-                out.append((sign, seg))
-            if ch is not None:
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-        i += 1
-    return out
+def _read_bracket(toks: list) -> tuple[SumSpec, int]:
+    # '[' spec ']' ['^' posint]: the sum factor of one combination term
+    toks.pop(0)
+    spec = read_sumspec(toks)
+    expect(toks, "]", "']' after the sum spec")
+    return spec, read_posint(toks, "exponent") if take(toks, "^") else 1
 
 
 def parse_combination(text: str) -> FormalCombination:
@@ -103,30 +84,13 @@ def parse_combination(text: str) -> FormalCombination:
 
     Example: ``1/4*[h1/k^4] - 1/2*z2*[1/k^3] + 1/2*[h2/k^3]``.
     """
-    parts = []
-    constant = ZetaExpr.zero()
-    for sign, seg in _split_top_level(text):
-        if "[" in seg:
-            head, rest = seg.split("[", 1)
-            if "]" not in rest:
-                raise ValueError(f"unclosed '[' in combination part {seg!r}")
-            spec_text, after = rest.split("]", 1)
-            spec = parse_sumspec(spec_text.strip())
-            power = 1
-            after = after.strip()
-            if after.startswith("^"):
-                power = int(after[1:])
-            elif after:
-                raise ValueError(f"unexpected trailing text {after!r}")
-            head = head.strip().rstrip("*").strip()
-            coef = parse_expr(head) if head else ZetaExpr.const(1)
-            if sign < 0:
-                coef = -coef
-            parts.append((coef, spec, power))
+    parts, constant = [], []
+    for coef, mono, bracket in parse_terms(tokenize(text), _read_bracket):
+        if bracket:
+            parts.append((ZetaExpr.from_terms([(mono, coef)]), *bracket))
         else:
-            term = parse_expr(seg)
-            constant = constant + (term if sign > 0 else -term)
-    return FormalCombination(tuple(parts), constant)
+            constant.append((mono, coef))
+    return FormalCombination(tuple(parts), ZetaExpr.from_terms(constant))
 
 
 def evaluate_combination(comb: FormalCombination,
@@ -279,24 +243,20 @@ def summarize(reports: list[VerificationReport],
 def _t1_2_rule(m: int) -> FormalCombination:
     if not 1 <= m <= 6:
         raise ValueError(f"T1_2 rule supports m in 1..6, got {m}")
-    parts = [(ZetaExpr.zeta(2 * j), parse_sumspec(f"h1/k^{2 * m + 2 - 2 * j}"), 1)
-             for j in range(1, m + 1)]
-    parts.append((ZetaExpr.const(-(m + 1)), parse_sumspec(f"h1/k^{2 * m + 2}"), 1))
-    return FormalCombination(tuple(parts))
+    terms = " + ".join(f"z{2 * j}*[h1/k^{2 * m + 2 - 2 * j}]" for j in range(1, m + 1))
+    return parse_combination(f"{terms} - {m + 1}*[h1/k^{2 * m + 2}]")
 
 
-_FIXED_RULES: dict[str, tuple[tuple[tuple[str, str, int], ...], str, str]] = {
-    # rule id -> (parts as (coef, spec, power), constant, target)
-    "T1_3_4": ((("3/4*z2", "h1/k^4", 1), ("1/2*z2", "h2/k^3", 1),
-                ("-5/4", "h2/k^5", 1)), "0", "h3/k^4"),
-    "T1_3_6": ((("3/4*z2", "h1/k^6", 1), ("1/2*z4", "h2/k^3", 1),
-                ("1/2*z2", "h2/k^5", 1), ("7/2", "h2/k^7", 1)), "0", "h3/k^6"),
-    "T1_4_5": ((("1/3*z4", "h3/k^2", 1), ("1/2*z2", "h2/k^5", 1),
-                ("1/3*z2", "h3/k^4", 1), ("-1", "h3/k^6", 1)), "0", "h4/k^5"),
-    "T5": ((("-1", "h3/(2k-1)^2", 1), ("-1/8", "H3/(2k-1)^2", 1),
-            ("-1/32", "H3/k^2", 1), ("1/8", "1/(k^3*(2k-1)^2)", 1)),
-           "11/2*z5 - 2*z2*z3", "h3/k^2"),
-    "s1_pair": ((("1/2", "h1/k^2", 2), ("-3/2", "h1/k^4", 1)), "0", "h1*h2/k^3"),
+# rule id -> (combination, target)
+_FIXED_RULES = {
+    "T1_3_4": ("3/4*z2*[h1/k^4] + 1/2*z2*[h2/k^3] - 5/4*[h2/k^5]", "h3/k^4"),
+    "T1_3_6": ("3/4*z2*[h1/k^6] + 1/2*z4*[h2/k^3] + 1/2*z2*[h2/k^5] + 7/2*[h2/k^7]",
+               "h3/k^6"),
+    "T1_4_5": ("1/3*z4*[h3/k^2] + 1/2*z2*[h2/k^5] + 1/3*z2*[h3/k^4] - [h3/k^6]",
+               "h4/k^5"),
+    "T5": ("11/2*z5 - 2*z2*z3 - [h3/(2k-1)^2] - 1/8*[H3/(2k-1)^2] - 1/32*[H3/k^2]"
+           " + 1/8*[1/(k^3*(2k-1)^2)]", "h3/k^2"),
+    "s1_pair": ("1/2*[h1/k^2]^2 - 3/2*[h1/k^4]", "h1*h2/k^3"),
 }
 
 REDUCTION_RULES = ("T1_2",) + tuple(_FIXED_RULES)
@@ -309,7 +269,7 @@ def reduction_target(rule: str, m: int | None = None) -> SumSpec:
             raise ValueError("T1_2 rule needs the parameter m")
         return parse_sumspec(f"h2/k^{2 * m + 1}")
     if rule in _FIXED_RULES:
-        return parse_sumspec(_FIXED_RULES[rule][2])
+        return parse_sumspec(_FIXED_RULES[rule][1])
     raise KeyError(f"unknown reduction rule {rule!r}")
 
 
@@ -336,10 +296,7 @@ def reduce(rule: str, m: int | None = None,
     if rule in _FIXED_RULES:
         if m is not None:
             raise ValueError(f"rule {rule!r} takes no parameter")
-        parts, const, _ = _FIXED_RULES[rule]
-        return FormalCombination(
-            tuple((parse_expr(c), parse_sumspec(s), p) for c, s, p in parts),
-            parse_expr(const) if const != "0" else ZetaExpr.zero())
+        return parse_combination(_FIXED_RULES[rule][0])
     raise KeyError(f"unknown reduction rule {rule!r}")
 
 

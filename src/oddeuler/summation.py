@@ -35,7 +35,7 @@ import mpmath as mp
 
 from .harmonic import HarmonicKind, PrefixStream, harmonic_exact, value_series
 from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin_fixed
-from .zeta_algebra import ExprSyntaxError, ZetaExpr
+from .zeta_algebra import ExprSyntaxError, ZetaExpr, expect, take, tokenize
 
 
 class SumSpecSyntaxError(ExprSyntaxError):
@@ -83,89 +83,52 @@ def format_sumspec(spec: SumSpec) -> str:
     return f"{numer}/{denom}"
 
 
-def parse_sumspec(text: str) -> SumSpec:
-    """Parse forms like h1*h2/k^3, H3/(2k-1)^2, 1/(k^3*(2k-1)^2)."""
-    s = text.strip()
-    if not s:
-        raise SumSpecSyntaxError("empty sum spec", 0)
-    slash = s.find("/")
-    if slash < 0:
-        raise SumSpecSyntaxError("missing '/' between numerator and denominator",
-                                 len(text))
-    numer, denom = s[:slash], s[slash + 1:]
-    base = text.find(s)  # offset of stripped text for positions
-
+def read_sumspec(toks: list) -> SumSpec:
+    """Read one sum spec (zeta_algebra's spec rule) from the front of the
+    tokens, leaving what follows it; raises SumSpecSyntaxError."""
     factors = []
-    n = numer.strip()
-    if n != "1":
-        pos = base
-        for piece in n.split("*"):
-            piece = piece.strip()
+    if toks[0][:2] == ("int", 1):
+        toks.pop(0)
+    else:
+        while True:
+            kind, label, pos = toks.pop(0)
             try:
-                factors.append(HarmonicKind.from_label(piece))
+                factors.append(HarmonicKind.from_label(label if kind == "harmonic" else ""))
             except ValueError:
-                raise SumSpecSyntaxError(
-                    f"expected h<n> or H<n> factor, got {piece!r}", pos) from None
-            pos += len(piece) + 1
-
-    d = denom.strip()
-    dpos = base + slash + 1
-    if d.startswith("(") and not d.startswith("(2k-1)"):
-        if not d.endswith(")"):
-            raise SumSpecSyntaxError("unbalanced parentheses in denominator", dpos)
-        d = d[1:-1].strip()
-        dpos += 1
-    if not d:
-        raise SumSpecSyntaxError("empty denominator", dpos)
-
-    k_power = 0
-    odd_power = 0
-    i = 0
-    expect_factor = True
-    while i < len(d):
-        if d[i] == "*":
-            if expect_factor:
-                raise SumSpecSyntaxError("misplaced '*' in denominator", dpos + i)
-            expect_factor = True
-            i += 1
-            continue
-        if not expect_factor:
-            raise SumSpecSyntaxError("expected '*' between denominator factors",
-                                     dpos + i)
-        if d.startswith("(2k-1)", i):
-            head, width = "odd", 6
-        elif d[i] == "k":
-            head, width = "k", 1
-        else:
-            raise SumSpecSyntaxError(
-                f"expected 'k' or '(2k-1)' in denominator, got {d[i:]!r}", dpos + i)
-        i += width
-        exp = 1
-        if i < len(d) and d[i] == "^":
-            i += 1
-            j = i
-            while j < len(d) and d[j].isdigit():
-                j += 1
-            if j == i:
-                raise SumSpecSyntaxError("expected integer exponent", dpos + i)
-            exp = int(d[i:j])
-            i = j
-        if head == "k":
-            if k_power:
-                raise SumSpecSyntaxError("repeated k factor in denominator", dpos + i)
-            k_power = exp
-        else:
-            if odd_power:
-                raise SumSpecSyntaxError("repeated (2k-1) factor in denominator",
-                                         dpos + i)
-            odd_power = exp
-        expect_factor = False
-    if expect_factor:
-        raise SumSpecSyntaxError("dangling '*' in denominator", dpos + len(d))
+                raise SumSpecSyntaxError("expected h<n> or H<n> factor", pos) from None
+            if not take(toks, "*"):
+                break
+    expect(toks, "/", "'/' between numerator and denominator", SumSpecSyntaxError)
+    grouped = take(toks, "(")
+    powers = {"k": 0, "(2k-1)": 0}
+    while True:
+        kind, _, pos = toks.pop(0)
+        if kind not in powers:
+            raise SumSpecSyntaxError("expected 'k' or '(2k-1)' in denominator", pos)
+        if powers[kind]:
+            raise SumSpecSyntaxError(f"repeated {kind} factor in denominator", pos)
+        powers[kind] = expect(toks, "int", "integer exponent",
+                              SumSpecSyntaxError)[1] if take(toks, "^") else 1
+        if not take(toks, "*"):
+            break
+    if grouped:
+        expect(toks, ")", "')' closing the denominator", SumSpecSyntaxError)
+    kind, _, pos = toks[0]
+    if kind not in ("end", "]"):
+        # nothing else may follow a spec: a syntax error outranks SumSpec's
+        raise SumSpecSyntaxError("expected '*' or the end of the sum spec", pos)
     try:
-        return SumSpec(tuple(factors), k_power, odd_power)
+        return SumSpec(tuple(factors), powers["k"], powers["(2k-1)"])
     except ValueError as exc:
         raise SumSpecSyntaxError(str(exc)) from None
+
+
+def parse_sumspec(text: str) -> SumSpec:
+    """Parse forms like h1*h2/k^3, H3/(2k-1)^2, 1/(k^3*(2k-1)^2)."""
+    toks = tokenize(text, SumSpecSyntaxError)
+    spec = read_sumspec(toks)
+    expect(toks, "end", "end of sum spec", SumSpecSyntaxError)
+    return spec
 
 
 # largest direct-summation cutoff: at K = 10^6 one sum costs seconds, and
@@ -283,7 +246,9 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
     if factors:
         table = ConstantsTable(wp)
         for kind in factors:
-            series = _series_mul(series, value_series(kind, s_cap, table, prec),
+            # the power series starts at x^-(c+q), so no factor term
+            # beyond x^-(s_cap-c-q) survives the product
+            series = _series_mul(series, value_series(kind, s_cap - c - q, table, prec),
                                  s_cap, prec)
         lnx = mp.libmp.to_fixed(mp.libmp.mpf_log(mp.libmp.from_int(end), prec + 8), prec)
     groups = euler_maclaurin_fixed(series, end, lnx, prec)

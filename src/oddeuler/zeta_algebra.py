@@ -4,22 +4,29 @@ Closed forms are carried as rational-coefficient sums of monomials
 ``ln2^a * zeta(n1)^e1 * ...``.  Arithmetic is exact end to end; numbers
 only appear when an expression is evaluated against a ConstantsTable.
 
-The text form follows a small grammar::
+One tokenizer and one term reader serve three text forms: closed forms,
+sum specs (summation.parse_sumspec) and bracketed combinations of sums
+(identities.parse_combination).  Whitespace between tokens is ignored::
 
-    expr    := ['-'] term (('+' | '-') term)*
-    term    := coef | coef '*' factors | factors
-    factors := factor ('*' factor)*
-    factor  := symbol ('^' posint)?
-    symbol  := 'z' int | 'ln2'
-    coef    := int ('/' posint)?
+    terms  := ['-'] term (('+' | '-') term)*
+    term   := coef | [coef '*'] factor ('*' factor)* ['*' sum] | [coef '*'] sum
+    coef   := int ['/' posint]
+    factor := ('z' int | 'ln2') ['^' posint]
+    sum    := '[' spec ']' ['^' posint]          (combinations only)
+    spec   := ('1' | harm ('*' harm)*) '/' (den | '(' den ')')
+    den    := ('k' | '(2k-1)') ['^' int] ['*' den]      (each at most once)
+    harm   := ('h' | 'H') int
 
-so ``49/8*z3^2 - 945/128*z6`` and ``10*z2 - 24*ln2`` read back exactly.
-A leading minus is accepted on parse even though formatting only emits
-one when the leading coefficient is itself negative.
+A closed form is terms without a sum, so ``49/8*z3^2 - 945/128*z6`` and
+``10*z2 - 24*ln2`` read back exactly; a combination has at most one sum
+per term, last, as in ``1/2*[h1/k^2]^2 - 3/2*[h1/k^4]``.  A leading minus
+is accepted on parse even though formatting only emits one when the
+leading coefficient is itself negative.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -150,9 +157,6 @@ class ZetaExpr:
     def ln2(coef: Rational = 1) -> "ZetaExpr":
         return ZetaExpr.from_terms([(ZetaMonomial(1, ()), Fraction(coef))])
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "ZetaExpr") -> "ZetaExpr":
         return ZetaExpr.from_terms(list(self.terms) + list(other.terms))
 
@@ -259,135 +263,110 @@ def evaluate(expr: ZetaExpr, table: ConstantsTable) -> HighFloat:
 # ---- text form ----------------------------------------------------------
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<zeta>z\d*)|(?P<harmonic>[hH]\d+)"
+                    r"|(?P<symbol>ln2|\(2k-1\)|[-+*/^()\[\]k])|(?P<bad>\S))")
+
+
+def tokenize(text: str, error=ExprSyntaxError) -> list[tuple[str, object, int]]:
+    """(kind, value, position) for each token of text, ending in ("end",
+    None, len(text)); whitespace between tokens is skipped.
+
+    "int" carries its value, "zeta" its argument and "harmonic" its label
+    (h1, H3, ...); each symbol ln2, (2k-1), k, + - * / ^ ( ) [ ] is its own
+    kind, with value None.  Any other character raises error there.
+    """
     toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if ch == "z":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ExprSyntaxError("expected digits after 'z'", i)
-            toks.append(("zeta", int(text[i + 1 : j]), i))
-            i = j
-            continue
-        if text.startswith("ln2", i):
-            toks.append(("ln2", None, i))
-            i += 3
-            continue
-        if ch in "+-*/^":
-            toks.append((ch, None, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word, pos = m.group(kind), m.start(kind)
+        if word == "z":
+            raise error("expected digits after 'z'", pos)
+        if kind == "bad":
+            raise error(f"unexpected character {word!r}", pos)
+        if kind == "symbol":
+            toks.append((word, None, pos))
+        else:
+            toks.append((kind, word if kind == "harmonic" else int(word.lstrip("z")), pos))
     toks.append(("end", None, len(text)))
     return toks
 
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
+def take(toks: list, kind: str):
+    """Pop and return the next token if it is of kind, else None."""
+    return toks.pop(0) if toks[0][0] == kind else None
 
-    def peek(self):
-        return self.toks[self.i]
 
-    def take(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+def expect(toks: list, kind: str, what: str, error=ExprSyntaxError):
+    """Pop the next token, which must be of kind; else raise 'expected what'."""
+    if toks[0][0] != kind:
+        raise error(f"expected {what}", toks[0][2])
+    return toks.pop(0)
 
-    def parse_expr(self) -> ZetaExpr:
-        terms = []
-        sign = 1
-        if self.peek()[0] == "-":
-            self.take()
-            sign = -1
-        while True:
-            coef, mono = self.parse_term()
-            terms.append((mono, sign * coef))
-            kind, _, pos = self.peek()
-            if kind == "end":
-                break
-            if kind == "+":
-                sign = 1
-            elif kind == "-":
-                sign = -1
-            else:
-                raise ExprSyntaxError("expected '+' or '-' between terms", pos)
-            self.take()
-        return ZetaExpr.from_terms(terms)
 
-    def parse_term(self) -> tuple[Fraction, ZetaMonomial]:
-        kind, value, pos = self.peek()
-        if kind == "int":
-            self.take()
-            coef = Fraction(value)
-            if self.peek()[0] == "/":
-                self.take()
-                dkind, dval, dpos = self.take()
-                if dkind != "int" or dval == 0:
-                    raise ExprSyntaxError("expected positive integer denominator", dpos)
-                coef /= dval
-            if self.peek()[0] == "*":
-                self.take()
-                return coef, self.parse_factors()
-            return coef, ZetaMonomial.one()
-        if kind in ("zeta", "ln2"):
-            return Fraction(1), self.parse_factors()
-        raise ExprSyntaxError("expected a coefficient or symbol", pos)
+def read_posint(toks: list, what: str) -> int:
+    """Pop the next token, which must be a positive int, and return it."""
+    kind, value, pos = toks.pop(0)
+    if kind != "int" or not value:
+        raise ExprSyntaxError(f"expected positive integer {what}", pos)
+    return value
 
-    def parse_factors(self) -> ZetaMonomial:
-        mono = self.parse_factor()
-        while self.peek()[0] == "*":
-            self.take()
-            if self.peek()[0] not in ("zeta", "ln2"):
-                kind, _, pos = self.peek()
-                raise ExprSyntaxError("expected symbol after '*'", pos)
-            mono = _merge_monomials(mono, self.parse_factor())
-        return mono
 
-    def parse_factor(self) -> ZetaMonomial:
-        kind, value, pos = self.take()
-        if kind == "zeta":
-            if value == 1:
-                raise ExprSyntaxError("zeta(1) divergent", pos)
-            if value < 1:
-                raise ExprSyntaxError(f"zeta({value}) is not a valid symbol", pos)
-            base = ZetaMonomial(0, ((value, 1),))
-        elif kind == "ln2":
-            base = ZetaMonomial(1, ())
-        else:
-            raise ExprSyntaxError("expected 'z<n>' or 'ln2'", pos)
-        if self.peek()[0] == "^":
-            self.take()
-            ekind, evalue, epos = self.take()
-            if ekind != "int" or evalue <= 0:
-                raise ExprSyntaxError("expected positive integer exponent", epos)
-            if kind == "zeta":
-                base = ZetaMonomial(0, ((value, evalue),))
-            else:
-                base = ZetaMonomial(evalue, ())
-        return base
+def _read_term(toks: list, part) -> tuple:
+    # coef | [coef '*'] factor ('*' factor)* ['*' '['...] | [coef '*'] '['...;
+    # factor exponents add up by zeta argument, 0 standing for ln2
+    coef, exps, bracket, what = Fraction(1), {}, None, "a coefficient or symbol"
+    if toks[0][0] == "int":
+        coef = Fraction(toks.pop(0)[1])
+        if take(toks, "/"):
+            coef /= read_posint(toks, "denominator")
+        if not take(toks, "*"):
+            return coef, ZetaMonomial.one(), None
+        what = "symbol after '*'"
+    while True:
+        kind, value, pos = toks[0]
+        if kind == "[" and part:
+            bracket = part(toks)
+            break
+        if kind not in ("zeta", "ln2"):
+            raise ExprSyntaxError(f"expected {what}", pos)
+        if kind == "zeta" and value < 2:
+            raise ExprSyntaxError("zeta(1) divergent" if value else
+                                  "zeta(0) is not a valid symbol", pos)
+        toks.pop(0)
+        n = value if kind == "zeta" else 0
+        exps[n] = exps.get(n, 0) + (read_posint(toks, "exponent") if take(toks, "^") else 1)
+        if not take(toks, "*"):
+            break
+        what = "symbol after '*'"
+    return coef, ZetaMonomial.from_parts(exps.pop(0, 0), exps), bracket
+
+
+def parse_terms(toks: list, part=None) -> list[tuple[Fraction, ZetaMonomial, object]]:
+    """Read ['-'] term (('+' | '-') term)* up to the end of toks.
+
+    Each term comes as (signed coefficient, monomial, bracket).  part, if
+    given, is called with the tokens when a term reaches a '[', and what
+    it returns is that term's bracket (None elsewhere); without part a
+    '[' is a syntax error.
+    """
+    sign = -1 if take(toks, "-") else 1
+    terms = []
+    while True:
+        coef, mono, bracket = _read_term(toks, part)
+        terms.append((sign * coef, mono, bracket))
+        kind, _, pos = toks.pop(0)
+        if kind == "end":
+            return terms
+        if kind not in ("+", "-"):
+            raise ExprSyntaxError("expected '+' or '-' between terms", pos)
+        sign = 1 if kind == "+" else -1
 
 
 def parse_expr(text: str) -> ZetaExpr:
     """Parse the text form; raises ExprSyntaxError with a position."""
-    if not text or not text.strip():
+    if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(_tokenize(text)).parse_expr()
+    return ZetaExpr.from_terms((mono, coef) for coef, mono, _ in parse_terms(tokenize(text)))
 
 
 def format_terms(terms) -> str:

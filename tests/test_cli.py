@@ -249,7 +249,9 @@ def test_k_above_cap_exits_2(command):
 @pytest.mark.parametrize("argv,message", (
     (("verify", "--digits", "501"), "error: digits must be <= 500, got 501"),
     (("eval-expr", "z3", "--digits", "501"), "error: digits must be <= 500, got 501"),
-    (("fit", "h1/k^2", "--weight", "16"), "error: --weight must be <= 15, got 16")))
+    (("fit", "h1/k^2", "--weight", "16"), "error: --weight must be <= 15, got 16"),
+    (("lemma-check", "--digits", "500", "--kmax", "21"),
+     "error: --kmax * digits must be <= 10000, got 21 * 500")))
 def test_digits_and_weight_above_cap_exit_2(argv, message):
     rc, out, err = run_cli(*argv)
     assert rc == 2

@@ -15,8 +15,8 @@ from oddeuler.identities import (REFERENCE_ANCHORS, FormalCombination,
                                  reduction_residual, reduction_target,
                                  substitute_bases, summarize, verify,
                                  verify_all)
-from oddeuler.summation import EvalOptions, evaluate_sum, parse_sumspec
-from oddeuler.zeta_algebra import format_expr, parse_expr
+from oddeuler.summation import EvalOptions, SumSpec, evaluate_sum, parse_sumspec
+from oddeuler.zeta_algebra import ExprSyntaxError, format_expr, parse_expr
 
 OPTS = EvalOptions(digits=40, K=10 ** 4)
 
@@ -147,6 +147,20 @@ def test_parse_combination_errors():
         parse_combination("2*[h1/k^2")
     with pytest.raises(Exception):
         parse_combination("2*[h1/q^2]")
+    # read as terms like a closed form: no term, a dangling or doubled
+    # sign and a zeroth power are each rejected at a position
+    for text, pos in (("", 0), ("-", 1), ("2+", 2), ("--1/2", 1),
+                      ("z2+-z2", 3), ("[h1/k^2]^0", 9)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_combination(text)
+        assert err.value.pos == pos, text
+
+
+def test_catalog_sides_reparse_from_their_rendering():
+    for e in catalog():
+        parse = parse_sumspec if isinstance(e.lhs, SumSpec) else parse_combination
+        assert parse(e.lhs.text()) == e.lhs, e.id
+        assert parse_expr(format_expr(e.rhs)) == e.rhs, e.id
 
 
 def test_combination_with_power_evaluates():

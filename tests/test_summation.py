@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddeuler import numerics
 from oddeuler.harmonic import HarmonicKind
 from oddeuler.summation import (MAX_K, EvalOptions, SumSpec,
                                 SumSpecSyntaxError, _em_tail, _guard_bits, _head_tail,
@@ -32,6 +33,12 @@ def test_parse_format_round_trip():
 def test_factor_order_normalized():
     assert parse_sumspec("h2*h1/k^3") == parse_sumspec("h1*h2/k^3")
     assert format_sumspec(parse_sumspec("h2*h1/k^3")) == "h1*h2/k^3"
+
+
+def test_whitespace_skipped_between_tokens():
+    # whitespace is skipped between all tokens, in sum specs as in closed forms
+    assert parse_sumspec("h1/k^3 * (2k-1)") == parse_sumspec("h1/k^3*(2k-1)")
+    assert parse_sumspec(" h1 * h2 / ( k ^ 3 ) ") == parse_sumspec("h1*h2/k^3")
 
 
 def test_parse_errors_position_tagged():
@@ -284,6 +291,19 @@ def test_guard_bits_grow_past_four_factors():
     assert _guard_bits(5, 10 ** 6, s_cap, 4) > 16
     x_bound = 1 + math.log(10 ** 6)
     assert 2 ** _guard_bits(5, 10 ** 6, s_cap, 4) > 5 * x_bound ** 4 + 2
+
+
+def test_tail_asks_factors_only_for_the_powers_it_keeps():
+    # the power series of h1/k^300 starts at x^-300, so h1's value series
+    # is needed only to x^-(s_cap - 300), and the Bernoulli numbers only
+    # to B_(s_cap - 298); to x^-s_cap they would run to B_(s_cap + 2),
+    # which for h1/k^2000 takes about a minute
+    opts, end = EvalOptions(digits=20, K=100), 100
+    s_cap = _series_cap(300, 0, end, opts.digits)
+    prec = mp.libmp.dps_to_prec(opts.digits + 15) + end.bit_length() + 16
+    del numerics._bernoulli_cache[2:]
+    _em_tail((HarmonicKind.odd(1),), 300, 2, 1, 0, end, opts, prec)
+    assert len(numerics._bernoulli_cache) - 1 <= s_cap - 300 + 2
 
 
 def test_result_metadata():
