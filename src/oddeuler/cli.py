@@ -137,8 +137,7 @@ def _table_text(rows: list[dict], fields) -> str:
     widths = {f: max(len(f), *(len(r[f]) for r in rows)) if rows else len(f)
               for f in fields}
     lines = ["  ".join(f.ljust(widths[f]) for f in fields).rstrip()]
-    for r in rows:
-        lines.append("  ".join(r[f].ljust(widths[f]) for f in fields).rstrip())
+    lines += ["  ".join(r[f].ljust(widths[f]) for f in fields).rstrip() for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -146,8 +145,7 @@ def _csv_text(rows: list[dict], fields) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
-    for r in rows:
-        writer.writerow([r[f] for f in fields])
+    writer.writerows([r[f] for f in fields] for r in rows)
     return buf.getvalue()
 
 
@@ -226,9 +224,8 @@ def _emit_fields(fields: dict, fmt: str) -> None:
 
 def _cmd_reduce(args, cfg) -> int:
     comb = reduce(args.rule, args.m, cfg["opts"])
-    sub = format_expr(substitute_bases(comb,
-                                       catalog(cfg["catalog"]))) \
-        if args.substitute else None
+    sub = (format_expr(substitute_bases(comb, catalog(cfg["catalog"])))
+           if args.substitute else None)
     if cfg["format"] == "json":
         sys.stdout.write(json.dumps({"rule": args.rule, "m": args.m,
                                      "combination": comb.text(),
@@ -339,8 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="oddeuler",
-        description="Verify and evaluate Euler sums over odd harmonic "
-                    "numbers.")
+        description="Verify and evaluate Euler sums over odd harmonic numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common],
@@ -385,8 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_list)
 
     p = sub.add_parser("lemma-check", parents=[common],
-                       help="truncated vs closed residuals for the kernel "
-                            "lemmas")
+                       help="truncated vs closed residuals for the kernel lemmas")
     p.add_argument("--kmax", type=int, default=20)
     p.set_defaults(func=_cmd_lemma_check)
     return parser

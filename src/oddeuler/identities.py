@@ -16,6 +16,7 @@ evaluated numerically or collapsed symbolically via substitute_bases.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,6 +129,7 @@ class Identity:
             raise ValueError(f"expected must be one of {_EXPECTED}")
 
 
+@functools.lru_cache(maxsize=1024)  # entries are frozen: parse each line once
 def _parse_entry(line: str) -> Identity:
     rec = json.loads(line)
     lhs_text = rec["lhs"]

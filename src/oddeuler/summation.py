@@ -19,9 +19,9 @@ head plus tail is converted to mpf once.  Only ln K and the first
 omitted group, which becomes the error estimate and keeps its relative
 precision, are computed in mpf.
 
-The lemma evaluators at the bottom compare truncated kernel sums against
-closed forms; one head-plus-tail routine sums those kernels and every sum,
-and is memoized, so no series is summed twice in one process.
+The lemma evaluators at the bottom compare kernel sums from the same
+memoized routine (no series is summed twice in one process) against
+closed forms kept as exact ZetaExprs and valued by zeta_algebra.evaluate.
 """
 
 from __future__ import annotations
@@ -35,11 +35,20 @@ import mpmath as mp
 
 from .harmonic import HarmonicKind, PrefixStream, harmonic_exact, value_series
 from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin_fixed
-from .zeta_algebra import ExprSyntaxError, ZetaExpr, expect, take, tokenize
+from .zeta_algebra import (ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
+                           take, tokenize)
 
 
 class SumSpecSyntaxError(ExprSyntaxError):
     """Malformed sum spec text; carries the offending position."""
+
+
+# largest direct-summation cutoff: at K = 10^6 one sum costs seconds, and
+# the head's fixed-point guard bits are sized up to it
+MAX_K = 10 ** 6
+# largest k plus (2k-1) power: the head takes i^power for every i, which
+# costs seconds at a few hundred and minutes at thousands
+MAX_POWER = 100
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,8 @@ class SumSpec:
             raise ValueError("denominator powers must be nonnegative")
         if self.k_power + self.odd_power < 2:
             raise ValueError("sum diverges: need k and (2k-1) powers totalling >= 2")
+        if self.k_power + self.odd_power > MAX_POWER:
+            raise ValueError(f"k and (2k-1) powers must total <= {MAX_POWER}")
         ordered = tuple(sorted(self.factors,
                                key=lambda f: (f.order, f.parity == "even", f.label)))
         object.__setattr__(self, "factors", ordered)
@@ -99,6 +110,7 @@ def read_sumspec(toks: list) -> SumSpec:
             if not take(toks, "*"):
                 break
     expect(toks, "/", "'/' between numerator and denominator", SumSpecSyntaxError)
+    den_pos = toks[0][2]
     grouped = take(toks, "(")
     powers = {"k": 0, "(2k-1)": 0}
     while True:
@@ -120,7 +132,7 @@ def read_sumspec(toks: list) -> SumSpec:
     try:
         return SumSpec(tuple(factors), powers["k"], powers["(2k-1)"])
     except ValueError as exc:
-        raise SumSpecSyntaxError(str(exc)) from None
+        raise SumSpecSyntaxError(str(exc), den_pos) from None
 
 
 def parse_sumspec(text: str) -> SumSpec:
@@ -129,11 +141,6 @@ def parse_sumspec(text: str) -> SumSpec:
     spec = read_sumspec(toks)
     expect(toks, "end", "end of sum spec", SumSpecSyntaxError)
     return spec
-
-
-# largest direct-summation cutoff: at K = 10^6 one sum costs seconds, and
-# the head's fixed-point guard bits are sized up to it
-MAX_K = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -153,6 +160,9 @@ class EvalOptions:
             raise ValueError(f"K must be <= {MAX_K}, got {self.K}")
         if not 1 <= self.tail_terms <= 8:
             raise ValueError(f"tail_terms must be in 1..8, got {self.tail_terms}")
+
+
+DEFAULT_OPTS = EvalOptions()
 
 
 @dataclass(frozen=True)
@@ -325,7 +335,7 @@ def evaluate_sum(spec: SumSpec, opts: EvalOptions | None = None) -> EvalResult:
     floored at err_floor(digits); doubling K moves the value by less
     than that estimate.
     """
-    opts = opts or EvalOptions()
+    opts = opts or DEFAULT_OPTS
     value, omitted = _head_tail(spec.factors, spec.k_power, 2, 1,
                                 spec.odd_power, opts.K, opts)
     with mp.workdps(opts.digits):
@@ -385,25 +395,46 @@ def reciprocal_sum_closed_form(p: int, q: int) -> ZetaExpr:
 #
 # Each returns a (truncated, closed) pair at the option's precision.  The
 # truncated side really sums the series (direct head plus Euler-Maclaurin
-# tail), so agreement is evidence and not circularity.
-
-
-def _harmonic_mpf(kind: HarmonicKind, k: int) -> HighFloat:
-    if k == 0:
-        return mp.mpf(0)
-    v = harmonic_exact(kind, k)
-    return mp.mpf(v.numerator) / v.denominator
+# tail), so agreement is evidence and not circularity.  The closed side is
+# exact: (monomial, Fraction) pairs on 1, ln 2 and zeta values from exact
+# prefixes at k, summed once into a ZetaExpr and valued by zeta_algebra.evaluate.
 
 
 def _kernel_truncated(factors: tuple, c: int, b: int, k: int,
-                      opts: EvalOptions) -> HighFloat:
+                      opts: EvalOptions | None) -> HighFloat:
     # Truncated side of every lemma: sum_{i>=1} f(i) / (i^c (b i + k)), f
     # the prefix in factors or 1; b = 1 is the shifted kernel, b = -1 the
     # two-sided one, whose i = k pole is skipped and whose head is k longer.
+    opts = opts or DEFAULT_OPTS
     end = max(2000, 50 * k) + (k if b < 0 else 0)
     total, _ = _head_tail(factors, c, b, -k, 1, end, opts)
     with mp.workdps(opts.digits):
         return +total
+
+
+def _closed(terms: list, opts: EvalOptions | None) -> HighFloat:
+    digits = (opts or DEFAULT_OPTS).digits
+    with mp.workdps(digits):
+        return +evaluate(ZetaExpr.from_terms(terms), ConstantsTable(digits + 15))
+
+
+def _h(n: int, k: int) -> Fraction:
+    return harmonic_exact(HarmonicKind.odd(n), k)
+
+
+def _z(t: int) -> ZetaMonomial:
+    return ZetaMonomial(0, ((t, 1),))
+
+
+def _shifted_terms(n: int, k: int) -> list:
+    # the sign of n rides on the ladder (from i = 2, as H(1, 0) = 0) and the
+    # ln 2 block only; each (1 - 2^-t) zeta(t) term carries (-1)^(n-t)
+    sign = Fraction(1 if n % 2 == 1 else -1, k)
+    ladder = sum((harmonic_exact(HarmonicKind.even(1), i - 1) / (2 * i - 1) ** n
+                  for i in range(2, k + 1)), Fraction(0))
+    return [(ZetaMonomial(), sign * ladder), (ZetaMonomial(1), 2 * sign * _h(n, k))] + \
+        [(_z(t), 2 * (-1) ** (n - t) * (1 - Fraction(1, 2 ** t)) * _h(n + 1 - t, k) / k)
+         for t in range(2, n + 1)]
 
 
 def shifted_kernel_closed(n: int, k: int, opts: EvalOptions | None = None) -> HighFloat:
@@ -418,27 +449,11 @@ def shifted_kernel_closed(n: int, k: int, opts: EvalOptions | None = None) -> Hi
         raise ValueError(f"k must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    opts = opts or EvalOptions()
-    table = ConstantsTable(opts.digits + 15)
-    sign = 1 if n % 2 == 1 else -1
-    with mp.workdps(table.digits):
-        ladder = mp.mpf(0)
-        for i in range(1, k + 1):
-            ladder += _harmonic_mpf(HarmonicKind.even(1), i - 1) * \
-                mp.mpf(2 * i - 1) ** (-n)
-        total = sign * (ladder + 2 * table.ln2 * _harmonic_mpf(HarmonicKind.odd(n), k))
-        for t in range(2, n + 1):
-            tsign = 1 if (n - t) % 2 == 0 else -1
-            total += 2 * tsign * table.lam(t) * \
-                _harmonic_mpf(HarmonicKind.odd(n + 1 - t), k)
-        total /= k
-    with mp.workdps(opts.digits):
-        return +total
+    return _closed(_shifted_terms(n, k), opts)
 
 
 def lemma1_aux(k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
     """(truncated, closed) for sum_i h(1, i) / (i (i + k))."""
-    opts = opts or EvalOptions()
     return (_kernel_truncated((HarmonicKind.odd(1),), 1, 1, k, opts),
             shifted_kernel_closed(1, k, opts))
 
@@ -449,16 +464,9 @@ def recip_kernel_closed(p: int, k: int, opts: EvalOptions | None = None) -> High
         raise ValueError(f"p must be >= 2, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    opts = opts or EvalOptions()
-    table = ConstantsTable(opts.digits + 15)
-    with mp.workdps(table.digits):
-        kf = mp.mpf(k)
-        total = _harmonic_mpf(HarmonicKind.even(1), k) * kf ** (-p)
-        total -= (p + 1) * kf ** (-(p + 1))
-        for j in range(1, p):
-            total += table.zeta(p + 1 - j) * kf ** (-j)
-    with mp.workdps(opts.digits):
-        return +total
+    const = harmonic_exact(HarmonicKind.even(1), k) / k ** p - Fraction(p + 1, k ** (p + 1))
+    return _closed([(ZetaMonomial(), const)]
+                   + [(_z(p + 1 - j), Fraction(1, k ** j)) for j in range(1, p)], opts)
 
 
 def lemma2_g(n: int, k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
@@ -469,27 +477,8 @@ def lemma2_g(n: int, k: int, opts: EvalOptions | None = None) -> tuple[HighFloat
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    opts = opts or EvalOptions()
     return (_kernel_truncated((), 2 * n, -1, k, opts),
             recip_kernel_closed(2 * n, k, opts))
-
-
-def _cross_kernel_closed(m: int, k: int, opts: EvalOptions) -> HighFloat:
-    # the shifted-kernel block enters with sign +1 for odd m, -1 for even m
-    table = ConstantsTable(opts.digits + 15)
-    with mp.workdps(table.digits):
-        kf = mp.mpf(k)
-        shifted = shifted_kernel_closed(m, k, EvalOptions(opts.digits + 15, opts.K,
-                                                          opts.tail_terms))
-        hm = _harmonic_mpf(HarmonicKind.odd(m), k)
-        hm1 = _harmonic_mpf(HarmonicKind.odd(m + 1), k)
-        sign = 1 if m % 2 == 1 else -1
-        total = sign * shifted - 2 * m * hm1 / kf - hm / kf ** 2
-        for i in range(1, m // 2 + 1):
-            total += 4 * (1 - mp.mpf(4) ** (-i)) * table.zeta(2 * i) * \
-                _harmonic_mpf(HarmonicKind.odd(m + 1 - 2 * i), k) / kf
-    with mp.workdps(opts.digits):
-        return +total
 
 
 def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions | None = None) \
@@ -505,10 +494,14 @@ def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions | None = None) \
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    opts = opts or EvalOptions()
     m = 2 * n - 1 if parity == "odd" else 2 * n
+    # the shifted-kernel block enters with sign +1 for odd m, -1 for even m
+    closed = [(mono, c if m % 2 == 1 else -c) for mono, c in _shifted_terms(m, k)]
+    closed.append((ZetaMonomial(), -2 * m * _h(m + 1, k) / k - _h(m, k) / k ** 2))
+    closed += [(_z(2 * i), 4 * (1 - Fraction(1, 4 ** i)) * _h(m + 1 - 2 * i, k) / k)
+               for i in range(1, m // 2 + 1)]
     return (_kernel_truncated((HarmonicKind.odd(m),), 1, -1, k, opts),
-            _cross_kernel_closed(m, k, opts))
+            _closed(closed, opts))
 
 
 def lemma1_f(k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:

@@ -95,6 +95,24 @@ def test_eval_sum_divergent_exits_2():
     rc, _, err = run_cli("eval-sum", "h1/k")
     assert rc == 2
     assert "diverges" in err
+    assert "error: sum diverges: need k and (2k-1) powers totalling >= 2 " \
+        "(position 3)" in err.splitlines()
+
+
+@pytest.mark.parametrize("argv", (("eval-sum", "h1/k^20000", "--digits", "20"),
+                                  ("fit", "h1/k^101", "--weight", "6"),
+                                  ("list", "--catalog", "{catalog}")))
+def test_denominator_power_above_cap_exits_2(tmp_path, argv):
+    # refused while parsing, before any sum is evaluated
+    extra = tmp_path / "big.jsonl"
+    extra.write_text(json.dumps({
+        "id": "big_power", "lhs": "h1/k^101", "rhs": "z2",
+        "source": "test", "expected": "must_pass"}) + "\n")
+    rc, out, err = run_cli(*(a.format(catalog=extra) for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert "error: k and (2k-1) powers must total <= 100 (position 3)" \
+        in err.splitlines()
 
 
 def test_unknown_subcommand_exits_2():

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from importlib import resources
 
 import mpmath as mp
 import pytest
@@ -154,6 +155,30 @@ def test_parse_combination_errors():
         with pytest.raises(ExprSyntaxError) as err:
             parse_combination(text)
         assert err.value.pos == pos, text
+
+
+def test_spec_errors_positioned_in_the_whole_combination():
+    # divergent and over-capped specs inside a bracket: the position of
+    # the denominator's first token, counted from the start of the text
+    for text, pos in (("1/2*[h1/k]", 8), ("z2 + [h1/k^101]", 9)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_combination(text)
+        assert err.value.pos == pos, text
+
+
+def test_verify_parses_each_catalog_line_once(monkeypatch, capsys):
+    # verify loads the catalog, and the adjudication findings substitute
+    # catalog closed forms again: each line's rhs is parsed only once
+    from oddeuler import cli, identities
+    parsed = []
+    real_parse = identities.parse_expr
+    monkeypatch.setattr(identities, "parse_expr",
+                        lambda text: parsed.append(text) or real_parse(text))
+    identities._parse_entry.cache_clear()
+    assert cli.main(["verify", "--K", "1000", "--format", "csv"]) == 0
+    assert "finding T1_2_2_eq41" in capsys.readouterr().err
+    text = resources.files("oddeuler").joinpath("data/catalog.jsonl").read_text()
+    assert len(parsed) == len([ln for ln in text.splitlines() if ln.strip()]) == 32
 
 
 def test_catalog_sides_reparse_from_their_rendering():

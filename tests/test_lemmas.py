@@ -3,10 +3,12 @@
 import mpmath as mp
 import pytest
 
+from oddeuler import summation
 from oddeuler.numerics import ConstantsTable
 from oddeuler.summation import (EvalOptions, lemma1_aux, lemma1_f, lemma2_g,
                                 lemma3_f, recip_kernel_closed,
                                 shifted_kernel_closed)
+from oddeuler.zeta_algebra import parse_expr
 
 from conftest import FROZEN_LEMMAS
 
@@ -48,6 +50,27 @@ def test_lemma2_special_values():
         assert abs(c11 - (t.zeta(2) - 2)) < mp.mpf("1e-25")
         _, c12 = lemma2_g(1, 2, OPTS)
         assert abs(c12 - t.zeta(2) / 2) < mp.mpf("1e-25")
+
+
+def test_closed_sides_are_exact_expressions(monkeypatch):
+    # each closed side is one ZetaExpr, valued once at digits + 15; the
+    # docstrings' special values hold as structures, not only as numbers
+    seen = []
+    real_evaluate = summation.evaluate
+    monkeypatch.setattr(summation, "evaluate", lambda expr, table: seen.append(
+        (expr, table.digits)) or real_evaluate(expr, table))
+    for closed_side, text in ((lambda: lemma2_g(1, 1, OPTS)[1], "z2 - 2"),
+                              (lambda: lemma2_g(1, 2, OPTS)[1], "1/2*z2"),
+                              (lambda: lemma1_f(1, OPTS)[1], "2*ln2 - 3"),
+                              # the odd-part zeta term sits outside the sign
+                              (lambda: shifted_kernel_closed(2, 1, OPTS),
+                               "3/2*z2 - 2*ln2")):
+        seen.clear()
+        value = closed_side()
+        assert seen == [(parse_expr(text), OPTS.digits + 15)], text
+        with mp.workdps(OPTS.digits):
+            assert value == +real_evaluate(parse_expr(text),
+                                           ConstantsTable(OPTS.digits + 15))
 
 
 def test_lemma2_frozen_values():

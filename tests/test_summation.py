@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oddeuler import numerics
 from oddeuler.harmonic import HarmonicKind
-from oddeuler.summation import (MAX_K, EvalOptions, SumSpec,
+from oddeuler.summation import (MAX_K, MAX_POWER, EvalOptions, SumSpec,
                                 SumSpecSyntaxError, _em_tail, _guard_bits, _head_tail,
                                 _series_cap, evaluate_sum, format_sumspec, parse_sumspec,
                                 reciprocal_sum_closed_form, term_exact)
@@ -56,6 +56,27 @@ def test_divergent_rejected():
         parse_sumspec("h1/k^0")
     with pytest.raises(ValueError, match="diverges"):
         SumSpec((HarmonicKind.odd(1),), 1, 0)
+
+
+def test_divergent_spec_error_has_position():
+    # the position is that of the denominator's first token
+    for text, pos in (("h1/k", 3), ("h2/k]5", 3), ("1/(k*(2k-1)^0)", 2)):
+        with pytest.raises(SumSpecSyntaxError, match="diverges") as err:
+            parse_sumspec(text)
+        assert err.value.pos == pos, text
+
+
+def test_denominator_power_capped():
+    # refused when built, so no refused spec is ever summed
+    assert MAX_POWER == 100
+    assert parse_sumspec("h1/k^100").k_power == 100
+    assert parse_sumspec("1/(k^60*(2k-1)^40)").odd_power == 40
+    for text in ("h1/k^101", "h1/k^20000", "H2/(k^60*(2k-1)^41)"):
+        with pytest.raises(SumSpecSyntaxError, match="<= 100") as err:
+            parse_sumspec(text)
+        assert err.value.pos == 3, text
+    with pytest.raises(ValueError, match="<= 100"):
+        SumSpec((), 0, 101)
 
 
 def test_term_exact_examples():
