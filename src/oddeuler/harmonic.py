@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count, repeat
+from operator import floordiv
 
 import mpmath as mp
 
@@ -107,8 +109,8 @@ def even_odd_split(n: int, k: int) -> tuple[Rational, Rational]:
 class PrefixStream:
     """Fixed-point prefixes for several kinds at once, advanced together.
 
-    Each prefix is an int scaled by 2^prec: one advance() adds the k-th
-    term of every kind as the floor of 2^prec / base^n, so after k
+    Each prefix is an int scaled by 2^prec: one advance() steps every
+    kind's column(), adding the floor of 2^prec / base^n, so after k
     advances a prefix lies in [exact - k 2^-prec, exact].  prec is the
     binary precision of `digits` plus terms.bit_length() + guard bits,
     where `terms` is the number of advances the caller plans and `guard`
@@ -123,19 +125,22 @@ class PrefixStream:
         self.prec = mp.libmp.dps_to_prec(digits) + terms.bit_length() + guard
         self.one = 1 << self.prec
         self.prefixes = [0] * len(self.kinds)
-        self._shape = [(kind.parity == "odd", kind.order) for kind in self.kinds]
+        self._columns = [self.column(kind) for kind in self.kinds]
         self._k = 0
 
     @property
     def k(self) -> int:
         return self._k
 
+    def column(self, kind: HarmonicKind):
+        """Lazy prefixes of kind at 1, 2, ...: sums of floor(2^prec / base^n)."""
+        bases = count(1, 2) if kind.parity == "odd" else count(1)
+        return accumulate(map(floordiv, repeat(self.one), map(pow, bases, repeat(kind.order))))
+
     def advance(self) -> int:
-        self._k = i = self._k + 1
-        one, prefixes = self.one, self.prefixes
-        for idx, (odd, n) in enumerate(self._shape):
-            prefixes[idx] += one // (2 * i - 1 if odd else i) ** n
-        return i
+        self._k += 1
+        self.prefixes[:] = map(next, self._columns)
+        return self._k
 
     def value(self, kind: HarmonicKind) -> HighFloat:
         """The prefix of kind, rounded to the stream's digits."""

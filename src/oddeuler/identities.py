@@ -68,8 +68,7 @@ class FormalCombination:
             terms.append((c, body))
         return format_terms(terms)
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
 
 def _read_bracket(toks: list) -> tuple[SumSpec, int]:

@@ -278,16 +278,5 @@ class ConstantsTable:
     def euler_gamma(self) -> HighFloat:
         return constant("euler_gamma", self.digits)
 
-    def lam(self, n: int) -> HighFloat:
-        """Odd-denominator zeta value sum over (2k-1)^{-n}, n >= 2.
-
-        Kept as a derived quantity: (1 - 2^{-n}) zeta(n).  It is never a
-        standalone symbol anywhere in the package.
-        """
-        if n < 2:
-            raise ValueError("lam requires n >= 2")
-        with mp.workdps(self.digits):
-            return (1 - mp.mpf(2) ** (-n)) * self.zeta(n)
-
     def __repr__(self) -> str:
         return f"ConstantsTable(digits={self.digits})"

@@ -6,18 +6,19 @@ A sum here is sum_{k>=1} f(k) with
 
 convergent whenever p + q >= 2 (the numerator only contributes powers of
 log).  Evaluation is a direct partial sum to K, in fixed-point integers
-on the harmonic prefix streams, followed by an Euler-Maclaurin tail: the
-summand is expanded into a log-power series of monomials
-c * (ln x)^a * x^{-s} (the harmonic factors' expansions times a binomial
-expansion of the denominator), which the shared Euler-Maclaurin core in
-numerics integrates and corrects exactly, so the result carries 30+
-correct digits at the default K.  The tail is fixed point as well, at
-the head's scale 2^-prec: coefficients are rounded to ints once, the
-derivatives are exact integer multiples, each group is a Horner sum in
-1/K with its Bernoulli factor applied once as an exact rational, and
-head plus tail is converted to mpf once.  Only ln K and the first
-omitted group, which becomes the error estimate and keeps its relative
-precision, are computed in mpf.
+on the harmonic prefix streams and run as a lazy iterator pipeline,
+followed by an Euler-Maclaurin tail: the summand is expanded into a
+log-power series of monomials c * (ln x)^a * x^{-s} (the harmonic
+factors' expansions times a binomial expansion of the denominator),
+which the shared Euler-Maclaurin core in numerics integrates and
+corrects exactly, so the result carries 30+ correct digits at the
+default K.  The tail is fixed point as well, at the head's scale
+2^-prec: coefficients are rounded to ints once, the derivatives are
+exact integer multiples, each group is a Horner sum in 1/K with its
+Bernoulli factor applied once as an exact rational, and head plus tail
+is converted to mpf once.  Only ln K and the first omitted group, which
+becomes the error estimate and keeps its relative precision, are
+computed in mpf.
 
 The lemma evaluators at the bottom compare kernel sums from the same
 memoized routine (no series is summed twice in one process) against
@@ -30,6 +31,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import floordiv, mul, rshift
 
 import mpmath as mp
 
@@ -43,11 +46,11 @@ class SumSpecSyntaxError(ExprSyntaxError):
     """Malformed sum spec text; carries the offending position."""
 
 
-# largest direct-summation cutoff: at K = 10^6 one sum costs seconds, and
+# largest direct-summation cutoff: at K = 10^6 one sum takes about 2 s, and
 # the head's fixed-point guard bits are sized up to it
 MAX_K = 10 ** 6
-# largest k plus (2k-1) power: the head takes i^power for every i, which
-# costs seconds at a few hundred and minutes at thousands
+# largest k plus (2k-1) power: the head takes i^power for every i, about
+# 2.5 s at power 100 and K = 10^6, and 8 s at power 1000 already at 10^5
 MAX_POWER = 100
 
 
@@ -77,8 +80,7 @@ class SumSpec:
     def text(self) -> str:
         return format_sumspec(self)
 
-    def __str__(self) -> str:
-        return self.text()
+    __str__ = text
 
 
 def format_sumspec(spec: SumSpec) -> str:
@@ -271,27 +273,48 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
         return tail, abs(mp.mpf((v, -prec)) / end ** t)
 
 
+def _head(stream: PrefixStream, factors: tuple, c: int, b: int, a: int, q: int,
+          end: int) -> int:
+    """sum_{i=1}^{end} floor(num_i / (i^c (b i - a)^q)) as an int scaled by
+    2^prec, num_i the product of the factors' columns at i shifted down to
+    one factor of 2^prec; all lazy, so memory is flat in end."""
+    columns = [map(pow, stream.column(kind), repeat(factors.count(kind)))
+               if factors.count(kind) > 1 else stream.column(kind)
+               for kind in dict.fromkeys(factors)]
+    nums = functools.reduce(functools.partial(map, mul), columns or [repeat(stream.one)])
+    if len(factors) > 1:
+        nums = map(rshift, nums, repeat(stream.prec * (len(factors) - 1)))
+    # two spans around the zero denominator at b i = a (past end if none);
+    # islice drops the pole's num, where done < lo, and stops at hi
+    pole = a // b if q and a % b == 0 and 0 < a // b <= end else end + 1
+    head, done = 0, 1
+    for lo, hi in ((1, pole), (pole + 1, end + 1)):
+        dens = map(pow, range(lo, hi), repeat(c))
+        if q:
+            odd = map(pow, range(b * lo - a, b * hi - a, b), repeat(q))
+            dens = map(mul, dens, odd) if c else odd
+        head += sum(map(floordiv, islice(nums, lo - done, hi - done), dens))
+        done = hi
+    return head
+
+
 @functools.lru_cache(maxsize=256)
 def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
                opts: EvalOptions) -> tuple[HighFloat, HighFloat]:
     """(sum_{i>=1} f(i) / (i^c (b i - a)^q), |first omitted correction|).
 
     f is the product of the prefixes in factors (1 without any); a term
-    with a zero denominator is skipped.  The head to end is a fixed-point
-    integer sum on a PrefixStream: per term one product of the prefixes,
-    a shift and a floor division by the exact integer denominator.  The
-    tail (_em_tail) is summed at the same scale 2^-prec, so head plus tail
-    is converted to mpf once.  Both values are at the working precision
-    digits + 15, unrounded, and memoized for the process: equal arguments
-    (SumSpec sorts its factors) sum the series once.
+    with a zero denominator is skipped.  The head to end (_head: per term
+    the same floors, run as a lazy iterator pipeline) and the tail
+    (_em_tail) are fixed-point ints at one scale 2^-prec, so head plus
+    tail is converted to mpf once.  Both values are at the working
+    precision digits + 15, unrounded, and memoized for the process: equal
+    arguments (SumSpec sorts its factors) sum the series once.
     """
     wp = opts.digits + 15
-    kinds = tuple(dict.fromkeys(factors))
-    slots = [kinds.index(kind) for kind in factors]
     guard = _guard_bits(len(factors), end, _series_cap(c, q, end, opts.digits),
                         opts.tail_terms)
-    stream = PrefixStream(kinds, wp, end, guard)
-    prec, prefixes = stream.prec, stream.prefixes
+    stream = PrefixStream(tuple(dict.fromkeys(factors)), wp, end, guard)
     # In units of 2^-prec each prefix is at most i low at term i, so the
     # product of m prefixes, each below X = 1 + ln(end), is at most
     # m i X^(m-1) off; the shift and the division floor once more each.
@@ -302,22 +325,10 @@ def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
     # carries end.bit_length() + guard bits, and _guard_bits makes
     # end 2^guard exceed both together, so head plus tail is within
     # 2^-(bits of wp) for any number of factors.
-    shift = prec * (len(factors) - 1)
-    num = stream.one
-    head = 0
-    for i in range(1, end + 1):
-        if slots:
-            stream.advance()
-            num = prefixes[slots[0]]
-            for slot in slots[1:]:
-                num *= prefixes[slot]
-            num >>= shift
-        den = i ** c * (b * i - a) ** q
-        if den:
-            head += num // den
-    tail, omitted = _em_tail(factors, c, b, a, q, end, opts, prec)
+    head = _head(stream, factors, c, b, a, q, end)
+    tail, omitted = _em_tail(factors, c, b, a, q, end, opts, stream.prec)
     with mp.workdps(wp):
-        return mp.mpf((head + tail, -prec)), omitted
+        return mp.mpf((head + tail, -stream.prec)), omitted
 
 
 # ---- the evaluator --------------------------------------------------------

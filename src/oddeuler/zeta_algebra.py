@@ -60,16 +60,14 @@ class ZetaMonomial:
     def __post_init__(self):
         if self.ln2_exp < 0:
             raise ValueError("negative ln2 exponent")
-        seen = set()
         last = 0
         for n, e in self.zeta_exps:
             if n < 2:
                 raise ValueError(f"zeta({n}) is not a valid factor")
             if e <= 0:
                 raise ValueError("zeta exponents must be positive")
-            if n <= last or n in seen:
+            if n <= last:  # ascending, hence distinct
                 raise ValueError("zeta factors must be sorted and distinct")
-            seen.add(n)
             last = n
 
     @staticmethod
@@ -111,11 +109,6 @@ def _merge_monomials(a: ZetaMonomial, b: ZetaMonomial) -> ZetaMonomial:
 # ---- expressions --------------------------------------------------------
 
 
-def _display_key(item: tuple[ZetaMonomial, Fraction]) -> tuple:
-    mono = item[0]
-    return (-mono.weight, mono.sort_key())
-
-
 @dataclass(frozen=True)
 class ZetaExpr:
     """Rational combination of monomials, stored in display order.
@@ -136,7 +129,9 @@ class ZetaExpr:
                 acc[mono] = c
             elif mono in acc:
                 del acc[mono]
-        return ZetaExpr(tuple(sorted(acc.items(), key=_display_key)))
+        # display order: heaviest first, then by monomial
+        return ZetaExpr(tuple(sorted(acc.items(),
+                                     key=lambda kv: (-kv[0].weight, kv[0].sort_key()))))
 
     @staticmethod
     def zero() -> "ZetaExpr":

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddeuler import numerics
-from oddeuler.harmonic import HarmonicKind
+from oddeuler.harmonic import HarmonicKind, PrefixStream
 from oddeuler.summation import (MAX_K, MAX_POWER, EvalOptions, SumSpec,
-                                SumSpecSyntaxError, _em_tail, _guard_bits, _head_tail,
+                                SumSpecSyntaxError, _em_tail, _guard_bits, _head, _head_tail,
                                 _series_cap, evaluate_sum, format_sumspec, parse_sumspec,
                                 reciprocal_sum_closed_form, term_exact)
 from oddeuler.numerics import ConstantsTable, bernoulli
@@ -312,6 +313,57 @@ def test_guard_bits_grow_past_four_factors():
     assert _guard_bits(5, 10 ** 6, s_cap, 4) > 16
     x_bound = 1 + math.log(10 ** 6)
     assert 2 ** _guard_bits(5, 10 ** 6, s_cap, 4) > 5 * x_bound ** 4 + 2
+
+
+def _reference_head(stream, factors, c, b, a, q, end):
+    # the head one term at a time: advance, multiply the prefixes, shift,
+    # then one floor division, skipping a zero denominator
+    slots = [stream.kinds.index(kind) for kind in factors]
+    shift = stream.prec * (len(factors) - 1)
+    num, head = stream.one, 0
+    for i in range(1, end + 1):
+        if slots:
+            stream.advance()
+            num = stream.prefixes[slots[0]]
+            for slot in slots[1:]:
+                num *= stream.prefixes[slot]
+            num >>= shift
+        den = i ** c * (b * i - a) ** q
+        if den:
+            head += num // den
+    return head
+
+
+_h1, _h3 = HarmonicKind.odd(1), HarmonicKind.odd(3)
+HEAD_GRID = [(spec.factors, spec.k_power, 2, 1, spec.odd_power, 1000) for spec in map(
+    parse_sumspec, ("1/(2k-1)^3", "1/k^3", "h1*h1/k^3", "h1*h1*h3/(k^2*(2k-1)^3)",
+                    "h1*h1*h1*h1*h1/k^2", "H2*H2*h1/(k^4*(2k-1))"))]
+HEAD_GRID += [(factors, c, b, -k, 1, max(2000, 50 * k) + (k if b < 0 else 0))
+              for k in (1, 2, 200)
+              for factors, c, b in (((_h1,), 1, 1), ((), 2, -1), ((_h3,), 1, -1))]
+
+
+@pytest.mark.parametrize("args", HEAD_GRID, ids=str)
+def test_head_matches_the_scalar_loop_bit_for_bit(args):
+    # the same floors in the same order: the lazy head equals the scalar
+    # reference exactly, repeated kinds and the two-sided pole included
+    factors, c, b, a, q, end = args
+    kinds = tuple(dict.fromkeys(factors))
+    new = _head(PrefixStream(kinds, 55, end, 20), *args)
+    assert new == _reference_head(PrefixStream(kinds, 55, end, 20), *args)
+
+
+def test_head_memory_is_flat_in_K():
+    # every stage of the head is lazy; one K-long list of ~230-bit ints
+    # would be several MB, far above the budget
+    _head_tail.cache_clear()
+    tracemalloc.start()
+    try:
+        evaluate_sum(parse_sumspec("h1*h1*h3/(k^2*(2k-1)^3)"), EvalOptions(K=10 ** 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_tail_asks_factors_only_for_the_powers_it_keeps():
