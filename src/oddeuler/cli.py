@@ -15,14 +15,17 @@ import argparse
 import csv
 import io
 import json
+# argparse imports shutil (for the help width) whenever a parser is built,
+# so every command needs it: load it with the CLI, as part of start-up
+import shutil  # noqa: F401
 import sys
 
 import mpmath as mp
 
 from .identities import (adjudication_findings, catalog, fit_closed_form, reduce,
                          select, substitute_bases, summarize, verify_all)
-from .summation import (EvalOptions, evaluate_sum, lemma1_aux, lemma2_g,
-                        lemma3_f, parse_sumspec)
+from .summation import (AUX_KERNEL, EvalOptions, evaluate_sum, f_kernel, g_kernel,
+                        lemma1_aux, lemma2_g, lemma3_f, parse_sumspec, sum_kernels)
 from .zeta_algebra import evaluate, format_expr, parse_expr
 from .numerics import ConstantsTable
 
@@ -35,12 +38,12 @@ _FORMATS = ("table", "json", "csv")
 # K = 10^4 there, and each row's cost grows with it
 LEMMA_KMAX = 200
 # largest --digits: costs grow about quadratically, and lemma-check's
-# default rows take about 9 s at 500 digits and 47 s at 1000
+# default rows take about 8 s at 500 digits and 43 s at 1000
 MAX_DIGITS = 500
 # lemma-check's largest kmax * digits: each row's head grows with k and its
 # arithmetic with digits, so the two caps alone admit runs of minutes.
-# 10^4 admits the default kmax at the digits cap (20 * 500, about 9 s)
-# and the kmax cap at the default digits (200 * 40, about 10 s)
+# 10^4 admits the default kmax at the digits cap (20 * 500, about 8 s)
+# and the kmax cap at the default digits (200 * 40, about 5 s)
 LEMMA_BUDGET = 10 ** 4
 # largest fit --weight: the PSLQ basis grows fast (669 terms at weight
 # 41); weight 15 takes about 1.5 s at 40 digits and 40 s at 500
@@ -267,15 +270,17 @@ def _cmd_list(args, cfg) -> int:
 
 def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
     rows = []
-    checks = [("lemma1_aux", lemma1_aux)]
+    checks = [("lemma1_aux", AUX_KERNEL, lemma1_aux)]
     for n in (1, 2, 3):
-        checks.append((f"lemma2_g n={n}",
+        checks.append((f"lemma2_g n={n}", g_kernel(n),
                        lambda k, o, n=n: lemma2_g(n, k, o)))
     for m in (1, 2, 3, 4):
         n, parity = (m + 1) // 2, ("odd" if m % 2 else "even")
-        checks.append((f"lemma3_f m={m}",
+        checks.append((f"lemma3_f m={m}", f_kernel(m),
                        lambda k, o, n=n, p=parity: lemma3_f(n, p, k, o)))
-    for name, fn in checks:
+    for name, kernel, fn in checks:
+        # one batch per check: its rows share the prefix columns
+        sum_kernels(kernel, range(1, kmax + 1), opts)
         for k in range(1, kmax + 1):
             trunc, closed = fn(k, opts)
             resid = abs(trunc - closed)

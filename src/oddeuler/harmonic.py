@@ -12,6 +12,7 @@ every odd-kind asymptotic expansion here is produced from the even one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -171,8 +172,16 @@ def value_series(kind: HarmonicKind, s_cap: int, table: ConstantsTable,
     Terms run up to x^{-s_cap}, in fixed point: int coefficients scaled by
     2^prec, from the table's constants rounded once and the exact
     Euler-Maclaurin multiples of x^{-n}.  The odd kind comes from the even
-    one through h(n, x) = H(n, 2x) - 2^{-n} H(n, x).
+    one through h(n, x) = H(n, 2x) - 2^{-n} H(n, x).  The dict is memoized
+    per (kind, s_cap, table digits, prec) and shared between callers, so
+    it is read-only.
     """
+    return _value_series(kind, s_cap, table.digits, prec)
+
+
+@functools.lru_cache(maxsize=256)
+def _value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict:
+    table = ConstantsTable(digits)
     even = _even_value_series(kind.order, s_cap, table, prec)
     if kind.parity == "even":
         return even

@@ -18,15 +18,15 @@ from __future__ import annotations
 import fnmatch
 import functools
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 import mpmath as mp
 
 from .numerics import ConstantsTable, HighFloat
 from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
-                        parse_sumspec, read_sumspec)
+                        parse_sumspec, read_sumspec, sum_specs)
 from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate, expect,
                            format_terms, parse_expr, parse_terms, read_posint, take,
                            tokenize)
@@ -137,12 +137,16 @@ def _parse_entry(line: str) -> Identity:
                     rec["expected"])
 
 
+# read with open() next to this file: importlib.resources would import
+# pathlib and tempfile on every start-up
+_SHIPPED = os.path.join(os.path.dirname(__file__), "data", "catalog.jsonl")
+
+
 def catalog(extra_paths: tuple[str, ...] = ()) -> list[Identity]:
     """The shipped catalog plus any supplementary files, in file order."""
     entries: list[Identity] = []
-    text = resources.files("oddeuler").joinpath("data/catalog.jsonl").read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    for path in extra_paths:
+    lines: list[str] = []
+    for path in (_SHIPPED, *extra_paths):
         with open(path, encoding="utf-8") as fh:
             lines.extend(ln for ln in fh.read().splitlines() if ln.strip())
     seen = set()
@@ -220,8 +224,12 @@ def select(entries: list[Identity], ids=(), family: str | None = None) -> list[I
 def verify_all(opts: EvalOptions | None = None, tolerance=None,
                entries: list[Identity] | None = None,
                ids: list[str] | None = None) -> list[VerificationReport]:
-    """Verify the selected entries, reports sorted by id."""
+    """Verify the selected entries, reports sorted by id; their sums are
+    summed together first, so each verify reads them from the memo."""
     entries = select(catalog() if entries is None else entries, ids)
+    sum_specs([spec for e in entries for spec in
+               ([e.lhs] if isinstance(e.lhs, SumSpec) else [p[1] for p in e.lhs.parts])],
+              opts)
     reports = [verify(e, opts, tolerance) for e in entries]
     return sorted(reports, key=lambda r: r.id)
 

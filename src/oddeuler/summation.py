@@ -6,7 +6,8 @@ A sum here is sum_{k>=1} f(k) with
 
 convergent whenever p + q >= 2 (the numerator only contributes powers of
 log).  Evaluation is a direct partial sum to K, in fixed-point integers
-on the harmonic prefix streams and run as a lazy iterator pipeline,
+on the harmonic prefix streams, walked a block of terms at a time for
+a whole batch of series that share their columns and quotients,
 followed by an Euler-Maclaurin tail: the summand is expanded into a
 log-power series of monomials c * (ln x)^a * x^{-s} (the harmonic
 factors' expansions times a binomial expansion of the denominator),
@@ -32,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import floordiv, mul, rshift
+from operator import floordiv, mul, neg, rshift
 
 import mpmath as mp
 
@@ -273,29 +274,83 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
         return tail, abs(mp.mpf((v, -prec)) / end ** t)
 
 
-def _head(stream: PrefixStream, factors: tuple, c: int, b: int, a: int, q: int,
-          end: int) -> int:
-    """sum_{i=1}^{end} floor(num_i / (i^c (b i - a)^q)) as an int scaled by
-    2^prec, num_i the product of the factors' columns at i shifted down to
-    one factor of 2^prec; all lazy, so memory is flat in end."""
-    columns = [map(pow, stream.column(kind), repeat(factors.count(kind)))
-               if factors.count(kind) > 1 else stream.column(kind)
-               for kind in dict.fromkeys(factors)]
-    nums = functools.reduce(functools.partial(map, mul), columns or [repeat(stream.one)])
-    if len(factors) > 1:
-        nums = map(rshift, nums, repeat(stream.prec * (len(factors) - 1)))
-    # two spans around the zero denominator at b i = a (past end if none);
-    # islice drops the pole's num, where done < lo, and stops at hi
-    pole = a // b if q and a % b == 0 and 0 < a // b <= end else end + 1
-    head, done = 0, 1
-    for lo, hi in ((1, pole), (pole + 1, end + 1)):
-        dens = map(pow, range(lo, hi), repeat(c))
-        if q:
-            odd = map(pow, range(b * lo - a, b * hi - a, b), repeat(q))
-            dens = map(mul, dens, odd) if c else odd
-        head += sum(map(floordiv, islice(nums, lo - done, hi - done), dens))
-        done = hi
-    return head
+# terms per block of the batched head walk: a block holds one list this
+# long per kind, numerator and first-stage quotient in use, so memory is
+# flat in end
+HEAD_BLOCK = 512
+
+
+def _runs(b: int, a: int, q: int, end: int) -> list:
+    # (lo, hi, s): the i in [lo, hi) within 1..end where b i - a has sign
+    # s, below a/b and above it, so a zero at b i = a is in neither run
+    if not q:
+        return [(1, end + 1, 1)]
+    side = 1 if b > 0 else -1
+    runs = ((max(1, lo), min(hi, end + 1), s)
+            for lo, hi, s in ((1, -(-a // b), -side), (a // b + 1, end + 1, side)))
+    return [run for run in runs if run[0] < run[1]]
+
+
+def _heads(batch: list, stream: PrefixStream) -> list[int]:
+    """Heads of the series in batch, summed in one blocked walk.
+
+    A series (factors, c, b, a, q, end) has the head
+    sum_{i=1}^{end} floor(N_i / (i^c (b i - a)^q)) as an int scaled by
+    2^prec, skipping a zero denominator, where N_i is the product of the
+    factors' columns at i shifted down to one factor of 2^prec.  Per
+    block of HEAD_BLOCK terms each kind's column, each numerator and
+    each first-stage quotient Q_i = floor(+-N_i / i^c) is built once;
+    each series then adds floor(Q_i / |b i - a|^q) over its runs, the
+    sign of (b i - a)^q moved into the numerator.  This is the one-floor
+    head exactly, as floor(floor(x / m) / n) = floor(x / (m n)) for
+    positive m and n.
+    """
+    plan: dict = {}  # factors -> c -> [(index, b, a, q, runs)]
+    for n, (factors, c, b, a, q, end) in enumerate(batch):
+        plan.setdefault(factors, {}).setdefault(c, []).append((n, b, a, q, _runs(b, a, q, end)))
+    columns = {kind: stream.column(kind) for factors in plan for kind in factors}
+    heads, top = [0] * len(batch), max(series[5] for series in batch)
+    for lo in range(1, top + 1, HEAD_BLOCK):
+        hi = min(lo + HEAD_BLOCK, top + 1)
+        block = {kind: list(islice(column, hi - lo)) for kind, column in columns.items()}
+        for factors, by_c in plan.items():
+            nums = functools.reduce(functools.partial(map, mul), [
+                block[kind] if factors.count(kind) == 1 else
+                map(pow, block[kind], repeat(factors.count(kind)))
+                for kind in dict.fromkeys(factors)] or [repeat(stream.one)])
+            if len(factors) > 1:
+                nums = map(rshift, nums, repeat(stream.prec * (len(factors) - 1)))
+            nums = list(islice(nums, hi - lo))
+            for c, members in by_c.items():
+                quotients = {}
+                for n, b, a, q, runs in members:
+                    for x, y, s in runs:
+                        x, y = max(x, lo), min(y, hi)
+                        if x >= y:
+                            continue
+                        sign = s if q % 2 else 1
+                        if sign not in quotients:
+                            signed = nums if sign > 0 else map(neg, nums)
+                            quotients[sign] = list(map(floordiv, signed, map(
+                                pow, range(lo, hi), repeat(c)))) if c else list(signed)
+                        quot = quotients[sign][x - lo:y - lo]
+                        if q:
+                            dens = range(s * (b * x - a), s * (b * y - a), s * b)
+                            quot = map(floordiv, quot, dens if q == 1 else
+                                       map(pow, dens, repeat(q)))
+                        heads[n] += sum(quot)
+    return heads
+
+
+def _stream(factors: tuple, c: int, q: int, end: int, opts: EvalOptions) -> PrefixStream:
+    # the fixed-point scale a series is summed at: digits + 15, plus
+    # end.bit_length() and _guard_bits (the bound is stated in _head_tail)
+    guard = _guard_bits(len(factors), end, _series_cap(c, q, end, opts.digits),
+                        opts.tail_terms)
+    return PrefixStream((), opts.digits + 15, end, guard)
+
+
+_batched: dict = {}  # heads from _sum_batch, each taken by one _head_tail
 
 
 @functools.lru_cache(maxsize=256)
@@ -304,20 +359,18 @@ def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
     """(sum_{i>=1} f(i) / (i^c (b i - a)^q), |first omitted correction|).
 
     f is the product of the prefixes in factors (1 without any); a term
-    with a zero denominator is skipped.  The head to end (_head: per term
-    the same floors, run as a lazy iterator pipeline) and the tail
+    with a zero denominator is skipped.  The head to end (_heads, from a
+    batch that _sum_batch walked, else a batch of one) and the tail
     (_em_tail) are fixed-point ints at one scale 2^-prec, so head plus
     tail is converted to mpf once.  Both values are at the working
     precision digits + 15, unrounded, and memoized for the process: equal
     arguments (SumSpec sorts its factors) sum the series once.
     """
-    wp = opts.digits + 15
-    guard = _guard_bits(len(factors), end, _series_cap(c, q, end, opts.digits),
-                        opts.tail_terms)
-    stream = PrefixStream(tuple(dict.fromkeys(factors)), wp, end, guard)
+    stream = _stream(factors, c, q, end, opts)
     # In units of 2^-prec each prefix is at most i low at term i, so the
     # product of m prefixes, each below X = 1 + ln(end), is at most
-    # m i X^(m-1) off; the shift and the division floor once more each.
+    # m i X^(m-1) off; the shift and the division (two stages, one floor
+    # exactly) floor once more each.
     # Every caller's |denominator| is at least i, so the head is at most
     # end (m X^(m-1) + 2) units off.  Each floor of the tail moves it by
     # at most X^m units, since a unit in a coefficient of (ln x)^a x^-s
@@ -325,10 +378,29 @@ def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
     # carries end.bit_length() + guard bits, and _guard_bits makes
     # end 2^guard exceed both together, so head plus tail is within
     # 2^-(bits of wp) for any number of factors.
-    head = _head(stream, factors, c, b, a, q, end)
+    series = (factors, c, b, a, q, end)
+    head = _batched.pop(series) if series in _batched else _heads([series], stream)[0]
     tail, omitted = _em_tail(factors, c, b, a, q, end, opts, stream.prec)
-    with mp.workdps(wp):
+    with mp.workdps(opts.digits + 15):
         return mp.mpf((head + tail, -stream.prec)), omitted
+
+
+def _sum_batch(batch: list, opts: EvalOptions) -> None:
+    # Memoize _head_tail for every series in batch, the heads of those
+    # that share a scale summed in one walk.  A series already memoized
+    # is a memo hit, and its head here is dropped.
+    groups: dict = {}
+    for series in dict.fromkeys(batch):
+        factors, c, _, _, q, end = series
+        stream = _stream(factors, c, q, end, opts)
+        groups.setdefault(stream.prec, (stream, []))[1].append(series)
+    try:
+        for stream, members in groups.values():
+            _batched.update(zip(members, _heads(members, stream)))
+        for series in batch:
+            _head_tail(*series, opts)
+    finally:
+        _batched.clear()
 
 
 # ---- the evaluator --------------------------------------------------------
@@ -339,6 +411,10 @@ def err_floor(digits: int) -> HighFloat:
     return mp.mpf(10) ** (8 - digits)
 
 
+def _spec_series(spec: SumSpec, K: int) -> tuple:
+    return spec.factors, spec.k_power, 2, 1, spec.odd_power, K
+
+
 def evaluate_sum(spec: SumSpec, opts: EvalOptions | None = None) -> EvalResult:
     """Partial sum to K plus Euler-Maclaurin tail.
 
@@ -347,11 +423,20 @@ def evaluate_sum(spec: SumSpec, opts: EvalOptions | None = None) -> EvalResult:
     than that estimate.
     """
     opts = opts or DEFAULT_OPTS
-    value, omitted = _head_tail(spec.factors, spec.k_power, 2, 1,
-                                spec.odd_power, opts.K, opts)
+    value, omitted = _head_tail(*_spec_series(spec, opts.K), opts)
     with mp.workdps(opts.digits):
         err = max(10 * omitted, err_floor(opts.digits))
         return EvalResult(+value, err, opts.K, opts.digits)
+
+
+def sum_specs(specs, opts: EvalOptions | None = None) -> None:
+    """Memoize the sums of several specs, their heads summed together.
+
+    evaluate_sum on any of them then reuses the memo; the values are
+    those evaluate_sum computes alone, bit for bit.
+    """
+    opts = opts or DEFAULT_OPTS
+    _sum_batch([_spec_series(spec, opts.K) for spec in specs], opts)
 
 
 # ---- closed forms for pure reciprocal sums --------------------------------
@@ -411,14 +496,36 @@ def reciprocal_sum_closed_form(p: int, q: int) -> ZetaExpr:
 # prefixes at k, summed once into a ZetaExpr and valued by zeta_algebra.evaluate.
 
 
-def _kernel_truncated(factors: tuple, c: int, b: int, k: int,
-                      opts: EvalOptions | None) -> HighFloat:
-    # Truncated side of every lemma: sum_{i>=1} f(i) / (i^c (b i + k)), f
-    # the prefix in factors or 1; b = 1 is the shifted kernel, b = -1 the
-    # two-sided one, whose i = k pole is skipped and whose head is k longer.
+# A lemma's truncated side sums the kernel f(i) / (i^c (b i + k)) over i,
+# f a prefix or 1; the kernel is (factors, c, b).  b = 1 is the shifted
+# kernel, b = -1 the two-sided one, whose i = k pole is skipped.
+AUX_KERNEL = ((HarmonicKind.odd(1),), 1, 1)
+
+
+def g_kernel(n: int) -> tuple:
+    return (), 2 * n, -1
+
+
+def f_kernel(m: int) -> tuple:
+    return (HarmonicKind.odd(m),), 1, -1
+
+
+def _kernel_series(kernel: tuple, k: int) -> tuple:
+    # the two-sided head runs k longer, to end past its pole as far
+    factors, c, b = kernel
+    return factors, c, b, -k, 1, max(2000, 50 * k) + (k if b < 0 else 0)
+
+
+def sum_kernels(kernel: tuple, ks, opts: EvalOptions | None = None) -> None:
+    """Memoize a kernel's truncated side at every k in ks, the heads
+    summed together; the lemma evaluators then reuse the memo."""
     opts = opts or DEFAULT_OPTS
-    end = max(2000, 50 * k) + (k if b < 0 else 0)
-    total, _ = _head_tail(factors, c, b, -k, 1, end, opts)
+    _sum_batch([_kernel_series(kernel, k) for k in ks], opts)
+
+
+def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions | None) -> HighFloat:
+    opts = opts or DEFAULT_OPTS
+    total, _ = _head_tail(*_kernel_series(kernel, k), opts)
     with mp.workdps(opts.digits):
         return +total
 
@@ -465,7 +572,7 @@ def shifted_kernel_closed(n: int, k: int, opts: EvalOptions | None = None) -> Hi
 
 def lemma1_aux(k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
     """(truncated, closed) for sum_i h(1, i) / (i (i + k))."""
-    return (_kernel_truncated((HarmonicKind.odd(1),), 1, 1, k, opts),
+    return (_kernel_truncated(AUX_KERNEL, k, opts),
             shifted_kernel_closed(1, k, opts))
 
 
@@ -488,7 +595,7 @@ def lemma2_g(n: int, k: int, opts: EvalOptions | None = None) -> tuple[HighFloat
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return (_kernel_truncated((), 2 * n, -1, k, opts),
+    return (_kernel_truncated(g_kernel(n), k, opts),
             recip_kernel_closed(2 * n, k, opts))
 
 
@@ -511,7 +618,7 @@ def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions | None = None) \
     closed.append((ZetaMonomial(), -2 * m * _h(m + 1, k) / k - _h(m, k) / k ** 2))
     closed += [(_z(2 * i), 4 * (1 - Fraction(1, 4 ** i)) * _h(m + 1 - 2 * i, k) / k)
                for i in range(1, m // 2 + 1)]
-    return (_kernel_truncated((HarmonicKind.odd(m),), 1, -1, k, opts),
+    return (_kernel_truncated(f_kernel(m), k, opts),
             _closed(closed, opts))
 
 

@@ -355,3 +355,16 @@ def test_table_format_aligned():
     header = out.splitlines()[0]
     for field in CSV_HEADER.split(","):
         assert field in header
+
+
+def test_import_skips_importlib_resources():
+    # the shipped catalog is read with open(), so start-up does not import
+    # importlib.resources (with pathlib and tempfile).  -S skips the site
+    # hooks, which may import it themselves; the path is this process's.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path[:0] = {[src] + sys.path!r}; import oddeuler.cli; "
+            "print('importlib.resources' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from oddeuler import numerics
 from oddeuler.harmonic import HarmonicKind, PrefixStream
-from oddeuler.summation import (MAX_K, MAX_POWER, EvalOptions, SumSpec,
-                                SumSpecSyntaxError, _em_tail, _guard_bits, _head, _head_tail,
+from oddeuler.summation import (HEAD_BLOCK, MAX_K, MAX_POWER, EvalOptions, SumSpec,
+                                SumSpecSyntaxError, _em_tail, _guard_bits, _head_tail, _heads,
                                 _series_cap, evaluate_sum, format_sumspec, parse_sumspec,
-                                reciprocal_sum_closed_form, term_exact)
+                                reciprocal_sum_closed_form, sum_specs, term_exact)
 from oddeuler.numerics import ConstantsTable, bernoulli
 from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr
 
@@ -349,7 +349,7 @@ def test_head_matches_the_scalar_loop_bit_for_bit(args):
     # reference exactly, repeated kinds and the two-sided pole included
     factors, c, b, a, q, end = args
     kinds = tuple(dict.fromkeys(factors))
-    new = _head(PrefixStream(kinds, 55, end, 20), *args)
+    new, = _heads([args], PrefixStream(kinds, 55, end, 20))
     assert new == _reference_head(PrefixStream(kinds, 55, end, 20), *args)
 
 
@@ -360,6 +360,68 @@ def test_head_memory_is_flat_in_K():
     tracemalloc.start()
     try:
         evaluate_sum(parse_sumspec("h1*h1*h3/(k^2*(2k-1)^3)"), EvalOptions(K=10 ** 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+_H2 = HarmonicKind.even(2)
+_EDGE = HEAD_BLOCK
+BATCH_GRID = {
+    # different ends, most of them mid-block, mixed c and q, repeated kinds
+    "mixed": [((_h1,), 2, 2, 1, 0, 1500), ((_h1,), 3, 2, 1, 1, 700),
+              ((_h1, _h1), 2, 2, 1, 2, 1100), ((), 0, 2, 1, 3, _EDGE + 1),
+              ((_h1, _h3), 1, 2, 1, 1, 2 * _EDGE), ((_h1,), 3, 2, 1, 4, 333),
+              ((_h1, _h1, _h3), 2, 2, 1, 3, 900), ((_h1,) * 5, 2, 2, 1, 0, 300),
+              ((_H2, _H2, _h1), 4, 2, 1, 1, 1300)],
+    # two-sided poles at i = k: on the first term, on both sides of a block
+    # edge, on the last term and past end; q = 2 and q = 3 move the sign
+    "poles": [((_h3,), 1, -1, -1, 1, 1200), ((_h3,), 1, -1, -_EDGE, 1, 1000),
+              ((_h3,), 1, -1, -_EDGE - 1, 1, 1700), ((_h3,), 1, -1, -700, 1, 700),
+              ((_h3,), 1, -1, -3000, 1, 1500), ((), 4, -1, -_EDGE, 1, 800),
+              ((_h1,), 1, -1, -600, 2, 800), ((_h1,), 0, -1, -5, 3, 600),
+              ((_h3,), 1, 1, -7, 1, 999)],
+    # b i - a below zero for small i, with and without a pole
+    "below": [((_h1,), 1, 2, 5, 1, 800), ((_h1,), 1, 3, 6, 2, 700),
+              ((_h1,), 2, 3, 6, 3, 650), ((), 2, 1, 40, 1, 1000)],
+}
+
+
+@pytest.mark.parametrize("name", BATCH_GRID)
+def test_batched_heads_match_the_scalar_loop(name):
+    # one walk over the whole batch at one prec equals each series' own
+    # scalar loop at that prec, bit for bit
+    batch = BATCH_GRID[name]
+    end = max(series[5] for series in batch)
+    kinds = tuple(dict.fromkeys(kind for series in batch for kind in series[0]))
+    heads = _heads(batch, PrefixStream((), 55, end, 20))
+    want = [_reference_head(PrefixStream(kinds, 55, end, 20), *series) for series in batch]
+    assert heads == want
+
+
+def test_batched_heads_fill_the_memo():
+    # sum_specs sums the heads once; evaluate_sum then only hits the memo
+    _head_tail.cache_clear()
+    opts = EvalOptions(digits=25, K=300)
+    specs = [parse_sumspec(t) for t in ("h1/k^3", "h1*h2/k^3", "H1/(2k-1)^3")]
+    sum_specs(specs + specs[:1], opts)
+    assert _head_tail.cache_info().currsize == 3
+    batched = [evaluate_sum(spec, opts) for spec in specs]
+    info = _head_tail.cache_info()
+    assert (info.misses, info.hits) == (3, 4)
+    _head_tail.cache_clear()
+    assert [repr(evaluate_sum(spec, opts)) for spec in specs] == list(map(repr, batched))
+
+
+def test_batch_memory_is_flat_in_K():
+    # a block of columns, numerators and quotients is a few hundred KB at
+    # most; the K-long lists of the three specs would be over 5 MB
+    _head_tail.cache_clear()
+    specs = [parse_sumspec(t) for t in ("h1*h1*h3/(k^2*(2k-1)^3)", "h1/k^3", "H2*h3/(2k-1)^2")]
+    tracemalloc.start()
+    try:
+        sum_specs(specs, EvalOptions(K=3 * 10 ** 4))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
