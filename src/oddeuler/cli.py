@@ -243,6 +243,8 @@ def _cmd_reduce(args, cfg) -> int:
 def _cmd_fit(args, cfg) -> int:
     if args.weight > MAX_FIT_WEIGHT:
         raise ValueError(f"--weight must be <= {MAX_FIT_WEIGHT}, got {args.weight}")
+    if args.max_den < 1:
+        raise ValueError(f"--max-den must be >= 1, got {args.max_den}")
     spec = parse_sumspec(args.spec)
     expr = fit_closed_form(spec, args.weight, include_ln2=args.include_ln2,
                            max_den=args.max_den, opts=cfg["opts"])

@@ -107,6 +107,12 @@ def even_odd_split(n: int, k: int) -> tuple[Rational, Rational]:
 # ---- streamed prefixes ---------------------------------------------------
 
 
+def column(kind: HarmonicKind, prec: int):
+    """Lazy prefixes of kind at 1, 2, ...: sums of floor(2^prec / base^n)."""
+    bases = count(1, 2) if kind.parity == "odd" else count(1)
+    return accumulate(map(floordiv, repeat(1 << prec), map(pow, bases, repeat(kind.order))))
+
+
 class PrefixStream:
     """Fixed-point prefixes for several kinds at once, advanced together.
 
@@ -126,17 +132,12 @@ class PrefixStream:
         self.prec = mp.libmp.dps_to_prec(digits) + terms.bit_length() + guard
         self.one = 1 << self.prec
         self.prefixes = [0] * len(self.kinds)
-        self._columns = [self.column(kind) for kind in self.kinds]
+        self._columns = [column(kind, self.prec) for kind in self.kinds]
         self._k = 0
 
     @property
     def k(self) -> int:
         return self._k
-
-    def column(self, kind: HarmonicKind):
-        """Lazy prefixes of kind at 1, 2, ...: sums of floor(2^prec / base^n)."""
-        bases = count(1, 2) if kind.parity == "odd" else count(1)
-        return accumulate(map(floordiv, repeat(self.one), map(pow, bases, repeat(kind.order))))
 
     def advance(self) -> int:
         self._k += 1
@@ -165,22 +166,17 @@ def _even_value_series(n: int, s_cap: int, table: ConstantsTable, prec: int) -> 
         out.update(kept)
 
 
-def value_series(kind: HarmonicKind, s_cap: int, table: ConstantsTable,
-                 prec: int) -> dict:
+@functools.lru_cache(maxsize=256)
+def value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict:
     """Asymptotic log-power series of the prefix H(n, x) or h(n, x).
 
     Terms run up to x^{-s_cap}, in fixed point: int coefficients scaled by
-    2^prec, from the table's constants rounded once and the exact
+    2^prec, from the constants at digits rounded once and the exact
     Euler-Maclaurin multiples of x^{-n}.  The odd kind comes from the even
     one through h(n, x) = H(n, 2x) - 2^{-n} H(n, x).  The dict is memoized
-    per (kind, s_cap, table digits, prec) and shared between callers, so
-    it is read-only.
+    per (kind, s_cap, digits, prec) and shared between callers, so it is
+    read-only.
     """
-    return _value_series(kind, s_cap, table.digits, prec)
-
-
-@functools.lru_cache(maxsize=256)
-def _value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict:
     table = ConstantsTable(digits)
     even = _even_value_series(kind.order, s_cap, table, prec)
     if kind.parity == "even":

@@ -6,7 +6,7 @@ A sum here is sum_{k>=1} f(k) with
 
 convergent whenever p + q >= 2 (the numerator only contributes powers of
 log).  Evaluation is a direct partial sum to K, in fixed-point integers
-on the harmonic prefix streams, walked a block of terms at a time for
+on the harmonic prefix columns, walked a block of terms at a time for
 a whole batch of series that share their columns and quotients,
 followed by an Euler-Maclaurin tail: the summand is expanded into a
 log-power series of monomials c * (ln x)^a * x^{-s} (the harmonic
@@ -21,9 +21,9 @@ is converted to mpf once.  Only ln K and the first omitted group, which
 becomes the error estimate and keeps its relative precision, are
 computed in mpf.
 
-The lemma evaluators at the bottom compare kernel sums from the same
-memoized routine (no series is summed twice in one process) against
-closed forms kept as exact ZetaExprs and valued by zeta_algebra.evaluate.
+Every sum goes through _sum_batch and its one memo, filled by batches;
+the lemma evaluators at the bottom compare its kernel sums with closed
+forms kept as exact ZetaExprs and valued by zeta_algebra.evaluate.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from operator import floordiv, mul, neg, rshift
 
 import mpmath as mp
 
-from .harmonic import HarmonicKind, PrefixStream, harmonic_exact, value_series
+from .harmonic import HarmonicKind, column, harmonic_exact, value_series
 from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin_fixed
 from .zeta_algebra import (ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
                            take, tokenize)
@@ -190,7 +190,7 @@ def term_exact(spec: SumSpec, k: int) -> Rational:
 #
 # A series here is a dict {(a, s): c} standing for sum c (ln x)^a x^{-s},
 # with int coefficients scaled by 2^prec; the Euler-Maclaurin core and
-# the harmonic value series live in numerics and harmonic.  _head_tail
+# the harmonic value series live in numerics and harmonic.  _sum_batch
 # sums every infinite series; each caller picks (c, b, a, q).
 
 
@@ -227,7 +227,7 @@ def _series_cap(c: int, q: int, end: int, digits: int) -> int:
 
 def _guard_bits(m: int, end: int, s_cap: int, tail_terms: int) -> int:
     # Guard bits, beyond end.bit_length(), for a head over m prefixes and
-    # its tail (the bound is stated in _head_tail): 2^guard covers
+    # its tail (the bound is stated in _sum_batch): 2^guard covers
     # m X^(m-1) + 2 units per head term plus X^m units for each tail
     # floor, spread over the end terms.  terms bounds the (a, s) pairs of
     # the series and of every group the tail values; each pair is floored
@@ -255,14 +255,12 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
     wp = opts.digits + 15
     s_cap = _series_cap(c, q, end, opts.digits)
     series = _power_series(c + q, b, a, q, s_cap, prec)
+    for kind in factors:
+        # the power series starts at x^-(c+q), so no factor term
+        # beyond x^-(s_cap-c-q) survives the product
+        series = _series_mul(series, value_series(kind, s_cap - c - q, wp, prec), s_cap, prec)
     lnx = 0
     if factors:
-        table = ConstantsTable(wp)
-        for kind in factors:
-            # the power series starts at x^-(c+q), so no factor term
-            # beyond x^-(s_cap-c-q) survives the product
-            series = _series_mul(series, value_series(kind, s_cap - c - q, table, prec),
-                                 s_cap, prec)
         lnx = mp.libmp.to_fixed(mp.libmp.mpf_log(mp.libmp.from_int(end), prec + 8), prec)
     groups = euler_maclaurin_fixed(series, end, lnx, prec)
     tail = 0
@@ -291,7 +289,7 @@ def _runs(b: int, a: int, q: int, end: int) -> list:
     return [run for run in runs if run[0] < run[1]]
 
 
-def _heads(batch: list, stream: PrefixStream) -> list[int]:
+def _heads(batch: list, prec: int) -> list[int]:
     """Heads of the series in batch, summed in one blocked walk.
 
     A series (factors, c, b, a, q, end) has the head
@@ -308,7 +306,7 @@ def _heads(batch: list, stream: PrefixStream) -> list[int]:
     plan: dict = {}  # factors -> c -> [(index, b, a, q, runs)]
     for n, (factors, c, b, a, q, end) in enumerate(batch):
         plan.setdefault(factors, {}).setdefault(c, []).append((n, b, a, q, _runs(b, a, q, end)))
-    columns = {kind: stream.column(kind) for factors in plan for kind in factors}
+    columns = {kind: column(kind, prec) for factors in plan for kind in factors}
     heads, top = [0] * len(batch), max(series[5] for series in batch)
     for lo in range(1, top + 1, HEAD_BLOCK):
         hi = min(lo + HEAD_BLOCK, top + 1)
@@ -317,9 +315,9 @@ def _heads(batch: list, stream: PrefixStream) -> list[int]:
             nums = functools.reduce(functools.partial(map, mul), [
                 block[kind] if factors.count(kind) == 1 else
                 map(pow, block[kind], repeat(factors.count(kind)))
-                for kind in dict.fromkeys(factors)] or [repeat(stream.one)])
+                for kind in dict.fromkeys(factors)] or [repeat(1 << prec)])
             if len(factors) > 1:
-                nums = map(rshift, nums, repeat(stream.prec * (len(factors) - 1)))
+                nums = map(rshift, nums, repeat(prec * (len(factors) - 1)))
             nums = list(islice(nums, hi - lo))
             for c, members in by_c.items():
                 quotients = {}
@@ -342,31 +340,31 @@ def _heads(batch: list, stream: PrefixStream) -> list[int]:
     return heads
 
 
-def _stream(factors: tuple, c: int, q: int, end: int, opts: EvalOptions) -> PrefixStream:
-    # the fixed-point scale a series is summed at: digits + 15, plus
-    # end.bit_length() and _guard_bits (the bound is stated in _head_tail)
-    guard = _guard_bits(len(factors), end, _series_cap(c, q, end, opts.digits),
-                        opts.tail_terms)
-    return PrefixStream((), opts.digits + 15, end, guard)
+def _prec(series: tuple, opts: EvalOptions) -> int:
+    # the fixed-point scale a series is summed at: the bits of digits + 15,
+    # plus end.bit_length() and _guard_bits (the bound is stated in _sum_batch)
+    factors, c, _, _, q, end = series
+    return mp.libmp.dps_to_prec(opts.digits + 15) + end.bit_length() + _guard_bits(
+        len(factors), end, _series_cap(c, q, end, opts.digits), opts.tail_terms)
 
 
-_batched: dict = {}  # heads from _sum_batch, each taken by one _head_tail
+_sums: dict = {}  # (series, opts) -> (value, omitted); only _sum_batch writes it
+SUMS_MAX = 256
 
 
-@functools.lru_cache(maxsize=256)
-def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
-               opts: EvalOptions) -> tuple[HighFloat, HighFloat]:
-    """(sum_{i>=1} f(i) / (i^c (b i - a)^q), |first omitted correction|).
+def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloat]]:
+    """(sum_{i>=1} f(i) / (i^c (b i - a)^q), |first omitted correction|)
+    for each series (factors, c, b, a, q, end) in batch.
 
     f is the product of the prefixes in factors (1 without any); a term
-    with a zero denominator is skipped.  The head to end (_heads, from a
-    batch that _sum_batch walked, else a batch of one) and the tail
+    with a zero denominator is skipped.  The head to end and the tail
     (_em_tail) are fixed-point ints at one scale 2^-prec, so head plus
-    tail is converted to mpf once.  Both values are at the working
-    precision digits + 15, unrounded, and memoized for the process: equal
-    arguments (SumSpec sorts its factors) sum the series once.
+    tail is converted to mpf once.  The series not in _sums yet are
+    summed, one _heads walk per scale.  Both values are at the working
+    precision digits + 15, unrounded, and stay in _sums (cleared whole
+    before it would pass SUMS_MAX): equal arguments (SumSpec sorts its
+    factors) sum the series once.
     """
-    stream = _stream(factors, c, q, end, opts)
     # In units of 2^-prec each prefix is at most i low at term i, so the
     # product of m prefixes, each below X = 1 + ln(end), is at most
     # m i X^(m-1) off; the shift and the division (two stages, one floor
@@ -378,29 +376,21 @@ def _head_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
     # carries end.bit_length() + guard bits, and _guard_bits makes
     # end 2^guard exceed both together, so head plus tail is within
     # 2^-(bits of wp) for any number of factors.
-    series = (factors, c, b, a, q, end)
-    head = _batched.pop(series) if series in _batched else _heads([series], stream)[0]
-    tail, omitted = _em_tail(factors, c, b, a, q, end, opts, stream.prec)
-    with mp.workdps(opts.digits + 15):
-        return mp.mpf((head + tail, -stream.prec)), omitted
-
-
-def _sum_batch(batch: list, opts: EvalOptions) -> None:
-    # Memoize _head_tail for every series in batch, the heads of those
-    # that share a scale summed in one walk.  A series already memoized
-    # is a memo hit, and its head here is dropped.
+    done = {series: _sums[series, opts] for series in batch if (series, opts) in _sums}
+    new = [series for series in dict.fromkeys(batch) if series not in done]
+    if len(_sums) + len(new) > SUMS_MAX:
+        _sums.clear()
     groups: dict = {}
-    for series in dict.fromkeys(batch):
-        factors, c, _, _, q, end = series
-        stream = _stream(factors, c, q, end, opts)
-        groups.setdefault(stream.prec, (stream, []))[1].append(series)
-    try:
-        for stream, members in groups.values():
-            _batched.update(zip(members, _heads(members, stream)))
-        for series in batch:
-            _head_tail(*series, opts)
-    finally:
-        _batched.clear()
+    for series in new:
+        groups.setdefault(_prec(series, opts), []).append(series)
+    for prec, members in groups.items():
+        for series, head in zip(members, _heads(members, prec)):
+            tail, omitted = _em_tail(*series, opts, prec)
+            with mp.workdps(opts.digits + 15):
+                done[series] = mp.mpf((head + tail, -prec)), omitted
+            if len(_sums) < SUMS_MAX:
+                _sums[series, opts] = done[series]
+    return [done[series] for series in batch]
 
 
 # ---- the evaluator --------------------------------------------------------
@@ -423,7 +413,7 @@ def evaluate_sum(spec: SumSpec, opts: EvalOptions | None = None) -> EvalResult:
     than that estimate.
     """
     opts = opts or DEFAULT_OPTS
-    value, omitted = _head_tail(*_spec_series(spec, opts.K), opts)
+    (value, omitted), = _sum_batch([_spec_series(spec, opts.K)], opts)
     with mp.workdps(opts.digits):
         err = max(10 * omitted, err_floor(opts.digits))
         return EvalResult(+value, err, opts.K, opts.digits)
@@ -525,7 +515,7 @@ def sum_kernels(kernel: tuple, ks, opts: EvalOptions | None = None) -> None:
 
 def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions | None) -> HighFloat:
     opts = opts or DEFAULT_OPTS
-    total, _ = _head_tail(*_kernel_series(kernel, k), opts)
+    (total, _), = _sum_batch([_kernel_series(kernel, k)], opts)
     with mp.workdps(opts.digits):
         return +total
 

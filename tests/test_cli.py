@@ -248,6 +248,14 @@ def test_lemma_check_rejects_kmax_below_1(kmax):
     assert f"error: --kmax must be >= 1, got {kmax}" in err.splitlines()
 
 
+@pytest.mark.parametrize("max_den", ("0", "-3"))
+def test_fit_rejects_max_den_below_1(max_den):
+    rc, out, err = run_cli("fit", "h1/k^2", "--weight", "3", "--max-den", max_den)
+    assert rc == 2
+    assert out == ""
+    assert f"error: --max-den must be >= 1, got {max_den}" in err.splitlines()
+
+
 def test_lemma_check_rejects_kmax_above_cap():
     rc, out, err = run_cli("lemma-check", "--kmax", "201")
     assert rc == 2

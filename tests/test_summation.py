@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddeuler import numerics
-from oddeuler.harmonic import HarmonicKind, PrefixStream
-from oddeuler.summation import (HEAD_BLOCK, MAX_K, MAX_POWER, EvalOptions, SumSpec,
-                                SumSpecSyntaxError, _em_tail, _guard_bits, _head_tail, _heads,
-                                _series_cap, evaluate_sum, format_sumspec, parse_sumspec,
-                                reciprocal_sum_closed_form, sum_specs, term_exact)
+from oddeuler import numerics, summation
+from oddeuler.harmonic import HarmonicKind
+from oddeuler.summation import (HEAD_BLOCK, MAX_K, MAX_POWER, SUMS_MAX, EvalOptions, SumSpec,
+                                SumSpecSyntaxError, _em_tail, _guard_bits, _heads, _series_cap,
+                                _spec_series, _sum_batch, _sums, evaluate_sum, format_sumspec,
+                                parse_sumspec, reciprocal_sum_closed_form, sum_specs, term_exact)
 from oddeuler.numerics import ConstantsTable, bernoulli
 from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr
 
@@ -100,26 +100,36 @@ def test_eval_options_validation():
         EvalOptions(K=MAX_K + 1)
 
 
-def test_equal_sums_run_the_head_once():
-    _head_tail.cache_clear()
+def _count_walks(monkeypatch) -> list:
+    # the series of every _heads walk from here on, one list per walk
+    walks, real = [], summation._heads
+    monkeypatch.setattr(summation, "_heads",
+                        lambda batch, prec: walks.append(list(batch)) or real(batch, prec))
+    return walks
+
+
+def test_equal_sums_run_the_head_once(monkeypatch):
+    _sums.clear()
+    walks = _count_walks(monkeypatch)
     opts = EvalOptions(digits=25, K=300)
     first = evaluate_sum(parse_sumspec("h1*h2/k^3"), opts)
     # factor order is normalized by SumSpec, so this is the same entry
     again = evaluate_sum(parse_sumspec("h2*h1/k^3"), opts)
-    info = _head_tail.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert list(map(len, walks)) == [1]
+    assert len(_sums) == 1
     assert repr(again) == repr(first)
 
 
 @pytest.mark.parametrize("other", (EvalOptions(digits=40, K=100),
                                    EvalOptions(digits=30, K=1000)))
-def test_different_options_get_their_own_entry(other):
-    _head_tail.cache_clear()
+def test_different_options_get_their_own_entry(monkeypatch, other):
+    _sums.clear()
+    walks = _count_walks(monkeypatch)
     spec = parse_sumspec("h1*h2/k^3")
     base = evaluate_sum(spec, EvalOptions(digits=30, K=100))
     moved = evaluate_sum(spec, other)
-    info = _head_tail.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    assert list(map(len, walks)) == [1, 1]
+    assert len(_sums) == 2
     assert moved.value != base.value
 
 
@@ -295,7 +305,7 @@ def test_five_factors_meet_the_rounding_bound():
     factors, end = (HarmonicKind.odd(1),) * 5, 2 * 10 ** 4
     opts = EvalOptions(digits=20, K=end)
     wp = opts.digits + 15
-    value, _ = _head_tail(factors, 7, 2, 1, 0, end, opts)
+    (value, _), = _sum_batch([(factors, 7, 2, 1, 0, end)], opts)
     with mp.workdps(wp + 20):
         prefix, head = mp.mpf(0), mp.mpf(0)
         for i in range(1, end + 1):
@@ -315,23 +325,26 @@ def test_guard_bits_grow_past_four_factors():
     assert 2 ** _guard_bits(5, 10 ** 6, s_cap, 4) > 5 * x_bound ** 4 + 2
 
 
-def _reference_head(stream, factors, c, b, a, q, end):
-    # the head one term at a time: advance, multiply the prefixes, shift,
-    # then one floor division, skipping a zero denominator
-    slots = [stream.kinds.index(kind) for kind in factors]
-    shift = stream.prec * (len(factors) - 1)
-    num, head = stream.one, 0
+def _reference_head(prec, factors, c, b, a, q, end):
+    # the head one term at a time: add floor(2^prec / base^n) to each
+    # factor's own prefix, multiply the prefixes, shift, then one floor
+    # division, skipping a zero denominator
+    one, shift = 1 << prec, prec * (len(factors) - 1)
+    prefixes = [0] * len(factors)
+    num, head = one, 0
     for i in range(1, end + 1):
-        if slots:
-            stream.advance()
-            num = stream.prefixes[slots[0]]
-            for slot in slots[1:]:
-                num *= stream.prefixes[slot]
-            num >>= shift
+        if factors:
+            prefixes = [prefix + one // (i if kind.parity == "even" else 2 * i - 1) ** kind.order
+                        for prefix, kind in zip(prefixes, factors)]
+            num = math.prod(prefixes) >> shift
         den = i ** c * (b * i - a) ** q
         if den:
             head += num // den
     return head
+
+
+def _head_prec(end: int) -> int:
+    return mp.libmp.dps_to_prec(55) + end.bit_length() + 20
 
 
 _h1, _h3 = HarmonicKind.odd(1), HarmonicKind.odd(3)
@@ -347,22 +360,23 @@ HEAD_GRID += [(factors, c, b, -k, 1, max(2000, 50 * k) + (k if b < 0 else 0))
 def test_head_matches_the_scalar_loop_bit_for_bit(args):
     # the same floors in the same order: the lazy head equals the scalar
     # reference exactly, repeated kinds and the two-sided pole included
-    factors, c, b, a, q, end = args
-    kinds = tuple(dict.fromkeys(factors))
-    new, = _heads([args], PrefixStream(kinds, 55, end, 20))
-    assert new == _reference_head(PrefixStream(kinds, 55, end, 20), *args)
+    end = args[5]
+    new, = _heads([args], _head_prec(end))
+    assert new == _reference_head(_head_prec(end), *args)
 
 
-def test_head_memory_is_flat_in_K():
+def test_head_memory_is_flat_in_K(monkeypatch):
     # every stage of the head is lazy; one K-long list of ~230-bit ints
     # would be several MB, far above the budget
-    _head_tail.cache_clear()
+    _sums.clear()
+    walks = _count_walks(monkeypatch)
     tracemalloc.start()
     try:
         evaluate_sum(parse_sumspec("h1*h1*h3/(k^2*(2k-1)^3)"), EvalOptions(K=10 ** 5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert list(map(len, walks)) == [1]
     assert peak < 2 ** 20
 
 
@@ -393,31 +407,57 @@ def test_batched_heads_match_the_scalar_loop(name):
     # one walk over the whole batch at one prec equals each series' own
     # scalar loop at that prec, bit for bit
     batch = BATCH_GRID[name]
-    end = max(series[5] for series in batch)
-    kinds = tuple(dict.fromkeys(kind for series in batch for kind in series[0]))
-    heads = _heads(batch, PrefixStream((), 55, end, 20))
-    want = [_reference_head(PrefixStream(kinds, 55, end, 20), *series) for series in batch]
+    prec = _head_prec(max(series[5] for series in batch))
+    heads = _heads(batch, prec)
+    want = [_reference_head(prec, *series) for series in batch]
     assert heads == want
 
 
-def test_batched_heads_fill_the_memo():
-    # sum_specs sums the heads once; evaluate_sum then only hits the memo
-    _head_tail.cache_clear()
+def test_batched_heads_fill_the_memo(monkeypatch):
+    # sum_specs sums the heads once, in one walk as the three share a
+    # scale; evaluate_sum then only hits the memo
+    _sums.clear()
+    walks = _count_walks(monkeypatch)
     opts = EvalOptions(digits=25, K=300)
     specs = [parse_sumspec(t) for t in ("h1/k^3", "h1*h2/k^3", "H1/(2k-1)^3")]
     sum_specs(specs + specs[:1], opts)
-    assert _head_tail.cache_info().currsize == 3
+    assert walks == [[_spec_series(spec, opts.K) for spec in specs]]
+    assert len(_sums) == 3
     batched = [evaluate_sum(spec, opts) for spec in specs]
-    info = _head_tail.cache_info()
-    assert (info.misses, info.hits) == (3, 4)
-    _head_tail.cache_clear()
+    assert len(walks) == 1
+    _sums.clear()
     assert [repr(evaluate_sum(spec, opts)) for spec in specs] == list(map(repr, batched))
+    assert list(map(len, walks)) == [3, 1, 1, 1]
 
 
-def test_batch_memory_is_flat_in_K():
+def test_batch_past_the_memo_bound_returns_its_own_sums(monkeypatch):
+    # 297 new series take the memo past SUMS_MAX: it is cleared first, and
+    # the batch's sums (a memo hit among them) are those of lone runs
+    opts = EvalOptions(digits=20, K=100)
+    specs = [spec for n in range(2, 101) for spec in (
+        SumSpec((), n, 0), SumSpec((), 0, n), SumSpec((HarmonicKind.odd(1),), n, 0))]
+    batch = [_spec_series(spec, opts.K) for spec in specs]
+    _sums.clear()
+    hit, = _sum_batch(batch[:1], opts)
+    walks = _count_walks(monkeypatch)
+    pairs = _sum_batch(batch + batch[:1], opts)
+    assert sum(map(len, walks)) == len(batch) - 1 == 296
+    assert list(_sums) == [(series, opts) for series in batch[1:SUMS_MAX + 1]]
+    assert pairs[0] == pairs[-1] == hit
+    lone = []
+    for series in batch:
+        _sums.clear()
+        lone.append(_sum_batch([series], opts)[0])
+    assert [repr(pair) for pair in pairs[:-1]] == [repr(pair) for pair in lone]
+    assert [[x._mpf_ for x in pair] for pair in pairs[:-1]] == \
+        [[x._mpf_ for x in pair] for pair in lone]
+
+
+def test_batch_memory_is_flat_in_K(monkeypatch):
     # a block of columns, numerators and quotients is a few hundred KB at
     # most; the K-long lists of the three specs would be over 5 MB
-    _head_tail.cache_clear()
+    _sums.clear()
+    walks = _count_walks(monkeypatch)
     specs = [parse_sumspec(t) for t in ("h1*h1*h3/(k^2*(2k-1)^3)", "h1/k^3", "H2*h3/(2k-1)^2")]
     tracemalloc.start()
     try:
@@ -425,6 +465,7 @@ def test_batch_memory_is_flat_in_K():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert list(map(len, walks)) == [3]
     assert peak < 2 ** 20
 
 
