@@ -120,7 +120,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if cfg["digits"] > MAX_DIGITS:
         raise ValueError(f"digits must be <= {MAX_DIGITS}, got {cfg['digits']}")
     cfg["opts"] = EvalOptions(digits=cfg["digits"], K=cfg["K"])
-    float(cfg["tolerance"])
+    if not 0 < mp.mpf(cfg["tolerance"]) < mp.inf:
+        raise ValueError(f"tolerance must be a positive finite number, got {cfg['tolerance']}")
     return cfg
 
 
@@ -241,6 +242,8 @@ def _cmd_reduce(args, cfg) -> int:
 
 
 def _cmd_fit(args, cfg) -> int:
+    if args.weight < 1:
+        raise ValueError(f"--weight must be >= 1, got {args.weight}")
     if args.weight > MAX_FIT_WEIGHT:
         raise ValueError(f"--weight must be <= {MAX_FIT_WEIGHT}, got {args.weight}")
     if args.max_den < 1:

@@ -6,6 +6,9 @@ The constants zeta(n), ln 2 and Euler's gamma are computed here from
 head sums and the Euler-Maclaurin core below (shared with the harmonic
 and summation modules) rather than pulled from a library table, so the
 test suite can cross-check them against a second, independent route.
+The cold-start kernels are int-only: Bernoulli numbers come from a
+growing row of integer tangent numbers, and ln 2 from a fixed-point
+atanh(1/3) series memoized per precision.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ _MIN_DIGITS = 10
 # ---- Bernoulli numbers -------------------------------------------------
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# Brent and Harvey's tangent-number table (arXiv:1108.0286), one column k
+# at a time: T^(1)[k] = (k-1)!, T^(i)[k] = (k-i) T^(i)[k-1] + (k-i+2)
+# T^(i-1)[k], and T_k = T^(k)[k].  The row is column k of the cache's last
+# B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+_tangent_row: list[int] = []
 
 
 def bernoulli(n: int) -> Fraction:
@@ -46,16 +54,21 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
+    row = _tangent_row
+    if len(row) != (len(_bernoulli_cache) - 1) // 2:  # the cache was cut
+        _bernoulli_cache[:] = [Fraction(1), Fraction(-1, 2)]
+        row.clear()
     while len(_bernoulli_cache) <= n:
         m = len(_bernoulli_cache)
         if m % 2 == 1:
             _bernoulli_cache.append(Fraction(0))
             continue
-        # sum_{j=0}^{m} C(m+1, j) B_j = 0 solved for B_m
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * _bernoulli_cache[j]
-        _bernoulli_cache.append(-acc / (m + 1))
+        k = m // 2
+        row.append(0)  # T^(k)[k-1] is outside the table; its factor is 0
+        row[0] = row[0] * (k - 1) if k > 1 else 1
+        for i in range(1, k):
+            row[i] = (k - i - 1) * row[i] + (k - i + 1) * row[i - 1]
+        _bernoulli_cache.append(Fraction((-1) ** (k - 1) * 2 * k * row[-1], 4 ** k * (4 ** k - 1)))
     return _bernoulli_cache[n]
 
 
@@ -171,19 +184,18 @@ def _require_digits(digits: int) -> None:
         raise ValueError(f"precision too low: digits must be >= {_MIN_DIGITS}, got {digits}")
 
 
+@lru_cache(maxsize=None)
 def _ln2_series(dps: int) -> mp.mpf:
-    # ln 2 = 2 atanh(1/3); the ratio test gives one digit per ~0.95 terms.
+    # ln 2 = 2 atanh(1/3) = sum 2 / (j 3^j) over odd j, in fixed point with
+    # 16 guard bits: power is 2^(wp+1) / 3^j floored, exactly, and each
+    # term floors once.  Memoized: gamma's ln K shares it.
     with mp.workdps(dps):
-        target = mp.mpf(10) ** (-(dps + 2))
-        x2 = mp.mpf(1) / 9
-        power = mp.mpf(1) / 3
-        total = mp.mpf(0)
-        for j in itertools.count():
-            term = power / (2 * j + 1)
-            total += term
-            if term < target:
-                return 2 * total
-            power *= x2
+        wp = mp.mp.prec + 16
+        power, total, j = (2 << wp) // 3, 0, 1
+        while power:
+            total += power // j
+            power, j = power // 9, j + 2
+        return mp.mpf((total, -wp))
 
 
 def _em_constant(n: int, big_k: int, dps: int) -> mp.mpf:

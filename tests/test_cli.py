@@ -276,6 +276,8 @@ def test_k_above_cap_exits_2(command):
     (("verify", "--digits", "501"), "error: digits must be <= 500, got 501"),
     (("eval-expr", "z3", "--digits", "501"), "error: digits must be <= 500, got 501"),
     (("fit", "h1/k^2", "--weight", "16"), "error: --weight must be <= 15, got 16"),
+    (("fit", "h1/k^2", "--weight", "0"), "error: --weight must be >= 1, got 0"),
+    (("fit", "h1/k^2", "--weight", "-2"), "error: --weight must be >= 1, got -2"),
     (("lemma-check", "--digits", "500", "--kmax", "21"),
      "error: --kmax * digits must be <= 10000, got 21 * 500")))
 def test_digits_and_weight_above_cap_exit_2(argv, message):
@@ -283,6 +285,32 @@ def test_digits_and_weight_above_cap_exit_2(argv, message):
     assert rc == 2
     assert out == ""
     assert message in err.splitlines()
+
+
+def test_fit_accepts_weight_1():
+    rc, out, _ = run_cli("fit", "1/(k*(2k-1))", "--weight", "1", "--include-ln2")
+    assert rc == 0
+    assert out == "2*ln2\n"
+
+
+# inf would pass every entry and nan, 0 or -1 fail every one; nan would
+# also pass lemma-check's spacing check
+@pytest.mark.parametrize("command,value", (
+    ("verify", "inf"), ("verify", "nan"), ("verify", "0"), ("verify", "-1"),
+    ("lemma-check", "nan"), ("lemma-check", "-inf")))
+@pytest.mark.parametrize("source", ("flag", "config"))
+def test_tolerance_not_positive_finite_exits_2(command, value, source, tmp_path):
+    if source == "flag":
+        argv = (f"--tolerance={value}",)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tolerance = {value}\n")
+        argv = ("--config", str(cfg))
+    rc, out, err = run_cli(command, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: tolerance must be a positive finite number, got {value}"]
 
 
 def test_lemma_check_runs_at_the_digits_cap():

@@ -1,12 +1,15 @@
 """Constants and exact rationals against independent oracles."""
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddeuler import numerics
 from oddeuler.numerics import ConstantsTable, bernoulli, constant
 from oddeuler.summation import reciprocal_sum_closed_form
 from oddeuler.zeta_algebra import evaluate
@@ -29,6 +32,42 @@ def test_bernoulli_exact_values():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_recurrence(n_max):
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0 solved for B_m
+    b = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+@pytest.mark.parametrize("order", ("ascending", "B150 first", "after cuts"))
+def test_bernoulli_matches_the_recurrence_to_200(order):
+    # the tangent-number row must follow the cache however it is grown or cut
+    want = _bernoulli_recurrence(200)
+    del numerics._bernoulli_cache[2:]
+    if order == "B150 first":
+        assert bernoulli(150) == want[150]
+    elif order == "after cuts":
+        bernoulli(200)
+        del numerics._bernoulli_cache[7:]
+        assert [bernoulli(n) for n in range(201)] == want
+        del numerics._bernoulli_cache[2:]
+    assert [bernoulli(n) for n in range(201)] == want
+
+
+@pytest.mark.parametrize("digits", (10, 20, 40, 100, 300, 500))
+def test_ln2_within_one_ulp_of_mpmath(digits):
+    # the series too, at its own precision: rounding to digits would hide
+    # lost guard bits
+    for got, dps in ((constant("ln2", digits), digits),
+                     (numerics._ln2_series(digits + 10), digits + 10)):
+        with mp.workdps(dps):
+            ulp = mp.mpf(2) ** -mp.mp.prec  # ln 2 lies in [1/2, 1)
+        with mp.workdps(dps + 20):
+            assert abs(got - mp.log(2)) <= ulp
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_CONSTANTS))
