@@ -276,8 +276,6 @@ def test_k_above_cap_exits_2(command):
     (("verify", "--digits", "501"), "error: digits must be <= 500, got 501"),
     (("eval-expr", "z3", "--digits", "501"), "error: digits must be <= 500, got 501"),
     (("fit", "h1/k^2", "--weight", "16"), "error: --weight must be <= 15, got 16"),
-    (("fit", "h1/k^2", "--weight", "0"), "error: --weight must be >= 1, got 0"),
-    (("fit", "h1/k^2", "--weight", "-2"), "error: --weight must be >= 1, got -2"),
     (("lemma-check", "--digits", "500", "--kmax", "21"),
      "error: --kmax * digits must be <= 10000, got 21 * 500")))
 def test_digits_and_weight_above_cap_exit_2(argv, message):
@@ -285,6 +283,14 @@ def test_digits_and_weight_above_cap_exit_2(argv, message):
     assert rc == 2
     assert out == ""
     assert message in err.splitlines()
+
+
+@pytest.mark.parametrize("weight", ("0", "-2"))
+def test_weight_below_1_exits_2(weight):
+    rc, out, err = run_cli("fit", "h1/k^2", "--weight", weight)
+    assert rc == 2
+    assert out == ""
+    assert f"error: --weight must be >= 1, got {weight}" in err.splitlines()
 
 
 def test_fit_accepts_weight_1():
