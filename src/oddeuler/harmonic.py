@@ -16,14 +16,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, repeat, tee
 from operator import floordiv
 
 import mpmath as mp
 
 from .numerics import ConstantsTable, HighFloat, Rational, _require_digits, euler_maclaurin
 
-_EXACT_LIMIT = 10 ** 5
+EXACT_LIMIT = 10 ** 5
 
 _PARITIES = ("even", "odd")
 
@@ -84,9 +84,9 @@ def harmonic_exact(kind: HarmonicKind, k: int) -> Rational:
                          "pass k >= 1")
     if k < 0:
         raise ValueError(f"k must be positive, got {k}")
-    if k > _EXACT_LIMIT:
-        raise ValueError(f"exact rationals are capped at k = {_EXACT_LIMIT}; "
-                         "use PrefixStream for larger k")
+    if k > EXACT_LIMIT:
+        raise ValueError(f"exact rationals are capped at k = {EXACT_LIMIT}; "
+                         "use evaluate_sum for larger k")
     prefix = _prefix_cache.setdefault(kind, [Fraction(0)])
     while len(prefix) <= k:
         prefix.append(prefix[-1] + kind.term(len(prefix)))
@@ -107,21 +107,41 @@ def even_odd_split(n: int, k: int) -> tuple[Rational, Rational]:
 # ---- streamed prefixes ---------------------------------------------------
 
 
-def column(kind: HarmonicKind, prec: int):
-    """Lazy prefixes of kind at 1, 2, ...: sums of floor(2^prec / base^n)."""
-    bases = count(1, 2) if kind.parity == "odd" else count(1)
-    return accumulate(map(floordiv, repeat(1 << prec), map(pow, bases, repeat(kind.order))))
+def columns(kinds, prec: int) -> dict:
+    """Lazy prefixes of each of kinds at 1, 2, ...: sums of floor(2^prec / base^n).
+
+    The one definition of the floors.  Per parity each order's terms are
+    divided out of those of the next lower order m present,
+    floor(2^prec / base^n) = floor(floor(2^prec / base^m) / base^(n-m)),
+    as floor(floor(x / u) / v) = floor(x / (u v)) for any int x and
+    positive u and v; so every term is the one-floor term, bit for bit.
+    Between orders one apart the divisor is base itself, a single 30-bit
+    digit below 2^30, which CPython divides by fastest.
+    """
+    out = {}
+    for parity in _PARITIES:
+        orders = sorted({kind.order for kind in kinds if kind.parity == parity})
+        terms, low = repeat(1 << prec), 0
+        for n, higher in zip(orders, orders[1:] + [0]):
+            bases = count(1, 2) if parity == "odd" else count(1)
+            step = map(floordiv, terms, bases if n - low == 1 else
+                       map(pow, bases, repeat(n - low)))
+            # a higher order reads this order's terms as they go by
+            terms, step = tee(step) if higher else (None, step)
+            out[HarmonicKind(parity, n)] = accumulate(step)
+            low = n
+    return out
 
 
 class PrefixStream:
     """Fixed-point prefixes for several kinds at once, advanced together.
 
     Each prefix is an int scaled by 2^prec: one advance() steps every
-    kind's column(), adding the floor of 2^prec / base^n, so after k
-    advances a prefix lies in [exact - k 2^-prec, exact].  prec is the
-    binary precision of `digits` plus terms.bit_length() + guard bits,
-    where `terms` is the number of advances the caller plans and `guard`
-    covers what the caller does with the prefixes.
+    kind's column of columns(), adding the floor of 2^prec / base^n, so
+    after k advances a prefix lies in [exact - k 2^-prec, exact].  prec
+    is the binary precision of `digits` plus terms.bit_length() + guard
+    bits, where `terms` is the number of advances the caller plans and
+    `guard` covers what the caller does with the prefixes.
     """
 
     def __init__(self, kinds: tuple[HarmonicKind, ...], digits: int, terms: int = 1,
@@ -132,7 +152,7 @@ class PrefixStream:
         self.prec = mp.libmp.dps_to_prec(digits) + terms.bit_length() + guard
         self.one = 1 << self.prec
         self.prefixes = [0] * len(self.kinds)
-        self._columns = [column(kind, self.prec) for kind in self.kinds]
+        self._columns = columns(self.kinds, self.prec)
         self._k = 0
 
     @property
@@ -141,7 +161,8 @@ class PrefixStream:
 
     def advance(self) -> int:
         self._k += 1
-        self.prefixes[:] = map(next, self._columns)
+        step = {kind: next(column) for kind, column in self._columns.items()}
+        self.prefixes[:] = map(step.__getitem__, self.kinds)
         return self._k
 
     def value(self, kind: HarmonicKind) -> HighFloat:

@@ -37,9 +37,9 @@ from operator import floordiv, mul, neg, rshift
 
 import mpmath as mp
 
-from .harmonic import HarmonicKind, column, harmonic_exact, value_series
+from .harmonic import EXACT_LIMIT, HarmonicKind, columns, harmonic_exact, value_series
 from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin_fixed
-from .zeta_algebra import (ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
+from .zeta_algebra import (MAX_POWER, ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
                            take, tokenize)
 
 
@@ -50,9 +50,6 @@ class SumSpecSyntaxError(ExprSyntaxError):
 # largest direct-summation cutoff: at K = 10^6 one sum takes about 2 s, and
 # the head's fixed-point guard bits are sized up to it
 MAX_K = 10 ** 6
-# largest k plus (2k-1) power: the head takes i^power for every i, about
-# 2.5 s at power 100 and K = 10^6, and 8 s at power 1000 already at 10^5
-MAX_POWER = 100
 
 
 @dataclass(frozen=True)
@@ -110,6 +107,8 @@ def read_sumspec(toks: list) -> SumSpec:
                 factors.append(HarmonicKind.from_label(label if kind == "harmonic" else ""))
             except ValueError:
                 raise SumSpecSyntaxError("expected h<n> or H<n> factor", pos) from None
+            if factors[-1].order > MAX_POWER:
+                raise SumSpecSyntaxError(f"harmonic orders must be <= {MAX_POWER}", pos)
             if not take(toks, "*"):
                 break
     expect(toks, "/", "'/' between numerator and denominator", SumSpecSyntaxError)
@@ -273,8 +272,8 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
 
 
 # terms per block of the batched head walk: a block holds one list this
-# long per kind, numerator and first-stage quotient in use, so memory is
-# flat in end
+# long per kind, numerator, power and quotient in use, so memory is flat
+# in end
 HEAD_BLOCK = 512
 
 
@@ -289,28 +288,61 @@ def _runs(b: int, a: int, q: int, end: int) -> list:
     return [run for run in runs if run[0] < run[1]]
 
 
+def _den(powers: dict, b: int, a: int, s: int, x: int, y: int, d: int):
+    # |b i - a|^d for i in [x, y), where b i - a has sign s: the range
+    # itself at d = 1, else a list built once per block and shared
+    # through powers
+    base = range(s * (b * x - a), s * (b * y - a), s * b)
+    if d == 1:
+        return base
+    key = b, a, s, x, y, d
+    if key not in powers:
+        powers[key] = list(map(pow, base, repeat(d)))
+    return powers[key]
+
+
 def _heads(batch: list, prec: int) -> list[int]:
     """Heads of the series in batch, summed in one blocked walk.
 
     A series (factors, c, b, a, q, end) has the head
     sum_{i=1}^{end} floor(N_i / (i^c (b i - a)^q)) as an int scaled by
     2^prec, skipping a zero denominator, where N_i is the product of the
-    factors' columns at i shifted down to one factor of 2^prec.  Per
-    block of HEAD_BLOCK terms each kind's column, each numerator and
-    each first-stage quotient Q_i = floor(+-N_i / i^c) is built once;
-    each series then adds floor(Q_i / |b i - a|^q) over its runs, the
-    sign of (b i - a)^q moved into the numerator.  This is the one-floor
-    head exactly, as floor(floor(x / m) / n) = floor(x / (m n)) for
-    positive m and n.
+    factors' columns at i shifted down to one factor of 2^prec.
+
+    Per block of HEAD_BLOCK terms the walk is one division tree, built on
+    floor(floor(x / m) / n) = floor(x / (m n)), which holds for any int
+    x and positive m and n:
+    - harmonic.columns divides each column's terms out of the next lower
+      order of its parity;
+    - per numerator and sign, the first-stage quotients
+      floor(+-N_i / i^c) are chained in ascending c, each dividing the
+      last by i^(c - c'), a power list shared by every numerator;
+    - per (numerator, c, b, a) and run, the second stage is chained in
+      ascending q the same way by |b i - a|^(q - q'), the sign of
+      (b i - a)^q moved into the numerator, so each sign has its chain.
+    Every quotient is thus the one-floor quotient exactly, and the head
+    is that of one floor per term, bit for bit.  At end <= 10^4 most
+    steps divide by i^2 or (2i-1)^2, a single 30-bit digit.  A list is
+    kept only where a later step reads it, and each block's lists go
+    with the block.
     """
-    plan: dict = {}  # factors -> c -> [(index, b, a, q, runs)]
+    plan: dict = {}  # factors -> c -> (b, a, q > 0) -> [(q, end, index)]
     for n, (factors, c, b, a, q, end) in enumerate(batch):
-        plan.setdefault(factors, {}).setdefault(c, []).append((n, b, a, q, _runs(b, a, q, end)))
-    columns = {kind: column(kind, prec) for factors in plan for kind in factors}
+        plan.setdefault(factors, {}).setdefault(c, {}).setdefault(
+            (b, a, q > 0), []).append((q, end, n))
+    # factors -> [(c, [(b, a, runs, members)])], c and then q ascending, so
+    # each step of a chain follows the one it divides
+    plan = {factors: [(c, [(b, a, _runs(b, a, divides, max(m[1] for m in members)),
+                            sorted(members))
+                           for (b, a, divides), members in groups.items()])
+                      for c, groups in sorted(by_c.items())]
+            for factors, by_c in plan.items()}
+    cols = columns({kind for factors in plan for kind in factors}, prec)
     heads, top = [0] * len(batch), max(series[5] for series in batch)
     for lo in range(1, top + 1, HEAD_BLOCK):
         hi = min(lo + HEAD_BLOCK, top + 1)
-        block = {kind: list(islice(column, hi - lo)) for kind, column in columns.items()}
+        block = {kind: list(islice(column, hi - lo)) for kind, column in cols.items()}
+        powers: dict = {}
         for factors, by_c in plan.items():
             nums = functools.reduce(functools.partial(map, mul), [
                 block[kind] if factors.count(kind) == 1 else
@@ -319,24 +351,34 @@ def _heads(batch: list, prec: int) -> list[int]:
             if len(factors) > 1:
                 nums = map(rshift, nums, repeat(prec * (len(factors) - 1)))
             nums = list(islice(nums, hi - lo))
-            for c, members in by_c.items():
-                quotients = {}
-                for n, b, a, q, runs in members:
+            first: dict = {}  # sign -> (c, floor(sign N_i / i^c) over the block)
+            for c, groups in by_c:
+                for b, a, runs, members in groups:
                     for x, y, s in runs:
                         x, y = max(x, lo), min(y, hi)
                         if x >= y:
                             continue
-                        sign = s if q % 2 else 1
-                        if sign not in quotients:
-                            signed = nums if sign > 0 else map(neg, nums)
-                            quotients[sign] = list(map(floordiv, signed, map(
-                                pow, range(lo, hi), repeat(c)))) if c else list(signed)
-                        quot = quotients[sign][x - lo:y - lo]
-                        if q:
-                            dens = range(s * (b * x - a), s * (b * y - a), s * b)
-                            quot = map(floordiv, quot, dens if q == 1 else
-                                       map(pow, dens, repeat(q)))
-                        heads[n] += sum(quot)
+                        chain: dict = {}  # sign -> (q, floor(sign Q_i / |b i - a|^q))
+                        for member in members:
+                            q, end, n = member
+                            sign = s if q % 2 else 1
+                            if sign in chain:
+                                q0, quot = chain[sign]
+                            else:
+                                c0, quot = first.get(sign) or \
+                                    (0, nums if sign > 0 else list(map(neg, nums)))
+                                if c > c0:
+                                    quot = list(map(floordiv, quot, _den(
+                                        powers, 1, 0, 1, lo, hi, c - c0)))
+                                first[sign] = c, quot
+                                q0, quot = 0, quot[x - lo:y - lo]
+                            if q > q0:
+                                quot = map(floordiv, quot, _den(powers, b, a, s, x, y, q - q0))
+                                if member is not members[-1]:  # a later member reads it
+                                    quot = list(quot)
+                                chain[sign] = q, quot
+                            heads[n] += sum(islice(quot, max(0, end + 1 - x)))
+        del block, powers  # before the next block's are built
     return heads
 
 
@@ -534,13 +576,27 @@ def _z(t: int) -> ZetaMonomial:
     return ZetaMonomial(0, ((t, 1),))
 
 
+_ladders: dict[int, list[Fraction]] = {}
+
+
+def _ladder(n: int, k: int) -> Fraction:
+    """sum_{i=2}^{k} H(1, i - 1) / (2i - 1)^n, exactly (from i = 2, as
+    H(1, 0) = 0); one running ladder per n is memoised and capped at
+    EXACT_LIMIT, like the exact prefixes."""
+    if k > EXACT_LIMIT:
+        raise ValueError(f"exact rationals are capped at k = {EXACT_LIMIT}")
+    ladder = _ladders.setdefault(n, [Fraction(0), Fraction(0)])
+    while len(ladder) <= k:
+        i = len(ladder)
+        ladder.append(ladder[-1] + harmonic_exact(HarmonicKind.even(1), i - 1) / (2 * i - 1) ** n)
+    return ladder[k]
+
+
 def _shifted_terms(n: int, k: int) -> list:
-    # the sign of n rides on the ladder (from i = 2, as H(1, 0) = 0) and the
-    # ln 2 block only; each (1 - 2^-t) zeta(t) term carries (-1)^(n-t)
+    # the sign of n rides on the ladder and the ln 2 block only; each
+    # (1 - 2^-t) zeta(t) term carries (-1)^(n-t)
     sign = Fraction(1 if n % 2 == 1 else -1, k)
-    ladder = sum((harmonic_exact(HarmonicKind.even(1), i - 1) / (2 * i - 1) ** n
-                  for i in range(2, k + 1)), Fraction(0))
-    return [(ZetaMonomial(), sign * ladder), (ZetaMonomial(1), 2 * sign * _h(n, k))] + \
+    return [(ZetaMonomial(), sign * _ladder(n, k)), (ZetaMonomial(1), 2 * sign * _h(n, k))] + \
         [(_z(t), 2 * (-1) ** (n - t) * (1 - Fraction(1, 2 ** t)) * _h(n + 1 - t, k) / k)
          for t in range(2, n + 1)]
 

@@ -17,11 +17,13 @@ sum specs (summation.parse_sumspec) and bracketed combinations of sums
     den    := ('k' | '(2k-1)') ['^' int] ['*' den]      (each at most once)
     harm   := ('h' | 'H') int
 
-A closed form is terms without a sum, so ``49/8*z3^2 - 945/128*z6`` and
-``10*z2 - 24*ln2`` read back exactly; a combination has at most one sum
-per term, last, as in ``1/2*[h1/k^2]^2 - 3/2*[h1/k^4]``.  A leading minus
-is accepted on parse even though formatting only emits one when the
-leading coefficient is itself negative.
+Zeta indices, harmonic orders and the two denominator powers together
+are each at most MAX_POWER.  A closed form is terms without a sum, so
+``49/8*z3^2 - 945/128*z6`` and ``10*z2 - 24*ln2`` read back exactly; a
+combination has at most one sum per term, last, as in
+``1/2*[h1/k^2]^2 - 3/2*[h1/k^4]``.  A leading minus is accepted on parse
+even though formatting only emits one when the leading coefficient is
+itself negative.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ from typing import Iterable, Sequence
 import mpmath as mp
 
 from .numerics import ConstantsTable, HighFloat, Rational, bernoulli
+
+
+# largest zeta index, harmonic order and k plus (2k-1) power that text may
+# ask for: the Euler-Maclaurin constant of zeta(n) diverges from n near 650
+# at 20 digits (an order's value series needs its zeta as well), and a
+# sum's head takes i^power for every i, about 2.5 s at power 100 and
+# K = 10^6, and 8 s at power 1000 already at 10^5
+MAX_POWER = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -327,6 +337,8 @@ def _read_term(toks: list, part) -> tuple:
         if kind == "zeta" and value < 2:
             raise ExprSyntaxError("zeta(1) divergent" if value else
                                   "zeta(0) is not a valid symbol", pos)
+        if kind == "zeta" and value > MAX_POWER:
+            raise ExprSyntaxError(f"zeta indices must be <= {MAX_POWER}", pos)
         toks.pop(0)
         n = value if kind == "zeta" else 0
         exps[n] = exps.get(n, 0) + (read_posint(toks, "exponent") if take(toks, "^") else 1)

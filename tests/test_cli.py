@@ -115,6 +115,33 @@ def test_denominator_power_above_cap_exits_2(tmp_path, argv):
         in err.splitlines()
 
 
+@pytest.mark.parametrize("argv,message", (
+    (("eval-expr", "z101"), "zeta indices must be <= 100 (position 0)"),
+    (("eval-expr", "z650", "--digits", "20"), "zeta indices must be <= 100 (position 0)"),
+    (("eval-sum", "h650/k^2"), "harmonic orders must be <= 100 (position 0)"),
+    (("eval-sum", "h1*H5000/k^2"), "harmonic orders must be <= 100 (position 3)"),
+    (("fit", "H101/(2k-1)^2", "--weight", "6"), "harmonic orders must be <= 100 (position 0)"),
+    (("list", "--catalog", "{catalog}"), "zeta indices must be <= 100 (position 11)")))
+def test_zeta_index_and_harmonic_order_above_cap_exit_2(tmp_path, argv, message):
+    # refused while parsing, before any constant or sum is computed
+    extra = tmp_path / "big.jsonl"
+    extra.write_text(json.dumps({
+        "id": "big_zeta", "lhs": "h1/k^2", "rhs": "7/4*z3 + 0*z101",
+        "source": "test", "expected": "must_pass"}) + "\n")
+    rc, out, err = run_cli(*(a.format(catalog=extra) for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert f"error: {message}" in err.splitlines()
+
+
+def test_zeta_index_and_harmonic_order_at_cap_accepted():
+    rc, out, _ = run_cli("eval-expr", "z100", "--digits", "20")
+    assert rc == 0
+    assert "value = 1.0" in out
+    rc, _, _ = run_cli("eval-sum", "H100/(2k-1)^2", "--digits", "20", "--K", "100")
+    assert rc == 0
+
+
 def test_unknown_subcommand_exits_2():
     rc, _, _ = run_cli("frobnicate")
     assert rc == 2

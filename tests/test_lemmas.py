@@ -1,9 +1,13 @@
 """Kernel lemmas: truncated two-sided sums against closed forms."""
 
+import random
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
 
 from oddeuler import summation
+from oddeuler.harmonic import EXACT_LIMIT, HarmonicKind, harmonic_exact
 from oddeuler.numerics import ConstantsTable
 from oddeuler.summation import (EvalOptions, lemma1_aux, lemma1_f, lemma2_g,
                                 lemma3_f, recip_kernel_closed,
@@ -71,6 +75,20 @@ def test_closed_sides_are_exact_expressions(monkeypatch):
         with mp.workdps(OPTS.digits):
             assert value == +real_evaluate(parse_expr(text),
                                            ConstantsTable(OPTS.digits + 15))
+
+
+def test_ladder_memo_matches_the_direct_sum():
+    # the running ladder answers k in any order with the sum from i = 2
+    summation._ladders.clear()
+    asks = [(n, k) for n in (1, 2, 3, 4) for k in range(1, 51)]
+    random.Random(7).shuffle(asks)
+    for n, k in asks:
+        direct = sum((harmonic_exact(HarmonicKind.even(1), i - 1) / (2 * i - 1) ** n
+                      for i in range(2, k + 1)), Fraction(0))
+        assert summation._ladder(n, k) == direct, (n, k)
+    assert sorted(map(len, summation._ladders.values())) == [51] * 4
+    with pytest.raises(ValueError, match="capped"):
+        summation._ladder(1, EXACT_LIMIT + 1)
 
 
 def test_lemma2_frozen_values():

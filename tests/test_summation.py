@@ -388,6 +388,15 @@ def test_head_memory_is_flat_in_K(monkeypatch):
 
 _H2 = HarmonicKind.even(2)
 _EDGE = HEAD_BLOCK
+# every distinct single sum of the shipped catalog plus eq67's terms: h1
+# over k^2..k^8 chains c in steps of 2, h2 and H2 over (2k-1)^3 and ^5
+# chain q, h1..h5 and H1, H2, H3, H5 chain the columns, c = 0 carries
+# q > 0, and 1/k^3 shares its first stage with 1/(k^3*(2k-1)^2)
+CATALOG_SPECS = [parse_sumspec(t) for t in (
+    "h1*h2/k^3", "h1*h2/k^5", "h1/k^2", "h1/k^4", "h1/k^6", "h1/k^8", "H1/k^4", "H2/k^3",
+    "H3/k^2", "h2/k^3", "h2/k^5", "h2/k^7", "h3/k^4", "h3/k^6", "h4/k^5", "H3/(2k-1)^2",
+    "H5/(2k-1)^2", "h2/(2k-1)^3", "h2/(2k-1)^5", "h3/(2k-1)^2", "h5/(2k-1)^2", "h3/k^2",
+    "h5/k^2", "H2/(2k-1)^3", "H2/(2k-1)^5", "1/(k^3*(2k-1)^2)", "1/k^3")]
 BATCH_GRID = {
     # different ends, most of them mid-block, mixed c and q, repeated kinds
     "mixed": [((_h1,), 2, 2, 1, 0, 1500), ((_h1,), 3, 2, 1, 1, 700),
@@ -405,6 +414,15 @@ BATCH_GRID = {
     # b i - a below zero for small i, with and without a pole
     "below": [((_h1,), 1, 2, 5, 1, 800), ((_h1,), 1, 3, 6, 2, 700),
               ((_h1,), 2, 3, 6, 3, 650), ((), 2, 1, 40, 1, 1000)],
+    # the catalog's division tree, ending mid-block
+    "catalog": [_spec_series(spec, 2 * HEAD_BLOCK + 77) for spec in CATALOG_SPECS],
+    # chains across ends: q = 1..3 on both sides of a pole, where odd and
+    # even q keep their own chain past it, an equal q at another end, and
+    # q = 0 beside them, which keeps the pole's term
+    "chains": [((_h1,), 1, -1, -600, 1, 800), ((_h1,), 1, -1, -600, 2, 700),
+               ((_h1,), 1, -1, -600, 3, 1300), ((_h1,), 1, -1, -600, 3, 900),
+               ((_h1,), 1, -1, -600, 0, 1000), ((_h1,), 3, 2, 1, 2, 500),
+               ((_h1,), 3, 2, 1, 4, 1200), ((_h1,), 5, 2, 1, 1, 1100)],
 }
 
 
@@ -474,6 +492,22 @@ def test_batch_memory_is_flat_in_K(monkeypatch):
     finally:
         tracemalloc.stop()
     assert list(map(len, walks)) == [3]
+    assert peak < 2 ** 20
+
+
+def test_catalog_batch_memory_is_flat_in_K(monkeypatch):
+    # the catalog's division tree holds a block of columns, powers and
+    # quotients at a time; one K-long list of its ~230-bit prefixes would
+    # be about 2 MB
+    _sums.clear()
+    walks = _count_walks(monkeypatch)
+    tracemalloc.start()
+    try:
+        sum_specs(CATALOG_SPECS, EvalOptions(K=3 * 10 ** 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(map(len, walks)) == [len(CATALOG_SPECS)]
     assert peak < 2 ** 20
 
 

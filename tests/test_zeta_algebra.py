@@ -50,6 +50,16 @@ def test_z1_rejected_with_position():
         pytest.fail("z1 accepted")
 
 
+def test_zeta_index_capped_with_position():
+    # zeta(n)'s constant stops converging for large n, so text may ask
+    # for no index above MAX_POWER
+    assert parse_expr("z100") == ZetaExpr.zeta(100)
+    for text, pos in (("z101", 0), ("7/4*z3 + 2*z650", 11), ("z2*z5000^2", 3)):
+        with pytest.raises(ExprSyntaxError, match="zeta indices must be <= 100") as err:
+            parse_expr(text)
+        assert err.value.pos == pos, text
+
+
 def test_malformed_inputs_position_tagged():
     for text, pos in (("", 0), ("7/", 2), ("z", 0), ("z2^", 3),
                       ("z2 + + z3", 5), ("q4", 0), ("3*", 2)):
