@@ -20,13 +20,11 @@ import mpmath as mp
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from oddeuler.identities import (Identity, evaluate_combination, fit_closed_form,
-                                 parse_combination, reduce,
-                                 substitute_bases)  # noqa: E402
-from oddeuler.numerics import ConstantsTable  # noqa: E402
-from oddeuler.summation import (EvalOptions, evaluate_sum, parse_sumspec,
+from oddeuler.identities import (Identity, _parse_entry, fit_closed_form, reduce,
+                                 substitute_bases, verify)  # noqa: E402
+from oddeuler.summation import (EvalOptions, parse_sumspec,
                                 reciprocal_sum_closed_form)  # noqa: E402
-from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr  # noqa: E402
+from oddeuler.zeta_algebra import format_expr, parse_expr  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "oddeuler" / \
     "data" / "catalog.jsonl"
@@ -133,22 +131,14 @@ def main() -> None:
                             "expected": "must_pass"}
     print(f"reciprocal (3,2): {format_expr(recip)}")
 
-    # numeric cross-check of every entry at working precision
+    # numeric cross-check of every entry at working precision, each
+    # record read back as the catalog reads it
     bad = []
     for ident in ORDER:
         rec = records[ident]
-        with mp.workdps(CHECK_OPTS.digits + 10):
-            if "[" in rec["lhs"]:
-                lhs_v = evaluate_combination(parse_combination(rec["lhs"]),
-                                             CHECK_OPTS).value
-            else:
-                lhs_v = evaluate_sum(parse_sumspec(rec["lhs"]),
-                                     CHECK_OPTS).value
-            rhs_v = evaluate(parse_expr(rec["rhs"]),
-                             ConstantsTable(CHECK_OPTS.digits + 10))
-            res = abs(lhs_v - rhs_v)
-        print(f"check {ident}: residual {mp.nstr(res, 6)} ({rec['expected']})")
-        if rec["expected"] == "must_pass" and res > mp.mpf(10) ** (-25):
+        report = verify(_parse_entry(json.dumps(rec)), CHECK_OPTS, tolerance="1e-25")
+        print(f"check {ident}: residual {mp.nstr(report.residual, 6)} ({rec['expected']})")
+        if rec["expected"] == "must_pass" and report.verdict == "fail":
             bad.append(ident)
     if bad:
         raise SystemExit(f"must_pass entries with large residuals: {bad}")

@@ -24,8 +24,7 @@ import mpmath as mp
 
 from .identities import (adjudication_findings, catalog, fit_closed_form, reduce,
                          select, substitute_bases, summarize, verify_all)
-from .summation import (AUX_KERNEL, EvalOptions, evaluate_sum, f_kernel, g_kernel,
-                        lemma1_aux, lemma2_g, lemma3_f, parse_sumspec, sum_kernels)
+from .summation import EvalOptions, evaluate_sum, lemma_checks, parse_sumspec, sum_kernels
 from .zeta_algebra import evaluate, format_expr, parse_expr
 from .numerics import ConstantsTable
 
@@ -275,15 +274,7 @@ def _cmd_list(args, cfg) -> int:
 
 def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
     rows = []
-    checks = [("lemma1_aux", AUX_KERNEL, lemma1_aux)]
-    for n in (1, 2, 3):
-        checks.append((f"lemma2_g n={n}", g_kernel(n),
-                       lambda k, o, n=n: lemma2_g(n, k, o)))
-    for m in (1, 2, 3, 4):
-        n, parity = (m + 1) // 2, ("odd" if m % 2 else "even")
-        checks.append((f"lemma3_f m={m}", f_kernel(m),
-                       lambda k, o, n=n, p=parity: lemma3_f(n, p, k, o)))
-    for name, kernel, fn in checks:
+    for name, kernel, fn in lemma_checks():
         # one batch per check: its rows share the prefix columns
         sum_kernels(kernel, range(1, kmax + 1), opts)
         for k in range(1, kmax + 1):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import fnmatch
 import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -345,44 +346,20 @@ def reduction_residual(rule: str, m: int | None = None,
 # ---- coefficient fitting ---------------------------------------------------
 
 
-def _weight_monomials(weight: int) -> list:
-    # canonical monomials: zeta(2)^a * product of odd zetas, total weight w
-    odds = [n for n in range(3, weight + 1, 2)]
-    found: list[dict[int, int]] = []
-
-    def parts_into(remaining: int, max_odd: int, chosen: dict[int, int]):
-        if remaining % 2 == 0:
-            c2 = dict(chosen)
-            if remaining:
-                c2[2] = remaining // 2
-            found.append(c2)
-        for n in odds:
-            if n > min(remaining, max_odd):
-                continue
-            cn = dict(chosen)
-            cn[n] = cn.get(n, 0) + 1
-            parts_into(remaining - n, n, cn)
-
-    parts_into(weight, weight, {})
-    monos = [ZetaMonomial.from_parts(0, c) for c in found]
-    uniq = sorted(set(monos), key=lambda mo: (-mo.weight, mo.sort_key()))
-    return uniq
-
-
 def _fit_basis(weight: int, include_ln2: bool) -> list:
-    basis = _weight_monomials(weight)
+    # the weight-w monomials, sorted: each multiset of odd zetas whose rest
+    # is even, times zeta(2)^(rest/2); with ln 2, the lower weights' single
+    # zetas (even ones as powers of zeta(2)) and ln 2 follow
+    basis = sorted((ZetaMonomial.from_parts(0, {**{n: odds.count(n) for n in odds},
+                                                2: (weight - sum(odds)) // 2})
+                    for r in range(weight // 3 + 1)
+                    for odds in itertools.combinations_with_replacement(range(3, weight + 1, 2), r)
+                    if sum(odds) <= weight and (weight - sum(odds)) % 2 == 0),
+                   key=lambda mo: (-mo.weight, mo.sort_key()))
     if include_ln2:
-        for j in range(2, weight):
-            if j % 2 == 0:
-                basis.append(ZetaMonomial.from_parts(0, {2: j // 2}))
-            else:
-                basis.append(ZetaMonomial.from_parts(0, {j: 1}))
-        basis.append(ZetaMonomial.from_parts(1, {}))
-    seen = []
-    for mo in basis:
-        if mo not in seen:
-            seen.append(mo)
-    return seen
+        basis += [ZetaMonomial.from_parts(0, {2: j // 2} if j % 2 == 0 else {j: 1})
+                  for j in range(2, weight)] + [ZetaMonomial.from_parts(1, {})]
+    return list(dict.fromkeys(basis))
 
 
 def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,

@@ -314,70 +314,57 @@ def _heads(batch: list, prec: int) -> list[int]:
     x and positive m and n:
     - harmonic.columns divides each column's terms out of the next lower
       order of its parity;
-    - per numerator and sign, the first-stage quotients
-      floor(+-N_i / i^c) are chained in ascending c, each dividing the
-      last by i^(c - c'), a power list shared by every numerator;
-    - per (numerator, c, b, a) and run, the second stage is chained in
-      ascending q the same way by |b i - a|^(q - q'), the sign of
-      (b i - a)^q moved into the numerator, so each sign has its chain.
+    - a series is a piece per run [x, y) of _runs at its own end, the sign
+      of (b i - a)^q moved into the numerator so every divisor is positive,
+      and the pieces are sorted by chain (factors, sign, c, b, a, x, y), then q;
+    - a running first stage floor(sign N_i / i^c) over the block restarts
+      with (factors, sign) and steps up in c by i^(c - c'), a power list
+      shared by every numerator; a running second stage
+      floor(Q_i / |b i - a|^q) over the run restarts with the chain and
+      steps up in q by |b i - a|^(q - q').
     Every quotient is thus the one-floor quotient exactly, and the head
     is that of one floor per term, bit for bit.  At end <= 10^4 most
-    steps divide by i^2 or (2i-1)^2, a single 30-bit digit.  A list is
-    kept only where a later step reads it, and each block's lists go
-    with the block.
+    steps divide by i^2 or (2i-1)^2, a single 30-bit digit.  A quotient
+    list is kept only when the next piece continues its chain, and each
+    block's lists go with the block.
     """
-    plan: dict = {}  # factors -> c -> (b, a, q > 0) -> [(q, end, index)]
-    for n, (factors, c, b, a, q, end) in enumerate(batch):
-        plan.setdefault(factors, {}).setdefault(c, {}).setdefault(
-            (b, a, q > 0), []).append((q, end, n))
-    # factors -> [(c, [(b, a, runs, members)])], c and then q ascending, so
-    # each step of a chain follows the one it divides
-    plan = {factors: [(c, [(b, a, _runs(b, a, divides, max(m[1] for m in members)),
-                            sorted(members))
-                           for (b, a, divides), members in groups.items()])
-                      for c, groups in sorted(by_c.items())]
-            for factors, by_c in plan.items()}
-    cols = columns({kind for factors in plan for kind in factors}, prec)
+    # factors are keyed by their labels, as HarmonicKind has no order
+    pieces = sorted((tuple(kind.label for kind in factors), s if q % 2 else 1,
+                     c, b, a, x, y, q, s, n)
+                    for n, (factors, c, b, a, q, end) in enumerate(batch)
+                    for x, y, s in _runs(b, a, q, end))
+    cols = columns({kind for series in batch for kind in series[0]}, prec)
     heads, top = [0] * len(batch), max(series[5] for series in batch)
     for lo in range(1, top + 1, HEAD_BLOCK):
         hi = min(lo + HEAD_BLOCK, top + 1)
         block = {kind: list(islice(column, hi - lo)) for kind, column in cols.items()}
         powers: dict = {}
-        for factors, by_c in plan.items():
-            nums = functools.reduce(functools.partial(map, mul), [
-                block[kind] if factors.count(kind) == 1 else
-                map(pow, block[kind], repeat(factors.count(kind)))
-                for kind in dict.fromkeys(factors)] or [repeat(1 << prec)])
-            if len(factors) > 1:
-                nums = map(rshift, nums, repeat(prec * (len(factors) - 1)))
-            nums = list(islice(nums, hi - lo))
-            first: dict = {}  # sign -> (c, floor(sign N_i / i^c) over the block)
-            for c, groups in by_c:
-                for b, a, runs, members in groups:
-                    for x, y, s in runs:
-                        x, y = max(x, lo), min(y, hi)
-                        if x >= y:
-                            continue
-                        chain: dict = {}  # sign -> (q, floor(sign Q_i / |b i - a|^q))
-                        for member in members:
-                            q, end, n = member
-                            sign = s if q % 2 else 1
-                            if sign in chain:
-                                q0, quot = chain[sign]
-                            else:
-                                c0, quot = first.get(sign) or \
-                                    (0, nums if sign > 0 else list(map(neg, nums)))
-                                if c > c0:
-                                    quot = list(map(floordiv, quot, _den(
-                                        powers, 1, 0, 1, lo, hi, c - c0)))
-                                first[sign] = c, quot
-                                q0, quot = 0, quot[x - lo:y - lo]
-                            if q > q0:
-                                quot = map(floordiv, quot, _den(powers, b, a, s, x, y, q - q0))
-                                if member is not members[-1]:  # a later member reads it
-                                    quot = list(quot)
-                                chain[sign] = q, quot
-                            heads[n] += sum(islice(quot, max(0, end + 1 - x)))
+        numer = stage = chain = None  # the keys of the running numerators and stages
+        for piece, after in zip(pieces, pieces[1:] + [()]):
+            labels, sign, c, b, a, x, y, q, s, n = piece
+            x, y = max(x, lo), min(y, hi)
+            if x >= y:
+                continue
+            if labels != numer:
+                factors = batch[n][0]
+                nums = functools.reduce(functools.partial(map, mul), [
+                    block[kind] if factors.count(kind) == 1 else
+                    map(pow, block[kind], repeat(factors.count(kind)))
+                    for kind in dict.fromkeys(factors)] or [repeat(1 << prec)])
+                if len(factors) > 1:
+                    nums = map(rshift, nums, repeat(prec * (len(factors) - 1)))
+                numer, nums = labels, list(islice(nums, hi - lo))
+            if piece[:2] != stage:
+                stage, c0, first = piece[:2], 0, nums if sign > 0 else list(map(neg, nums))
+            if c > c0:
+                c0, first = c, list(map(floordiv, first, _den(powers, 1, 0, 1, lo, hi, c - c0)))
+            if piece[:7] != chain:
+                chain, q0, quot = piece[:7], 0, islice(first, x - lo, y - lo)
+            if q > q0:
+                q0, quot = q, map(floordiv, quot, _den(powers, b, a, s, x, y, q - q0))
+            if after[:7] == chain:  # the next piece reads it
+                quot = list(quot)
+            heads[n] += sum(quot)
         del block, powers  # before the next block's are built
     return heads
 
@@ -671,3 +658,15 @@ def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions | None = None) \
 def lemma1_f(k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
     """Order-1 cross sum; closed side at k = 1 is 2 ln 2 - 3."""
     return lemma3_f(1, "odd", k, opts)
+
+
+def lemma_checks():
+    """(name, kernel, row) for the eight kernel checks, in report order;
+    row(k, opts) gives the (truncated, closed) pair at k, and the kernel
+    is the one its truncated side sums."""
+    yield "lemma1_aux", AUX_KERNEL, lemma1_aux
+    for n in (1, 2, 3):
+        yield f"lemma2_g n={n}", g_kernel(n), functools.partial(lemma2_g, n)
+    for m in (1, 2, 3, 4):
+        yield (f"lemma3_f m={m}", f_kernel(m),
+               functools.partial(lemma3_f, (m + 1) // 2, "odd" if m % 2 else "even"))

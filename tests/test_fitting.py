@@ -9,7 +9,7 @@ import pytest
 from oddeuler.identities import _fit_basis, fit_closed_form, fit_value
 from oddeuler.numerics import ConstantsTable
 from oddeuler.summation import EvalOptions, parse_sumspec
-from oddeuler.zeta_algebra import ZetaExpr, evaluate, format_expr, parse_expr
+from oddeuler.zeta_algebra import ZetaExpr, ZetaMonomial, evaluate, format_expr, parse_expr
 
 
 def test_fit_weight3_base_sum():
@@ -53,6 +53,45 @@ def test_fit_basis_contents():
     basis5_ln2 = _fit_basis(5, include_ln2=True)
     texts = {m.text() for m in basis5_ln2}
     assert {"z5", "z2*z3", "ln2", "z3", "z2", "z2^2"} <= texts
+
+
+def _reference_basis(weight, include_ln2):
+    # the basis as a recursion over odd parts, each branch completed by
+    # zeta(2)^(rest/2) when the rest is even; PSLQ's answer depends on
+    # the order, so _fit_basis must return this exact list
+    odds = list(range(3, weight + 1, 2))
+    found = []
+
+    def parts_into(remaining, max_odd, chosen):
+        if remaining % 2 == 0:
+            c2 = dict(chosen)
+            if remaining:
+                c2[2] = remaining // 2
+            found.append(c2)
+        for n in odds:
+            if n <= min(remaining, max_odd):
+                cn = dict(chosen)
+                cn[n] = cn.get(n, 0) + 1
+                parts_into(remaining - n, n, cn)
+
+    parts_into(weight, weight, {})
+    basis = sorted({ZetaMonomial.from_parts(0, c) for c in found},
+                   key=lambda mo: (-mo.weight, mo.sort_key()))
+    if include_ln2:
+        for j in range(2, weight):
+            basis.append(ZetaMonomial.from_parts(0, {2: j // 2} if j % 2 == 0 else {j: 1}))
+        basis.append(ZetaMonomial.from_parts(1, {}))
+    seen = []
+    for mo in basis:
+        if mo not in seen:
+            seen.append(mo)
+    return seen
+
+
+@pytest.mark.parametrize("include_ln2", [False, True])
+@pytest.mark.parametrize("weight", range(1, 16))
+def test_fit_basis_matches_the_recursion_in_order(weight, include_ln2):
+    assert _fit_basis(weight, include_ln2) == _reference_basis(weight, include_ln2)
 
 
 def test_round_trip_twenty_random_expressions():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -371,19 +372,34 @@ def test_head_matches_the_scalar_loop_bit_for_bit(args):
     assert new == _reference_head(_head_prec(end), *args)
 
 
-def test_head_memory_is_flat_in_K(monkeypatch):
-    # every stage of the head is lazy; one K-long list of ~230-bit ints
-    # would be several MB, far above the budget
+def _traced_peaks(monkeypatch, run) -> tuple[list, list]:
+    # (walks, peaks): run(K) once untraced at each K, so the constants and
+    # value series are warm, then traced with the memo cleared.  A list
+    # kept per term holds at least an 8-byte pointer per term, so the
+    # peaks of K = 2,000 and 8,000 then differ by over 6,000 * 8 bytes
     _sums.clear()
-    walks = _count_walks(monkeypatch)
-    tracemalloc.start()
-    try:
-        evaluate_sum(parse_sumspec("h1*h1*h3/(k^2*(2k-1)^3)"), EvalOptions(K=10 ** 5))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert list(map(len, walks)) == [1]
-    assert peak < 2 ** 20
+    for K in (2000, 8000):
+        run(K)
+    walks, peaks = _count_walks(monkeypatch), []
+    for K in (2000, 8000):
+        _sums.clear()
+        tracemalloc.start()
+        try:
+            run(K)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return walks, peaks
+
+
+def test_head_memory_is_flat_in_K(monkeypatch):
+    # every stage of the head is lazy: a K-long list of ~230-bit ints
+    # would add about 60 bytes a term, and break both bounds
+    spec = parse_sumspec("h1*h1*h3/(k^2*(2k-1)^3)")
+    walks, peaks = _traced_peaks(monkeypatch, lambda K: evaluate_sum(spec, EvalOptions(K=K)))
+    assert list(map(len, walks)) == [1, 1]
+    assert peaks[1] < 2 ** 20
+    assert peaks[1] - peaks[0] < 6000 * 8
 
 
 _H2 = HarmonicKind.even(2)
@@ -423,7 +439,16 @@ BATCH_GRID = {
                ((_h1,), 1, -1, -600, 3, 1300), ((_h1,), 1, -1, -600, 3, 900),
                ((_h1,), 1, -1, -600, 0, 1000), ((_h1,), 3, 2, 1, 2, 500),
                ((_h1,), 3, 2, 1, 4, 1200), ((_h1,), 5, 2, 1, 1, 1100)],
+    # q = 0..3 where b i - a < 0 up to end: odd and even q share the one
+    # run, so only the sign in a chain's key keeps their chains apart
+    "signs": [((_h1,), 1, 1, 700, q, 600) for q in range(4)],
 }
+# the series of four cases in one batch, shuffled: numerators, signs, c,
+# (b, a) and q interleave in the input, so the walk's chains must restart
+# between groups
+BATCH_GRID["interleaved"] = [series for name in ("mixed", "poles", "below", "chains")
+                             for series in BATCH_GRID[name]]
+random.Random(2103).shuffle(BATCH_GRID["interleaved"])
 
 
 @pytest.mark.parametrize("name", BATCH_GRID)
@@ -481,34 +506,23 @@ def test_batch_past_the_memo_bound_returns_its_own_sums(monkeypatch):
 
 def test_batch_memory_is_flat_in_K(monkeypatch):
     # a block of columns, numerators and quotients is a few hundred KB at
-    # most; the K-long lists of the three specs would be over 5 MB
-    _sums.clear()
-    walks = _count_walks(monkeypatch)
+    # most; the K-long lists of the three specs would grow with K
     specs = [parse_sumspec(t) for t in ("h1*h1*h3/(k^2*(2k-1)^3)", "h1/k^3", "H2*h3/(2k-1)^2")]
-    tracemalloc.start()
-    try:
-        sum_specs(specs, EvalOptions(K=3 * 10 ** 4))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert list(map(len, walks)) == [3]
-    assert peak < 2 ** 20
+    walks, peaks = _traced_peaks(monkeypatch, lambda K: sum_specs(specs, EvalOptions(K=K)))
+    assert list(map(len, walks)) == [3, 3]
+    assert peaks[1] < 2 ** 20
+    assert peaks[1] - peaks[0] < 6000 * 8
 
 
 def test_catalog_batch_memory_is_flat_in_K(monkeypatch):
     # the catalog's division tree holds a block of columns, powers and
     # quotients at a time; one K-long list of its ~230-bit prefixes would
-    # be about 2 MB
-    _sums.clear()
-    walks = _count_walks(monkeypatch)
-    tracemalloc.start()
-    try:
-        sum_specs(CATALOG_SPECS, EvalOptions(K=3 * 10 ** 4))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert list(map(len, walks)) == [len(CATALOG_SPECS)]
-    assert peak < 2 ** 20
+    # add about 60 bytes a term
+    walks, peaks = _traced_peaks(monkeypatch,
+                                 lambda K: sum_specs(CATALOG_SPECS, EvalOptions(K=K)))
+    assert list(map(len, walks)) == [len(CATALOG_SPECS)] * 2
+    assert peaks[1] < 2 ** 20
+    assert peaks[1] - peaks[0] < 6000 * 8
 
 
 def test_tail_asks_factors_only_for_the_powers_it_keeps():
