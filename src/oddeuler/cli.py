@@ -79,7 +79,8 @@ _CONFIG_KEYS = {"digits": ("digits", int), "K": ("K", int),
 
 
 def _read_config_file(path: str) -> dict:
-    pairs = {}
+    """The file's settings by resolved key; a repeated key's last line wins."""
+    lines = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh.read().splitlines(), 1):
             line = raw.strip()
@@ -91,8 +92,15 @@ def _read_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            pairs[key] = val.strip()
-    return pairs
+            lines[key] = (lineno, val.strip())
+    settings = {}
+    for key, (lineno, val) in lines.items():
+        name, parse = _CONFIG_KEYS[key]
+        try:
+            settings[name] = parse(val)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value {val!r} for key {key!r}") from None
+    return settings
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -106,10 +114,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         cfg["tolerance"] = "1e-9"
     path = getattr(args, "config", None)
     if path:
-        pairs = _read_config_file(path)
-        for key, (name, parse) in _CONFIG_KEYS.items():
-            if key in pairs:
-                cfg[name] = parse(pairs[key])
+        cfg.update(_read_config_file(path))
         if cfg["format"] not in _FORMATS:
             raise ValueError(f"bad format {cfg['format']!r} in {path}")
     for name, _ in _CONFIG_KEYS.values():
@@ -119,7 +124,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if cfg["digits"] > MAX_DIGITS:
         raise ValueError(f"digits must be <= {MAX_DIGITS}, got {cfg['digits']}")
     cfg["opts"] = EvalOptions(digits=cfg["digits"], K=cfg["K"])
-    if not 0 < mp.mpf(cfg["tolerance"]) < mp.inf:
+    try:
+        tol = mp.mpf(cfg["tolerance"])
+    except ValueError:
+        tol = mp.nan  # not a number: fails the check below
+    if not 0 < tol < mp.inf:
         raise ValueError(f"tolerance must be a positive finite number, got {cfg['tolerance']}")
     return cfg
 

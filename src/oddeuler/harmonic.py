@@ -14,21 +14,21 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat, tee
 from operator import floordiv
 
 import mpmath as mp
 
-from .numerics import ConstantsTable, HighFloat, Rational, _require_digits, euler_maclaurin
+from .numerics import (ConstantsTable, HighFloat, Rational, _require_digits, euler_maclaurin,
+                       record)
 
 EXACT_LIMIT = 10 ** 5
 
 _PARITIES = ("even", "odd")
 
 
-@dataclass(frozen=True)
+@record
 class HarmonicKind:
     """One prefix-sum family: parity ('even' full / 'odd') and order n >= 1."""
 

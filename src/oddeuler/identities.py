@@ -20,12 +20,11 @@ import functools
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .numerics import ConstantsTable, HighFloat
+from .numerics import ConstantsTable, HighFloat, record
 from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
                         parse_sumspec, read_sumspec, sum_specs)
 from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate, expect,
@@ -50,7 +49,7 @@ REFERENCE_ANCHORS = {
 # ---- formal combinations --------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FormalCombination:
     """constant + sum of coef * (sum value)^power over base SumSpecs."""
 
@@ -116,7 +115,7 @@ def evaluate_combination(comb: FormalCombination,
 # ---- catalog ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Identity:
     id: str
     lhs: SumSpec | FormalCombination
@@ -167,7 +166,7 @@ def catalog_by_id(extra_paths: tuple[str, ...] = ()) -> dict[str, Identity]:
 # ---- verification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     id: str
     lhs_value: HighFloat

@@ -34,6 +34,66 @@ _GUARD = 10
 _MIN_DIGITS = 10
 
 
+# ---- frozen records ----------------------------------------------------
+
+
+def record(cls):
+    """Class decorator: a frozen record over the annotated fields, in order.
+
+    It does what dataclass(frozen=True) does here, without importing
+    dataclasses, which brings in inspect, ast and dis on every start-up.
+    Class attributes are the defaults, and __init__ ends by calling
+    __post_init__ when the class has one.  __eq__ holds only between
+    instances of one class, __hash__ is the hash of the field tuple, and
+    repr has the dataclass form.  Assigning or deleting an attribute
+    raises AttributeError.  A method the class defines itself is kept.
+    The methods are compiled once per class, as dataclasses does, not
+    closures: records are dict keys throughout the engine, and a closure
+    __eq__ or __hash__ costs up to twice as much per call.
+
+    >>> @record
+    ... class Point:
+    ...     x: int
+    ...     y: int = 0
+    >>> p = Point(1)
+    >>> p, p == Point(x=1, y=0), hash(p) == hash((1, 0))
+    (Point(x=1, y=0), True, True)
+    >>> p.x = 2
+    Traceback (most recent call last):
+    ...
+    AttributeError: cannot assign to field 'x'
+    """
+    names = list(cls.__dict__.get("__annotations__", ()))
+    params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n for n in names)
+    mine = "".join(f"self.{n}, " for n in names)
+    theirs = "".join(f"other.{n}, " for n in names)
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = "\n".join([
+        f"def __init__(self, {params}):",
+        *(f"    _set(self, {n!r}, {n})" for n in names),
+        "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+        "def __repr__(self):",
+        f"    return self.__class__.__qualname__ + f'({shown})'",
+        "def __setattr__(self, name, value):",
+        "    raise AttributeError(f'cannot assign to field {name!r}')",
+        "def __delattr__(self, name):",
+        "    raise AttributeError(f'cannot delete field {name!r}')"])
+    namespace = {"_cls": cls, "_set": object.__setattr__}
+    exec(source, namespace)
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        if name not in cls.__dict__:
+            fn = namespace[name]
+            fn.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, fn)
+    return cls
+
+
 # ---- Bernoulli numbers -------------------------------------------------
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]

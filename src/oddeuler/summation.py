@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import floordiv, mul, neg, rshift
@@ -38,7 +37,7 @@ from operator import floordiv, mul, neg, rshift
 import mpmath as mp
 
 from .harmonic import EXACT_LIMIT, HarmonicKind, columns, harmonic_exact, value_series
-from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin_fixed
+from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin_fixed, record
 from .zeta_algebra import (MAX_POWER, ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
                            take, tokenize)
 
@@ -52,7 +51,7 @@ class SumSpecSyntaxError(ExprSyntaxError):
 MAX_K = 10 ** 6
 
 
-@dataclass(frozen=True)
+@record
 class SumSpec:
     """Shape of one sum: numerator factors and denominator powers.
 
@@ -145,7 +144,7 @@ def parse_sumspec(text: str) -> SumSpec:
     return spec
 
 
-@dataclass(frozen=True)
+@record
 class EvalOptions:
     """Evaluation knobs shared across the package."""
 
@@ -167,7 +166,7 @@ class EvalOptions:
 DEFAULT_OPTS = EvalOptions()
 
 
-@dataclass(frozen=True)
+@record
 class EvalResult:
     value: HighFloat
     err_estimate: HighFloat

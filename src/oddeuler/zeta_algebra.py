@@ -29,14 +29,13 @@ itself negative.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .numerics import ConstantsTable, HighFloat, Rational, bernoulli
+from .numerics import ConstantsTable, HighFloat, Rational, bernoulli, record
 
 
 # largest zeta index, harmonic order and k plus (2k-1) power that text may
@@ -60,7 +59,7 @@ class ExprSyntaxError(ValueError):
 # ---- monomials ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ZetaMonomial:
     """One product ln2^a * zeta(n1)^e1 * ... with n ascending."""
 
@@ -119,7 +118,7 @@ def _merge_monomials(a: ZetaMonomial, b: ZetaMonomial) -> ZetaMonomial:
 # ---- expressions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ZetaExpr:
     """Rational combination of monomials, stored in display order.
 

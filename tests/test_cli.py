@@ -228,6 +228,18 @@ def test_config_file_bad_key(tmp_path):
     assert "frobs" in err
 
 
+@pytest.mark.parametrize("text,lineno,key,value", (
+    ("digits = abc\n", 1, "digits", "abc"),
+    ("# run\nformat = csv\nK = 1e4\n", 3, "K", "1e4")), ids=("digits", "K"))
+def test_config_file_bad_value_names_path_line_and_key(tmp_path, text, lineno, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc, out, err = run_cli("verify", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {cfg}:{lineno}: bad value {value!r} for key {key!r}"]
+
+
 def test_resolved_config_echoed_to_stderr():
     rc, out, err = run_cli("eval-expr", "7/4*z3")
     assert rc == 0
@@ -327,10 +339,10 @@ def test_fit_accepts_weight_1():
 
 
 # inf would pass every entry and nan, 0 or -1 fail every one; nan would
-# also pass lemma-check's spacing check
+# also pass lemma-check's spacing check; abc is no number at all
 @pytest.mark.parametrize("command,value", (
     ("verify", "inf"), ("verify", "nan"), ("verify", "0"), ("verify", "-1"),
-    ("lemma-check", "nan"), ("lemma-check", "-inf")))
+    ("lemma-check", "nan"), ("lemma-check", "-inf"), ("verify", "abc")))
 @pytest.mark.parametrize("source", ("flag", "config"))
 def test_tolerance_not_positive_finite_exits_2(command, value, source, tmp_path):
     if source == "flag":
@@ -437,3 +449,21 @@ def test_import_skips_importlib_resources():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_start_up_and_a_fit_skip_the_record_machinery():
+    # the frozen records come from numerics.record, not dataclasses (which
+    # imports inspect, ast and dis), and no module imports typing; neither
+    # at import nor during a command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "\n".join([
+        f"import sys; sys.path[:0] = {[src] + sys.path!r}",
+        "import oddeuler.cli",
+        "names = ('dataclasses', 'inspect', 'typing')",
+        "at_import = [n for n in names if n in sys.modules]",
+        "rc = oddeuler.cli.main(['fit', 'h1/k^2', '--weight', '3', '--K', '100'])",
+        "print(at_import, [n for n in names if n in sys.modules], rc)"])
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] [] 0"

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from oddeuler import numerics
 from oddeuler.numerics import ConstantsTable, bernoulli, constant
-from oddeuler.summation import reciprocal_sum_closed_form
-from oddeuler.zeta_algebra import evaluate
+from oddeuler.harmonic import HarmonicKind
+from oddeuler.identities import FormalCombination, Identity, VerificationReport
+from oddeuler.summation import (EvalOptions, EvalResult, SumSpec,
+                                reciprocal_sum_closed_form)
+from oddeuler.zeta_algebra import ZetaExpr, ZetaMonomial, evaluate, parse_expr
 
 from conftest import FROZEN_CONSTANTS, close
 
@@ -126,3 +129,76 @@ def test_zeta_matches_mpmath_everywhere(n, digits):
     with mp.workdps(digits + 10):
         want = mp.zeta(n)
         assert abs(mp.mpf(got) - want) < mp.mpf(10) ** (2 - digits)
+
+
+# ---- the frozen records -----------------------------------------------------
+
+_SPEC = SumSpec((HarmonicKind.odd(1),), 2, 0)
+_ONE = ZetaExpr.const(1)
+# one instance's fields per record class, in declaration order
+RECORDS = (
+    (HarmonicKind, {"parity": "odd", "order": 3}),
+    (ZetaMonomial, {"ln2_exp": 1, "zeta_exps": ((3, 1),)}),
+    (ZetaExpr, {"terms": ((ZetaMonomial(), Fraction(7, 4)),)}),
+    (SumSpec, {"factors": (HarmonicKind.odd(1),), "k_power": 2, "odd_power": 1}),
+    (EvalOptions, {"digits": 30, "K": 1000, "tail_terms": 5}),
+    (EvalResult, {"value": mp.mpf(2), "err_estimate": mp.mpf(0), "K": 100, "digits": 20}),
+    (FormalCombination, {"parts": ((_ONE, _SPEC, 1),), "constant": _ONE}),
+    (Identity, {"id": "x", "lhs": _SPEC, "rhs": _ONE, "source": "s", "expected": "must_pass"}),
+    (VerificationReport, {"id": "x", "lhs_value": mp.mpf(1), "rhs_value": mp.mpf(1),
+                          "residual": mp.mpf(0), "tolerance": mp.mpf(1), "verdict": "pass",
+                          "digits": 20, "K": 100}),
+)
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+def test_record_equality_hash_and_construction(cls, fields):
+    obj = cls(**fields)
+    same = cls(*fields.values())
+    assert obj == same and not obj != same
+    assert hash(obj) == hash(same) == hash(tuple(fields.values()))
+    assert [getattr(obj, name) for name in fields] == list(fields.values())
+    assert obj != tuple(fields.values())
+    for other, other_fields in RECORDS:
+        if other is not cls:
+            assert obj != other(**other_fields)
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+def test_record_is_frozen(cls, fields):
+    obj = cls(**fields)
+    name, value = next(iter(fields.items()))
+    with pytest.raises(AttributeError):
+        setattr(obj, name, value)
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert getattr(obj, name) == value
+
+
+@pytest.mark.parametrize("short,full", (
+    (ZetaMonomial(), ZetaMonomial(0, ())),
+    (ZetaExpr(), ZetaExpr(())),
+    (SumSpec(k_power=2), SumSpec((), 2, 0)),
+    (EvalOptions(K=1000), EvalOptions(40, 1000, 4)),
+    (FormalCombination(((_ONE, _SPEC, 1),)), FormalCombination(((_ONE, _SPEC, 1),), ZetaExpr.zero())),
+), ids=("ZetaMonomial", "ZetaExpr", "SumSpec", "EvalOptions", "FormalCombination"))
+def test_record_defaults_are_the_class_attributes(short, full):
+    assert short == full
+
+
+def test_record_repr():
+    assert repr(EvalOptions()) == "EvalOptions(digits=40, K=10000, tail_terms=4)"
+    assert repr(HarmonicKind.odd(3)) == "HarmonicKind(parity='odd', order=3)"
+    assert repr(SumSpec(k_power=2)) == "SumSpec(factors=(), k_power=2, odd_power=0)"
+    # a method the class defines itself is kept
+    assert repr(parse_expr("7/4*z3")) == "ZetaExpr('7/4*z3')"
+
+
+def test_record_runs_post_init():
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        HarmonicKind("odd", 0)
+    # __post_init__ may set a field through object.__setattr__
+    assert SumSpec((HarmonicKind.even(1), HarmonicKind.odd(1)), 2).factors == (
+        HarmonicKind.odd(1), HarmonicKind.even(1))
