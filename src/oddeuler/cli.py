@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: verify, eval-sum, eval-expr, reduce, fit, list, lemma-check.
-The report goes to stdout; the resolved configuration, findings, and
+The report goes to stdout; the resolved configuration, warnings, findings and
 summary lines go to stderr, so stdout is byte-identical across reruns
 with the same subcommand and configuration.
 
@@ -48,9 +48,6 @@ LEMMA_BUDGET = 10 ** 4
 # 41); weight 15 takes about 1.5 s at 40 digits and 40 s at 500
 MAX_FIT_WEIGHT = 15
 
-_DEFAULTS = {"digits": EvalOptions.digits, "K": EvalOptions.K, "tolerance": "1e-11",
-             "format": "table", "ids": (), "family": None, "catalog": ()}
-
 LEMMA_CONVENTION = (
     "convention: truncated cross sums take the two-sided form "
     "sum_{i<k} - sum_{i>k} of h_i^(m) / (i (i - k)) with the i = k term "
@@ -70,16 +67,29 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
-# config-file key -> (resolved key, parser of the file's text).  Each
-# resolved key is also the argparse dest of the flag that overrides it.
-_CONFIG_KEYS = {"digits": ("digits", int), "K": ("K", int),
-                "tolerance": ("tolerance", str), "format": ("format", str),
-                "id": ("ids", _names), "family": ("family", str),
-                "catalog": ("catalog", _names)}
+def _format(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(text)
+    return text
+
+
+# config-file key -> (argparse dest of the flag that overrides it, parser
+# of the file's text, default, text of the value in the echoed config)
+_SETTINGS = {"digits": ("digits", int, EvalOptions.digits, str),
+             "K": ("K", int, EvalOptions.K, str),
+             "tolerance": ("tolerance", str, "1e-11", str),
+             "format": ("format", _format, "table", str),
+             "id": ("ids", _names, (), lambda v: ",".join(v) if v else "*"),
+             "family": ("family", str, None, lambda v: v or "*"),
+             "catalog": ("catalog", _names, (), lambda v: "+".join(v) if v else "builtin")}
+
+# (dest, flag, low, high): the range of each command's own integer flag
+_BOUNDS = (("weight", "--weight", 1, MAX_FIT_WEIGHT), ("max_den", "--max-den", 1, None),
+           ("kmax", "--kmax", 1, LEMMA_KMAX))
 
 
 def _read_config_file(path: str) -> dict:
-    """The file's settings by resolved key; a repeated key's last line wins."""
+    """The file's settings by dest; a repeated key's last line wins."""
     lines = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh.read().splitlines(), 1):
@@ -90,56 +100,44 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             lines[key] = (lineno, val.strip())
     settings = {}
     for key, (lineno, val) in lines.items():
-        name, parse = _CONFIG_KEYS[key]
+        dest, parse = _SETTINGS[key][:2]
         try:
-            settings[name] = parse(val)
+            settings[dest] = parse(val)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value {val!r} for key {key!r}") from None
     return settings
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, overridden by the config file, overridden by flags.
-
-    lemma-check defaults to a looser tolerance.  The evaluation options
-    are built and checked once, under the "opts" key.
-    """
-    cfg = dict(_DEFAULTS)
-    if args.command == "lemma-check":
-        cfg["tolerance"] = "1e-9"
-    path = getattr(args, "config", None)
-    if path:
-        cfg.update(_read_config_file(path))
-        if cfg["format"] not in _FORMATS:
-            raise ValueError(f"bad format {cfg['format']!r} in {path}")
-    for name, _ in _CONFIG_KEYS.values():
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg[name] = tuple(value) if isinstance(value, list) else value
-    if cfg["digits"] > MAX_DIGITS:
-        raise ValueError(f"digits must be <= {MAX_DIGITS}, got {cfg['digits']}")
-    cfg["opts"] = EvalOptions(digits=cfg["digits"], K=cfg["K"])
+def _resolve_config(args: argparse.Namespace) -> None:
+    """Fill in every setting: a flag overrides the config file, which
+    overrides the command's defaults.  Adds the checked evaluation options
+    as opts and the tolerance as tol, and checks the command's own flags."""
+    read = _read_config_file(args.config) if args.config else {}
+    for dest, _, default, _ in _SETTINGS.values():
+        value = getattr(args, dest, None)
+        if value is None:
+            value = read.get(dest, args.defaults.get(dest, default))
+        setattr(args, dest, tuple(value) if isinstance(value, list) else value)
+    if args.digits > MAX_DIGITS:
+        raise ValueError(f"digits must be <= {MAX_DIGITS}, got {args.digits}")
+    args.opts = EvalOptions(digits=args.digits, K=args.K)
     try:
-        tol = mp.mpf(cfg["tolerance"])
+        args.tol = mp.mpf(args.tolerance)
     except ValueError:
-        tol = mp.nan  # not a number: fails the check below
-    if not 0 < tol < mp.inf:
-        raise ValueError(f"tolerance must be a positive finite number, got {cfg['tolerance']}")
-    return cfg
-
-
-def _echo_config(cfg: dict) -> None:
-    ids = ",".join(cfg["ids"]) if cfg["ids"] else "*"
-    cat = "+".join(cfg["catalog"]) if cfg["catalog"] else "builtin"
-    print(f"config: digits={cfg['digits']} K={cfg['K']} "
-          f"tolerance={cfg['tolerance']} format={cfg['format']} "
-          f"ids={ids} family={cfg['family'] or '*'} catalog={cat}",
-          file=sys.stderr)
+        args.tol = mp.nan  # not a number: fails the check below
+    if not 0 < args.tol < mp.inf:
+        raise ValueError(f"tolerance must be a positive finite number, got {args.tolerance}")
+    for dest, flag, low, high in _BOUNDS:
+        value = getattr(args, dest, low)  # low passes: the command has no such flag
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise ValueError(f"{flag} must be <= {high}, got {value}")
 
 
 # ---- report emission -------------------------------------------------------
@@ -190,12 +188,16 @@ def emit_report(reports, fmt: str) -> str:
 # ---- subcommands -----------------------------------------------------------
 
 
-def _cmd_verify(args, cfg) -> int:
-    entries = select(catalog(cfg["catalog"]), cfg["ids"], cfg["family"])
-    tol = mp.mpf(cfg["tolerance"])
-    reports = verify_all(cfg["opts"], tolerance=tol, entries=entries)
-    sys.stdout.write(emit_report(reports, cfg["format"]))
-    for note in adjudication_findings(reports, cfg["opts"]):
+def _cmd_verify(args) -> int:
+    entries = select(catalog(args.catalog), args.ids, args.family)
+    reports = verify_all(args.opts, tolerance=args.tol, entries=entries)
+    sys.stdout.write(emit_report(reports, args.format))
+    for r in reports:
+        if r.err_estimate > r.tolerance:
+            print(f"warning: {r.id}: error estimate {mp.nstr(r.err_estimate, 2)} exceeds "
+                  f"the tolerance {args.tolerance}; the verdict cannot be trusted",
+                  file=sys.stderr)
+    for note in adjudication_findings(reports, args.opts):
         print(note, file=sys.stderr)
     stats = summarize(reports, entries)
     print(f"summary: {stats['total']} checked, {stats['pass']} pass, "
@@ -204,22 +206,20 @@ def _cmd_verify(args, cfg) -> int:
     return 1 if stats["must_pass_failures"] else 0
 
 
-def _cmd_eval_sum(args, cfg) -> int:
-    spec = parse_sumspec(args.spec)
-    res = evaluate_sum(spec, cfg["opts"])
+def _cmd_eval_sum(args) -> int:
+    res = evaluate_sum(parse_sumspec(args.spec), args.opts)
     fields = {"value": _fmt(res.value, res.digits),
               "err_estimate": _fmt(res.err_estimate, res.digits),
               "K": res.K, "digits": res.digits}
-    _emit_fields(fields, cfg["format"])
+    _emit_fields(fields, args.format)
     return 0
 
 
-def _cmd_eval_expr(args, cfg) -> int:
+def _cmd_eval_expr(args) -> int:
     expr = parse_expr(args.expr)
-    with mp.workdps(cfg["digits"] + 10):
-        value = evaluate(expr, ConstantsTable(cfg["digits"] + 10))
-    fields = {"value": _fmt(value, cfg["digits"]), "digits": cfg["digits"]}
-    _emit_fields(fields, cfg["format"])
+    with mp.workdps(args.digits + 10):
+        value = evaluate(expr, ConstantsTable(args.digits + 10))
+    _emit_fields({"value": _fmt(value, args.digits), "digits": args.digits}, args.format)
     return 0
 
 
@@ -234,11 +234,11 @@ def _emit_fields(fields: dict, fmt: str) -> None:
             sys.stdout.write(f"{key} = {val}\n")
 
 
-def _cmd_reduce(args, cfg) -> int:
-    comb = reduce(args.rule, args.m, cfg["opts"])
-    sub = (format_expr(substitute_bases(comb, catalog(cfg["catalog"])))
+def _cmd_reduce(args) -> int:
+    comb = reduce(args.rule, args.m, args.opts)
+    sub = (format_expr(substitute_bases(comb, catalog(args.catalog)))
            if args.substitute else None)
-    if cfg["format"] == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps({"rule": args.rule, "m": args.m,
                                      "combination": comb.text(),
                                      "substituted": sub}) + "\n")
@@ -249,18 +249,11 @@ def _cmd_reduce(args, cfg) -> int:
     return 0
 
 
-def _cmd_fit(args, cfg) -> int:
-    if args.weight < 1:
-        raise ValueError(f"--weight must be >= 1, got {args.weight}")
-    if args.weight > MAX_FIT_WEIGHT:
-        raise ValueError(f"--weight must be <= {MAX_FIT_WEIGHT}, got {args.weight}")
-    if args.max_den < 1:
-        raise ValueError(f"--max-den must be >= 1, got {args.max_den}")
-    spec = parse_sumspec(args.spec)
-    expr = fit_closed_form(spec, args.weight, include_ln2=args.include_ln2,
-                           max_den=args.max_den, opts=cfg["opts"])
+def _cmd_fit(args) -> int:
+    expr = fit_closed_form(parse_sumspec(args.spec), args.weight, include_ln2=args.include_ln2,
+                           max_den=args.max_den, opts=args.opts)
     text = format_expr(expr) if expr is not None else "no fit"
-    if cfg["format"] == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps(
             {"spec": args.spec, "weight": args.weight,
              "expression": None if expr is None else text}) + "\n")
@@ -269,15 +262,15 @@ def _cmd_fit(args, cfg) -> int:
     return 0
 
 
-def _cmd_list(args, cfg) -> int:
-    entries = select(catalog(cfg["catalog"]), cfg["ids"], cfg["family"])
+def _cmd_list(args) -> int:
     rows = [{"id": e.id,
              "lhs": e.lhs.text(),
              "rhs": format_expr(e.rhs),
              "source": e.source,
-             "expected": e.expected} for e in entries]
+             "expected": e.expected}
+            for e in select(catalog(args.catalog), args.ids, args.family)]
     fields = ("id", "lhs", "rhs", "source", "expected")
-    sys.stdout.write(_rows_text(rows, fields, cfg["format"]))
+    sys.stdout.write(_rows_text(rows, fields, args.format))
     return 0
 
 
@@ -297,26 +290,21 @@ def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
     return rows
 
 
-def _cmd_lemma_check(args, cfg) -> int:
-    if args.kmax < 1:
-        raise ValueError(f"--kmax must be >= 1, got {args.kmax}")
-    if args.kmax > LEMMA_KMAX:
-        raise ValueError(f"--kmax must be <= {LEMMA_KMAX}, got {args.kmax}")
-    if args.kmax * cfg["digits"] > LEMMA_BUDGET:
+def _cmd_lemma_check(args) -> int:
+    if args.kmax * args.digits > LEMMA_BUDGET:
         raise ValueError(f"--kmax * digits must be <= {LEMMA_BUDGET}, "
-                         f"got {args.kmax} * {cfg['digits']}")
-    tol = mp.mpf(cfg["tolerance"])
+                         f"got {args.kmax} * {args.digits}")
     # the sides are compared as printed: 10^(1 - digits) apart below 10
-    spacing = f"1e{1 - cfg['opts'].digits}"
-    if tol < mp.mpf(spacing):
-        raise ValueError(f"--tolerance {cfg['tolerance']} is below {spacing}, "
+    spacing = f"1e{1 - args.digits}"
+    if args.tol < mp.mpf(spacing):
+        raise ValueError(f"--tolerance {args.tolerance} is below {spacing}, "
                          "the spacing of the printed values")
-    rows = _lemma_rows(args.kmax, cfg["opts"], tol)
+    rows = _lemma_rows(args.kmax, args.opts, args.tol)
     fields = ("check", "k", "truncated", "closed", "residual", "verdict")
-    if cfg["format"] == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps({"convention": LEMMA_CONVENTION,
                                      "rows": rows}, indent=2) + "\n")
-    elif cfg["format"] == "csv":
+    elif args.format == "csv":
         sys.stdout.write("# " + LEMMA_CONVENTION + "\n")
         sys.stdout.write(_csv_text(rows, fields))
     else:
@@ -330,18 +318,14 @@ def _cmd_lemma_check(args, cfg) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=None,
+    common.add_argument("--digits", type=int,
                         help=f"significant decimal digits (default {EvalOptions.digits})")
-    common.add_argument("--K", type=int, default=None,
+    common.add_argument("--K", type=int,
                         help=f"direct summation cutoff (default {EvalOptions.K})")
-    common.add_argument("--tolerance", default=None,
-                        help="pass/fail residual threshold (default 1e-11)")
-    common.add_argument("--format", choices=_FORMATS,
-                        default=None, help="output format (default table)")
-    common.add_argument("--config", default=None,
-                        help="flat 'key = value' config file")
-    common.add_argument("--catalog", action="append", default=None,
-                        metavar="PATH",
+    common.add_argument("--tolerance", help="pass/fail residual threshold (default 1e-11)")
+    common.add_argument("--format", choices=_FORMATS, help="output format (default table)")
+    common.add_argument("--config", help="flat 'key = value' config file")
+    common.add_argument("--catalog", action="append", metavar="PATH",
                         help="supplementary catalog file (repeatable)")
 
     parser = argparse.ArgumentParser(
@@ -349,61 +333,45 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verify and evaluate Euler sums over odd harmonic numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="verify catalogued identities")
-    p.add_argument("--id", action="append", dest="ids", default=None,
-                   help="identity id to verify (repeatable)")
-    p.add_argument("--family", default=None,
-                   help="glob over identity ids, e.g. 'T1_*'")
-    p.set_defaults(func=_cmd_verify)
+    def command(name, func, text, **defaults):
+        # defaults: the command's own setting defaults, below the config file
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(func=func, defaults=defaults)
+        return p
 
-    p = sub.add_parser("eval-sum", parents=[common],
-                       help="evaluate a sum given in SumSpec text form")
-    p.add_argument("spec")
-    p.set_defaults(func=_cmd_eval_sum)
-
-    p = sub.add_parser("eval-expr", parents=[common],
-                       help="evaluate a closed-form expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_eval_expr)
-
-    p = sub.add_parser("reduce", parents=[common],
-                       help="emit a reduction as a combination of base sums")
+    picks = [command("verify", _cmd_verify, "verify catalogued identities")]
+    command("eval-sum", _cmd_eval_sum,
+            "evaluate a sum given in SumSpec text form").add_argument("spec")
+    command("eval-expr", _cmd_eval_expr,
+            "evaluate a closed-form expression").add_argument("expr")
+    p = command("reduce", _cmd_reduce, "emit a reduction as a combination of base sums")
     p.add_argument("rule")
-    p.add_argument("--m", type=int, default=None,
-                   help="parameter for the parametric rule family")
+    p.add_argument("--m", type=int, help="parameter for the parametric rule family")
     p.add_argument("--substitute", action="store_true",
                    help="collapse the combination to a closed form")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit a rational closed form to a sum")
+    p = command("fit", _cmd_fit, "fit a rational closed form to a sum")
     p.add_argument("spec")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--include-ln2", action="store_true")
     p.add_argument("--max-den", type=int, default=256)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("list", parents=[common],
-                       help="list the identity catalog")
-    p.add_argument("--id", action="append", dest="ids", default=None)
-    p.add_argument("--family", default=None)
-    p.set_defaults(func=_cmd_list)
-
-    p = sub.add_parser("lemma-check", parents=[common],
-                       help="truncated vs closed residuals for the kernel lemmas")
-    p.add_argument("--kmax", type=int, default=20)
-    p.set_defaults(func=_cmd_lemma_check)
+    picks.append(command("list", _cmd_list, "list the identity catalog"))
+    command("lemma-check", _cmd_lemma_check,
+            "truncated vs closed residuals for the kernel lemmas",
+            tolerance="1e-9").add_argument("--kmax", type=int, default=20)
+    for p in picks:  # the commands that select catalog entries
+        p.add_argument("--id", action="append", dest="ids",
+                       help="identity id to select (repeatable)")
+        p.add_argument("--family", help="glob over identity ids, e.g. 'T1_*'")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        _echo_config(cfg)
-        return args.func(args, cfg)
+        _resolve_config(args)
+        print("config: " + " ".join(f"{dest}={show(getattr(args, dest))}"
+                                    for dest, _, _, show in _SETTINGS.values()), file=sys.stderr)
+        return args.func(args)
     except (ValueError, KeyError, ArithmeticError, RuntimeError,
             OSError) as exc:
         # str() names an OSError's file; it would quote a KeyError's text

@@ -128,9 +128,19 @@ class Identity:
             raise ValueError(f"expected must be one of {_EXPECTED}")
 
 
+_FIELDS = ("id", "lhs", "rhs", "source", "expected")
+
+
 @functools.lru_cache(maxsize=1024)  # entries are frozen: parse each line once
 def _parse_entry(line: str) -> Identity:
     rec = json.loads(line)
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object with string fields {', '.join(_FIELDS)}")
+    for name in _FIELDS:
+        if name not in rec:
+            raise ValueError(f"missing field {name!r}")
+        if not isinstance(rec[name], str):
+            raise ValueError(f"field {name!r} must be a string, got {rec[name]!r}")
     lhs_text = rec["lhs"]
     lhs = parse_combination(lhs_text) if "[" in lhs_text else parse_sumspec(lhs_text)
     return Identity(rec["id"], lhs, parse_expr(rec["rhs"]), rec["source"],
@@ -143,17 +153,23 @@ _SHIPPED = os.path.join(os.path.dirname(__file__), "data", "catalog.jsonl")
 
 
 def catalog(extra_paths: tuple[str, ...] = ()) -> list[Identity]:
-    """The shipped catalog plus any supplementary files, in file order."""
+    """The shipped catalog plus any supplementary files, in file order.
+
+    A line that does not parse raises ValueError naming its path and line."""
     entries: list[Identity] = []
-    lines: list[str] = []
+    lines: list[tuple[str, int, str]] = []
     for path in (_SHIPPED, *extra_paths):
         with open(path, encoding="utf-8") as fh:
-            lines.extend(ln for ln in fh.read().splitlines() if ln.strip())
+            lines += [(path, n, ln) for n, ln in enumerate(fh.read().splitlines(), 1)
+                      if ln.strip()]
     seen = set()
-    for ln in lines:
-        entry = _parse_entry(ln)
-        if entry.id in seen:
-            raise ValueError(f"duplicate catalog id {entry.id!r}")
+    for path, lineno, ln in lines:
+        try:
+            entry = _parse_entry(ln)
+            if entry.id in seen:
+                raise ValueError(f"duplicate catalog id {entry.id!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         seen.add(entry.id)
         entries.append(entry)
     return entries
@@ -176,6 +192,7 @@ class VerificationReport:
     verdict: str
     digits: int
     K: int
+    err_estimate: HighFloat  # the lhs evaluation's own error estimate
 
 
 def verify(identity: Identity | str, opts: EvalOptions | None = None,
@@ -190,16 +207,17 @@ def verify(identity: Identity | str, opts: EvalOptions | None = None,
     try:
         with mp.workdps(opts.digits + 10):
             tol = mp.mpf(10) ** (-11) if tolerance is None else mp.mpf(str(tolerance))
-            if isinstance(identity.lhs, SumSpec):
-                lhs = evaluate_sum(identity.lhs, opts).value
-            else:
-                lhs = evaluate_combination(identity.lhs, opts).value
+            evaluate_lhs = (evaluate_sum if isinstance(identity.lhs, SumSpec)
+                            else evaluate_combination)
+            lhs_result = evaluate_lhs(identity.lhs, opts)
+            lhs = lhs_result.value
             rhs = evaluate(identity.rhs, ConstantsTable(opts.digits + 10))
             residual = abs(lhs - rhs)
             verdict = "pass" if residual <= tol else "fail"
         with mp.workdps(opts.digits):
             return VerificationReport(identity.id, +lhs, +rhs, +residual, +tol,
-                                      verdict, opts.digits, opts.K)
+                                      verdict, opts.digits, opts.K,
+                                      +lhs_result.err_estimate)
     except (ValueError, ArithmeticError) as exc:
         raise RuntimeError(f"{identity.id}: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism, config."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,9 @@ CSV_HEADER = "id,lhs_value,rhs_value,residual,tolerance,verdict,digits,K"
 DATA = Path(__file__).parent / "data"
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     proc = subprocess.run([sys.executable, "-m", "oddeuler.cli", *argv],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -111,7 +112,9 @@ def test_denominator_power_above_cap_exits_2(tmp_path, argv):
     rc, out, err = run_cli(*(a.format(catalog=extra) for a in argv))
     assert rc == 2
     assert out == ""
-    assert "error: k and (2k-1) powers must total <= 100 (position 3)" \
+    # a catalog line's error names its file and line
+    where = f"{extra}:1: " if "--catalog" in argv else ""
+    assert f"error: {where}k and (2k-1) powers must total <= 100 (position 3)" \
         in err.splitlines()
 
 
@@ -131,7 +134,28 @@ def test_zeta_index_and_harmonic_order_above_cap_exit_2(tmp_path, argv, message)
     rc, out, err = run_cli(*(a.format(catalog=extra) for a in argv))
     assert rc == 2
     assert out == ""
-    assert f"error: {message}" in err.splitlines()
+    where = f"{extra}:1: " if "--catalog" in argv else ""
+    assert f"error: {where}{message}" in err.splitlines()
+
+
+@pytest.mark.parametrize("line,message", (
+    ("[1, 2]", "expected a JSON object with string fields id, lhs, rhs, source, expected"),
+    ('{"id": 5, "lhs": "h1/k^2", "rhs": "z3", "source": "t", "expected": "must_pass"}',
+     "field 'id' must be a string, got 5"),
+    ('{"id": "x", "rhs": "z3", "source": "t", "expected": "must_pass"}',
+     "missing field 'lhs'"),
+    ('{"id": "x", "lhs": "h1/k^2", "rhs": "7/4*", "source": "t", "expected": "must_pass"}',
+     "expected symbol after '*' (position 4)")),
+    ids=("not-object", "id-not-string", "missing-lhs", "bad-rhs"))
+def test_malformed_catalog_line_exits_2_naming_file_and_line(tmp_path, line, message):
+    # line 3: a good entry and a blank line come first
+    extra = tmp_path / "extra.jsonl"
+    extra.write_text(json.dumps({"id": "ok", "lhs": "h1/k^2", "rhs": "7/4*z3",
+                                 "source": "t", "expected": "must_pass"}) + "\n\n" + line + "\n")
+    rc, out, err = run_cli("list", "--catalog", str(extra))
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: {extra}:3: {message}"
 
 
 def test_zeta_index_and_harmonic_order_at_cap_accepted():
@@ -230,7 +254,8 @@ def test_config_file_bad_key(tmp_path):
 
 @pytest.mark.parametrize("text,lineno,key,value", (
     ("digits = abc\n", 1, "digits", "abc"),
-    ("# run\nformat = csv\nK = 1e4\n", 3, "K", "1e4")), ids=("digits", "K"))
+    ("# run\nformat = csv\nK = 1e4\n", 3, "K", "1e4"),
+    ("digits = 30\nformat = xml\n", 2, "format", "xml")), ids=("digits", "K", "format"))
 def test_config_file_bad_value_names_path_line_and_key(tmp_path, text, lineno, key, value):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -238,6 +263,23 @@ def test_config_file_bad_value_names_path_line_and_key(tmp_path, text, lineno, k
     assert rc == 2
     assert out == ""
     assert err.splitlines() == [f"error: {cfg}:{lineno}: bad value {value!r} for key {key!r}"]
+
+
+def test_verify_warns_when_the_error_estimate_exceeds_the_tolerance():
+    # at K = 100 each sum's own estimate is far above 1e-35, so no verdict
+    # can be trusted; the report and the exit code are what they were
+    rc, out, err = run_cli("verify", "--K", "100", "--tolerance", "1e-35", "--format", "csv")
+    assert rc == 1
+    rows = out.splitlines()[1:]
+    assert len(rows) == 32 and all(row.split(",")[5] == "fail" for row in rows)
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 32
+    assert ("warning: s1: error estimate 1.3e-23 exceeds the tolerance 1e-35; "
+            "the verdict cannot be trusted") in warnings
+    # at the defaults every estimate is far below the tolerance
+    rc, _, err = run_cli("verify")
+    assert rc == 0
+    assert "warning" not in err
 
 
 def test_resolved_config_echoed_to_stderr():
@@ -383,6 +425,16 @@ def test_default_csv_stdout_matches_golden(argv, golden):
     rc, out, _ = run_cli(*argv)
     assert rc == 0
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("command", ("oddeuler", "verify", "eval-sum", "eval-expr",
+                                     "reduce", "fit", "list", "lemma-check"))
+def test_help_matches_golden(command):
+    # tests/data/help/<command>.txt is the help at an 80-column terminal
+    argv = ["-h"] if command == "oddeuler" else [command, "-h"]
+    rc, out, _ = run_cli(*argv, env={**os.environ, "COLUMNS": "80"})
+    assert rc == 0
+    assert out == (DATA / "help" / f"{command}.txt").read_text()
 
 
 @pytest.mark.parametrize("command", (("verify",), ("eval-expr", "z3")))

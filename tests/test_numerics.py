@@ -147,7 +147,7 @@ RECORDS = (
     (Identity, {"id": "x", "lhs": _SPEC, "rhs": _ONE, "source": "s", "expected": "must_pass"}),
     (VerificationReport, {"id": "x", "lhs_value": mp.mpf(1), "rhs_value": mp.mpf(1),
                           "residual": mp.mpf(0), "tolerance": mp.mpf(1), "verdict": "pass",
-                          "digits": 20, "K": 100}),
+                          "digits": 20, "K": 100, "err_estimate": mp.mpf(0)}),
 )
 
 
