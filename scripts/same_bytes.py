@@ -1,0 +1,102 @@
+"""Check that the CLI prints the same bytes as at a parent commit.
+
+Usage, from the repository root:
+
+    python3 scripts/same_bytes.py PARENT_REV
+
+Both sides are exported once with ``bench_pairs.export``: ``git archive
+PARENT_REV`` for the parent, the tracked and untracked non-ignored files
+of the working tree for the change.  Every argv then runs in a fresh
+``python -m oddeuler.cli`` process on each side, with ``PYTHONHASHSEED=0``
+and ``COLUMNS=80``.  The argvs are the golden ones (``tests/data/*.argv``),
+``lemma-check --kmax 200 --format csv``, the fit-sweep ops of
+``perfbench/checks.fit_ops()`` and the eight ``-h`` pages.
+
+It prints each argv whose stdout, stderr or exit code differs, with a
+short diff of the streams that differ, then a count.  The exit code is 1
+when any argv differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import importlib.util
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("verify", "eval-sum", "eval-expr", "reduce", "fit", "list", "lemma-check")
+FIELDS = ("exit code", "stdout", "stderr")
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def argvs() -> list[tuple[str, ...]]:
+    """Every argv to compare, read from the working tree."""
+    golden = [tuple(path.read_text().splitlines())
+              for path in sorted((ROOT / "tests" / "data").glob("*.argv"))]
+    fits = [tuple(op["argv"]) for op in _load("checks", ROOT / "perfbench" / "checks.py").fit_ops()]
+    helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
+    return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + helps
+
+
+def run(side_dir: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one CLI run in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(side_dir / "src"), "PYTHONHASHSEED": "0",
+           "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-m", "oddeuler.cli", *argv], cwd=side_dir,
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def compare(parent: dict, change: dict) -> list[tuple[tuple, list[str]]]:
+    """(argv, names of the differing fields) for each argv whose run
+    differs; parent and change map an argv to (exit code, stdout, stderr)."""
+    return [(argv, [name for name, p, c in zip(FIELDS, parent[argv], change[argv]) if p != c])
+            for argv in parent if parent[argv] != change[argv]]
+
+
+def _diff(old: str, new: str) -> list[str]:
+    # up to 20 lines of the diff, past its two file headers
+    lines = difflib.unified_diff(old.splitlines(), new.splitlines(), lineterm="", n=0)
+    return list(lines)[2:22]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", metavar="PARENT_REV")
+    args = parser.parse_args(argv)
+    export = _load("bench_pairs", ROOT / "scripts" / "bench_pairs.py").export
+    todo = argvs()
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
+        for side in ("parent", "change"):
+            side_dir = Path(tmp) / side
+            side_dir.mkdir()
+            export(side, args.parent, side_dir)
+            results[side] = {argv: run(side_dir, argv) for argv in todo}
+    differ = compare(results["parent"], results["change"])
+    for cmd, fields in differ:
+        print(f"differs in {', '.join(fields)}: {shlex.join(cmd)}")
+        for field in fields:
+            i = FIELDS.index(field)
+            old, new = results["parent"][cmd][i], results["change"][cmd][i]
+            lines = [f"parent {old}, change {new}"] if i == 0 else _diff(old, new)
+            print("\n".join(f"    {line}" for line in lines))
+    print(f"{len(todo)} argvs, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 # argparse imports shutil (for the help width) whenever a parser is built,
@@ -316,14 +317,29 @@ def _cmd_lemma_check(args) -> int:
 # ---- argument parsing ------------------------------------------------------
 
 
+class _Help(argparse.HelpFormatter):
+    """A command's help: the flag of each setting in shown ends with the
+    setting's default, the command's own over _SETTINGS'."""
+
+    shown = ("digits", "K", "tolerance", "format")  # each its own config key and dest
+
+    def __init__(self, prog, defaults: dict):
+        super().__init__(prog)
+        self.defaults = defaults
+
+    def _get_help_string(self, action):
+        if action.dest not in self.shown:
+            return action.help
+        _, _, default, show = _SETTINGS[action.dest]
+        return f"{action.help} (default {show(self.defaults.get(action.dest, default))})"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int,
-                        help=f"significant decimal digits (default {EvalOptions.digits})")
-    common.add_argument("--K", type=int,
-                        help=f"direct summation cutoff (default {EvalOptions.K})")
-    common.add_argument("--tolerance", help="pass/fail residual threshold (default 1e-11)")
-    common.add_argument("--format", choices=_FORMATS, help="output format (default table)")
+    common.add_argument("--digits", type=int, help="significant decimal digits")
+    common.add_argument("--K", type=int, help="direct summation cutoff")
+    common.add_argument("--tolerance", help="pass/fail residual threshold")
+    common.add_argument("--format", choices=_FORMATS, help="output format")
     common.add_argument("--config", help="flat 'key = value' config file")
     common.add_argument("--catalog", action="append", metavar="PATH",
                         help="supplementary catalog file (repeatable)")
@@ -335,7 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, text, **defaults):
         # defaults: the command's own setting defaults, below the config file
-        p = sub.add_parser(name, parents=[common], help=text)
+        p = sub.add_parser(name, parents=[common], help=text,
+                           formatter_class=functools.partial(_Help, defaults=defaults))
         p.set_defaults(func=func, defaults=defaults)
         return p
 

@@ -133,7 +133,10 @@ _FIELDS = ("id", "lhs", "rhs", "source", "expected")
 
 @functools.lru_cache(maxsize=1024)  # entries are frozen: parse each line once
 def _parse_entry(line: str) -> Identity:
-    rec = json.loads(line)
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:  # json's line is always 1; catalog() names the file's
+        raise ValueError(f"{exc.msg} (column {exc.colno})") from None
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object with string fields {', '.join(_FIELDS)}")
     for name in _FIELDS:

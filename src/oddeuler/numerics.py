@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -139,17 +140,6 @@ def bernoulli(n: int) -> Fraction:
 # mpf enters where a caller values a series.
 
 
-def series_deriv(series: dict) -> dict:
-    """d/dx of a log-power series."""
-    out: dict = {}
-    for (a, s), c in series.items():
-        if a:
-            out[(a - 1, s + 1)] = out.get((a - 1, s + 1), 0) + c * a
-        if s:
-            out[(a, s + 1)] = out.get((a, s + 1), 0) - c * s
-    return out
-
-
 def _series_antideriv(series: dict) -> dict:
     # (ln x)^a / x integrates to (ln x)^{a+1}/(a+1); for s != 1, parts give
     # -sum_j a!/(a-j)! (ln x)^{a-j} x^{1-s} / (s-1)^{j+1}, which is minus
@@ -170,6 +160,35 @@ def _group_scale(r: int) -> Fraction:
     return bernoulli(2 * r) / math.factorial(2 * r)
 
 
+@lru_cache(maxsize=None)
+def _deriv_kernel(n: int, s: int, a: int) -> tuple:
+    """The ints K[b], b = 0..a, with d^n/dx^n (ln x)^a x^-s equal to
+    x^(-s-n) sum_b K[b] (ln x)^b.
+
+    One derivative maps K at x^-t to K'[b] = (b + 1) K[b + 1] - t K[b];
+    order n takes two such steps from order n - 2, which the groups ask
+    for first, so the cache fills one step of two at a time.
+
+    >>> _deriv_kernel(3, 1, 2)  # (ln x)^2 / x, three times
+    (-12, 22, -6)
+    """
+    if not n:
+        return (0,) * a + (1,)
+    step = min(n, 2)
+    kernel = _deriv_kernel(n - step, s, a)
+    for t in range(s + n - step, s + n):
+        kernel = (*[(b + 1) * kernel[b + 1] - t * kernel[b] for b in range(a)], -t * kernel[a])
+    return kernel
+
+
+def _group0(series: dict) -> dict:
+    # the antiderivative plus f/2, whose halves floor
+    group = _series_antideriv(series)
+    for key, c in series.items():
+        group[key] = group.get(key, 0) + c // 2
+    return group
+
+
 def euler_maclaurin(series: dict):
     """Euler-Maclaurin expansion of sum_{k<=x} f(k), one group at a time.
 
@@ -183,8 +202,9 @@ def euler_maclaurin(series: dict):
     Each group comes as a (scale, series) pair whose value is scale, an
     exact Fraction, times the series': (1, antiderivative plus f/2) and
     (B_{2r}/(2r)!, f^{(2r-1)}).  Only group 0 divides a coefficient, and
-    it floors; the derivatives are exact integer multiples.
-    euler_maclaurin_fixed values the groups at an integer x.
+    it floors; the derivatives are exact integer multiples, each term's
+    taken from its _deriv_kernel.  euler_maclaurin_fixed values the
+    groups at an integer x.
 
     >>> for scale, group in itertools.islice(euler_maclaurin({(0, 2): 60}), 3):
     ...     print(scale, group)
@@ -192,14 +212,14 @@ def euler_maclaurin(series: dict):
     1/12 {(0, 3): -120}
     -1/720 {(0, 5): -1440}
     """
-    group = _series_antideriv(series)
-    for key, c in series.items():
-        group[key] = group.get(key, 0) + c // 2
-    yield Fraction(1), group
-    deriv = series_deriv(series)
+    yield Fraction(1), _group0(series)
     for r in itertools.count(1):
+        n, deriv = 2 * r - 1, {}
+        for (a, s), c in series.items():
+            for b, k in enumerate(_deriv_kernel(n, s, a)):
+                if k:  # a kernel entry is 0 only where no derivative reaches
+                    deriv[(b, s + n)] = deriv.get((b, s + n), 0) + c * k
         yield _group_scale(r), deriv
-        deriv = series_deriv(series_deriv(deriv))
 
 
 def euler_maclaurin_fixed(series: dict, x: int, lnx: int, prec: int):
@@ -211,6 +231,10 @@ def euler_maclaurin_fixed(series: dict, x: int, lnx: int, prec: int):
     integer multiples.  Each group's (ln x)^a factors collapse into one
     int per power of 1/x, Horner runs in 1/x from the highest power down,
     and the group's B_{2r}/(2r)! is applied once, as an exact rational.
+    Group r >= 1 is valued straight from the series: a term with a log
+    adds c sum_b K[b] (ln x)^b, K its _deriv_kernel, to its power of 1/x,
+    and a term without one c K[0] 2^prec, K[0] being minus a falling
+    factorial.
 
     Each group comes as (v, t) with value v 2^-prec x^-t, where x^-t is
     the group's lowest power: v // x**t is the value to within one unit
@@ -225,15 +249,26 @@ def euler_maclaurin_fixed(series: dict, x: int, lnx: int, prec: int):
     powers = [1 << prec]
     for _ in range(max(a for a, _ in series) + 1):
         powers.append(powers[-1] * lnx >> prec)
-    for scale, group in euler_maclaurin(series):
-        by_power: dict = {}
-        for (a, t), c in group.items():
-            by_power[t] = by_power.get(t, 0) + c * powers[a]
+    by_power: dict = {}
+    for (a, t), c in _group0(series).items():
+        by_power[t] = by_power.get(t, 0) + c * powers[a]
+    # the terms with a log, and those without: the (2r-1)-th derivative
+    # of x^-s is -s (s + 1) ... (s + 2r - 2) x^(-s-2r+1), and its dot with
+    # powers a shift; a constant's derivatives vanish
+    logs = [(a, s, c) for (a, s), c in series.items() if a]
+    flat = [(s, c) for (a, s), c in series.items() if s and not a]
+    scale = Fraction(1)
+    for r in itertools.count(1):
         low = min(by_power)
         acc = 0
         for t in range(max(by_power), low - 1, -1):
             acc = acc // x + by_power.get(t, 0)
         yield acc * scale.numerator // (scale.denominator << prec), low
+        n, scale = 2 * r - 1, _group_scale(r)
+        by_power = {s + n: -c * math.perm(s + n - 1, n) << prec for s, c in flat}
+        for a, s, c in logs:
+            by_power[s + n] = by_power.get(s + n, 0) + \
+                c * sum(map(operator.mul, _deriv_kernel(n, s, a), powers))
 
 
 # ---- constants from scratch --------------------------------------------

@@ -32,7 +32,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import floordiv, mul, neg, rshift
+from operator import floordiv, mul, rshift
 
 import mpmath as mp
 
@@ -313,19 +313,24 @@ def _heads(batch: list, prec: int) -> list[int]:
     x and positive m and n:
     - harmonic.columns divides each column's terms out of the next lower
       order of its parity;
-    - a series is a piece per run [x, y) of _runs at its own end, the sign
-      of (b i - a)^q moved into the numerator so every divisor is positive,
-      and the pieces are sorted by chain (factors, sign, c, b, a, x, y), then q;
-    - a running first stage floor(sign N_i / i^c) over the block restarts
-      with (factors, sign) and steps up in c by i^(c - c'), a power list
-      shared by every numerator; a running second stage
-      floor(Q_i / |b i - a|^q) over the run restarts with the chain and
-      steps up in q by |b i - a|^(q - q').
+    - a series is a piece per run [x, y) of _runs at its own end, with
+      sign the sign of (b i - a)^q there, and the pieces are sorted by
+      chain (factors, sign, c, b, a, x, y), then q;
+    - every divisor is positive and no dividend is below -1: a run of
+      sign -1 divides N_i - 1 and sums its terms as -ceil, since
+      floor(-N / D) = -((N - 1) // D) - 1, so its piece adds
+      -sum(quot) - (y - x);
+    - a running first stage floor(N'_i / i^c), N'_i being N_i or N_i - 1,
+      over the block restarts with (factors, sign) and steps up in c by
+      i^(c - c'), a power list shared by every numerator; a running
+      second stage floor(Q_i / |b i - a|^q) over the run restarts with
+      the chain and steps up in q by |b i - a|^(q - q').
     Every quotient is thus the one-floor quotient exactly, and the head
-    is that of one floor per term, bit for bit.  At end <= 10^4 most
-    steps divide by i^2 or (2i-1)^2, a single 30-bit digit.  A quotient
-    list is kept only when the next piece continues its chain, and each
-    block's lists go with the block.
+    is that of one floor per term, bit for bit.  CPython divides a
+    nonnegative dividend fastest, and at end <= 10^4 most steps divide
+    by i^2 or (2i-1)^2, a single 30-bit digit.  A quotient list is kept
+    only when the next piece continues its chain, and each block's lists
+    go with the block.
     """
     # factors are keyed by their labels, as HarmonicKind has no order
     pieces = sorted((tuple(kind.label for kind in factors), s if q % 2 else 1,
@@ -354,7 +359,7 @@ def _heads(batch: list, prec: int) -> list[int]:
                     nums = map(rshift, nums, repeat(prec * (len(factors) - 1)))
                 numer, nums = labels, list(islice(nums, hi - lo))
             if piece[:2] != stage:
-                stage, c0, first = piece[:2], 0, nums if sign > 0 else list(map(neg, nums))
+                stage, c0, first = piece[:2], 0, nums if sign > 0 else [v - 1 for v in nums]
             if c > c0:
                 c0, first = c, list(map(floordiv, first, _den(powers, 1, 0, 1, lo, hi, c - c0)))
             if piece[:7] != chain:
@@ -363,7 +368,7 @@ def _heads(batch: list, prec: int) -> list[int]:
                 q0, quot = q, map(floordiv, quot, _den(powers, b, a, s, x, y, q - q0))
             if after[:7] == chain:  # the next piece reads it
                 quot = list(quot)
-            heads[n] += sum(quot)
+            heads[n] += sum(quot) if sign > 0 else -sum(quot) - (y - x)
         del block, powers  # before the next block's are built
     return heads
 

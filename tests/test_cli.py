@@ -145,8 +145,9 @@ def test_zeta_index_and_harmonic_order_above_cap_exit_2(tmp_path, argv, message)
     ('{"id": "x", "rhs": "z3", "source": "t", "expected": "must_pass"}',
      "missing field 'lhs'"),
     ('{"id": "x", "lhs": "h1/k^2", "rhs": "7/4*", "source": "t", "expected": "must_pass"}',
-     "expected symbol after '*' (position 4)")),
-    ids=("not-object", "id-not-string", "missing-lhs", "bad-rhs"))
+     "expected symbol after '*' (position 4)"),
+    ("{'id': 'x'}", "Expecting property name enclosed in double quotes (column 2)")),
+    ids=("not-object", "id-not-string", "missing-lhs", "bad-rhs", "bad-json"))
 def test_malformed_catalog_line_exits_2_naming_file_and_line(tmp_path, line, message):
     # line 3: a good entry and a blank line come first
     extra = tmp_path / "extra.jsonl"

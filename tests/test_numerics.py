@@ -1,5 +1,6 @@
 """Constants and exact rationals against independent oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddeuler import numerics
+from oddeuler import numerics, summation
 from oddeuler.numerics import ConstantsTable, bernoulli, constant
-from oddeuler.harmonic import HarmonicKind
+from oddeuler.harmonic import HarmonicKind, value_series
 from oddeuler.identities import FormalCombination, Identity, VerificationReport
 from oddeuler.summation import (EvalOptions, EvalResult, SumSpec,
                                 reciprocal_sum_closed_form)
@@ -202,3 +203,111 @@ def test_record_runs_post_init():
     # __post_init__ may set a field through object.__setattr__
     assert SumSpec((HarmonicKind.even(1), HarmonicKind.odd(1)), 2).factors == (
         HarmonicKind.odd(1), HarmonicKind.even(1))
+
+
+# ---- the Euler-Maclaurin groups, bit for bit -------------------------------
+#
+# The reference builds group r as the engine did before its derivative
+# kernels: 2r - 1 chained derivatives of the whole series, then one int per
+# power of 1/x and the Horner floors.  Its antiderivative and halves floor
+# as the engine's do, so the two must agree exactly.
+
+
+def _ref_deriv(series):
+    out = {}
+    for (a, s), c in series.items():
+        if a:
+            out[(a - 1, s + 1)] = out.get((a - 1, s + 1), 0) + c * a
+        if s:
+            out[(a, s + 1)] = out.get((a, s + 1), 0) - c * s
+    return out
+
+
+def _ref_groups(series):
+    group = {}
+    for (a, s), c in series.items():
+        if s == 1:
+            group[(a + 1, 0)] = group.get((a + 1, 0), 0) + c // (a + 1)
+            continue
+        for j in range(a + 1):
+            group[(a - j, s - 1)] = group.get((a - j, s - 1), 0) + \
+                (-c * math.perm(a, j)) // (s - 1) ** (j + 1)
+    for key, c in series.items():
+        group[key] = group.get(key, 0) + c // 2
+    yield Fraction(1), group
+    deriv = _ref_deriv(series)
+    for r in itertools.count(1):
+        yield bernoulli(2 * r) / math.factorial(2 * r), deriv
+        deriv = _ref_deriv(_ref_deriv(deriv))
+
+
+def _ref_fixed(series, x, lnx, prec):
+    powers = [1 << prec]
+    for _ in range(max(a for a, _ in series) + 1):
+        powers.append(powers[-1] * lnx >> prec)
+    for scale, group in _ref_groups(series):
+        by_power = {}
+        for (a, t), c in group.items():
+            by_power[t] = by_power.get(t, 0) + c * powers[a]
+        low, acc = min(by_power), 0
+        for t in range(max(by_power), low - 1, -1):
+            acc = acc // x + by_power.get(t, 0)
+        yield acc * scale.numerator // (scale.denominator << prec), low
+
+
+EM_PREC = 200
+
+
+def _em_series(name):
+    one = 1 << EM_PREC
+    if name == "x^-2":
+        return {(0, 2): one}
+    if name == "logs 0-3, s from 0":
+        # every log power at every s, s = 0 log keys included, mixed signs
+        return {(a, s): (-1) ** (a + s) * (3 * a + 5 * s + 7) * one // 11
+                for a in range(4) for s in range(6) if a or s}
+    if name == "a constant and gaps":
+        # the constant is the only s = 0 key: its vanishing derivatives add
+        # no power of 1/x
+        return {(0, 0): one // 3, (1, 1): -one // 7, (3, 4): one // 5, (0, 9): -one}
+    if name in ("H1", "h1"):
+        # value series of the prefixes: only some powers of 1/x occur
+        kind = HarmonicKind.even(1) if name == "H1" else HarmonicKind.odd(1)
+        return value_series(kind, 24, 55, EM_PREC)
+    # a lemma tail's series: the shifted kernel's power series times h1's
+    power = summation._power_series(2, 1, -7, 1, 24, EM_PREC)
+    return summation._series_mul(power, value_series(HarmonicKind.odd(1), 22, 55, EM_PREC),
+                                 24, EM_PREC)
+
+
+EM_NAMES = ("x^-2", "logs 0-3, s from 0", "a constant and gaps", "H1", "h1", "h1 tail")
+
+
+@pytest.mark.parametrize("x", (100, 2007, 10 ** 4))
+@pytest.mark.parametrize("name", EM_NAMES)
+def test_euler_maclaurin_fixed_matches_chained_derivatives(name, x):
+    series = _em_series(name)
+    lnx = mp.libmp.to_fixed(mp.libmp.mpf_log(mp.libmp.from_int(x), EM_PREC + 8), EM_PREC)
+    got = list(itertools.islice(numerics.euler_maclaurin_fixed(series, x, lnx, EM_PREC), 30))
+    assert got == list(itertools.islice(_ref_fixed(series, x, lnx, EM_PREC), 30))
+
+
+@pytest.mark.parametrize("name", EM_NAMES)
+def test_euler_maclaurin_groups_match_chained_derivatives(name):
+    # the same scales, the same keys and the same exact coefficients
+    series = _em_series(name)
+    got = itertools.islice(numerics.euler_maclaurin(series), 30)
+    assert list(got) == list(itertools.islice(_ref_groups(series), 30))
+
+
+@pytest.mark.parametrize("a", range(4))
+@pytest.mark.parametrize("s", range(4))
+def test_deriv_kernel_against_numerical_derivatives(s, a):
+    x = mp.mpf("1.7")
+    with mp.workdps(40):
+        for n in range(7):
+            kernel = numerics._deriv_kernel(n, s, a)
+            assert len(kernel) == a + 1
+            got = x ** (-s - n) * mp.fsum(k * mp.log(x) ** b for b, k in enumerate(kernel))
+            want = mp.diff(lambda t: mp.log(t) ** a * t ** -s, x, n)
+            assert abs(got - want) <= mp.mpf(10) ** -25 * max(1, abs(want))
