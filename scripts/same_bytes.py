@@ -10,7 +10,8 @@ of the working tree for the change.  Every argv then runs in a fresh
 ``python -m oddeuler.cli`` process on each side, with ``PYTHONHASHSEED=0``
 and ``COLUMNS=80``.  The argvs are the golden ones (``tests/data/*.argv``),
 ``lemma-check --kmax 200 --format csv``, the fit-sweep ops of
-``perfbench/checks.fit_ops()`` and the eight ``-h`` pages.
+``perfbench/checks.fit_ops()`` (PSLQ on at most 7 entries), four fits
+on large bases (PSLQ on 11 to 30 entries) and the eight ``-h`` pages.
 
 It prints each argv whose stdout, stderr or exit code differs, with a
 short diff of the streams that differ, then a count.  The exit code is 1
@@ -32,6 +33,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("verify", "eval-sum", "eval-expr", "reduce", "fit", "list", "lemma-check")
 FIELDS = ("exit code", "stdout", "stderr")
+# fits whose PSLQ vector has 16, 30, 11 and 23 entries; two find a closed form
+LARGE_FITS = (("fit", "h1/k^14", "--weight", "15"),
+              ("fit", "h1/k^14", "--weight", "15", "--include-ln2"),
+              ("fit", "h1/k^14", "--weight", "13", "--digits", "100"),
+              ("fit", "h1/k^12", "--weight", "13", "--include-ln2"))
 
 
 def _load(name: str, path: Path):
@@ -48,7 +54,8 @@ def argvs() -> list[tuple[str, ...]]:
               for path in sorted((ROOT / "tests" / "data").glob("*.argv"))]
     fits = [tuple(op["argv"]) for op in _load("checks", ROOT / "perfbench" / "checks.py").fit_ops()]
     helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
-    return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + helps
+    return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + \
+        list(LARGE_FITS) + helps
 
 
 def run(side_dir: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:

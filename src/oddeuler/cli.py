@@ -46,7 +46,8 @@ MAX_DIGITS = 500
 # and the kmax cap at the default digits (200 * 40, about 5 s)
 LEMMA_BUDGET = 10 ** 4
 # largest fit --weight: the PSLQ basis grows fast (669 terms at weight
-# 41); weight 15 takes about 1.5 s at 40 digits and 40 s at 500
+# 41); weight 15 takes about 0.25 s at 40 digits and 11 s at 500, and
+# with --include-ln2 (30 PSLQ entries) 0.7 s and 83 s
 MAX_FIT_WEIGHT = 15
 
 LEMMA_CONVENTION = (
@@ -319,7 +320,8 @@ def _cmd_lemma_check(args) -> int:
 
 class _Help(argparse.HelpFormatter):
     """A command's help: the flag of each setting in shown ends with the
-    setting's default, the command's own over _SETTINGS'."""
+    setting's default, the command's own over _SETTINGS', and each flag in
+    _BOUNDS with its range and its default."""
 
     shown = ("digits", "K", "tolerance", "format")  # each its own config key and dest
 
@@ -328,6 +330,11 @@ class _Help(argparse.HelpFormatter):
         self.defaults = defaults
 
     def _get_help_string(self, action):
+        for dest, _, low, high in _BOUNDS:
+            if action.dest == dest:
+                span = f"{low}..{high}" if high else f">= {low}"
+                default = "required" if action.required else f"default {action.default}"
+                return f"{action.help} ({span}, {default})"
         if action.dest not in self.shown:
             return action.help
         _, _, default, show = _SETTINGS[action.dest]
@@ -368,13 +375,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="collapse the combination to a closed form")
     p = command("fit", _cmd_fit, "fit a rational closed form to a sum")
     p.add_argument("spec")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--include-ln2", action="store_true")
-    p.add_argument("--max-den", type=int, default=256)
+    p.add_argument("--weight", type=int, required=True, help="weight of the fitted closed form")
+    p.add_argument("--include-ln2", action="store_true",
+                   help="add ln 2 and the lower weights' zetas to the basis")
+    p.add_argument("--max-den", type=int, default=256,
+                   help="largest coefficient denominator")
     picks.append(command("list", _cmd_list, "list the identity catalog"))
     command("lemma-check", _cmd_lemma_check,
             "truncated vs closed residuals for the kernel lemmas",
-            tolerance="1e-9").add_argument("--kmax", type=int, default=20)
+            tolerance="1e-9").add_argument("--kmax", type=int, default=20,
+                                           help="largest k of the kernel rows")
     for p in picks:  # the commands that select catalog entries
         p.add_argument("--id", action="append", dest="ids",
                        help="identity id to select (repeatable)")

@@ -23,6 +23,7 @@ import os
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import sqrt_fixed
 
 from .numerics import ConstantsTable, HighFloat, record
 from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
@@ -382,6 +383,91 @@ def _fit_basis(weight: int, include_ln2: bool) -> list:
     return list(dict.fromkeys(basis))
 
 
+def _pslq(x: list, tol=None, maxcoeff: int = 1000, maxsteps: int = 100) -> list[int] | None:
+    """mpmath 1.3.0's ``pslq``: the same fixed-point integer operations in
+    the same order on every value that is read, so the same result bit for
+    bit.  H is a list of rows without its always-zero last column, B is kept
+    transposed, and mpmath's A, which is never read, is dropped.  A reduction
+    factor t is a multiple of 2^prec, so (t*v) >> prec is exactly (t >> prec)*v:
+    y, H and B (in units of 2^-prec) update without shifts, and t = 0 is skipped.
+    """
+    n = len(x)
+    if n < 2:
+        raise ValueError("n cannot be less than 2")
+    prec = mp.mp.prec
+    if prec < 53:
+        raise ValueError("prec cannot be less than 53")
+    tol = mp.mpf(2) ** -int(prec * 0.75) if tol is None else mp.convert(tol)
+    prec += 60
+    tol = mp.mp.to_fixed(tol, prec)
+    if not tol:  # mpmath asserts this
+        raise ValueError("tol is below the fixed-point resolution")
+    x = [mp.mp.to_fixed(mp.mpf(xk), prec) for xk in x]
+    minx = min(map(abs, x))
+    if not minx:
+        raise ValueError("PSLQ requires a vector of nonzero numbers")
+    if minx < tol // 100:
+        return None
+    g = sqrt_fixed((4 << prec) // 3, prec)
+    gs = [g ** i for i in range(1, n)]
+    half = 1 << (prec - 1)
+    sq = [xk ** 2 >> prec for xk in x]
+    s = [sqrt_fixed(sum(sq[k:]), prec) for k in range(n)]
+    y = [(xk << prec) // s[0] for xk in x]
+    s = [(sk << prec) // s[0] for sk in s]
+    H = []
+    for i in range(n):
+        row = [((-y[i] * y[j]) << prec) // (s[j] * s[j + 1]) if s[j] * s[j + 1] else 0
+               for j in range(i)]
+        if i < n - 1:
+            row.append((s[i + 1] << prec) // s[i] if s[i] else 0)
+        H.append(row + [0] * (n - 2 - i))
+    B = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def reduce_row(i, top, stop):
+        Hi = H[i]
+        for j in range(top, -1, -1):
+            Hj = H[j]
+            if not Hj[j]:
+                if stop:
+                    return
+                continue
+            t = ((Hi[j] << prec) // Hj[j] + half) >> prec
+            if t:
+                y[j] += t * y[i]
+                Hi[:j + 1] = [a - t * b for a, b in zip(Hi, Hj[:j + 1])]
+                B[j] = [a + t * b for a, b in zip(B[j], B[i])]
+
+    for i in range(1, n):
+        reduce_row(i, i - 1, False)
+    for _ in range(maxsteps):
+        # swap the rows m, m + 1 at the first largest g^(i+1) |H_ii|
+        sz = [gi * abs(H[i][i]) >> prec * i for i, gi in enumerate(gs)]
+        m = sz.index(max(sz))
+        y[m], y[m + 1] = y[m + 1], y[m]
+        H[m], H[m + 1] = H[m + 1], H[m]
+        B[m], B[m + 1] = B[m + 1], B[m]
+        if m <= n - 3:
+            a, b = H[m][m], H[m][m + 1]
+            t0 = sqrt_fixed((a * a + b * b) >> prec, prec)
+            if not t0:  # precision exhausted
+                break
+            t1, t2 = (a << prec) // t0, (b << prec) // t0
+            for row in H[m:]:
+                t3, t4 = row[m], row[m + 1]
+                row[m], row[m + 1] = (t1 * t3 + t2 * t4) >> prec, (-t2 * t3 + t1 * t4) >> prec
+        for i in range(m + 1, n):
+            reduce_row(i, min(i - 1, m + 1), True)
+        for yi, Bi in zip(y, B):
+            if abs(yi) < tol and max(map(abs, Bi)) < maxcoeff:
+                return Bi
+        # stop once mpmath's lower bound on a relation's norm reaches maxcoeff
+        recnorm = max(max(map(max, H)), -min(map(min, H)))
+        if not recnorm or ((1 << 2 * prec) // recnorm >> prec) // 100 >= maxcoeff:
+            break
+    return None
+
+
 def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
               max_den: int = 256, digits: int = 40) -> ZetaExpr | None:
     """Rational-coefficient fit of a numeric value over a monomial basis.
@@ -400,7 +486,7 @@ def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
         vec = [mp.mpf(value)]
         for mono in basis:
             vec.append(evaluate(ZetaExpr(((mono, Fraction(1)),)), table))
-        rel = mp.pslq(vec, maxcoeff=10 ** 14, maxsteps=20000)
+        rel = _pslq(vec, maxcoeff=10 ** 14, maxsteps=20000)
     if not rel or rel[0] == 0:
         return None
     coeffs = [Fraction(-c, rel[0]) for c in rel[1:]]

@@ -6,7 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oddeuler.identities import _fit_basis, fit_closed_form, fit_value
+from oddeuler import identities
+from oddeuler.identities import _fit_basis, _pslq, fit_closed_form, fit_value
 from oddeuler.numerics import ConstantsTable
 from oddeuler.summation import EvalOptions, parse_sumspec
 from oddeuler.zeta_algebra import ZetaExpr, ZetaMonomial, evaluate, format_expr, parse_expr
@@ -116,3 +117,79 @@ def test_round_trip_twenty_random_expressions():
         assert got == expr, format_expr(expr)
         done += 1
     assert done == 20
+
+
+@pytest.fixture
+def roots(monkeypatch):
+    """The fixed-point square roots each PSLQ takes, by side: equal lists
+    mean the same number of steps with the same rotation norms."""
+    seen = {"mpmath": [], "port": []}
+    for module, side in ((mp.identification, "mpmath"), (identities, "port")):
+        def spy(*args, real=module.sqrt_fixed, out=seen[side]):
+            out.append(real(*args))
+            return out[-1]
+        monkeypatch.setattr(module, "sqrt_fixed", spy)
+    return seen
+
+
+def _both(x, roots, **kw):
+    # (result, roots) of mp.pslq and _pslq on x, at the working precision
+    for found in roots.values():
+        found.clear()
+    want, got = mp.pslq(x, **kw), _pslq(x, **kw)
+    assert got == want and roots["port"] == roots["mpmath"], (len(x), kw)
+    return got, roots["port"]
+
+
+def _pslq_grid():
+    # seeded vectors of square roots, half of them with a relation of small
+    # coefficients planted in the first entry; tol, maxcoeff and maxsteps vary
+    rng = random.Random(2)
+    for _ in range(100):
+        n, prec = rng.randint(2, 14), rng.randint(53, 340)
+        with mp.workprec(prec):
+            x = [mp.sqrt(rng.randint(2, 99)) * rng.choice((1, -1)) for _ in range(n)]
+            if rng.random() < 0.5:
+                x[0] = mp.fsum(rng.randint(-9, 9) * v for v in x[1:]) or x[0]
+        kw = {}
+        if rng.random() < 0.3:
+            kw["tol"] = mp.mpf(2) ** -rng.randint(20, prec + 40)
+        if rng.random() < 0.5:
+            kw["maxcoeff"] = rng.choice((10, 10 ** 6, 10 ** 14))
+        if rng.random() < 0.5:
+            kw["maxsteps"] = rng.choice((0, 3, 400))
+        yield prec, x, kw
+
+
+def test_pslq_matches_mpmath_on_a_seeded_grid(roots):
+    found = 0
+    for prec, x, kw in _pslq_grid():
+        with mp.workprec(prec):
+            found += _both(x, roots, **kw)[0] is not None
+    assert 40 <= found <= 60  # both outcomes are well covered
+
+
+def test_pslq_stops_on_exhausted_precision(roots):
+    # a tol far below the working precision: the rotation's norm t0 reaches 0
+    with mp.workprec(53):
+        rel, taken = _both([mp.sqrt(2), mp.mpf(2), mp.sqrt(5)], roots, tol=mp.mpf(2) ** -110,
+                           maxcoeff=10 ** 30, maxsteps=500)
+    assert rel is None and taken[-1] == 0
+
+
+def test_pslq_zero_divisor_and_early_exits_match_mpmath(roots):
+    with mp.workprec(76):  # a zero diagonal entry ends a reduction row early
+        assert _both([mp.sqrt(5)] * 2, roots, tol=mp.mpf(2) ** -75, maxcoeff=10 ** 14,
+                     maxsteps=500)[0] == [1, -1]
+    with mp.workprec(53):
+        # below tol / 100 (about 1.8e-14 here): None before any square root
+        assert _both([mp.mpf(1), mp.mpf("1e-14")], roots) == (None, [])
+        for bad in ([mp.mpf(1), mp.mpf(0)], [mp.mpf(1)]):
+            with pytest.raises(ValueError) as want:
+                mp.pslq(bad)
+            with pytest.raises(ValueError, match=str(want.value)):
+                _pslq(bad)
+        with pytest.raises(ValueError, match="resolution"):  # mpmath: AssertionError
+            _pslq([mp.mpf(1), mp.sqrt(2)], tol=mp.mpf(2) ** -200)
+    with mp.workprec(40), pytest.raises(ValueError, match="prec cannot be less than 53"):
+        _pslq([mp.mpf(1), mp.sqrt(2)])
