@@ -11,7 +11,8 @@ of the working tree for the change.  Every argv then runs in a fresh
 and ``COLUMNS=80``.  The argvs are the golden ones (``tests/data/*.argv``),
 ``lemma-check --kmax 200 --format csv``, the fit-sweep ops of
 ``perfbench/checks.fit_ops()`` (PSLQ on at most 7 entries), four fits
-on large bases (PSLQ on 11 to 30 entries) and the eight ``-h`` pages.
+on large bases (PSLQ on 11 to 30 entries), four ``eval-sum`` corners of
+the harmonic value series and the eight ``-h`` pages.
 
 It prints each argv whose stdout, stderr or exit code differs, with a
 short diff of the streams that differ, then a count.  The exit code is 1
@@ -38,6 +39,12 @@ LARGE_FITS = (("fit", "h1/k^14", "--weight", "15"),
               ("fit", "h1/k^14", "--weight", "15", "--include-ln2"),
               ("fit", "h1/k^14", "--weight", "13", "--digits", "100"),
               ("fit", "h1/k^12", "--weight", "13", "--include-ln2"))
+# value-series corners: an order of 100; an order above the series cap, so
+# that its group 0 is cut; two series multiplied; caps near 58 at 100 digits
+SERIES_CORNERS = (("eval-sum", "H100*h1/k^2"),
+                  ("eval-sum", "h20/k^2"),
+                  ("eval-sum", "h9*H7/k^2"),
+                  ("eval-sum", "H1*h1*h2/(2k-1)^3", "--digits", "100", "--K", "100"))
 
 
 def _load(name: str, path: Path):
@@ -55,7 +62,7 @@ def argvs() -> list[tuple[str, ...]]:
     fits = [tuple(op["argv"]) for op in _load("checks", ROOT / "perfbench" / "checks.py").fit_ops()]
     helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
     return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + \
-        list(LARGE_FITS) + helps
+        list(LARGE_FITS) + list(SERIES_CORNERS) + helps
 
 
 def run(side_dir: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:

@@ -38,12 +38,12 @@ _FORMATS = ("table", "json", "csv")
 # K = 10^4 there, and each row's cost grows with it
 LEMMA_KMAX = 200
 # largest --digits: costs grow about quadratically, and lemma-check's
-# default rows take about 8 s at 500 digits and 43 s at 1000
+# default rows take about 5 s at 500 digits and 31 s at 1000
 MAX_DIGITS = 500
 # lemma-check's largest kmax * digits: each row's head grows with k and its
 # arithmetic with digits, so the two caps alone admit runs of minutes.
-# 10^4 admits the default kmax at the digits cap (20 * 500, about 8 s)
-# and the kmax cap at the default digits (200 * 40, about 5 s)
+# 10^4 admits the default kmax at the digits cap (20 * 500, about 5 s)
+# and the kmax cap at the default digits (200 * 40, about 2 s)
 LEMMA_BUDGET = 10 ** 4
 # largest fit --weight: the PSLQ basis grows fast (669 terms at weight
 # 41); weight 15 takes about 0.25 s at 40 digits and 11 s at 500, and

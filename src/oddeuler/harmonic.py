@@ -20,8 +20,7 @@ from operator import floordiv
 
 import mpmath as mp
 
-from .numerics import (ConstantsTable, HighFloat, Rational, _require_digits, euler_maclaurin,
-                       record)
+from .numerics import ConstantsTable, HighFloat, Rational, _require_digits, power_groups, record
 
 EXACT_LIMIT = 10 ** 5
 
@@ -174,32 +173,20 @@ class PrefixStream:
 # ---- asymptotic expansions ----------------------------------------------
 
 
-def _even_value_series(n: int, s_cap: int, table: ConstantsTable, prec: int) -> dict:
-    # H(n, x) = (zeta(n), or gamma at n = 1) + Euler-Maclaurin groups of
-    # x^{-n}, keeping the terms up to x^{-s_cap}; ints scaled by 2^prec
-    const = table.euler_gamma if n == 1 else table.zeta(n)
-    out = {(0, 0): mp.libmp.to_fixed(const._mpf_, prec)}
-    for scale, group in euler_maclaurin({(0, n): 1 << prec}):
-        kept = {key: c * scale.numerator // scale.denominator
-                for key, c in group.items() if key[1] <= s_cap}
-        if not kept:
-            return out
-        out.update(kept)
-
-
 @functools.lru_cache(maxsize=256)
 def value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict:
     """Asymptotic log-power series of the prefix H(n, x) or h(n, x).
 
     Terms run up to x^{-s_cap}, in fixed point: int coefficients scaled by
-    2^prec, from the constants at digits rounded once and the exact
-    Euler-Maclaurin multiples of x^{-n}.  The odd kind comes from the even
-    one through h(n, x) = H(n, 2x) - 2^{-n} H(n, x).  The dict is memoized
-    per (kind, s_cap, digits, prec) and shared between callers, so it is
-    read-only.
+    2^prec.  H(n, x) is its constant (zeta(n), or gamma at n = 1) at digits,
+    rounded once, plus numerics.power_groups(n).  The odd kind comes from
+    the even one through h(n, x) = H(n, 2x) - 2^{-n} H(n, x).  The dict is
+    memoized per (kind, s_cap, digits, prec) and shared between callers, so
+    it is read-only.
     """
-    table = ConstantsTable(digits)
-    even = _even_value_series(kind.order, s_cap, table, prec)
+    n, table = kind.order, ConstantsTable(digits)
+    const = table.euler_gamma if n == 1 else table.zeta(n)
+    even = {(0, 0): mp.libmp.to_fixed(const._mpf_, prec), **power_groups(n, s_cap, prec)}
     if kind.parity == "even":
         return even
     # x -> 2x: (ln 2x)^a expands binomially, x^{-s} halves s times
@@ -210,18 +197,18 @@ def value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict
             key = (a - j, s)
             out[key] = out.get(key, 0) + \
                 (math.comb(a, j) * c * ln2 ** j >> (s + prec * j))
-        out[(a, s)] -= c >> kind.order
+        out[(a, s)] -= c >> n
     return {k: v for k, v in out.items() if v}
 
 
-def _expansion_pieces(n: int, x: HighFloat, table: ConstantsTable) -> list:
-    # Monomials of the H(n, x) series valued at x, leading first.  For
-    # n >= 2 they are negated and zeta(n) dropped, so that they add up to
-    # the tail zeta(n) - H(n, x); for n = 1 they add up to H(1, x) itself.
-    # The series comes in fixed point with 16 guard bits.
+def _expansion_pieces(n: int, x: HighFloat, digits: int) -> list:
+    # Monomials of the H(n, x) value series valued at x, leading first.
+    # For n >= 2 they are negated and zeta(n) dropped, so that they add up
+    # to the tail zeta(n) - H(n, x); for n = 1 they add up to H(1, x)
+    # itself.  The series comes in fixed point with 16 guard bits.
     prec = mp.mp.prec + 16
-    series = {key: mp.mpf((c, -prec))
-              for key, c in _even_value_series(n, n + 7, table, prec).items()}
+    series = {key: mp.mpf((c, -prec)) for key, c in
+              value_series(HarmonicKind.even(n), n + 7, digits, prec).items()}
     if n > 1:
         series = {key: -c for key, c in series.items() if key != (0, 0)}
     lnx = mp.log(x) if n == 1 else None
@@ -248,10 +235,9 @@ def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> 
     _require_digits(digits)
     n = kind.order
     with mp.workdps(digits + 5):
-        table = ConstantsTable(digits + 5)
-        pieces = _expansion_pieces(n, mp.mpf(k), table)
+        pieces = _expansion_pieces(n, mp.mpf(k), digits + 5)
         if kind.parity == "odd":
-            at_2k = _expansion_pieces(n, mp.mpf(2 * k), table)
+            at_2k = _expansion_pieces(n, mp.mpf(2 * k), digits + 5)
             scale = mp.mpf(2) ** (-n)
             pieces = [a - scale * b for a, b in zip(at_2k, pieces)]
         total = mp.fsum(pieces[:terms])

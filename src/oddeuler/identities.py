@@ -290,8 +290,6 @@ _FIXED_RULES = {
     "s1_pair": ("1/2*[h1/k^2]^2 - 3/2*[h1/k^4]", "h1*h2/k^3"),
 }
 
-REDUCTION_RULES = ("T1_2",) + tuple(_FIXED_RULES)
-
 
 def reduction_target(rule: str, m: int | None = None) -> SumSpec:
     """The sum a rule's combination claims to equal."""

@@ -140,21 +140,6 @@ def bernoulli(n: int) -> Fraction:
 # mpf enters where a caller values a series.
 
 
-def _series_antideriv(series: dict) -> dict:
-    # (ln x)^a / x integrates to (ln x)^{a+1}/(a+1); for s != 1, parts give
-    # -sum_j a!/(a-j)! (ln x)^{a-j} x^{1-s} / (s-1)^{j+1}, which is minus
-    # the integral over (x, inf) whenever s > 1.  Divisions floor.
-    out: dict = {}
-    for (a, s), c in series.items():
-        if s == 1:
-            out[(a + 1, 0)] = out.get((a + 1, 0), 0) + c // (a + 1)
-            continue
-        for j in range(a + 1):
-            key = (a - j, s - 1)
-            out[key] = out.get(key, 0) + (-c * math.perm(a, j)) // (s - 1) ** (j + 1)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _group_scale(r: int) -> Fraction:
     return bernoulli(2 * r) / math.factorial(2 * r)
@@ -182,44 +167,40 @@ def _deriv_kernel(n: int, s: int, a: int) -> tuple:
 
 
 def _group0(series: dict) -> dict:
-    # the antiderivative plus f/2, whose halves floor
-    group = _series_antideriv(series)
+    # The antiderivative plus f/2.  (ln x)^a / x integrates to
+    # (ln x)^{a+1}/(a+1); for s != 1, parts give -sum_j a!/(a-j)! (ln x)^{a-j}
+    # x^{1-s} / (s-1)^{j+1}, which is minus the integral over (x, inf)
+    # whenever s > 1.  Divisions floor, the halves too.
+    group: dict = {}
+    for (a, s), c in series.items():
+        if s == 1:
+            group[(a + 1, 0)] = group.get((a + 1, 0), 0) + c // (a + 1)
+            continue
+        for j in range(a + 1):
+            key = (a - j, s - 1)
+            group[key] = group.get(key, 0) + (-c * math.perm(a, j)) // (s - 1) ** (j + 1)
     for key, c in series.items():
         group[key] = group.get(key, 0) + c // 2
     return group
 
 
-def euler_maclaurin(series: dict):
-    """Euler-Maclaurin expansion of sum_{k<=x} f(k), one group at a time.
+def power_groups(n: int, s_cap: int, prec: int) -> dict:
+    """The Euler-Maclaurin groups of x^-n as one series, kept to x^-s_cap.
 
-    f is a log-power series with int coefficients.  Group 0 is the
-    antiderivative of f plus f/2; group r >= 1 is B_{2r}/(2r)! f^{(2r-1)}.
-    The constant of summation is the caller's: for a decaying f the
-    groups add up to minus the tail sum_{k>x} f(k).  The expansion is
-    asymptotic; at fixed x its groups shrink until r is about pi x and
-    then grow.
+    Fixed point: int coefficients scaled by 2^prec.  Group 0 is the
+    antiderivative plus x^-n / 2, floored; group r >= 1 is B_{2r}/(2r)!
+    times the (2r-1)-th derivative, -n (n + 1) ... (n + 2r - 2) x^-s at
+    s = n + 2r - 1, with the scale applied once and floored.  The groups
+    add up to the prefix sum_{k<=x} k^-n less its constant of summation.
 
-    Each group comes as a (scale, series) pair whose value is scale, an
-    exact Fraction, times the series': (1, antiderivative plus f/2) and
-    (B_{2r}/(2r)!, f^{(2r-1)}).  Only group 0 divides a coefficient, and
-    it floors; the derivatives are exact integer multiples, each term's
-    taken from its _deriv_kernel.  euler_maclaurin_fixed values the
-    groups at an integer x.
-
-    >>> for scale, group in itertools.islice(euler_maclaurin({(0, 2): 60}), 3):
-    ...     print(scale, group)
-    1 {(0, 1): -60, (0, 2): 30}
-    1/12 {(0, 3): -120}
-    -1/720 {(0, 5): -1440}
+    >>> {key: c / 2 ** 60 for key, c in power_groups(2, 5, 60).items()}
+    {(0, 1): -1.0, (0, 2): 0.5, (0, 3): -0.16666666666666666, (0, 5): 0.03333333333333333}
     """
-    yield Fraction(1), _group0(series)
-    for r in itertools.count(1):
-        n, deriv = 2 * r - 1, {}
-        for (a, s), c in series.items():
-            for b, k in enumerate(_deriv_kernel(n, s, a)):
-                if k:  # a kernel entry is 0 only where no derivative reaches
-                    deriv[(b, s + n)] = deriv.get((b, s + n), 0) + c * k
-        yield _group_scale(r), deriv
+    groups = {key: c for key, c in _group0({(0, n): 1 << prec}).items() if key[1] <= s_cap}
+    for r, s in enumerate(range(n + 1, s_cap + 1, 2), 1):
+        scale = _group_scale(r)
+        groups[(0, s)] = (-math.perm(s - 1, s - n) << prec) * scale.numerator // scale.denominator
+    return groups
 
 
 def euler_maclaurin_fixed(series: dict, x: int, lnx: int, prec: int):

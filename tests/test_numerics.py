@@ -292,12 +292,52 @@ def test_euler_maclaurin_fixed_matches_chained_derivatives(name, x):
     assert got == list(itertools.islice(_ref_fixed(series, x, lnx, EM_PREC), 30))
 
 
-@pytest.mark.parametrize("name", EM_NAMES)
-def test_euler_maclaurin_groups_match_chained_derivatives(name):
-    # the same scales, the same keys and the same exact coefficients
-    series = _em_series(name)
-    got = itertools.islice(numerics.euler_maclaurin(series), 30)
-    assert list(got) == list(itertools.islice(_ref_groups(series), 30))
+def _ref_power_groups(n, s_cap, prec):
+    # each group's terms to x^-s_cap, scaled and floored, up to the first
+    # group with none left
+    out = {}
+    for scale, group in _ref_groups({(0, n): 1 << prec}):
+        kept = {key: c * scale.numerator // scale.denominator
+                for key, c in group.items() if key[1] <= s_cap}
+        if not kept:
+            return out
+        out.update(kept)
+
+
+@pytest.mark.parametrize("n", (*range(1, 13), 50, 100))
+def test_power_groups_match_chained_derivatives(n):
+    # the same keys in the same order and the same floors, for caps below
+    # group 0's x^-(n-1), at n and up to n + 20
+    for s_cap in range(max(0, n - 4), n + 21):
+        got = numerics.power_groups(n, s_cap, EM_PREC)
+        assert list(got.items()) == list(_ref_power_groups(n, s_cap, EM_PREC).items())
+
+
+def _ref_value_series(kind, s_cap, digits, prec):
+    n = kind.order
+    const = constant("euler_gamma" if n == 1 else f"zeta({n})", digits)
+    even = {(0, 0): mp.libmp.to_fixed(const._mpf_, prec), **_ref_power_groups(n, s_cap, prec)}
+    if kind.parity == "even":
+        return even
+    # h(n, x) = H(n, 2x) - 2^-n H(n, x), with (ln 2x)^a expanded binomially
+    ln2 = mp.libmp.to_fixed(constant("ln2", digits)._mpf_, prec)
+    out = {}
+    for (a, s), c in even.items():
+        for j in range(a + 1):
+            out[(a - j, s)] = out.get((a - j, s), 0) + \
+                (math.comb(a, j) * c * ln2 ** j >> (s + prec * j))
+        out[(a, s)] -= c >> n
+    return {key: c for key, c in out.items() if c}
+
+
+@pytest.mark.parametrize("digits, prec", ((20, 100), (55, 230)))
+@pytest.mark.parametrize("parity", ("even", "odd"))
+def test_value_series_is_its_constant_plus_power_groups(parity, digits, prec):
+    for n in (1, 2, 3, 7, 20):
+        for s_cap in (0, n - 1, n, n + 1, n + 8, 40):
+            kind = HarmonicKind(parity, n)
+            want = _ref_value_series(kind, s_cap, digits, prec)
+            assert list(value_series(kind, s_cap, digits, prec).items()) == list(want.items())
 
 
 @pytest.mark.parametrize("a", range(4))
