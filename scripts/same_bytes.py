@@ -12,7 +12,8 @@ and ``COLUMNS=80``.  The argvs are the golden ones (``tests/data/*.argv``),
 ``lemma-check --kmax 200 --format csv``, the fit-sweep ops of
 ``perfbench/checks.fit_ops()`` (PSLQ on at most 7 entries), four fits
 on large bases (PSLQ on 11 to 30 entries), four ``eval-sum`` corners of
-the harmonic value series and the eight ``-h`` pages.
+the harmonic value series, argparse's usage errors and help paths, and
+the eight ``-h`` pages.
 
 It prints each argv whose stdout, stderr or exit code differs, with a
 short diff of the streams that differ, then a count.  The exit code is 1
@@ -45,6 +46,19 @@ SERIES_CORNERS = (("eval-sum", "H100*h1/k^2"),
                   ("eval-sum", "h20/k^2"),
                   ("eval-sum", "h9*H7/k^2"),
                   ("eval-sum", "H1*h1*h2/(2k-1)^3", "--digits", "100", "--K", "100"))
+# argparse's errors and help, before and after a command name: no command,
+# an invalid choice, flags ahead of the command, missing, bad, ambiguous and
+# leftover arguments, abbreviations, "--" and -h among other flags
+USAGE_ERRORS = ((), ("bogus",), ("--", "eval-sum", "h1/k^2"),
+                ("--digits", "40", "fit", "h1/k^2", "--weight", "3"),
+                ("fit",), ("fit", "h1/k^2", "--weight", "x"),
+                ("fit", "h1/k^2", "--weight", "3", "--bogus"),
+                ("fit", "h1/k^2", "--weight", "3", "extra"),
+                ("fit", "h1/k^2", "--wei", "3", "--dig", "30"),
+                ("verify", "--format", "xml"), ("eval-sum", "--", "h1/k^2"),
+                ("verify", "fit"), ("fit", "-h", "--bogus"),
+                ("verify", "--f", "csv"), ("verify", "--id"), ("list", "--he"),
+                ("eval-sum", "-h1/k^2"), ("eval-expr", "z3", "z5"))
 
 
 def _load(name: str, path: Path):
@@ -62,7 +76,7 @@ def argvs() -> list[tuple[str, ...]]:
     fits = [tuple(op["argv"]) for op in _load("checks", ROOT / "perfbench" / "checks.py").fit_ops()]
     helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
     return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + \
-        list(LARGE_FITS) + list(SERIES_CORNERS) + helps
+        list(LARGE_FITS) + list(SERIES_CORNERS) + list(USAGE_ERRORS) + helps
 
 
 def run(side_dir: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:

@@ -46,8 +46,8 @@ MAX_DIGITS = 500
 # and the kmax cap at the default digits (200 * 40, about 2 s)
 LEMMA_BUDGET = 10 ** 4
 # largest fit --weight: the PSLQ basis grows fast (669 terms at weight
-# 41); weight 15 takes about 0.25 s at 40 digits and 11 s at 500, and
-# with --include-ln2 (30 PSLQ entries) 0.7 s and 83 s
+# 41); weight 15 takes about 0.25 s at 40 digits and 7.5 s at 500, and
+# with --include-ln2 (30 PSLQ entries) 0.7 s and 50 s
 MAX_FIT_WEIGHT = 15
 
 LEMMA_CONVENTION = (
@@ -341,59 +341,68 @@ class _Help(argparse.HelpFormatter):
         return f"{action.help} (default {show(self.defaults.get(action.dest, default))})"
 
 
+# (flag, add_argument keywords) of the flags of every command, then of the
+# commands that select catalog entries
+_COMMON = (("--digits", dict(type=int, help="significant decimal digits")),
+           ("--K", dict(type=int, help="direct summation cutoff")),
+           ("--tolerance", dict(help="pass/fail residual threshold")),
+           ("--format", dict(choices=_FORMATS, help="output format")),
+           ("--config", dict(help="flat 'key = value' config file")),
+           ("--catalog", dict(action="append", metavar="PATH",
+                              help="supplementary catalog file (repeatable)")))
+_SELECT = (("--id", dict(action="append", dest="ids", help="identity id to select (repeatable)")),
+           ("--family", dict(help="glob over identity ids, e.g. 'T1_*'")))
+
+# name -> (function, help text, own setting defaults under the config file's, arguments)
+_COMMANDS = {
+    "verify": (_cmd_verify, "verify catalogued identities", {}, _SELECT),
+    "eval-sum": (_cmd_eval_sum, "evaluate a sum given in SumSpec text form", {}, (("spec", {}),)),
+    "eval-expr": (_cmd_eval_expr, "evaluate a closed-form expression", {}, (("expr", {}),)),
+    "reduce": (_cmd_reduce, "emit a reduction as a combination of base sums", {}, (("rule", {}),
+        ("--m", dict(type=int, help="parameter for the parametric rule family")),
+        ("--substitute", dict(action="store_true",
+                              help="collapse the combination to a closed form")))),
+    "fit": (_cmd_fit, "fit a rational closed form to a sum", {}, (("spec", {}),
+        ("--weight", dict(type=int, required=True, help="weight of the fitted closed form")),
+        ("--include-ln2", dict(action="store_true",
+                               help="add ln 2 and the lower weights' zetas to the basis")),
+        ("--max-den", dict(type=int, default=256, help="largest coefficient denominator")))),
+    "list": (_cmd_list, "list the identity catalog", {}, _SELECT),
+    "lemma-check": (_cmd_lemma_check, "truncated vs closed residuals for the kernel lemmas",
+                    {"tolerance": "1e-9"},
+                    (("--kmax", dict(type=int, default=20, help="largest k of the kernel rows")),)),
+}
+
+
+def _command(name: str, sub=None) -> argparse.ArgumentParser:
+    """One command's parser: by sub.add_parser, or alone with its subparser prog."""
+    func, text, defaults, flags = _COMMANDS[name]
+    kw = {"formatter_class": functools.partial(_Help, defaults=defaults)}
+    p = (sub.add_parser(name, help=text, **kw) if sub else
+         argparse.ArgumentParser(prog="oddeuler " + name, **kw))
+    for flag, options in _COMMON + flags:
+        p.add_argument(flag, **options)
+    p.set_defaults(func=func, defaults=defaults)
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, help="significant decimal digits")
-    common.add_argument("--K", type=int, help="direct summation cutoff")
-    common.add_argument("--tolerance", help="pass/fail residual threshold")
-    common.add_argument("--format", choices=_FORMATS, help="output format")
-    common.add_argument("--config", help="flat 'key = value' config file")
-    common.add_argument("--catalog", action="append", metavar="PATH",
-                        help="supplementary catalog file (repeatable)")
-
     parser = argparse.ArgumentParser(
-        prog="oddeuler",
-        description="Verify and evaluate Euler sums over odd harmonic numbers.")
+        prog="oddeuler", description="Verify and evaluate Euler sums over odd harmonic numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, text, **defaults):
-        # defaults: the command's own setting defaults, below the config file
-        p = sub.add_parser(name, parents=[common], help=text,
-                           formatter_class=functools.partial(_Help, defaults=defaults))
-        p.set_defaults(func=func, defaults=defaults)
-        return p
-
-    picks = [command("verify", _cmd_verify, "verify catalogued identities")]
-    command("eval-sum", _cmd_eval_sum,
-            "evaluate a sum given in SumSpec text form").add_argument("spec")
-    command("eval-expr", _cmd_eval_expr,
-            "evaluate a closed-form expression").add_argument("expr")
-    p = command("reduce", _cmd_reduce, "emit a reduction as a combination of base sums")
-    p.add_argument("rule")
-    p.add_argument("--m", type=int, help="parameter for the parametric rule family")
-    p.add_argument("--substitute", action="store_true",
-                   help="collapse the combination to a closed form")
-    p = command("fit", _cmd_fit, "fit a rational closed form to a sum")
-    p.add_argument("spec")
-    p.add_argument("--weight", type=int, required=True, help="weight of the fitted closed form")
-    p.add_argument("--include-ln2", action="store_true",
-                   help="add ln 2 and the lower weights' zetas to the basis")
-    p.add_argument("--max-den", type=int, default=256,
-                   help="largest coefficient denominator")
-    picks.append(command("list", _cmd_list, "list the identity catalog"))
-    command("lemma-check", _cmd_lemma_check,
-            "truncated vs closed residuals for the kernel lemmas",
-            tolerance="1e-9").add_argument("--kmax", type=int, default=20,
-                                           help="largest k of the kernel rows")
-    for p in picks:  # the commands that select catalog entries
-        p.add_argument("--id", action="append", dest="ids",
-                       help="identity id to select (repeatable)")
-        p.add_argument("--family", help="glob over identity ids, e.g. 'T1_*'")
+    for name in _COMMANDS:
+        _command(name, sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse hands all after a leading command name to that command's parser, so only
+    # it is built; the full parser takes the rest (-h, no or an invalid command, leftovers)
+    args, extra = (_command(argv[0]).parse_known_args(argv[1:])
+                   if argv and argv[0] in _COMMANDS else (None, True))
+    if extra:
+        args = _build_parser().parse_args(argv)
     try:
         _resolve_config(args)
         print("config: " + " ".join(f"{dest}={show(getattr(args, dest))}"

@@ -19,6 +19,7 @@ import fnmatch
 import functools
 import itertools
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -381,6 +382,20 @@ def _fit_basis(weight: int, include_ln2: bool) -> list:
     return list(dict.fromkeys(basis))
 
 
+def _first_largest(gs: list[int], lgs: list[float], H: list[list[int]], prec: int) -> int:
+    """The first i with the largest gs[i] |H_ii| >> prec*i: PSLQ's row to swap.
+    lgs[i] is log2(gs[i]) - prec*i.  The float log2 of a row's product is
+    good to far below 2^-16: once the largest is past 2^64, a row more than
+    2^-16 under it is smaller by more than 1, and so is its floor.  So only
+    the rows within 2^-16 of the top are multiplied out, and every row when
+    the top is below 2^64, where floors may tie."""
+    est = [lg + math.log2(abs(H[i][i])) if H[i][i] else -math.inf for i, lg in enumerate(lgs)]
+    top = max(est)
+    cut = top - 2 ** -16 if top > 64 else -math.inf
+    sz = {i: gs[i] * abs(H[i][i]) >> prec * i for i, v in enumerate(est) if v >= cut}
+    return max(sz, key=sz.get)
+
+
 def _pslq(x: list, tol=None, maxcoeff: int = 1000, maxsteps: int = 100) -> list[int] | None:
     """mpmath 1.3.0's ``pslq``: the same fixed-point integer operations in
     the same order on every value that is read, so the same result bit for
@@ -408,6 +423,7 @@ def _pslq(x: list, tol=None, maxcoeff: int = 1000, maxsteps: int = 100) -> list[
         return None
     g = sqrt_fixed((4 << prec) // 3, prec)
     gs = [g ** i for i in range(1, n)]
+    lgs = [math.log2(gi) - prec * i for i, gi in enumerate(gs)]
     half = 1 << (prec - 1)
     sq = [xk ** 2 >> prec for xk in x]
     s = [sqrt_fixed(sum(sq[k:]), prec) for k in range(n)]
@@ -440,8 +456,7 @@ def _pslq(x: list, tol=None, maxcoeff: int = 1000, maxsteps: int = 100) -> list[
         reduce_row(i, i - 1, False)
     for _ in range(maxsteps):
         # swap the rows m, m + 1 at the first largest g^(i+1) |H_ii|
-        sz = [gi * abs(H[i][i]) >> prec * i for i, gi in enumerate(gs)]
-        m = sz.index(max(sz))
+        m = _first_largest(gs, lgs, H, prec)
         y[m], y[m + 1] = y[m + 1], y[m]
         H[m], H[m + 1] = H[m + 1], H[m]
         B[m], B[m + 1] = B[m + 1], B[m]

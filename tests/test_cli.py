@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism, config."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+
+from oddeuler import cli
 
 CSV_HEADER = "id,lhs_value,rhs_value,residual,tolerance,verdict,digits,K"
 
@@ -168,13 +171,24 @@ def test_zeta_index_and_harmonic_order_at_cap_accepted():
 
 
 def test_unknown_subcommand_exits_2():
-    rc, _, _ = run_cli("frobnicate")
+    rc, _, err = run_cli("frobnicate")
     assert rc == 2
+    assert err.splitlines()[-1].startswith(
+        "oddeuler: error: argument command: invalid choice: 'frobnicate'")
 
 
 def test_unknown_flag_exits_2():
-    rc, _, _ = run_cli("verify", "--bogus")
+    # a command's leftover arguments are reported under the top-level prog
+    rc, _, err = run_cli("verify", "--bogus")
     assert rc == 2
+    assert err.splitlines()[-1] == "oddeuler: error: unrecognized arguments: --bogus"
+
+
+def test_bad_flag_value_exits_2_under_the_command_prog():
+    rc, out, err = run_cli("fit", "h1/k^2", "--weight", "x")
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "oddeuler fit: error: argument --weight: invalid int value: 'x'"
 
 
 def test_unknown_id_exits_2():
@@ -520,3 +534,53 @@ def test_start_up_and_a_fit_skip_the_record_machinery():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] [] 0"
+
+
+def _subparser(name):
+    # the command's parser as a subparser of the full parser
+    full = cli._build_parser()
+    sub, = (a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("name", tuple(cli._COMMANDS))
+def test_one_command_parser_help_and_usage_match_the_subparser(monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    one, sub = cli._command(name), _subparser(name)
+    assert one.prog == sub.prog == f"oddeuler {name}"
+    assert one.format_help() == sub.format_help()
+    assert one.format_usage() == sub.format_usage()
+
+
+@pytest.mark.parametrize("argv", (
+    ("verify",),
+    ("verify", "--id", "s1", "--id", "B2", "--family", "T1_*", "--digits", "30"),
+    ("verify", "--catalog", "a.jsonl", "--catalog", "b.jsonl", "--config", "run.cfg"),
+    ("eval-sum", "h1/k^2", "--K", "100", "--format", "json"),
+    ("eval-sum", "--", "h1/k^2"),
+    ("eval-expr", "7/4*z3", "--tolerance=1e-9"),
+    ("reduce", "T1_2", "--m", "6", "--substitute"),
+    ("fit", "h1/k^2", "--wei", "3", "--dig", "30"),
+    ("fit", "--include-ln2", "h1/k^2", "--weight", "3", "--max-den", "12"),
+    ("list", "--family", "B*", "--format", "csv"),
+    ("lemma-check",),
+    ("lemma-check", "--kmax", "3", "--tolerance", "1e-5")))
+def test_one_command_parser_and_full_parser_give_the_same_namespace(argv):
+    args, extra = cli._command(argv[0]).parse_known_args(argv[1:])
+    assert extra == []
+    full = vars(cli._build_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+    assert vars(args) == full
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        made.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli.main(["fit", "h1/k^2", "--weight", "3", "--K", "100"]) == 0
+    assert made == ["oddeuler fit"]

@@ -1,5 +1,6 @@
 """Integer-relation fitting of closed forms from numeric values."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -159,6 +160,38 @@ def _pslq_grid():
         if rng.random() < 0.5:
             kw["maxsteps"] = rng.choice((0, 3, 400))
         yield prec, x, kw
+
+
+def _diagonals():
+    # seeded (gs, H, prec) at small and large precisions, whose rows tie
+    # exactly (a row copied to a later index), nearly tie (all near one
+    # target), are zero, or lie below 2^64, where floors tie although the
+    # products differ; only H's diagonal is read
+    rng = random.Random(5)
+    for _ in range(3000):
+        n, prec = rng.randint(1, 10), rng.choice((rng.randint(1, 64), rng.randint(400, 1200)))
+        target = rng.getrandbits(rng.choice((5, 40, 70, 300)))
+        gs, diag = [], []
+        for i in range(n):
+            kind = rng.random()
+            if kind < 0.2 and gs:
+                j = rng.randrange(i)
+                gs.append(gs[j] << prec * (i - j))
+                diag.append(diag[j])
+                continue
+            gi = rng.getrandbits(prec * i + rng.randint(1, 8)) | 1
+            h = ((target << prec * i) // gi + rng.randint(-2, 2)) * rng.choice((1, -1))
+            gs.append(gi)
+            diag.append(h if kind > 0.3 else 0)
+        yield gs, [[0] * i + [h] for i, h in enumerate(diag)], prec
+
+
+def test_row_choice_is_the_first_largest_of_all_rows_multiplied_out():
+    # mpmath's choice: every g^(i+1) |H_ii| >> prec*i formed, the first largest
+    for gs, H, prec in _diagonals():
+        sz = [gi * abs(H[i][i]) >> prec * i for i, gi in enumerate(gs)]
+        lgs = [math.log2(gi) - prec * i for i, gi in enumerate(gs)]
+        assert identities._first_largest(gs, lgs, H, prec) == sz.index(max(sz)), (gs, H, prec)
 
 
 def test_pslq_matches_mpmath_on_a_seeded_grid(roots):
