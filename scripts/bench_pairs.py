@@ -16,7 +16,9 @@ it prints both sides' median with the first and third quartile
 (``statistics.quantiles(values, n=4)``), the change in the median, and
 in how many pairs the change was better.  A gain is met when the change
 is better in at least nine of ten pairs and its median beats the
-parent's by more than the parent's interquartile range.
+parent's by more than the parent's interquartile range.  The run ends
+with one JSON line (``trajectory``) that holds the settings, the gain
+rule and every workload's rows, for a ``BENCH_<n>.json`` file.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GAIN_RULE = ("better in at least 0.9 of the pairs, and the median better than the "
+             "parent's by more than the parent's interquartile range (q3 - q1)")
 
 
 def export(side: str, rev: str, dest: Path) -> None:
@@ -95,6 +99,18 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     return rows
 
 
+def trajectory(args: argparse.Namespace, rows: dict[str, list[dict]]) -> str:
+    """One JSON line: the run's settings, the gain rule, and for each
+    workload its summarize rows keyed by metric name."""
+    return json.dumps({
+        "parent": args.parent, "pairs": args.pairs, "seconds": args.seconds,
+        "first_seed": args.first_seed, "gain_rule": GAIN_RULE,
+        "workloads": {workload: {row["name"]: {key: row[key] for key in
+                                               ("parent", "change", "wins", "delta", "gain")}
+                                 for row in workload_rows}
+                      for workload, workload_rows in rows.items()}})
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", metavar="PARENT_REV")
@@ -106,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    rows = {}
     for workload in workloads:
         pairs = []
         for i in range(args.pairs):
@@ -115,12 +132,14 @@ def main(argv: list[str] | None = None) -> int:
                    for side in order}
             pairs.append((got["parent"], got["change"]))
             print(f"{workload} seed {seed}: {json.dumps(got)}", flush=True)
-        for row in summarize(pairs, spec["end_to_end"]):
+        rows[workload] = summarize(pairs, spec["end_to_end"])
+        for row in rows[workload]:
             (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
             print(f"{workload:15s} {row['name']:16s} change {cm:.6g} ({c1:.6g}-{c3:.6g}) "
                   f"parent {pm:.6g} ({p1:.6g}-{p3:.6g}) {row['delta']:+.1%} "
                   f"better in {row['wins']}/{row['pairs']}"
                   f"{' gain met' if row['gain'] else ''}", flush=True)
+    print(trajectory(args, rows))
     return 0
 
 

@@ -12,8 +12,9 @@ and ``COLUMNS=80``.  The argvs are the golden ones (``tests/data/*.argv``),
 ``lemma-check --kmax 200 --format csv``, the fit-sweep ops of
 ``perfbench/checks.fit_ops()`` (PSLQ on at most 7 entries), four fits
 on large bases (PSLQ on 11 to 30 entries), four ``eval-sum`` corners of
-the harmonic value series, argparse's usage errors and help paths, and
-the eight ``-h`` pages.
+the harmonic value series, typed closed forms (``eval-expr``) and
+substituted reductions (``reduce --substitute``), argparse's usage
+errors and help paths, and the eight ``-h`` pages.
 
 It prints each argv whose stdout, stderr or exit code differs, with a
 short diff of the streams that differ, then a count.  The exit code is 1
@@ -46,6 +47,17 @@ SERIES_CORNERS = (("eval-sum", "H100*h1/k^2"),
                   ("eval-sum", "h20/k^2"),
                   ("eval-sum", "h9*H7/k^2"),
                   ("eval-sum", "H1*h1*h2/(2k-1)^3", "--digits", "100", "--K", "100"))
+# typed closed forms and substituted reductions: ln 2 and zeta letters
+# mixed up to weight 5, a zero, and every T1_2 reduction up to the one whose
+# closed form is not catalogued (exit 2)
+MIXED = ("z3 + ln2^3 + ln2*z2 + z2*z3 - ln2^2*z3 + 7/4*ln2*z4 + z5 - 3*ln2^5"
+         " + ln2^2*z2^2 + z4*ln2")
+ALGEBRA = (("eval-expr", MIXED), ("eval-expr", MIXED, "--digits", "100"),
+           ("eval-expr", "49/8*z3^2 - 945/128*z6", "--format", "json"), ("eval-expr", "0"),
+           *(("reduce", "T1_2", "--m", str(m), "--substitute") for m in range(1, 7)),
+           *(("reduce", rule, "--substitute")
+             for rule in ("T1_3_4", "T1_3_6", "T1_4_5", "T5", "s1_pair")),
+           ("reduce", "T1_2", "--m", "2", "--substitute", "--format", "json"))
 # argparse's errors and help, before and after a command name: no command,
 # an invalid choice, flags ahead of the command, missing, bad, ambiguous and
 # leftover arguments, abbreviations, "--" and -h among other flags
@@ -76,7 +88,7 @@ def argvs() -> list[tuple[str, ...]]:
     fits = [tuple(op["argv"]) for op in _load("checks", ROOT / "perfbench" / "checks.py").fit_ops()]
     helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
     return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + \
-        list(LARGE_FITS) + list(SERIES_CORNERS) + list(USAGE_ERRORS) + helps
+        list(LARGE_FITS) + list(SERIES_CORNERS) + list(ALGEBRA) + list(USAGE_ERRORS) + helps
 
 
 def run(side_dir: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:

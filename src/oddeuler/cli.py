@@ -27,7 +27,6 @@ from .identities import (adjudication_findings, catalog, fit_closed_form, reduce
                          select, substitute_bases, summarize, verify_all)
 from .summation import EvalOptions, evaluate_sum, lemma_checks, parse_sumspec, sum_kernels
 from .zeta_algebra import evaluate, format_expr, parse_expr
-from .numerics import ConstantsTable
 
 REPORT_FIELDS = ("id", "lhs_value", "rhs_value", "residual", "tolerance",
                  "verdict", "digits", "K")
@@ -220,7 +219,7 @@ def _cmd_eval_sum(args) -> int:
 def _cmd_eval_expr(args) -> int:
     expr = parse_expr(args.expr)
     with mp.workdps(args.digits + 10):
-        value = evaluate(expr, ConstantsTable(args.digits + 10))
+        value = evaluate(expr, args.digits + 10)
     _emit_fields({"value": _fmt(value, args.digits), "digits": args.digits}, args.format)
     return 0
 

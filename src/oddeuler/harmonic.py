@@ -20,7 +20,7 @@ from operator import floordiv
 
 import mpmath as mp
 
-from .numerics import ConstantsTable, HighFloat, Rational, _require_digits, power_groups, record
+from .numerics import HighFloat, Rational, _require_digits, constant, power_groups, record
 
 EXACT_LIMIT = 10 ** 5
 
@@ -184,13 +184,13 @@ def value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict
     memoized per (kind, s_cap, digits, prec) and shared between callers, so
     it is read-only.
     """
-    n, table = kind.order, ConstantsTable(digits)
-    const = table.euler_gamma if n == 1 else table.zeta(n)
+    n = kind.order
+    const = constant("euler_gamma" if n == 1 else f"zeta({n})", digits)
     even = {(0, 0): mp.libmp.to_fixed(const._mpf_, prec), **power_groups(n, s_cap, prec)}
     if kind.parity == "even":
         return even
     # x -> 2x: (ln 2x)^a expands binomially, x^{-s} halves s times
-    ln2 = mp.libmp.to_fixed(table.ln2._mpf_, prec)
+    ln2 = mp.libmp.to_fixed(constant("ln2", digits)._mpf_, prec)
     out: dict = {}
     for (a, s), c in even.items():
         for j in range(a + 1):

@@ -26,7 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import sqrt_fixed
 
-from .numerics import ConstantsTable, HighFloat, record
+from .numerics import HighFloat, record
 from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
                         parse_sumspec, read_sumspec, sum_specs)
 from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate, expect,
@@ -101,12 +101,11 @@ def evaluate_combination(comb: FormalCombination,
     opts = opts or EvalOptions()
     wp = opts.digits + 10
     with mp.workdps(wp):
-        table = ConstantsTable(wp)
-        total = evaluate(comb.constant, table)
+        total = evaluate(comb.constant, wp)
         err = mp.mpf(0)
         for coef, spec, power in comb.parts:
             r = evaluate_sum(spec, opts)
-            cval = evaluate(coef, table)
+            cval = evaluate(coef, wp)
             total += cval * r.value ** power
             err += abs(cval) * power * abs(r.value) ** (power - 1) * r.err_estimate
         err = max(err, err_floor(opts.digits))
@@ -216,7 +215,7 @@ def verify(identity: Identity | str, opts: EvalOptions | None = None,
                             else evaluate_combination)
             lhs_result = evaluate_lhs(identity.lhs, opts)
             lhs = lhs_result.value
-            rhs = evaluate(identity.rhs, ConstantsTable(opts.digits + 10))
+            rhs = evaluate(identity.rhs, opts.digits + 10)
             residual = abs(lhs - rhs)
             verdict = "pass" if residual <= tol else "fail"
         with mp.workdps(opts.digits):
@@ -370,15 +369,15 @@ def _fit_basis(weight: int, include_ln2: bool) -> list:
     # the weight-w monomials, sorted: each multiset of odd zetas whose rest
     # is even, times zeta(2)^(rest/2); with ln 2, the lower weights' single
     # zetas (even ones as powers of zeta(2)) and ln 2 follow
-    basis = sorted((ZetaMonomial.from_parts(0, {**{n: odds.count(n) for n in odds},
-                                                2: (weight - sum(odds)) // 2})
+    basis = sorted((ZetaMonomial.from_parts({**{n: odds.count(n) for n in odds},
+                                             2: (weight - sum(odds)) // 2})
                     for r in range(weight // 3 + 1)
                     for odds in itertools.combinations_with_replacement(range(3, weight + 1, 2), r)
                     if sum(odds) <= weight and (weight - sum(odds)) % 2 == 0),
                    key=lambda mo: (-mo.weight, mo.sort_key()))
     if include_ln2:
-        basis += [ZetaMonomial.from_parts(0, {2: j // 2} if j % 2 == 0 else {j: 1})
-                  for j in range(2, weight)] + [ZetaMonomial.from_parts(1, {})]
+        basis += [ZetaMonomial.from_parts({2: j // 2} if j % 2 == 0 else {j: 1})
+                  for j in range(2, weight)] + [ZetaMonomial.from_parts({1: 1})]
     return list(dict.fromkeys(basis))
 
 
@@ -495,10 +494,9 @@ def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
     if not basis:
         raise ValueError(f"empty fitting basis at weight {weight}")
     with mp.workdps(digits):
-        table = ConstantsTable(digits)
         vec = [mp.mpf(value)]
         for mono in basis:
-            vec.append(evaluate(ZetaExpr(((mono, Fraction(1)),)), table))
+            vec.append(evaluate(ZetaExpr(((mono, Fraction(1)),)), digits))
         rel = _pslq(vec, maxcoeff=10 ** 14, maxsteps=20000)
     if not rel or rel[0] == 0:
         return None
@@ -511,7 +509,7 @@ def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
         [(mono, c) for mono, c in zip(basis, coeffs) if c])
     check_digits = 2 * digits
     with mp.workdps(check_digits):
-        again = evaluate(expr, ConstantsTable(check_digits))
+        again = evaluate(expr, check_digits)
         if abs(again - mp.mpf(value)) > mp.mpf(10) ** (10 - digits):
             return None
     return expr
@@ -574,7 +572,7 @@ def adjudication_findings(reports: list[VerificationReport],
         with mp.workdps(opts.digits):
             anchor = mp.mpf(REFERENCE_ANCHORS["T1_2_2"])
             red = substitute_bases(reduce("T1_2", 2))
-            red_val = evaluate(red, ConstantsTable(opts.digits))
+            red_val = evaluate(red, opts.digits)
             engine = r41.lhs_value
             notes.append(
                 "finding T1_2_2_eq41: engine value "

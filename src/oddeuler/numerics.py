@@ -342,29 +342,3 @@ def constant(name: str, digits: int) -> HighFloat:
     _require_digits(digits)
     return _constant_cached(name, digits)
 
-
-class ConstantsTable:
-    """Lazy cache of the constants needed to evaluate closed forms.
-
-    All values share one digit count fixed at construction.  The table is
-    cheap to build; individual constants are computed on first use and
-    memoised process-wide.
-    """
-
-    def __init__(self, digits: int = 40):
-        _require_digits(digits)
-        self.digits = digits
-
-    def zeta(self, n: int) -> HighFloat:
-        return constant(f"zeta({n})", self.digits)
-
-    @property
-    def ln2(self) -> HighFloat:
-        return constant("ln2", self.digits)
-
-    @property
-    def euler_gamma(self) -> HighFloat:
-        return constant("euler_gamma", self.digits)
-
-    def __repr__(self) -> str:
-        return f"ConstantsTable(digits={self.digits})"

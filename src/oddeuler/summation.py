@@ -37,7 +37,7 @@ from operator import floordiv, mul, rshift
 import mpmath as mp
 
 from .harmonic import EXACT_LIMIT, HarmonicKind, columns, harmonic_exact, value_series
-from .numerics import ConstantsTable, HighFloat, Rational, euler_maclaurin_fixed, record
+from .numerics import HighFloat, Rational, euler_maclaurin_fixed, record
 from .zeta_algebra import (MAX_POWER, ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
                            take, tokenize)
 
@@ -394,9 +394,10 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     (_em_tail) are fixed-point ints at one scale 2^-prec, so head plus
     tail is converted to mpf once.  The series not in _sums yet are
     summed, one _heads walk per scale.  Both values are at the working
-    precision digits + 15, unrounded, and stay in _sums (cleared whole
-    before it would pass SUMS_MAX): equal arguments (SumSpec sorts its
-    factors) sum the series once.
+    precision digits + 15, unrounded, and stay in _sums, the whole batch
+    (cleared whole before new series would pass SUMS_MAX, so it holds at
+    most SUMS_MAX or the largest batch): equal arguments (SumSpec sorts
+    its factors) sum the series once.
     """
     # In units of 2^-prec each prefix is at most i low at term i, so the
     # product of m prefixes, each below X = 1 + ln(end), is at most
@@ -411,7 +412,7 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     # 2^-(bits of wp) for any number of factors.
     done = {series: _sums[series, opts] for series in batch if (series, opts) in _sums}
     new = [series for series in dict.fromkeys(batch) if series not in done]
-    if len(_sums) + len(new) > SUMS_MAX:
+    if new and len(_sums) + len(new) > SUMS_MAX:
         _sums.clear()
     groups: dict = {}
     for series in new:
@@ -421,8 +422,7 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
             tail, omitted = _em_tail(*series, opts, prec)
             with mp.workdps(opts.digits + 15):
                 done[series] = mp.mpf((head + tail, -prec)), omitted
-            if len(_sums) < SUMS_MAX:
-                _sums[series, opts] = done[series]
+            _sums[series, opts] = done[series]
     return [done[series] for series in batch]
 
 
@@ -556,7 +556,7 @@ def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions | None) -> HighFl
 def _closed(terms: list, opts: EvalOptions | None) -> HighFloat:
     digits = (opts or DEFAULT_OPTS).digits
     with mp.workdps(digits):
-        return +evaluate(ZetaExpr.from_terms(terms), ConstantsTable(digits + 15))
+        return +evaluate(ZetaExpr.from_terms(terms), digits + 15)
 
 
 def _h(n: int, k: int) -> Fraction:
@@ -564,7 +564,8 @@ def _h(n: int, k: int) -> Fraction:
 
 
 def _z(t: int) -> ZetaMonomial:
-    return ZetaMonomial(0, ((t, 1),))
+    # letter t alone: ln 2 at t = 1, zeta(t) above
+    return ZetaMonomial(((t, 1),))
 
 
 _ladders: dict[int, list[Fraction]] = {}
@@ -587,7 +588,7 @@ def _shifted_terms(n: int, k: int) -> list:
     # the sign of n rides on the ladder and the ln 2 block only; each
     # (1 - 2^-t) zeta(t) term carries (-1)^(n-t)
     sign = Fraction(1 if n % 2 == 1 else -1, k)
-    return [(ZetaMonomial(), sign * _ladder(n, k)), (ZetaMonomial(1), 2 * sign * _h(n, k))] + \
+    return [(ZetaMonomial(), sign * _ladder(n, k)), (_z(1), 2 * sign * _h(n, k))] + \
         [(_z(t), 2 * (-1) ** (n - t) * (1 - Fraction(1, 2 ** t)) * _h(n + 1 - t, k) / k)
          for t in range(2, n + 1)]
 

@@ -1,8 +1,9 @@
 """Exact polynomials in zeta values and ln 2.
 
 Closed forms are carried as rational-coefficient sums of monomials
-``ln2^a * zeta(n1)^e1 * ...``.  Arithmetic is exact end to end; numbers
-only appear when an expression is evaluated against a ConstantsTable.
+``ln2^a * zeta(n1)^e1 * ...``, each a tuple of letters: 1 for ln 2, n for
+zeta(n).  Arithmetic is exact end to end; numbers only appear when an
+expression is evaluated at a digit count.
 
 One tokenizer and one term reader serve three text forms: closed forms,
 sum specs (summation.parse_sumspec) and bracketed combinations of sums
@@ -35,7 +36,7 @@ from math import factorial
 
 import mpmath as mp
 
-from .numerics import ConstantsTable, HighFloat, Rational, bernoulli, record
+from .numerics import HighFloat, Rational, _require_digits, bernoulli, constant, record
 
 
 # largest zeta index, harmonic order and k plus (2k-1) power that text may
@@ -61,22 +62,21 @@ class ExprSyntaxError(ValueError):
 
 @record
 class ZetaMonomial:
-    """One product ln2^a * zeta(n1)^e1 * ... with n ascending."""
+    """One product of letters, each to a positive power.
 
-    ln2_exp: int = 0
-    zeta_exps: tuple[tuple[int, int], ...] = ()
+    factors holds (letter, power) pairs in ascending letter order: letter
+    1 is ln 2 and letter n >= 2 is zeta(n), so a letter's weight is n.
+    """
+
+    factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.ln2_exp < 0:
-            raise ValueError("negative ln2 exponent")
         last = 0
-        for n, e in self.zeta_exps:
-            if n < 2:
-                raise ValueError(f"zeta({n}) is not a valid factor")
+        for n, e in self.factors:
             if e <= 0:
-                raise ValueError("zeta exponents must be positive")
-            if n <= last:  # ascending, hence distinct
-                raise ValueError("zeta factors must be sorted and distinct")
+                raise ValueError("powers must be positive")
+            if n <= last:  # ascending from letter 1, hence distinct
+                raise ValueError("letters must be sorted, distinct and >= 1")
             last = n
 
     @staticmethod
@@ -84,35 +84,33 @@ class ZetaMonomial:
         return ZetaMonomial()
 
     @staticmethod
-    def from_parts(ln2_exp: int, zeta_exps: dict[int, int]) -> "ZetaMonomial":
-        items = tuple(sorted((n, e) for n, e in zeta_exps.items() if e))
-        return ZetaMonomial(ln2_exp, items)
+    def from_parts(powers: dict[int, int]) -> "ZetaMonomial":
+        return ZetaMonomial(tuple(sorted((n, e) for n, e in powers.items() if e)))
 
     @property
     def weight(self) -> int:
-        return self.ln2_exp + sum(n * e for n, e in self.zeta_exps)
+        return sum(n * e for n, e in self.factors)
 
     def sort_key(self) -> tuple:
-        # ln 2 sorts before every zeta factor; zetas by argument.
-        expanded = [(0,)] * self.ln2_exp
-        for n, e in self.zeta_exps:
-            expanded.extend([(1, n)] * e)
+        # the letters, each repeated by its power: ln 2 before every zeta
+        expanded = []
+        for n, e in self.factors:
+            expanded += [n] * e
         return tuple(expanded)
 
     def text(self) -> str:
         parts = []
-        if self.ln2_exp:
-            parts.append("ln2" if self.ln2_exp == 1 else f"ln2^{self.ln2_exp}")
-        for n, e in self.zeta_exps:
-            parts.append(f"z{n}" if e == 1 else f"z{n}^{e}")
+        for n, e in self.factors:
+            name = "ln2" if n == 1 else f"z{n}"
+            parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts)
 
 
 def _merge_monomials(a: ZetaMonomial, b: ZetaMonomial) -> ZetaMonomial:
-    exps: dict[int, int] = dict(a.zeta_exps)
-    for n, e in b.zeta_exps:
-        exps[n] = exps.get(n, 0) + e
-    return ZetaMonomial.from_parts(a.ln2_exp + b.ln2_exp, exps)
+    powers: dict[int, int] = dict(a.factors)
+    for n, e in b.factors:
+        powers[n] = powers.get(n, 0) + e
+    return ZetaMonomial.from_parts(powers)
 
 
 # ---- expressions --------------------------------------------------------
@@ -155,11 +153,13 @@ class ZetaExpr:
 
     @staticmethod
     def zeta(n: int, coef: Rational = 1) -> "ZetaExpr":
-        return ZetaExpr.from_terms([(ZetaMonomial(0, ((n, 1),)), Fraction(coef))])
+        if n < 2:
+            raise ValueError(f"zeta({n}) is not a valid factor")
+        return ZetaExpr.from_terms([(ZetaMonomial(((n, 1),)), Fraction(coef))])
 
     @staticmethod
     def ln2(coef: Rational = 1) -> "ZetaExpr":
-        return ZetaExpr.from_terms([(ZetaMonomial(1, ()), Fraction(coef))])
+        return ZetaExpr.from_terms([(ZetaMonomial(((1, 1),)), Fraction(coef))])
 
     def __add__(self, other: "ZetaExpr") -> "ZetaExpr":
         return ZetaExpr.from_terms(list(self.terms) + list(other.terms))
@@ -231,36 +231,27 @@ def canonicalize(expr: ZetaExpr) -> ZetaExpr:
     """
     out = []
     for mono, coef in expr.terms:
-        z2 = 0
-        rest: dict[int, int] = {}
-        c = coef
-        for n, e in mono.zeta_exps:
-            if n == 2:
-                z2 += e
-            elif n % 2 == 0:
-                m = n // 2
-                c *= even_zeta_ratio(m) ** e
-                z2 += m * e
-            else:
-                rest[n] = rest.get(n, 0) + e
-        if z2:
-            rest[2] = rest.get(2, 0) + z2
-        out.append((ZetaMonomial.from_parts(mono.ln2_exp, rest), c))
+        powers: dict[int, int] = {}
+        for n, e in mono.factors:
+            if n > 2 and n % 2 == 0:  # zeta(n)^e as a rational times zeta(2)^(n/2 e)
+                coef *= even_zeta_ratio(n // 2) ** e
+                n, e = 2, n // 2 * e
+            powers[n] = powers.get(n, 0) + e
+        out.append((ZetaMonomial.from_parts(powers), coef))
     return ZetaExpr.from_terms(out)
 
 
-def evaluate(expr: ZetaExpr, table: ConstantsTable) -> HighFloat:
-    """Numeric value at the table's precision."""
-    with mp.workdps(table.digits + 5):
+def evaluate(expr: ZetaExpr, digits: int) -> HighFloat:
+    """Numeric value at digits, each letter's constant taken at digits."""
+    _require_digits(digits)
+    with mp.workdps(digits + 5):
         total = mp.mpf(0)
         for mono, coef in expr.terms:
             v = mp.mpf(coef.numerator) / coef.denominator
-            if mono.ln2_exp:
-                v *= table.ln2 ** mono.ln2_exp
-            for n, e in mono.zeta_exps:
-                v *= table.zeta(n) ** e
+            for n, e in mono.factors:
+                v *= constant("ln2" if n == 1 else f"zeta({n})", digits) ** e
             total += v
-    with mp.workdps(table.digits):
+    with mp.workdps(digits):
         return +total
 
 
@@ -317,7 +308,7 @@ def read_posint(toks: list, what: str) -> int:
 
 def _read_term(toks: list, part) -> tuple:
     # coef | [coef '*'] factor ('*' factor)* ['*' '['...] | [coef '*'] '['...;
-    # factor exponents add up by zeta argument, 0 standing for ln2
+    # factor exponents add up by letter, 1 standing for ln2
     coef, exps, bracket, what = Fraction(1), {}, None, "a coefficient or symbol"
     if toks[0][0] == "int":
         coef = Fraction(toks.pop(0)[1])
@@ -339,12 +330,12 @@ def _read_term(toks: list, part) -> tuple:
         if kind == "zeta" and value > MAX_POWER:
             raise ExprSyntaxError(f"zeta indices must be <= {MAX_POWER}", pos)
         toks.pop(0)
-        n = value if kind == "zeta" else 0
+        n = value if kind == "zeta" else 1
         exps[n] = exps.get(n, 0) + (read_posint(toks, "exponent") if take(toks, "^") else 1)
         if not take(toks, "*"):
             break
         what = "symbol after '*'"
-    return coef, ZetaMonomial.from_parts(exps.pop(0, 0), exps), bracket
+    return coef, ZetaMonomial.from_parts(exps), bracket
 
 
 def parse_terms(toks: list, part=None) -> list[tuple[Fraction, ZetaMonomial, object]]:

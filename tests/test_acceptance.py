@@ -20,7 +20,6 @@ from oddeuler.identities import (REFERENCE_ANCHORS, adjudication_findings,
                                  catalog, fit_closed_form, fit_value, reduce,
                                  substitute_bases, summarize, verify,
                                  verify_all)
-from oddeuler.numerics import ConstantsTable
 from oddeuler.summation import (EvalOptions, evaluate_sum, lemma1_aux,
                                 lemma2_g, lemma3_f, parse_sumspec,
                                 reciprocal_sum_closed_form)
@@ -113,7 +112,7 @@ def test_criterion_3_mutual_inconsistency_reported():
     with mp.workdps(50):
         engine = evaluate_sum(parse_sumspec("h2/k^5"), OPTS).value
         reduced = substitute_bases(reduce("T1_2", 2))
-        red_val = evaluate(reduced, ConstantsTable(50))
+        red_val = evaluate(reduced, 50)
         self_validating = abs(engine - red_val) <= mp.mpf("1e-11")
         assert self_validating
         anchor_gap = abs(engine - mp.mpf(REFERENCE_ANCHORS["T1_2_2"]))
@@ -183,7 +182,6 @@ def test_criterion_5_lemma_suite():
 def test_criterion_6_reciprocal_sums():
     worst = mp.mpf(0)
     with mp.workdps(50):
-        table = ConstantsTable(50)
         for total in range(2, 8):
             for p in range(0, total + 1):
                 q = total - p
@@ -195,7 +193,7 @@ def test_criterion_6_reciprocal_sums():
                 else:
                     text = f"1/(k^{p}*(2k-1)^{q})"
                 value = evaluate_sum(parse_sumspec(text), OPTS).value
-                want = evaluate(expr, table)
+                want = evaluate(expr, 50)
                 worst = max(worst, abs(value - want))
         assert worst <= mp.mpf("1e-12"), mp.nstr(worst, 5)
     _report("criterion 6: reciprocal closed forms match summation to 1e-12 "
@@ -232,7 +230,7 @@ def test_criterion_7_fitting():
             continue
         expr = ZetaExpr.from_terms(terms)
         with mp.workdps(40):
-            value = evaluate(expr, ConstantsTable(40))
+            value = evaluate(expr, 40)
         back = fit_value(value, weight, max_den=64, digits=40)
         assert back == expr, format_expr(expr)
         done += 1

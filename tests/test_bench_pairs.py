@@ -1,6 +1,8 @@
 """scripts/bench_pairs.py: the summary of alternated benchmark pairs."""
 
+import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,19 @@ def test_summary_of_a_single_pair():
     (row,) = bench_pairs.summarize([({"wall_s": 2.0}, {"wall_s": 3.0})], METRICS[:1])
     assert row["parent"] == (2.0, 2.0, 2.0) and row["change"] == (3.0, 3.0, 3.0)
     assert row["wins"] == 0 and row["delta"] == pytest.approx(0.5) and not row["gain"]
+
+
+def test_trajectory_line_parses_and_carries_the_rows():
+    rows = {"fit-sweep": bench_pairs.summarize(
+        _pairs([1.0, 1.2, 0.9], [0.8, 1.3, 0.85], "wall_s"), METRICS[:1])}
+    args = argparse.Namespace(parent="abc123", pairs=3, seconds=30.0, first_seed=1)
+    line = bench_pairs.trajectory(args, rows)
+    assert "\n" not in line
+    got = json.loads(line)
+    assert {key: got[key] for key in ("parent", "pairs", "seconds", "first_seed")} == \
+        {"parent": "abc123", "pairs": 3, "seconds": 30.0, "first_seed": 1}
+    assert got["gain_rule"] == bench_pairs.GAIN_RULE
+    (row,) = rows["fit-sweep"]
+    assert got["workloads"] == {"fit-sweep": {"wall_s": {
+        "parent": list(row["parent"]), "change": list(row["change"]),
+        "wins": 2, "delta": row["delta"], "gain": False}}}

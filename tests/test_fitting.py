@@ -9,7 +9,7 @@ import pytest
 
 from oddeuler import identities
 from oddeuler.identities import _fit_basis, _pslq, fit_closed_form, fit_value
-from oddeuler.numerics import ConstantsTable
+from oddeuler.numerics import constant
 from oddeuler.summation import EvalOptions, parse_sumspec
 from oddeuler.zeta_algebra import ZetaExpr, ZetaMonomial, evaluate, format_expr, parse_expr
 
@@ -30,16 +30,14 @@ def test_fit_no_closed_form():
 
 def test_fit_mixed_with_ln2():
     with mp.workdps(40):
-        t = ConstantsTable(40)
-        value = 3 * t.zeta(2) / 2 - 2 * t.ln2
+        value = 3 * constant("zeta(2)", 40) / 2 - 2 * constant("ln2", 40)
         got = fit_value(value, 2, include_ln2=True, max_den=16)
         assert got == parse_expr("3/2*z2 - 2*ln2")
 
 
 def test_fit_rejects_oversized_denominators():
     with mp.workdps(40):
-        t = ConstantsTable(40)
-        value = t.zeta(3) / 512
+        value = constant("zeta(3)", 40) / 512
         assert fit_value(value, 3, max_den=256) is None
 
 
@@ -77,12 +75,12 @@ def _reference_basis(weight, include_ln2):
                 parts_into(remaining - n, n, cn)
 
     parts_into(weight, weight, {})
-    basis = sorted({ZetaMonomial.from_parts(0, c) for c in found},
+    basis = sorted({ZetaMonomial.from_parts(c) for c in found},
                    key=lambda mo: (-mo.weight, mo.sort_key()))
     if include_ln2:
         for j in range(2, weight):
-            basis.append(ZetaMonomial.from_parts(0, {2: j // 2} if j % 2 == 0 else {j: 1}))
-        basis.append(ZetaMonomial.from_parts(1, {}))
+            basis.append(ZetaMonomial.from_parts({2: j // 2} if j % 2 == 0 else {j: 1}))
+        basis.append(ZetaMonomial.from_parts({1: 1}))
     seen = []
     for mo in basis:
         if mo not in seen:
@@ -113,7 +111,7 @@ def test_round_trip_twenty_random_expressions():
             continue
         expr = ZetaExpr.from_terms(terms)
         with mp.workdps(40):
-            value = evaluate(expr, ConstantsTable(40))
+            value = evaluate(expr, 40)
         got = fit_value(value, weight, max_den=64, digits=40)
         assert got == expr, format_expr(expr)
         done += 1

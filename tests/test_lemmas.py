@@ -8,7 +8,7 @@ import pytest
 
 from oddeuler import summation
 from oddeuler.harmonic import EXACT_LIMIT, HarmonicKind, harmonic_exact
-from oddeuler.numerics import ConstantsTable
+from oddeuler.numerics import constant
 from oddeuler.summation import (EvalOptions, lemma1_aux, lemma1_f, lemma2_g,
                                 lemma3_f, recip_kernel_closed,
                                 shifted_kernel_closed)
@@ -49,11 +49,11 @@ def test_lemma1_f_special_value():
 
 def test_lemma2_special_values():
     with mp.workdps(40):
-        t = ConstantsTable(40)
+        z2 = constant("zeta(2)", 40)
         _, c11 = lemma2_g(1, 1, OPTS)
-        assert abs(c11 - (t.zeta(2) - 2)) < mp.mpf("1e-25")
+        assert abs(c11 - (z2 - 2)) < mp.mpf("1e-25")
         _, c12 = lemma2_g(1, 2, OPTS)
-        assert abs(c12 - t.zeta(2) / 2) < mp.mpf("1e-25")
+        assert abs(c12 - z2 / 2) < mp.mpf("1e-25")
 
 
 def test_closed_sides_are_exact_expressions(monkeypatch):
@@ -61,8 +61,8 @@ def test_closed_sides_are_exact_expressions(monkeypatch):
     # docstrings' special values hold as structures, not only as numbers
     seen = []
     real_evaluate = summation.evaluate
-    monkeypatch.setattr(summation, "evaluate", lambda expr, table: seen.append(
-        (expr, table.digits)) or real_evaluate(expr, table))
+    monkeypatch.setattr(summation, "evaluate", lambda expr, digits: seen.append(
+        (expr, digits)) or real_evaluate(expr, digits))
     for closed_side, text in ((lambda: lemma2_g(1, 1, OPTS)[1], "z2 - 2"),
                               (lambda: lemma2_g(1, 2, OPTS)[1], "1/2*z2"),
                               (lambda: lemma1_f(1, OPTS)[1], "2*ln2 - 3"),
@@ -73,8 +73,7 @@ def test_closed_sides_are_exact_expressions(monkeypatch):
         value = closed_side()
         assert seen == [(parse_expr(text), OPTS.digits + 15)], text
         with mp.workdps(OPTS.digits):
-            assert value == +real_evaluate(parse_expr(text),
-                                           ConstantsTable(OPTS.digits + 15))
+            assert value == +real_evaluate(parse_expr(text), OPTS.digits + 15)
 
 
 def test_ladder_memo_matches_the_direct_sum():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddeuler import numerics, summation
-from oddeuler.numerics import ConstantsTable, bernoulli, constant
+from oddeuler.numerics import bernoulli, constant
 from oddeuler.harmonic import HarmonicKind, value_series
 from oddeuler.identities import FormalCombination, Identity, VerificationReport
 from oddeuler.summation import (EvalOptions, EvalResult, SumSpec,
@@ -104,19 +104,16 @@ def test_unknown_name_rejected():
 
 
 def test_constants_table():
-    t = ConstantsTable(45)
-    assert close(t.zeta(3), FROZEN_CONSTANTS["zeta(3)"], "1e-43")
-    assert close(t.ln2, FROZEN_CONSTANTS["ln2"], "1e-43")
-    assert close(t.euler_gamma, FROZEN_CONSTANTS["euler_gamma"], "1e-43")
+    for name in ("zeta(3)", "ln2", "euler_gamma"):
+        assert close(constant(name, 45), FROZEN_CONSTANTS[name], "1e-43")
 
 
 def test_lambda_matches_definition():
     # lambda(n) = (1 - 2^-n) zeta(n) is never a stored symbol: it is the
     # closed form of sum 1/(2k-1)^n, valued by zeta_algebra.evaluate
-    t = ConstantsTable(40)
     with mp.workdps(45):
         for n in range(2, 9):
-            lam = evaluate(reciprocal_sum_closed_form(0, n), t)
+            lam = evaluate(reciprocal_sum_closed_form(0, n), 40)
             want = (1 - mp.mpf(2) ** (-n)) * mp.mpf(
                 FROZEN_CONSTANTS[f"zeta({n})"])
             assert abs(lam - want) < mp.mpf("1e-38")
@@ -139,7 +136,7 @@ _ONE = ZetaExpr.const(1)
 # one instance's fields per record class, in declaration order
 RECORDS = (
     (HarmonicKind, {"parity": "odd", "order": 3}),
-    (ZetaMonomial, {"ln2_exp": 1, "zeta_exps": ((3, 1),)}),
+    (ZetaMonomial, {"factors": ((1, 1), (3, 1))}),
     (ZetaExpr, {"terms": ((ZetaMonomial(), Fraction(7, 4)),)}),
     (SumSpec, {"factors": (HarmonicKind.odd(1),), "k_power": 2, "odd_power": 1}),
     (EvalOptions, {"digits": 30, "K": 1000, "tail_terms": 5}),
@@ -179,7 +176,7 @@ def test_record_is_frozen(cls, fields):
 
 
 @pytest.mark.parametrize("short,full", (
-    (ZetaMonomial(), ZetaMonomial(0, ())),
+    (ZetaMonomial(), ZetaMonomial(())),
     (ZetaExpr(), ZetaExpr(())),
     (SumSpec(k_power=2), SumSpec((), 2, 0)),
     (EvalOptions(K=1000), EvalOptions(40, 1000, 4)),

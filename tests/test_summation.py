@@ -17,7 +17,7 @@ from oddeuler.summation import (HEAD_BLOCK, MAX_K, MAX_POWER, SUMS_MAX, EvalOpti
                                 SumSpecSyntaxError, _em_tail, _guard_bits, _heads, _series_cap,
                                 _spec_series, _sum_batch, _sums, evaluate_sum, format_sumspec,
                                 parse_sumspec, reciprocal_sum_closed_form, sum_specs, term_exact)
-from oddeuler.numerics import ConstantsTable, bernoulli
+from oddeuler.numerics import bernoulli
 from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr
 
 from conftest import FROZEN_SUMS, FROZEN_SUMS_30
@@ -482,8 +482,9 @@ def test_batched_heads_fill_the_memo(monkeypatch):
 
 
 def test_batch_past_the_memo_bound_returns_its_own_sums(monkeypatch):
-    # 297 new series take the memo past SUMS_MAX: it is cleared first, and
-    # the batch's sums (a memo hit among them) are those of lone runs
+    # 297 new series take the memo past SUMS_MAX: it is cleared first, then
+    # keeps the whole batch, and the batch's sums (a memo hit among them)
+    # are those of lone runs
     opts = EvalOptions(digits=20, K=100)
     specs = [spec for n in range(2, 101) for spec in (
         SumSpec((), n, 0), SumSpec((), 0, n), SumSpec((HarmonicKind.odd(1),), n, 0))]
@@ -493,8 +494,12 @@ def test_batch_past_the_memo_bound_returns_its_own_sums(monkeypatch):
     walks = _count_walks(monkeypatch)
     pairs = _sum_batch(batch + batch[:1], opts)
     assert sum(map(len, walks)) == len(batch) - 1 == 296
-    assert list(_sums) == [(series, opts) for series in batch[1:SUMS_MAX + 1]]
+    assert len(batch) - 1 > SUMS_MAX
+    assert list(_sums) == [(series, opts) for series in batch[1:]]
     assert pairs[0] == pairs[-1] == hit
+    for spec in specs[1:]:
+        evaluate_sum(spec, opts)
+    assert sum(map(len, walks)) == 296
     lone = []
     for series in batch:
         _sums.clear()
@@ -590,7 +595,7 @@ def test_reciprocal_closed_vs_sum_spot_checks():
             text = f"1/(k^{p}*(2k-1)^{q})"
         res = evaluate_sum(parse_sumspec(text), EvalOptions(digits=30))
         with mp.workdps(40):
-            want = evaluate(expr, ConstantsTable(40))
+            want = evaluate(expr, 40)
             assert abs(res.value - want) < mp.mpf("1e-25")
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddeuler.numerics import ConstantsTable
 from oddeuler.zeta_algebra import (ExprSyntaxError, ZetaExpr, ZetaMonomial,
                                    canonicalize, combine, even_zeta_ratio,
                                    evaluate, format_expr, multiply,
@@ -111,23 +110,24 @@ def test_canonicalize():
     assert got == parse_expr("2/5*z2^2*z3")
 
 
-def test_canonicalize_preserves_value(table40):
+def test_canonicalize_preserves_value():
     e = parse_expr("3/4*z8 - 2*z4*z2 + z6*z3")
     with mp.workdps(40):
-        before = evaluate(e, table40)
-        after = evaluate(canonicalize(e), table40)
+        before = evaluate(e, 40)
+        after = evaluate(canonicalize(e), 40)
         assert abs(before - after) < mp.mpf("1e-35")
 
 
-def test_evaluate_weight6_value(table40):
+def test_evaluate_weight6_value():
     e = parse_expr("49/8*z3^2 - 945/128*z6")
     with mp.workdps(40):
-        got = evaluate(e, table40)
+        got = evaluate(e, 40)
         assert abs(got - mp.mpf(FROZEN_SUMS["h1*h2/k^3"])) < mp.mpf("1e-37")
 
 
 def test_monomial_weight_and_text():
-    m = ZetaMonomial.from_parts(1, {2: 2, 3: 1})
+    m = ZetaMonomial.from_parts({1: 1, 2: 2, 3: 1})
+    assert m.factors == ((1, 1), (2, 2), (3, 1))
     assert m.weight == 8
     assert m.text() == "ln2*z2^2*z3"
     assert ZetaMonomial.one().weight == 0
@@ -136,11 +136,42 @@ def test_monomial_weight_and_text():
 
 def test_monomial_validation():
     with pytest.raises(ValueError):
-        ZetaMonomial.from_parts(-1, {})
-    with pytest.raises(ValueError):
-        ZetaMonomial.from_parts(0, {1: 1})
+        ZetaMonomial.from_parts({1: -1})
     # zero exponents are normalized away, not rejected
-    assert ZetaMonomial.from_parts(0, {2: 0}) == ZetaMonomial.one()
+    assert ZetaMonomial.from_parts({2: 0}) == ZetaMonomial.one()
+
+
+@pytest.mark.parametrize("factors", [((3, 1), (2, 1)), ((2, 1), (2, 1)), ((1, 2), (1, 1)),
+                                     ((0, 1),), ((2, 0),)])
+def test_repeated_unsorted_or_empty_letters_raise(factors):
+    with pytest.raises(ValueError):
+        ZetaMonomial(factors)
+
+
+def test_zeta_below_two_raises():
+    # letter 1 is ln 2, so zeta(1) and zeta(0) have no letter
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=f"zeta\\({n}\\)"):
+            ZetaExpr.zeta(n)
+
+
+def test_evaluate_below_ten_digits_raises():
+    # even a constant expression, which asks for no letter's value
+    with pytest.raises(ValueError, match="digits must be >= 10"):
+        evaluate(ZetaExpr.const(1), 5)
+
+
+# one term for every way ln 2 and zeta letters mix up to weight 5
+MIXED = ("z3 + ln2^3 + ln2*z2 + z2*z3 - ln2^2*z3 + 7/4*ln2*z4 + z5 - 3*ln2^5"
+         " + ln2^2*z2^2 + z4*ln2")
+
+
+def test_display_order_of_mixed_letters_as_text():
+    # heaviest first, then ln 2 before every zeta, letter by letter; the
+    # strings are literal so that no sort key checks itself
+    shown = "ln2^2*z2^2 - 3*ln2^5 - ln2^2*z3 + {} + z2*z3 + z5 + ln2^3 + ln2*z2 + z3"
+    assert format_expr(parse_expr(MIXED)) == shown.format("11/4*ln2*z4")
+    assert format_expr(canonicalize(parse_expr(MIXED))) == shown.format("11/10*ln2*z2^2")
 
 
 _coef = st.fractions(min_value=-8, max_value=8, max_denominator=16)
