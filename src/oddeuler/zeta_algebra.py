@@ -249,7 +249,7 @@ def evaluate(expr: ZetaExpr, digits: int) -> HighFloat:
         for mono, coef in expr.terms:
             v = mp.mpf(coef.numerator) / coef.denominator
             for n, e in mono.factors:
-                v *= constant("ln2" if n == 1 else f"zeta({n})", digits) ** e
+                v *= mp.mpf(constant("ln2" if n == 1 else f"zeta({n})", digits)) ** e
             total += v
     with mp.workdps(digits):
         return +total
