@@ -18,9 +18,8 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat, tee
 from operator import floordiv
 
-import mpmath as mp
-
-from .numerics import HighFloat, Rational, _require_digits, constant, power_groups, record
+from .numerics import (HighFloat, Rational, _require_digits, constant, dps_to_prec, ln_fixed,
+                       power_groups, record)
 
 EXACT_LIMIT = 10 ** 5
 
@@ -148,7 +147,7 @@ class PrefixStream:
         _require_digits(digits)
         self.kinds = tuple(kinds)
         self.digits = digits
-        self.prec = mp.libmp.dps_to_prec(digits) + terms.bit_length() + guard
+        self.prec = dps_to_prec(digits) + terms.bit_length() + guard
         self.one = 1 << self.prec
         self.prefixes = [0] * len(self.kinds)
         self._columns = columns(self.kinds, self.prec)
@@ -166,8 +165,7 @@ class PrefixStream:
 
     def value(self, kind: HarmonicKind) -> HighFloat:
         """The prefix of kind, rounded to the stream's digits."""
-        with mp.workdps(self.digits):
-            return mp.mpf((self.prefixes[self.kinds.index(kind)], -self.prec))
+        return HighFloat(self.prefixes[self.kinds.index(kind)], -self.prec).round(self.digits)
 
 
 # ---- asymptotic expansions ----------------------------------------------
@@ -186,11 +184,11 @@ def value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict
     """
     n = kind.order
     const = constant("euler_gamma" if n == 1 else f"zeta({n})", digits)
-    even = {(0, 0): mp.libmp.to_fixed(const._mpf_, prec), **power_groups(n, s_cap, prec)}
+    even = {(0, 0): const.fixed(prec), **power_groups(n, s_cap, prec)}
     if kind.parity == "even":
         return even
     # x -> 2x: (ln 2x)^a expands binomially, x^{-s} halves s times
-    ln2 = mp.libmp.to_fixed(constant("ln2", digits)._mpf_, prec)
+    ln2 = constant("ln2", digits).fixed(prec)
     out: dict = {}
     for (a, s), c in even.items():
         for j in range(a + 1):
@@ -201,19 +199,24 @@ def value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict
     return {k: v for k, v in out.items() if v}
 
 
-def _expansion_pieces(n: int, x: HighFloat, digits: int) -> list:
-    # Monomials of the H(n, x) value series valued at x, leading first.
-    # For n >= 2 they are negated and zeta(n) dropped, so that they add up
-    # to the tail zeta(n) - H(n, x); for n = 1 they add up to H(1, x)
-    # itself.  The series comes in fixed point with 16 guard bits.
-    prec = mp.mp.prec + 16
-    series = {key: mp.mpf((c, -prec)) for key, c in
+def _expansion_pieces(n: int, x: int, digits: int) -> list:
+    # Monomials of the H(n, x) value series valued at x, leading first,
+    # each product rounded at digits.  For n >= 2 they are negated and
+    # zeta(n) dropped, so that they add up to the tail zeta(n) - H(n, x);
+    # for n = 1 they add up to H(1, x) itself.  The series comes in fixed
+    # point with 16 guard bits.
+    prec = dps_to_prec(digits) + 16
+    series = {key: HighFloat(c, -prec).round(digits) for key, c in
               value_series(HarmonicKind.even(n), n + 7, digits, prec).items()}
     if n > 1:
         series = {key: -c for key, c in series.items() if key != (0, 0)}
-    lnx = mp.log(x) if n == 1 else None
-    return [c * lnx ** a * x ** -s if a else c * x ** -s
-            for (a, s), c in sorted(series.items(), key=lambda kv: (kv[0][1], -kv[0][0]))]
+    lnx = HighFloat(ln_fixed(x, prec), -prec).round(digits)
+    pieces = []
+    for (a, s), c in sorted(series.items(), key=lambda kv: (kv[0][1], -kv[0][0])):
+        if a:
+            c = (c * lnx.pow(a, digits)).round(digits)
+        pieces.append((c * HighFloat(x).pow(-s, digits)).round(digits))
+    return pieces
 
 
 def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> HighFloat:
@@ -222,24 +225,20 @@ def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> 
     Order 1 returns the expansion of the prefix value itself; order >= 2
     returns the expansion of the remaining tail (limit minus prefix).
     Odd kinds are always assembled from the even expansion through the
-    split identity, never expanded independently.
+    split identity, never expanded independently.  The pieces are
+    rounded at digits + 5, their sum once more, and that at digits.
 
-    >>> v = tail_expansion(HarmonicKind.even(2), 10, 3)
-    >>> abs(v - mp.mpf('0.0951666666666666')) < 1e-15
-    True
+    >>> tail_expansion(HarmonicKind.even(2), 10, 3).text(16)
+    '0.09516666666666667'
     """
     if k < 10:
         raise ValueError(f"k must be at least 10 for the asymptotic tail, got {k}")
     if not 1 <= terms <= 6:
         raise ValueError(f"terms must be between 1 and 6, got {terms}")
     _require_digits(digits)
-    n = kind.order
-    with mp.workdps(digits + 5):
-        pieces = _expansion_pieces(n, mp.mpf(k), digits + 5)
-        if kind.parity == "odd":
-            at_2k = _expansion_pieces(n, mp.mpf(2 * k), digits + 5)
-            scale = mp.mpf(2) ** (-n)
-            pieces = [a - scale * b for a, b in zip(at_2k, pieces)]
-        total = mp.fsum(pieces[:terms])
-    with mp.workdps(digits):
-        return +total
+    n, wp = kind.order, digits + 5
+    pieces = _expansion_pieces(n, k, wp)
+    if kind.parity == "odd":
+        pieces = [(a - b / 2 ** n).round(wp)
+                  for a, b in zip(_expansion_pieces(n, 2 * k, wp), pieces)]
+    return sum(pieces[:terms], HighFloat()).round(wp).round(digits)
