@@ -282,7 +282,7 @@ def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
         sum_kernels(kernel, range(1, kmax + 1), opts)
         for k in range(1, kmax + 1):
             trunc, closed = fn(k, opts)
-            resid = abs(trunc - closed)
+            resid = abs(mp.mpf(trunc - closed))
             rows.append({"check": name, "k": str(k),
                          "truncated": _fmt(trunc, opts.digits),
                          "closed": _fmt(closed, opts.digits),

@@ -105,9 +105,10 @@ def evaluate_combination(comb: FormalCombination,
         err = mp.mpf(0)
         for coef, spec, power in comb.parts:
             r = evaluate_sum(spec, opts)
+            value, r_err = mp.mpf(r.value), mp.mpf(r.err_estimate)
             cval = evaluate(coef, wp)
-            total += cval * r.value ** power
-            err += abs(cval) * power * abs(r.value) ** (power - 1) * r.err_estimate
+            total += cval * value ** power
+            err += abs(cval) * power * abs(value) ** (power - 1) * r_err
         err = max(err, err_floor(opts.digits))
     with mp.workdps(opts.digits):
         return EvalResult(+total, +err, opts.K, opts.digits)

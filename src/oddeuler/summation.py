@@ -17,9 +17,9 @@ default K.  The tail is fixed point as well, at the head's scale
 2^-prec: coefficients are rounded to ints once, the derivatives are
 exact integer multiples, each group is a Horner sum in 1/K with its
 Bernoulli factor applied once as an exact rational, and head plus tail
-is converted to mpf once.  Only ln K and the first omitted group, which
-becomes the error estimate and keeps its relative precision, are
-computed in mpf.
+is rounded to a HighFloat once.  ln K is numerics.ln_fixed, and the first
+omitted group, which becomes the error estimate, is rounded on its own
+so that it keeps its relative precision.
 
 Every sum goes through _sum_batch and its one memo, filled by batches;
 the lemma evaluators at the bottom compare its kernel sums with closed
@@ -34,10 +34,8 @@ from fractions import Fraction
 from itertools import islice, repeat
 from operator import floordiv, mul, rshift
 
-import mpmath as mp
-
 from .harmonic import EXACT_LIMIT, HarmonicKind, columns, harmonic_exact, value_series
-from .numerics import HighFloat, Rational, euler_maclaurin_fixed, record
+from .numerics import HighFloat, Rational, dps_to_prec, euler_maclaurin_fixed, ln_fixed, record
 from .zeta_algebra import (MAX_POWER, ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
                            take, tokenize)
 
@@ -246,9 +244,9 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
     The tail is Euler-Maclaurin group 0 plus opts.tail_terms corrections,
     as an int scaled by 2^prec.  The series is built in fixed point: the
     power series from exact numerators, times each factor's value_series,
-    each product floored once per term.  Only ln(end) and the omitted
-    group are mpf; the omitted group keeps its relative precision at
-    digits + 15, since it becomes the printed error estimate.
+    each product floored once per term, and ln(end) is numerics.ln_fixed.
+    The omitted group is rounded at digits + 15 on its own, keeping its
+    relative precision, since it becomes the printed error estimate.
     """
     wp = opts.digits + 15
     s_cap = _series_cap(c, q, end, opts.digits)
@@ -257,17 +255,13 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
         # the power series starts at x^-(c+q), so no factor term
         # beyond x^-(s_cap-c-q) survives the product
         series = _series_mul(series, value_series(kind, s_cap - c - q, wp, prec), s_cap, prec)
-    lnx = 0
-    if factors:
-        lnx = mp.libmp.to_fixed(mp.libmp.mpf_log(mp.libmp.from_int(end), prec + 8), prec)
-    groups = euler_maclaurin_fixed(series, end, lnx, prec)
+    groups = euler_maclaurin_fixed(series, end, ln_fixed(end, prec) if factors else 0, prec)
     tail = 0
     for _ in range(opts.tail_terms + 1):
         v, t = next(groups)
         tail -= v // end ** t
     v, t = next(groups)
-    with mp.workdps(wp):
-        return tail, abs(mp.mpf((v, -prec)) / end ** t)
+    return tail, abs(HighFloat(v, -prec).round(wp).div(end ** t, wp))
 
 
 # terms per block of the batched head walk: a block holds one list this
@@ -377,7 +371,7 @@ def _prec(series: tuple, opts: EvalOptions) -> int:
     # the fixed-point scale a series is summed at: the bits of digits + 15,
     # plus end.bit_length() and _guard_bits (the bound is stated in _sum_batch)
     factors, c, _, _, q, end = series
-    return mp.libmp.dps_to_prec(opts.digits + 15) + end.bit_length() + _guard_bits(
+    return dps_to_prec(opts.digits + 15) + end.bit_length() + _guard_bits(
         len(factors), end, _series_cap(c, q, end, opts.digits), opts.tail_terms)
 
 
@@ -392,9 +386,9 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     f is the product of the prefixes in factors (1 without any); a term
     with a zero denominator is skipped.  The head to end and the tail
     (_em_tail) are fixed-point ints at one scale 2^-prec, so head plus
-    tail is converted to mpf once.  The series not in _sums yet are
+    tail is rounded once.  The series not in _sums yet are
     summed, one _heads walk per scale.  Both values are at the working
-    precision digits + 15, unrounded, and stay in _sums, the whole batch
+    precision digits + 15, and stay in _sums, the whole batch
     (cleared whole before new series would pass SUMS_MAX, so it holds at
     most SUMS_MAX or the largest batch): equal arguments (SumSpec sorts
     its factors) sum the series once.
@@ -420,8 +414,7 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     for prec, members in groups.items():
         for series, head in zip(members, _heads(members, prec)):
             tail, omitted = _em_tail(*series, opts, prec)
-            with mp.workdps(opts.digits + 15):
-                done[series] = mp.mpf((head + tail, -prec)), omitted
+            done[series] = HighFloat(head + tail, -prec).round(opts.digits + 15), omitted
             _sums[series, opts] = done[series]
     return [done[series] for series in batch]
 
@@ -431,7 +424,7 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
 
 def err_floor(digits: int) -> HighFloat:
     """10^(8 - digits), the smallest error estimate reported at digits."""
-    return mp.mpf(10) ** (8 - digits)
+    return HighFloat(10).pow(8 - digits, digits)
 
 
 def _spec_series(spec: SumSpec, K: int) -> tuple:
@@ -447,9 +440,8 @@ def evaluate_sum(spec: SumSpec, opts: EvalOptions | None = None) -> EvalResult:
     """
     opts = opts or DEFAULT_OPTS
     (value, omitted), = _sum_batch([_spec_series(spec, opts.K)], opts)
-    with mp.workdps(opts.digits):
-        err = max(10 * omitted, err_floor(opts.digits))
-        return EvalResult(+value, err, opts.K, opts.digits)
+    err = max((10 * omitted).round(opts.digits), err_floor(opts.digits))
+    return EvalResult(value.round(opts.digits), err, opts.K, opts.digits)
 
 
 def sum_specs(specs, opts: EvalOptions | None = None) -> None:
@@ -549,14 +541,12 @@ def sum_kernels(kernel: tuple, ks, opts: EvalOptions | None = None) -> None:
 def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions | None) -> HighFloat:
     opts = opts or DEFAULT_OPTS
     (total, _), = _sum_batch([_kernel_series(kernel, k)], opts)
-    with mp.workdps(opts.digits):
-        return +total
+    return total.round(opts.digits)
 
 
 def _closed(terms: list, opts: EvalOptions | None) -> HighFloat:
     digits = (opts or DEFAULT_OPTS).digits
-    with mp.workdps(digits):
-        return +evaluate(ZetaExpr.from_terms(terms), digits + 15)
+    return HighFloat.of(evaluate(ZetaExpr.from_terms(terms), digits + 15)).round(digits)
 
 
 def _h(n: int, k: int) -> Fraction:
