@@ -101,12 +101,12 @@ def evaluate_combination(comb: FormalCombination,
     opts = opts or EvalOptions()
     wp = opts.digits + 10
     with mp.workdps(wp):
-        total = evaluate(comb.constant, wp)
+        total = mp.mpf(evaluate(comb.constant, wp))
         err = mp.mpf(0)
         for coef, spec, power in comb.parts:
             r = evaluate_sum(spec, opts)
             value, r_err = mp.mpf(r.value), mp.mpf(r.err_estimate)
-            cval = evaluate(coef, wp)
+            cval = mp.mpf(evaluate(coef, wp))
             total += cval * value ** power
             err += abs(cval) * power * abs(value) ** (power - 1) * r_err
         err = max(err, err_floor(opts.digits))
@@ -216,7 +216,7 @@ def verify(identity: Identity | str, opts: EvalOptions | None = None,
                             else evaluate_combination)
             lhs_result = evaluate_lhs(identity.lhs, opts)
             lhs = lhs_result.value
-            rhs = evaluate(identity.rhs, opts.digits + 10)
+            rhs = mp.mpf(evaluate(identity.rhs, opts.digits + 10))
             residual = abs(lhs - rhs)
             verdict = "pass" if residual <= tol else "fail"
         with mp.workdps(opts.digits):

@@ -546,7 +546,7 @@ def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions | None) -> HighFl
 
 def _closed(terms: list, opts: EvalOptions | None) -> HighFloat:
     digits = (opts or DEFAULT_OPTS).digits
-    return HighFloat.of(evaluate(ZetaExpr.from_terms(terms), digits + 15)).round(digits)
+    return evaluate(ZetaExpr.from_terms(terms), digits + 15).round(digits)
 
 
 def _h(n: int, k: int) -> Fraction:

@@ -34,8 +34,6 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial
 
-import mpmath as mp
-
 from .numerics import HighFloat, Rational, _require_digits, bernoulli, constant, record
 
 
@@ -242,17 +240,20 @@ def canonicalize(expr: ZetaExpr) -> ZetaExpr:
 
 
 def evaluate(expr: ZetaExpr, digits: int) -> HighFloat:
-    """Numeric value at digits, each letter's constant taken at digits."""
+    """Numeric value at digits, each letter's constant taken at digits.
+
+    Each coefficient, power, product and partial sum is rounded at
+    digits + 5, and the total once more at digits.
+    """
     _require_digits(digits)
-    with mp.workdps(digits + 5):
-        total = mp.mpf(0)
-        for mono, coef in expr.terms:
-            v = mp.mpf(coef.numerator) / coef.denominator
-            for n, e in mono.factors:
-                v *= mp.mpf(constant("ln2" if n == 1 else f"zeta({n})", digits)) ** e
-            total += v
-    with mp.workdps(digits):
-        return +total
+    wp = digits + 5
+    total = HighFloat()
+    for mono, coef in expr.terms:
+        v = HighFloat(coef.numerator).round(wp).div(coef.denominator, wp)
+        for n, e in mono.factors:
+            v = (v * constant("ln2" if n == 1 else f"zeta({n})", digits).pow(e, wp)).round(wp)
+        total = (total + v).round(wp)
+    return total.round(digits)
 
 
 # ---- text form ----------------------------------------------------------

@@ -73,7 +73,7 @@ def test_closed_sides_are_exact_expressions(monkeypatch):
         value = closed_side()
         assert seen == [(parse_expr(text), OPTS.digits + 15)], text
         with mp.workdps(OPTS.digits):
-            assert value == +real_evaluate(parse_expr(text), OPTS.digits + 15)
+            assert value == mp.mpf(real_evaluate(parse_expr(text), OPTS.digits + 15))
 
 
 def test_ladder_memo_matches_the_direct_sum():
