@@ -23,10 +23,7 @@ import math
 import os
 from fractions import Fraction
 
-import mpmath as mp
-from mpmath.libmp import sqrt_fixed
-
-from .numerics import HighFloat, record
+from .numerics import HighFloat, dps_to_prec, parse_real, record
 from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
                         parse_sumspec, read_sumspec, sum_specs)
 from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate, expect,
@@ -99,19 +96,16 @@ def evaluate_combination(comb: FormalCombination,
                          opts: EvalOptions | None = None) -> EvalResult:
     """Numeric value of a formal combination, with propagated error."""
     opts = opts or EvalOptions()
-    wp = opts.digits + 10
-    with mp.workdps(wp):
-        total = mp.mpf(evaluate(comb.constant, wp))
-        err = mp.mpf(0)
-        for coef, spec, power in comb.parts:
-            r = evaluate_sum(spec, opts)
-            value, r_err = mp.mpf(r.value), mp.mpf(r.err_estimate)
-            cval = mp.mpf(evaluate(coef, wp))
-            total += cval * value ** power
-            err += abs(cval) * power * abs(value) ** (power - 1) * r_err
-        err = max(err, err_floor(opts.digits))
-    with mp.workdps(opts.digits):
-        return EvalResult(+total, +err, opts.K, opts.digits)
+    wp = opts.digits + 10  # every step rounds here, the results at digits
+    total, err = evaluate(comb.constant, wp), HighFloat()
+    for coef, spec, power in comb.parts:
+        r = evaluate_sum(spec, opts)
+        cval = evaluate(coef, wp)
+        total = (total + (cval * r.value.pow(power, wp)).round(wp)).round(wp)
+        term = ((abs(cval) * power).round(wp) * abs(r.value).pow(power - 1, wp)).round(wp)
+        err = (err + (term * r.err_estimate).round(wp)).round(wp)
+    err = max(err, err_floor(opts.digits))
+    return EvalResult(total.round(opts.digits), err.round(opts.digits), opts.K, opts.digits)
 
 
 # ---- catalog ---------------------------------------------------------------
@@ -202,27 +196,33 @@ class VerificationReport:
 
 def verify(identity: Identity | str, opts: EvalOptions | None = None,
            tolerance=None) -> VerificationReport:
-    """Evaluate both sides and compare; verdict pass iff residual <= tolerance."""
+    """Evaluate both sides and compare; verdict pass iff residual <= tolerance.
+
+    tolerance (default 1e-11) is text or a HighFloat, read at digits + 10;
+    a HighFloat is read from its text at digits + 10 digits.
+    """
     if isinstance(identity, str):
         try:
             identity = catalog_by_id()[identity]
         except KeyError:
             raise KeyError(f"no catalog entry with id {identity!r}") from None
     opts = opts or EvalOptions()
+    digits, wp = opts.digits, opts.digits + 10
     try:
-        with mp.workdps(opts.digits + 10):
-            tol = mp.mpf(10) ** (-11) if tolerance is None else mp.mpf(str(tolerance))
-            evaluate_lhs = (evaluate_sum if isinstance(identity.lhs, SumSpec)
-                            else evaluate_combination)
-            lhs_result = evaluate_lhs(identity.lhs, opts)
-            lhs = lhs_result.value
-            rhs = mp.mpf(evaluate(identity.rhs, opts.digits + 10))
-            residual = abs(lhs - rhs)
-            verdict = "pass" if residual <= tol else "fail"
-        with mp.workdps(opts.digits):
-            return VerificationReport(identity.id, +lhs, +rhs, +residual, +tol,
-                                      verdict, opts.digits, opts.K,
-                                      +lhs_result.err_estimate)
+        if tolerance is None:
+            tol = HighFloat(10).pow(-11, wp)
+        else:
+            tol = parse_real(tolerance.text(wp) if isinstance(tolerance, HighFloat)
+                             else str(tolerance), wp)
+        evaluate_lhs = (evaluate_sum if isinstance(identity.lhs, SumSpec)
+                        else evaluate_combination)
+        lhs_result = evaluate_lhs(identity.lhs, opts)
+        lhs, rhs = lhs_result.value, evaluate(identity.rhs, wp)
+        residual = abs(lhs - rhs).round(wp)
+        verdict = "pass" if residual <= tol else "fail"
+        return VerificationReport(identity.id, lhs.round(digits), rhs.round(digits),
+                                  residual.round(digits), tol.round(digits), verdict, digits,
+                                  opts.K, lhs_result.err_estimate.round(digits))
     except (ValueError, ArithmeticError) as exc:
         raise RuntimeError(f"{identity.id}: {exc}") from exc
 
@@ -319,7 +319,7 @@ def reduce(rule: str, m: int | None = None,
             check = opts or EvalOptions()
             got = evaluate_combination(comb, check).value
             want = evaluate_sum(reduction_target(rule, m), check).value
-            if abs(got - want) > mp.mpf(10) ** (-11):
+            if abs(got - want) > HighFloat(10).pow(-11, 15):
                 raise ArithmeticError(
                     f"T1_2 emission at m={m} failed numeric verification")
         return comb
@@ -358,9 +358,8 @@ def reduction_residual(rule: str, m: int | None = None,
     opts = opts or EvalOptions()
     comb = reduce(rule, m, opts)
     target = reduction_target(rule, m)
-    with mp.workdps(opts.digits):
-        return abs(evaluate_combination(comb, opts).value -
-                   evaluate_sum(target, opts).value)
+    return abs(evaluate_combination(comb, opts).value -
+               evaluate_sum(target, opts).value).round(opts.digits)
 
 
 # ---- coefficient fitting ---------------------------------------------------
@@ -382,6 +381,50 @@ def _fit_basis(weight: int, include_ln2: bool) -> list:
     return list(dict.fromkeys(basis))
 
 
+def _giant_steps(start: int, target: int) -> list[int]:
+    # precisions [start, ..., target/4, target/2, target], each step just
+    # under double the last
+    steps = [target]
+    while steps[-1] > 2 * start:
+        steps.append(steps[-1] // 2 + 2)
+    return steps[::-1]
+
+
+def isqrt_fast(x: int) -> int:
+    """mpmath 1.3.0's isqrt_fast (its python backend), whose floor(sqrt(x))
+    may be one unit low: below 2^800 a float root and up to three Newton
+    steps, above it a division-free Newton iteration for 1/sqrt(x) with 10
+    guard bits.  It is not math.isqrt, which PSLQ's steps would not match."""
+    if x < 1 << 800:
+        y = int(x ** 0.5)
+        if x >= 1 << 100:
+            y = (y + x // y) >> 1
+            if x >= 1 << 200:
+                y = (y + x // y) >> 1
+                if x >= 1 << 400:
+                    y = (y + x // y) >> 1
+        return y
+    guard = 10
+    x <<= 2 * guard
+    bc = x.bit_length()
+    bc += bc & 1
+    half = bc // 2
+    start = min(50, half)
+    r = int(2.0 ** (2 * start) * (x >> (bc - 2 * start)) ** -0.5)
+    prev = start
+    for p in _giant_steps(start, half):
+        r2 = (r * r) >> (2 * prev - p)  # r^2 at scale 2^p
+        xr2 = ((x >> (bc - p)) * r2) >> p  # x r^2, near 1, at scale 2^p
+        r = (r * ((3 << p) - xr2)) >> (prev + 1)
+        prev = p
+    return (r * (x >> half)) >> (p + guard)
+
+
+def sqrt_fixed(x: int, prec: int) -> int:
+    """The fixed-point square root of x 2^-prec, at scale 2^prec."""
+    return isqrt_fast(x << prec)
+
+
 def _first_largest(gs: list[int], lgs: list[float], H: list[list[int]], prec: int) -> int:
     """The first i with the largest gs[i] |H_ii| >> prec*i: PSLQ's row to swap.
     lgs[i] is log2(gs[i]) - prec*i.  The float log2 of a row's product is
@@ -396,26 +439,31 @@ def _first_largest(gs: list[int], lgs: list[float], H: list[list[int]], prec: in
     return max(sz, key=sz.get)
 
 
-def _pslq(x: list, tol=None, maxcoeff: int = 1000, maxsteps: int = 100) -> list[int] | None:
-    """mpmath 1.3.0's ``pslq``: the same fixed-point integer operations in
-    the same order on every value that is read, so the same result bit for
-    bit.  H is a list of rows without its always-zero last column, B is kept
-    transposed, and mpmath's A, which is never read, is dropped.  A reduction
-    factor t is a multiple of 2^prec, so (t*v) >> prec is exactly (t >> prec)*v:
-    y, H and B (in units of 2^-prec) update without shifts, and t = 0 is skipped.
+def _pslq(x: list, prec: int, tol=None, maxcoeff: int = 1000,
+          maxsteps: int = 100) -> list[int] | None:
+    """mpmath 1.3.0's ``pslq`` at a working precision of prec bits: the same
+    fixed-point integer operations in the same order on every value that is
+    read, so the same result bit for bit.  The entries of x and tol are
+    HighFloats or values of mpmath, each entry rounded to prec bits first
+    as mpmath rounds it.  H is a list of rows without its always-zero last
+    column, B is kept transposed, and mpmath's A, which is never read, is
+    dropped.  A reduction factor t is a multiple of 2^prec, so
+    (t*v) >> prec is exactly (t >> prec)*v: y, H and B (in units of
+    2^-prec) update without shifts, and t = 0 is skipped.  Its square roots
+    are sqrt_fixed, looked up here at each call.
     """
     n = len(x)
     if n < 2:
         raise ValueError("n cannot be less than 2")
-    prec = mp.mp.prec
     if prec < 53:
         raise ValueError("prec cannot be less than 53")
-    tol = mp.mpf(2) ** -int(prec * 0.75) if tol is None else mp.convert(tol)
+    tol = HighFloat(1, -int(prec * 0.75)) if tol is None else HighFloat.of(tol)
+    x = [HighFloat.of(xk).round_bits(prec) for xk in x]
     prec += 60
-    tol = mp.mp.to_fixed(tol, prec)
+    tol = tol.fixed(prec)
     if not tol:  # mpmath asserts this
         raise ValueError("tol is below the fixed-point resolution")
-    x = [mp.mp.to_fixed(mp.mpf(xk), prec) for xk in x]
+    x = [xk.fixed(prec) for xk in x]
     minx = min(map(abs, x))
     if not minx:
         raise ValueError("PSLQ requires a vector of nonzero numbers")
@@ -494,11 +542,9 @@ def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
     basis = _fit_basis(weight, include_ln2)
     if not basis:
         raise ValueError(f"empty fitting basis at weight {weight}")
-    with mp.workdps(digits):
-        vec = [mp.mpf(value)]
-        for mono in basis:
-            vec.append(evaluate(ZetaExpr(((mono, Fraction(1)),)), digits))
-        rel = _pslq(vec, maxcoeff=10 ** 14, maxsteps=20000)
+    value = HighFloat.of(value)
+    vec = [value] + [evaluate(ZetaExpr(((mono, Fraction(1)),)), digits) for mono in basis]
+    rel = _pslq(vec, dps_to_prec(digits), maxcoeff=10 ** 14, maxsteps=20000)
     if not rel or rel[0] == 0:
         return None
     coeffs = [Fraction(-c, rel[0]) for c in rel[1:]]
@@ -509,10 +555,9 @@ def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
     expr = ZetaExpr.from_terms(
         [(mono, c) for mono, c in zip(basis, coeffs) if c])
     check_digits = 2 * digits
-    with mp.workdps(check_digits):
-        again = evaluate(expr, check_digits)
-        if abs(again - mp.mpf(value)) > mp.mpf(10) ** (10 - digits):
-            return None
+    again = evaluate(expr, check_digits)
+    if abs(again - value).round(check_digits) > HighFloat(10).pow(10 - digits, check_digits):
+        return None
     return expr
 
 
@@ -561,30 +606,32 @@ def adjudication_findings(reports: list[VerificationReport],
     this never re-evaluates a sum.
     """
     opts = opts or EvalOptions()
+    digits = opts.digits
     by_id = {r.id: r for r in reports}
     notes = []
 
-    def fmt(x, n=20):
-        return mp.nstr(mp.mpf(x), n)
+    def fmt(x, n=20, at=15):
+        # n digits of x rounded at `at` digits, where this text was once
+        # rounded: 15, mpmath's default of 53 bits, or the run's digits
+        return x.round(at).text(n)
 
     r41 = by_id.get("T1_2_2_eq41")
     rtrue = by_id.get("T1_2_2")
     if r41 is not None:
-        with mp.workdps(opts.digits):
-            anchor = mp.mpf(REFERENCE_ANCHORS["T1_2_2"])
-            red = substitute_bases(reduce("T1_2", 2))
-            red_val = evaluate(red, opts.digits)
-            engine = r41.lhs_value
-            notes.append(
-                "finding T1_2_2_eq41: engine value "
-                f"{fmt(engine)} vs transcribed closed form {fmt(r41.rhs_value)} "
-                f"(residual {fmt(r41.residual, 8)}); printed reference anchor "
-                f"{REFERENCE_ANCHORS['T1_2_2']} differs from the engine by "
-                f"{fmt(abs(engine - anchor), 8)}; the T1_2 reduction at m=2 "
-                f"gives {fmt(red_val)} agreeing with the engine to "
-                f"{fmt(abs(engine - red_val), 8)}. The transcribed form, the "
-                "printed anchor, and the reduction are mutually inconsistent; "
-                "the reduction self-validates and is the reference.")
+        anchor = parse_real(REFERENCE_ANCHORS["T1_2_2"], digits)
+        red = substitute_bases(reduce("T1_2", 2))
+        red_val = evaluate(red, digits)
+        engine = r41.lhs_value
+        notes.append(
+            "finding T1_2_2_eq41: engine value "
+            f"{fmt(engine, at=digits)} vs transcribed closed form "
+            f"{fmt(r41.rhs_value, at=digits)} (residual {fmt(r41.residual, 8, digits)}); "
+            f"printed reference anchor {REFERENCE_ANCHORS['T1_2_2']} differs from the "
+            f"engine by {fmt(abs(engine - anchor), 8, digits)}; the T1_2 reduction at m=2 "
+            f"gives {fmt(red_val, at=digits)} agreeing with the engine to "
+            f"{fmt(abs(engine - red_val), 8, digits)}. The transcribed form, the "
+            "printed anchor, and the reduction are mutually inconsistent; "
+            "the reduction self-validates and is the reference.")
         if rtrue is not None and rtrue.verdict == "pass":
             notes.append(
                 "finding T1_2_2: the fitted closed form in entry T1_2_2 "
@@ -611,15 +658,12 @@ def adjudication_findings(reports: list[VerificationReport],
             "quarter of the sum (residual "
             f"{fmt(r81.residual, 8)} = three quarters of the value); entry "
             "T5_1 carries the consistent closed form.")
-    if any(r.id in ("s1", "s2") for r in reports):
-        with mp.workdps(opts.digits):
-            if "s2" in by_id:
-                anchor = mp.mpf(REFERENCE_ANCHORS["s2"])
-                d = abs(by_id["s2"].lhs_value - anchor)
-                if d > mp.mpf(10) ** (-12):
-                    notes.append(
-                        "finding s2 anchor: the printed reference decimal "
-                        f"{REFERENCE_ANCHORS['s2']} differs from the engine by "
-                        f"{fmt(d, 8)} (a dropped digit); the closed form itself "
-                        "verifies, so entry s2 stays must_pass.")
+    if "s2" in by_id:
+        gap = abs(by_id["s2"].lhs_value - parse_real(REFERENCE_ANCHORS["s2"], digits))
+        if gap.round(digits) > HighFloat(10).pow(-12, digits):
+            notes.append(
+                "finding s2 anchor: the printed reference decimal "
+                f"{REFERENCE_ANCHORS['s2']} differs from the engine by "
+                f"{fmt(gap, 8, digits)} (a dropped digit); the closed form itself "
+                "verifies, so entry s2 stays must_pass.")
     return notes

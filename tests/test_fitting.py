@@ -132,10 +132,10 @@ def roots(monkeypatch):
 
 
 def _both(x, roots, **kw):
-    # (result, roots) of mp.pslq and _pslq on x, at the working precision
+    # (result, roots) of mp.pslq and _pslq on x, at mpmath's working precision
     for found in roots.values():
         found.clear()
-    want, got = mp.pslq(x, **kw), _pslq(x, **kw)
+    want, got = mp.pslq(x, **kw), _pslq(x, prec=mp.mp.prec, **kw)
     assert got == want and roots["port"] == roots["mpmath"], (len(x), kw)
     return got, roots["port"]
 
@@ -219,8 +219,25 @@ def test_pslq_zero_divisor_and_early_exits_match_mpmath(roots):
             with pytest.raises(ValueError) as want:
                 mp.pslq(bad)
             with pytest.raises(ValueError, match=str(want.value)):
-                _pslq(bad)
+                _pslq(bad, prec=mp.mp.prec)
         with pytest.raises(ValueError, match="resolution"):  # mpmath: AssertionError
-            _pslq([mp.mpf(1), mp.sqrt(2)], tol=mp.mpf(2) ** -200)
+            _pslq([mp.mpf(1), mp.sqrt(2)], prec=mp.mp.prec, tol=mp.mpf(2) ** -200)
     with mp.workprec(40), pytest.raises(ValueError, match="prec cannot be less than 53"):
-        _pslq([mp.mpf(1), mp.sqrt(2)])
+        _pslq([mp.mpf(1), mp.sqrt(2)], prec=mp.mp.prec)
+
+
+def test_sqrt_fixed_is_mpmaths_and_not_math_isqrt():
+    # identities.sqrt_fixed ports mpmath's isqrt_fast-based sqrt_fixed, which
+    # may be one unit below floor(sqrt): near-perfect squares show it, and
+    # PSLQ's steps follow its values, so the port must match them all
+    rng = random.Random(6)
+    low = 0
+    for _ in range(3000):
+        bits = rng.choice((rng.randint(1, 200), rng.randint(200, 900), rng.randint(900, 6000)))
+        r = rng.getrandbits(bits) | 1
+        x = rng.choice((rng.getrandbits(2 * bits), r * r, r * r - 1, r * r + 1, (r + 1) ** 2 - 1))
+        prec = rng.randint(0, 400)
+        got = identities.sqrt_fixed(x, prec)
+        assert got == mp.libmp.sqrt_fixed(x, prec), (x, prec)
+        low += got != math.isqrt(x << prec)
+    assert low > 0
