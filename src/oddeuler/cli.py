@@ -16,15 +16,12 @@ import csv
 import functools
 import io
 import json
-# argparse imports shutil (for the help width) whenever a parser is built,
-# so every command needs it: load it with the CLI, as part of start-up
-import shutil  # noqa: F401
+import os
 import sys
-
-import mpmath as mp
 
 from .identities import (adjudication_findings, catalog, fit_closed_form, reduce,
                          select, substitute_bases, summarize, verify_all)
+from .numerics import parse_real
 from .summation import EvalOptions, evaluate_sum, lemma_checks, parse_sumspec, sum_kernels
 from .zeta_algebra import evaluate, format_expr, parse_expr
 
@@ -48,6 +45,9 @@ LEMMA_BUDGET = 10 ** 4
 # 41); weight 15 takes about 0.25 s at 40 digits and 7.5 s at 500, and
 # with --include-ln2 (30 PSLQ entries) 0.7 s and 50 s
 MAX_FIT_WEIGHT = 15
+# mpmath's default precision, 53 bits, as a digit count: --tolerance is read
+# at it, and lemma-check's residuals are rounded to it
+DOUBLE_DIGITS = 15
 
 LEMMA_CONVENTION = (
     "convention: truncated cross sums take the two-sided form "
@@ -57,8 +57,7 @@ LEMMA_CONVENTION = (
 
 
 def _fmt(value, digits: int) -> str:
-    with mp.workdps(digits):
-        return mp.nstr(mp.mpf(value), digits)
+    return value.round(digits).text(digits)
 
 
 # ---- configuration ---------------------------------------------------------
@@ -128,10 +127,10 @@ def _resolve_config(args: argparse.Namespace) -> None:
         raise ValueError(f"digits must be <= {MAX_DIGITS}, got {args.digits}")
     args.opts = EvalOptions(digits=args.digits, K=args.K)
     try:
-        args.tol = mp.mpf(args.tolerance)
-    except ValueError:
-        args.tol = mp.nan  # not a number: fails the check below
-    if not 0 < args.tol < mp.inf:
+        args.tol = parse_real(args.tolerance, DOUBLE_DIGITS)
+    except ValueError:  # inf, nan or not a number
+        args.tol = None
+    if args.tol is None or not args.tol > 0:
         raise ValueError(f"tolerance must be a positive finite number, got {args.tolerance}")
     for dest, flag, low, high in _BOUNDS:
         value = getattr(args, dest, low)  # low passes: the command has no such flag
@@ -195,7 +194,7 @@ def _cmd_verify(args) -> int:
     sys.stdout.write(emit_report(reports, args.format))
     for r in reports:
         if r.err_estimate > r.tolerance:
-            print(f"warning: {r.id}: error estimate {mp.nstr(r.err_estimate, 2)} exceeds "
+            print(f"warning: {r.id}: error estimate {r.err_estimate.text(2)} exceeds "
                   f"the tolerance {args.tolerance}; the verdict cannot be trusted",
                   file=sys.stderr)
     for note in adjudication_findings(reports, args.opts):
@@ -217,9 +216,7 @@ def _cmd_eval_sum(args) -> int:
 
 
 def _cmd_eval_expr(args) -> int:
-    expr = parse_expr(args.expr)
-    with mp.workdps(args.digits + 10):
-        value = evaluate(expr, args.digits + 10)
+    value = evaluate(parse_expr(args.expr), args.digits + 10)
     _emit_fields({"value": _fmt(value, args.digits), "digits": args.digits}, args.format)
     return 0
 
@@ -282,7 +279,7 @@ def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
         sum_kernels(kernel, range(1, kmax + 1), opts)
         for k in range(1, kmax + 1):
             trunc, closed = fn(k, opts)
-            resid = abs(mp.mpf(trunc - closed))
+            resid = abs(trunc - closed).round(DOUBLE_DIGITS)
             rows.append({"check": name, "k": str(k),
                          "truncated": _fmt(trunc, opts.digits),
                          "closed": _fmt(closed, opts.digits),
@@ -297,7 +294,7 @@ def _cmd_lemma_check(args) -> int:
                          f"got {args.kmax} * {args.digits}")
     # the sides are compared as printed: 10^(1 - digits) apart below 10
     spacing = f"1e{1 - args.digits}"
-    if args.tol < mp.mpf(spacing):
+    if args.tol < parse_real(spacing, DOUBLE_DIGITS):
         raise ValueError(f"--tolerance {args.tolerance} is below {spacing}, "
                          "the spacing of the printed values")
     rows = _lemma_rows(args.kmax, args.opts, args.tol)
@@ -317,15 +314,32 @@ def _cmd_lemma_check(args) -> int:
 # ---- argument parsing ------------------------------------------------------
 
 
+def _columns() -> int:
+    # shutil.get_terminal_size's columns without importing shutil: COLUMNS
+    # if positive, else the width of the terminal on stdout, else 80
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
 class _Help(argparse.HelpFormatter):
     """A command's help: the flag of each setting in shown ends with the
     setting's default, the command's own over _SETTINGS', and each flag in
-    _BOUNDS with its range and its default."""
+    _BOUNDS with its range and its default.  Its width is argparse's
+    default, the terminal's columns less 2, found without the shutil
+    import that argparse would make."""
 
     shown = ("digits", "K", "tolerance", "format")  # each its own config key and dest
 
     def __init__(self, prog, defaults: dict):
-        super().__init__(prog)
+        super().__init__(prog, width=_columns() - 2)
         self.defaults = defaults
 
     def _get_help_string(self, action):
@@ -387,7 +401,8 @@ def _command(name: str, sub=None) -> argparse.ArgumentParser:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="oddeuler", description="Verify and evaluate Euler sums over odd harmonic numbers.")
+        prog="oddeuler", description="Verify and evaluate Euler sums over odd harmonic numbers.",
+        formatter_class=functools.partial(_Help, defaults={}))
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         _command(name, sub)

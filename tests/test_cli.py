@@ -536,6 +536,29 @@ def test_start_up_and_a_fit_skip_the_record_machinery():
     assert proc.stdout.splitlines()[-1] == "[] [] 0"
 
 
+@pytest.mark.parametrize("argv", (
+    ["fit", "h1/k^2", "--weight", "3"], ["eval-sum", "h1/k^2"], ["verify", "--id", "B2"],
+    ["lemma-check", "--kmax", "2"], ["list"], ["reduce", "T5", "--substitute"],
+    ["eval-expr", "z3"]), ids=lambda argv: argv[0])
+def test_start_up_and_every_command_skip_mpmath_and_shutil(argv):
+    # the package computes, rounds, parses and prints its numbers itself,
+    # and sizes its help without shutil: neither module is loaded at import
+    # or by the command, so none is merely imported later
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "\n".join([
+        f"import sys, io, contextlib; sys.path[:0] = {[src] + sys.path!r}",
+        "import oddeuler.cli",
+        "names = ('mpmath', 'shutil')",
+        "at_import = [n for n in names if n in sys.modules]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    rc = oddeuler.cli.main({argv!r})",
+        "print(at_import, [n for n in names if n in sys.modules], rc)"])
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] [] 0"
+
+
 def _subparser(name):
     # the command's parser as a subparser of the full parser
     full = cli._build_parser()
