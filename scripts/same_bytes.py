@@ -13,7 +13,8 @@ and ``COLUMNS=80``.  The argvs are the golden ones (``tests/data/*.argv``),
 ``perfbench/checks.fit_ops()`` (PSLQ on at most 7 entries), four fits
 on large bases (PSLQ on 11 to 30 entries), four ``eval-sum`` corners of
 the harmonic value series, typed closed forms (``eval-expr``) and
-substituted reductions (``reduce --substitute``), argparse's usage
+substituted reductions (``reduce --substitute``), the decimal forms of
+printed values and of read tolerances (``FORMATS``), argparse's usage
 errors and help paths, and the eight ``-h`` pages.
 
 It prints each argv whose stdout, stderr or exit code differs, with a
@@ -58,6 +59,14 @@ ALGEBRA = (("eval-expr", MIXED), ("eval-expr", MIXED, "--digits", "100"),
            *(("reduce", rule, "--substitute")
              for rule in ("T1_3_4", "T1_3_6", "T1_4_5", "T5", "s1_pair")),
            ("reduce", "T1_2", "--m", "2", "--substitute", "--format", "json"))
+# printed and read decimals: a value whose rounding carries into one more
+# digit (1.0), one printed with an exponent (1.0e-24), 500 digits, and
+# --tolerance as a fraction, below 10^-400 and infinite (exit 2)
+FORMATS = (("eval-expr", "9999999999999999999999/10000000000000000000000", "--digits", "20"),
+           ("eval-expr", "1/1000000000000000000000000", "--digits", "20"),
+           ("eval-expr", "z3", "--digits", "500"),
+           *(("verify", "--id", "B2", "--format", "csv", "--tolerance", tolerance)
+             for tolerance in ("1/3", "1e-400", "inf")))
 # argparse's errors and help, before and after a command name: no command,
 # an invalid choice, flags ahead of the command, missing, bad, ambiguous and
 # leftover arguments, abbreviations, "--" and -h among other flags
@@ -88,7 +97,8 @@ def argvs() -> list[tuple[str, ...]]:
     fits = [tuple(op["argv"]) for op in _load("checks", ROOT / "perfbench" / "checks.py").fit_ops()]
     helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
     return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + \
-        list(LARGE_FITS) + list(SERIES_CORNERS) + list(ALGEBRA) + list(USAGE_ERRORS) + helps
+        list(LARGE_FITS) + list(SERIES_CORNERS) + list(ALGEBRA) + list(FORMATS) + \
+        list(USAGE_ERRORS) + helps
 
 
 def run(side_dir: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
