@@ -542,7 +542,6 @@ def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
     basis = _fit_basis(weight, include_ln2)
     if not basis:
         raise ValueError(f"empty fitting basis at weight {weight}")
-    value = HighFloat.of(value)
     vec = [value] + [evaluate(ZetaExpr(((mono, Fraction(1)),)), digits) for mono in basis]
     rel = _pslq(vec, dps_to_prec(digits), maxcoeff=10 ** 14, maxsteps=20000)
     if not rel or rel[0] == 0:

@@ -20,7 +20,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partialmethod
 
 # Exact arithmetic is deliberately the standard library type: lowest terms
 # and positive denominators are guaranteed by construction.
@@ -116,7 +116,7 @@ _LOG2_10 = math.log(10, 2)
 
 def _rounded(man: int, exp: int, prec: int, rnd: str = NEAREST) -> HighFloat:
     # man 2^exp with its magnitude rounded to prec bits
-    mag = -man if man < 0 else man
+    mag = abs(man)
     n = mag.bit_length() - prec
     if n > 0:
         if rnd == NEAREST:
@@ -132,8 +132,6 @@ def _div(a: HighFloat, b: HighFloat, prec: int, rnd: str = NEAREST) -> HighFloat
     # mpf_div: the quotient to prec + 5 bits or more, odd when inexact, rounded once
     if not b.man:
         raise ZeroDivisionError
-    if not a.man:
-        return a
     s, t = abs(a.man), abs(b.man)
     extra = max(prec - s.bit_length() + t.bit_length() + 5, 5)
     quot, rem = divmod(s << extra, t)
@@ -156,22 +154,20 @@ def _pow(x: HighFloat, n: int, prec: int, rnd: str = NEAREST) -> HighFloat:
     if n < 3 or man == 1 or man.bit_length() * n < 1000:
         return _rounded(x.man ** n, exp * n, prec, rnd)
     sign = -1 if x.man < 0 and n & 1 else 1
-    work = prec + 4 * n.bit_length() + 4
-    up = rnd == UP
-    pm, pe = 1, 0
+    work, pm, pe = prec + 4 * n.bit_length() + 4, 1, 0
     while True:
         if n & 1:
             pm, pe = pm * man, pe + exp
             cut = pm.bit_length() - work
             if cut > 0:
-                pm, pe = -(-pm >> cut) if up else pm >> cut, pe + cut
+                pm, pe = -(-pm >> cut) if rnd == UP else pm >> cut, pe + cut
             n -= 1
             if not n:
                 return _rounded(sign * pm, pe, prec, rnd)
         man, exp = man * man, exp + exp
         cut = man.bit_length() - work
         if cut > 0:
-            man, exp = -(-man >> cut) if up else man >> cut, exp + cut
+            man, exp = -(-man >> cut) if rnd == UP else man >> cut, exp + cut
         n //= 2
 
 
@@ -182,9 +178,9 @@ class HighFloat:
     +, -, * and unary minus are exact, and so is / by a power of two; any
     other quotient is rounded to the bits of its longer operand, 53 at
     least.  round, div and pow round at a decimal digit count, to the bits
-    mpmath's dps_to_prec gives it, ties to even.  Comparisons are exact.
-    An int takes part as itself; a value of mpmath, which reads _mpf_, is
-    left to mpmath's own operators.
+    dps_to_prec gives it, ties to even.  Comparisons are exact.  An int
+    takes part as itself; a value of mpmath, which reads _mpf_, is left to
+    mpmath's own operators.
 
     >>> third = HighFloat(1).div(3, 15)
     >>> third._mpf_, third.text(20)
@@ -196,20 +192,16 @@ class HighFloat:
     __slots__ = ("man", "exp")
 
     def __init__(self, man: int = 0, exp: int = 0):
-        if man:
-            zeros = (man & -man).bit_length() - 1
-            man, exp = man >> zeros, exp + zeros
-        else:
-            exp = 0
+        zeros = (man & -man).bit_length() - 1  # -1 at 0
+        if zeros:
+            man, exp = (man >> zeros, exp + zeros) if man else (0, 0)
         self.man, self.exp = man, exp
 
     @staticmethod
     def of(x) -> HighFloat:
         """x exactly: a HighFloat, an int, or a finite value of mpmath."""
-        if isinstance(x, HighFloat):
-            return x
-        if isinstance(x, int):
-            return HighFloat(x)
+        if isinstance(x, (int, HighFloat)):
+            return HighFloat(x) if isinstance(x, int) else x
         sign, man, exp, _ = x._mpf_
         if not man and exp:
             raise ValueError("not a finite number")
@@ -265,17 +257,13 @@ class HighFloat:
         return f"{text}e{exponent:+d}" if exponent else text
 
     def __repr__(self) -> str:
-        return f"HighFloat('{self.text(max(1, int(abs(self.man).bit_length() / _LOG2_10) + 2))}')"
+        return f"HighFloat('{self.text(int(abs(self.man).bit_length() / _LOG2_10) + 2)}')"
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = HighFloat(other)
-        elif not isinstance(other, HighFloat):
+        if not isinstance(other, (int, HighFloat)):
             return NotImplemented
-        a, b = (self, other) if self.exp <= other.exp else (other, self)
-        if not b.man:
-            return a
-        return HighFloat(a.man + (b.man << b.exp - a.exp), a.exp) if a.man else b
+        a, b = sorted((self, HighFloat.of(other)), key=operator.attrgetter("exp"))
+        return HighFloat(a.man + (b.man << b.exp - a.exp), a.exp) if a.man and b.man else a or b
 
     __radd__ = __add__
 
@@ -286,37 +274,26 @@ class HighFloat:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return HighFloat(self.man * other, self.exp)
-        if isinstance(other, HighFloat):
-            return HighFloat(self.man * other.man, self.exp + other.exp)
-        return NotImplemented
+        if not isinstance(other, (int, HighFloat)):
+            return NotImplemented
+        other = HighFloat.of(other)
+        return HighFloat(self.man * other.man, self.exp + other.exp)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = HighFloat(other)
-        elif not isinstance(other, HighFloat):
+        if not isinstance(other, (int, HighFloat)):
             return NotImplemented
+        other = HighFloat.of(other)
         if abs(other.man) == 1:
             return HighFloat(self.man * other.man, self.exp - other.exp)
-        bits = max(53, abs(self.man).bit_length(), abs(other.man).bit_length())
-        return _div(self, other, bits)
+        return _div(self, other, max(53, abs(self.man).bit_length(), abs(other.man).bit_length()))
 
-    def __rtruediv__(self, other):
-        return HighFloat(other) / self if isinstance(other, int) else NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        return HighFloat(self.man ** n, self.exp * n) if n >= 0 else 1 / self ** -n
+    def __pow__(self, n: int):
+        return HighFloat(self.man ** n, self.exp * n) if n >= 0 else NotImplemented
 
     def __neg__(self):
         return HighFloat(-self.man, self.exp)
-
-    def __pos__(self):
-        return self
 
     def __abs__(self):
         return self if self.man >= 0 else -self
@@ -324,53 +301,32 @@ class HighFloat:
     def __bool__(self):
         return bool(self.man)
 
-    def __float__(self):
-        shift = max(abs(self.man).bit_length() - 60, 0)
-        return math.ldexp(self.man >> shift, self.exp + shift)
-
-    def _cmp(self, other) -> int | None:
-        # the sign of self - other, or None for an operand of another type
-        if isinstance(other, int):
-            other = HighFloat(other)
-        elif not isinstance(other, HighFloat):
-            return None
+    def _cmp(self, other, op):
+        # op(sign of self - other, 0): signs first, then the top bits, and at
+        # one top bit the exponents differ by less than the longer mantissa
+        if not isinstance(other, (int, HighFloat)):
+            return NotImplemented
+        other = HighFloat.of(other)
         a, b = self.man, other.man
         sign, other_sign = (a > 0) - (a < 0), (b > 0) - (b < 0)
         if sign != other_sign or not sign:
-            return (sign > other_sign) - (sign < other_sign)
-        # one sign: the higher top bit wins, and at one top bit the
-        # exponents differ by less than the longer mantissa
+            return op(sign, other_sign)
         top = self.exp + abs(a).bit_length() - other.exp - abs(b).bit_length()
         if top:
-            return sign if top > 0 else -sign
+            return op(sign * top, 0)
         shift = self.exp - other.exp
-        a, b = (a << shift, b) if shift > 0 else (a, b << -shift)
-        return (a > b) - (a < b)
+        return op(a << shift, b) if shift > 0 else op(a, b << -shift)
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
+    __eq__ = partialmethod(_cmp, op=operator.eq)
+    __lt__ = partialmethod(_cmp, op=operator.lt)
+    __le__ = partialmethod(_cmp, op=operator.le)
+    __gt__ = partialmethod(_cmp, op=operator.gt)
+    __ge__ = partialmethod(_cmp, op=operator.ge)
 
     def __hash__(self):
         # the hash of the equal int or Fraction
         modulus = (1 << 61) - 1
-        h = abs(self.man) % modulus * pow(2, self.exp, modulus) % modulus
+        h = abs(self.man) * pow(2, self.exp, modulus) % modulus
         h = -h if self.man < 0 else h
         return -2 if h == -1 else h
 
@@ -413,10 +369,9 @@ def parse_real(text: str, digits: int) -> HighFloat:
     x = x.rstrip("l")
     float(x)  # a float literal, or ValueError
     mantissa, _, power = x.partition("e")
-    exp = int(power) if power else 0
     whole, point, frac = mantissa.partition(".")
-    frac = frac.rstrip("0") if point else ""
-    man, exp = int(whole + frac), exp - len(frac)
+    frac = frac.rstrip("0")
+    man, exp = int(whole + frac), (int(power) if power else 0) - len(frac)
     if abs(exp) > 400:
         # mpmath rounds both factors toward zero at 10 more bits
         return (_rounded(man, 0, prec + 10, DOWN) * _pow(HighFloat(10), exp, prec + 10, DOWN)
