@@ -19,9 +19,9 @@ import json
 import os
 import sys
 
+from .highfloat import parse_real
 from .identities import (adjudication_findings, catalog, fit_closed_form, reduce,
                          select, substitute_bases, summarize, verify_all)
-from .numerics import parse_real
 from .summation import EvalOptions, evaluate_sum, lemma_checks, parse_sumspec, sum_kernels
 from .zeta_algebra import evaluate, format_expr, parse_expr
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat, tee
 from operator import floordiv
 
-from .numerics import (HighFloat, Rational, _require_digits, constant, dps_to_prec, ln_fixed,
-                       power_groups, record)
+from .highfloat import HighFloat, dps_to_prec, ln_fixed
+from .numerics import Rational, _require_digits, constant, power_groups, record
 
 EXACT_LIMIT = 10 ** 5
 

@@ -23,7 +23,8 @@ import math
 import os
 from fractions import Fraction
 
-from .numerics import HighFloat, dps_to_prec, parse_real, record
+from .highfloat import HighFloat, dps_to_prec, parse_real
+from .numerics import record
 from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
                         parse_sumspec, read_sumspec, sum_specs)
 from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate, expect,

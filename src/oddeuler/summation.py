@@ -35,7 +35,8 @@ from itertools import islice, repeat
 from operator import floordiv, mul, rshift
 
 from .harmonic import EXACT_LIMIT, HarmonicKind, columns, harmonic_exact, value_series
-from .numerics import HighFloat, Rational, dps_to_prec, euler_maclaurin_fixed, ln_fixed, record
+from .highfloat import HighFloat, dps_to_prec, ln_fixed
+from .numerics import Rational, euler_maclaurin_fixed, record
 from .zeta_algebra import (MAX_POWER, ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
                            take, tokenize)
 

@@ -34,7 +34,8 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial
 
-from .numerics import HighFloat, Rational, _require_digits, bernoulli, constant, record
+from .highfloat import HighFloat
+from .numerics import Rational, _require_digits, bernoulli, constant, record
 
 
 # largest zeta index, harmonic order and k plus (2k-1) power that text may
