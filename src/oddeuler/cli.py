@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from .highfloat import parse_real
+from .highfloat import DOUBLE_DIGITS, parse_real
 from .identities import (adjudication_findings, catalog, fit_closed_form, reduce,
                          select, substitute_bases, summarize, verify_all)
 from .summation import EvalOptions, evaluate_sum, lemma_checks, parse_sumspec, sum_kernels
@@ -45,9 +45,6 @@ LEMMA_BUDGET = 10 ** 4
 # 41); weight 15 takes about 0.25 s at 40 digits and 7.5 s at 500, and
 # with --include-ln2 (30 PSLQ entries) 0.7 s and 50 s
 MAX_FIT_WEIGHT = 15
-# mpmath's default precision, 53 bits, as a digit count: --tolerance is read
-# at it, and lemma-check's residuals are rounded to it
-DOUBLE_DIGITS = 15
 
 LEMMA_CONVENTION = (
     "convention: truncated cross sums take the two-sided form "

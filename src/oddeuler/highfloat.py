@@ -30,6 +30,9 @@ def dps_to_prec(digits: int) -> int:
 # rounding directions, on the magnitude: to nearest with ties to even,
 # toward zero, away from zero
 NEAREST, DOWN, UP = "n", "d", "u"
+# the digits of mpmath's default precision, 53 bits: where mpmath rounded
+# outside any workdps context, a HighFloat rounds at these
+DOUBLE_DIGITS = 15
 _LOG2_10 = math.log(10, 2)
 
 
@@ -181,7 +184,8 @@ class HighFloat:
     def __add__(self, other):
         if not isinstance(other, (int, HighFloat)):
             return NotImplemented
-        a, b = sorted((self, HighFloat.of(other)), key=operator.attrgetter("exp"))
+        other = HighFloat.of(other)
+        a, b = (self, other) if self.exp <= other.exp else (other, self)
         return HighFloat(a.man + (b.man << b.exp - a.exp), a.exp) if a.man and b.man else a or b
 
     __radd__ = __add__

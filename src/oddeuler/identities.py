@@ -23,7 +23,7 @@ import math
 import os
 from fractions import Fraction
 
-from .highfloat import HighFloat, dps_to_prec, parse_real
+from .highfloat import DOUBLE_DIGITS, HighFloat, dps_to_prec, parse_real
 from .numerics import record
 from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
                         parse_sumspec, read_sumspec, sum_specs)
@@ -200,7 +200,8 @@ def verify(identity: Identity | str, opts: EvalOptions | None = None,
     """Evaluate both sides and compare; verdict pass iff residual <= tolerance.
 
     tolerance (default 1e-11) is text or a HighFloat, read at digits + 10;
-    a HighFloat is read from its text at digits + 10 digits.
+    a HighFloat goes through its text at digits + 10 digits, as mpmath's
+    mpf(str(x)) read it.
     """
     if isinstance(identity, str):
         try:
@@ -320,7 +321,7 @@ def reduce(rule: str, m: int | None = None,
             check = opts or EvalOptions()
             got = evaluate_combination(comb, check).value
             want = evaluate_sum(reduction_target(rule, m), check).value
-            if abs(got - want) > HighFloat(10).pow(-11, 15):
+            if abs(got - want).round(DOUBLE_DIGITS) > HighFloat(10).pow(-11, DOUBLE_DIGITS):
                 raise ArithmeticError(
                     f"T1_2 emission at m={m} failed numeric verification")
         return comb
@@ -610,9 +611,9 @@ def adjudication_findings(reports: list[VerificationReport],
     by_id = {r.id: r for r in reports}
     notes = []
 
-    def fmt(x, n=20, at=15):
-        # n digits of x rounded at `at` digits, where this text was once
-        # rounded: 15, mpmath's default of 53 bits, or the run's digits
+    def fmt(x, n=20, at=DOUBLE_DIGITS):
+        # n digits of x rounded at `at` digits: the run's digits, or 53 bits
+        # where no digit count was set
         return x.round(at).text(n)
 
     r41 = by_id.get("T1_2_2_eq41")
