@@ -8,7 +8,7 @@ radix conversion and text parsing), so each rounded value, printed text
 and parsed number is mpmath's bit for bit, and mpmath can stay the
 outside reference of the tests without being imported by the package.
 ln_fixed takes logarithms of integers from an ln 2 series and an atanh
-series.  numerics imports all of it and passes HighFloat on.
+series.
 """
 
 from __future__ import annotations

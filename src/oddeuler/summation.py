@@ -17,9 +17,9 @@ default K.  The tail is fixed point as well, at the head's scale
 2^-prec: coefficients are rounded to ints once, the derivatives are
 exact integer multiples, each group is a Horner sum in 1/K with its
 Bernoulli factor applied once as an exact rational, and head plus tail
-is rounded to a HighFloat once.  ln K is numerics.ln_fixed, and the first
-omitted group, which becomes the error estimate, is rounded on its own
-so that it keeps its relative precision.
+is rounded to a HighFloat once.  ln K is highfloat.ln_fixed, and the
+first omitted group, which becomes the error estimate, is rounded on its
+own so that it keeps its relative precision.
 
 Every sum goes through _sum_batch and its one memo, filled by batches;
 the lemma evaluators at the bottom compare its kernel sums with closed
@@ -245,7 +245,7 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
     The tail is Euler-Maclaurin group 0 plus opts.tail_terms corrections,
     as an int scaled by 2^prec.  The series is built in fixed point: the
     power series from exact numerators, times each factor's value_series,
-    each product floored once per term, and ln(end) is numerics.ln_fixed.
+    each product floored once per term, and ln(end) is highfloat.ln_fixed.
     The omitted group is rounded at digits + 15 on its own, keeping its
     relative precision, since it becomes the printed error estimate.
     """
