@@ -14,7 +14,8 @@ and ``COLUMNS=80``.  The argvs are the golden ones (``tests/data/*.argv``),
 on large bases (PSLQ on 11 to 30 entries), four ``eval-sum`` corners of
 the harmonic value series, typed closed forms (``eval-expr``) and
 substituted reductions (``reduce --substitute``), the decimal forms of
-printed values and of read tolerances (``FORMATS``), argparse's usage
+printed values and of read tolerances (``FORMATS``), ln 2 and gamma at
+digit counts off the usual grid (``CONSTANTS``), argparse's usage
 errors and help paths, and the eight ``-h`` pages.
 
 It prints each argv whose stdout, stderr or exit code differs, with a
@@ -67,6 +68,11 @@ FORMATS = (("eval-expr", "9999999999999999999999/10000000000000000000000", "--di
            ("eval-expr", "z3", "--digits", "500"),
            *(("verify", "--id", "B2", "--format", "csv", "--tolerance", tolerance)
              for tolerance in ("1/3", "1e-400", "inf")))
+# every bit of ln 2 and gamma reaches stdout at digit counts off the usual
+# grid: ln 2 alone, gamma through H1's value series, and ln 2 at 500 digits
+CONSTANTS = (*(("eval-expr", "ln2", "--digits", str(d)) for d in (20, 57, 123, 321, 500)),
+             *(("eval-sum", "H1/k^2", "--K", "100", "--digits", str(d)) for d in (20, 77, 250)),
+             ("eval-expr", "z3*ln2^2", "--digits", "500"))
 # argparse's errors and help, before and after a command name: no command,
 # an invalid choice, flags ahead of the command, missing, bad, ambiguous and
 # leftover arguments, abbreviations, "--" and -h among other flags
@@ -98,7 +104,7 @@ def argvs() -> list[tuple[str, ...]]:
     helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
     return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + \
         list(LARGE_FITS) + list(SERIES_CORNERS) + list(ALGEBRA) + list(FORMATS) + \
-        list(USAGE_ERRORS) + helps
+        list(CONSTANTS) + list(USAGE_ERRORS) + helps
 
 
 def run(side_dir: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:

@@ -19,9 +19,9 @@ import json
 import os
 import sys
 
-from .highfloat import DOUBLE_DIGITS, parse_real
-from .identities import (adjudication_findings, catalog, fit_closed_form, reduce,
-                         select, substitute_bases, summarize, verify_all)
+from .highfloat import parse_real
+from .identities import (DEFAULT_TOLERANCE, adjudication_findings, catalog, fit_closed_form,
+                         reduce, select, substitute_bases, summarize, verify_all)
 from .summation import EvalOptions, evaluate_sum, lemma_checks, parse_sumspec, sum_kernels
 from .zeta_algebra import evaluate, format_expr, parse_expr
 
@@ -29,6 +29,9 @@ REPORT_FIELDS = ("id", "lhs_value", "rhs_value", "residual", "tolerance",
                  "verdict", "digits", "K")
 
 _FORMATS = ("table", "json", "csv")
+# mpmath's default 53 bits, in digits: the tolerance checks and lemma-check's
+# residuals round at these, as mpmath did outside any workdps context
+DOUBLE_DIGITS = 15
 
 # lemma-check's largest k: the kernel cutoff 50k reaches the default
 # K = 10^4 there, and each row's cost grows with it
@@ -74,7 +77,7 @@ def _format(text: str) -> str:
 # of the file's text, default, text of the value in the echoed config)
 _SETTINGS = {"digits": ("digits", int, EvalOptions.digits, str),
              "K": ("K", int, EvalOptions.K, str),
-             "tolerance": ("tolerance", str, "1e-11", str),
+             "tolerance": ("tolerance", str, DEFAULT_TOLERANCE, str),
              "format": ("format", _format, "table", str),
              "id": ("ids", _names, (), lambda v: ",".join(v) if v else "*"),
              "family": ("family", str, None, lambda v: v or "*"),
@@ -113,7 +116,8 @@ def _read_config_file(path: str) -> dict:
 def _resolve_config(args: argparse.Namespace) -> None:
     """Fill in every setting: a flag overrides the config file, which
     overrides the command's defaults.  Adds the checked evaluation options
-    as opts and the tolerance as tol, and checks the command's own flags."""
+    as opts and the tolerance at 53 bits as tol, and checks the command's
+    own flags."""
     read = _read_config_file(args.config) if args.config else {}
     for dest, _, default, _ in _SETTINGS.values():
         value = getattr(args, dest, None)
@@ -187,7 +191,7 @@ def emit_report(reports, fmt: str) -> str:
 
 def _cmd_verify(args) -> int:
     entries = select(catalog(args.catalog), args.ids, args.family)
-    reports = verify_all(args.opts, tolerance=args.tol, entries=entries)
+    reports = verify_all(args.opts, tolerance=args.tolerance, entries=entries)
     sys.stdout.write(emit_report(reports, args.format))
     for r in reports:
         if r.err_estimate > r.tolerance:

@@ -30,9 +30,6 @@ def dps_to_prec(digits: int) -> int:
 # rounding directions, on the magnitude: to nearest with ties to even,
 # toward zero, away from zero
 NEAREST, DOWN, UP = "n", "d", "u"
-# the digits of mpmath's default precision, 53 bits: where mpmath rounded
-# outside any workdps context, a HighFloat rounds at these
-DOUBLE_DIGITS = 15
 _LOG2_10 = math.log(10, 2)
 
 

@@ -23,7 +23,7 @@ import math
 import os
 from fractions import Fraction
 
-from .highfloat import DOUBLE_DIGITS, HighFloat, dps_to_prec, parse_real
+from .highfloat import HighFloat, dps_to_prec, parse_real
 from .numerics import record
 from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
                         parse_sumspec, read_sumspec, sum_specs)
@@ -32,6 +32,8 @@ from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate, expec
                            tokenize)
 
 _EXPECTED = ("must_pass", "adjudicate")
+# verify's pass/fail residual threshold, as text
+DEFAULT_TOLERANCE = "1e-11"
 
 # Reference decimal anchors shipped alongside the catalog (transcribed
 # values the sums are reported to equal; the verifier treats them as
@@ -196,12 +198,10 @@ class VerificationReport:
 
 
 def verify(identity: Identity | str, opts: EvalOptions | None = None,
-           tolerance=None) -> VerificationReport:
+           tolerance=DEFAULT_TOLERANCE) -> VerificationReport:
     """Evaluate both sides and compare; verdict pass iff residual <= tolerance.
 
-    tolerance (default 1e-11) is text or a HighFloat, read at digits + 10;
-    a HighFloat goes through its text at digits + 10 digits, as mpmath's
-    mpf(str(x)) read it.
+    tolerance is the text of a number, read once at digits + 10.
     """
     if isinstance(identity, str):
         try:
@@ -211,11 +211,7 @@ def verify(identity: Identity | str, opts: EvalOptions | None = None,
     opts = opts or EvalOptions()
     digits, wp = opts.digits, opts.digits + 10
     try:
-        if tolerance is None:
-            tol = HighFloat(10).pow(-11, wp)
-        else:
-            tol = parse_real(tolerance.text(wp) if isinstance(tolerance, HighFloat)
-                             else str(tolerance), wp)
+        tol = parse_real(str(tolerance), wp)
         evaluate_lhs = (evaluate_sum if isinstance(identity.lhs, SumSpec)
                         else evaluate_combination)
         lhs_result = evaluate_lhs(identity.lhs, opts)
@@ -246,7 +242,7 @@ def select(entries: list[Identity], ids=(), family: str | None = None) -> list[I
     return entries
 
 
-def verify_all(opts: EvalOptions | None = None, tolerance=None,
+def verify_all(opts: EvalOptions | None = None, tolerance=DEFAULT_TOLERANCE,
                entries: list[Identity] | None = None,
                ids: list[str] | None = None) -> list[VerificationReport]:
     """Verify the selected entries, reports sorted by id; their sums are
@@ -321,7 +317,7 @@ def reduce(rule: str, m: int | None = None,
             check = opts or EvalOptions()
             got = evaluate_combination(comb, check).value
             want = evaluate_sum(reduction_target(rule, m), check).value
-            if abs(got - want).round(DOUBLE_DIGITS) > HighFloat(10).pow(-11, DOUBLE_DIGITS):
+            if abs(got - want) > parse_real(DEFAULT_TOLERANCE, check.digits):
                 raise ArithmeticError(
                     f"T1_2 emission at m={m} failed numeric verification")
         return comb
@@ -611,10 +607,9 @@ def adjudication_findings(reports: list[VerificationReport],
     by_id = {r.id: r for r in reports}
     notes = []
 
-    def fmt(x, n=20, at=DOUBLE_DIGITS):
-        # n digits of x rounded at `at` digits: the run's digits, or 53 bits
-        # where no digit count was set
-        return x.round(at).text(n)
+    def fmt(x, n=20):
+        # n digits of x rounded at the run's digits
+        return x.round(digits).text(n)
 
     r41 = by_id.get("T1_2_2_eq41")
     rtrue = by_id.get("T1_2_2")
@@ -625,12 +620,12 @@ def adjudication_findings(reports: list[VerificationReport],
         engine = r41.lhs_value
         notes.append(
             "finding T1_2_2_eq41: engine value "
-            f"{fmt(engine, at=digits)} vs transcribed closed form "
-            f"{fmt(r41.rhs_value, at=digits)} (residual {fmt(r41.residual, 8, digits)}); "
+            f"{fmt(engine)} vs transcribed closed form "
+            f"{fmt(r41.rhs_value)} (residual {fmt(r41.residual, 8)}); "
             f"printed reference anchor {REFERENCE_ANCHORS['T1_2_2']} differs from the "
-            f"engine by {fmt(abs(engine - anchor), 8, digits)}; the T1_2 reduction at m=2 "
-            f"gives {fmt(red_val, at=digits)} agreeing with the engine to "
-            f"{fmt(abs(engine - red_val), 8, digits)}. The transcribed form, the "
+            f"engine by {fmt(abs(engine - anchor), 8)}; the T1_2 reduction at m=2 "
+            f"gives {fmt(red_val)} agreeing with the engine to "
+            f"{fmt(abs(engine - red_val), 8)}. The transcribed form, the "
             "printed anchor, and the reduction are mutually inconsistent; "
             "the reduction self-validates and is the reference.")
         if rtrue is not None and rtrue.verdict == "pass":
@@ -665,6 +660,6 @@ def adjudication_findings(reports: list[VerificationReport],
             notes.append(
                 "finding s2 anchor: the printed reference decimal "
                 f"{REFERENCE_ANCHORS['s2']} differs from the engine by "
-                f"{fmt(gap, 8, digits)} (a dropped digit); the closed form itself "
+                f"{fmt(gap, 8)} (a dropped digit); the closed form itself "
                 "verifies, so entry s2 stays must_pass.")
     return notes

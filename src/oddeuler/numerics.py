@@ -8,8 +8,8 @@ computed here from head sums and the Euler-Maclaurin core below (shared
 with the harmonic and summation modules) rather than pulled from a
 library table, so the test suite can cross-check them against a second,
 independent route.  The cold-start kernels are int-only: Bernoulli
-numbers come from a growing row of integer tangent numbers, and ln 2
-from a fixed-point atanh(1/3) series memoized per precision.
+numbers come from a growing row of integer tangent numbers, and ln 2,
+like gamma's ln K, from highfloat.ln_fixed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .highfloat import HighFloat, _ln2_fixed, dps_to_prec
+from .highfloat import HighFloat, dps_to_prec, ln_fixed
 
 # Exact arithmetic is deliberately the standard library type: lowest terms
 # and positive denominators are guaranteed by construction.
@@ -255,26 +255,17 @@ def _require_digits(digits: int) -> None:
         raise ValueError(f"precision too low: digits must be >= {_MIN_DIGITS}, got {digits}")
 
 
-def _ln2_series(dps: int) -> HighFloat:
-    # ln 2 at dps digits, from _ln2_fixed with 16 guard bits; gamma's ln K
-    # shares it
-    wp = dps_to_prec(dps) + 16
-    return HighFloat(_ln2_fixed(wp), -wp).round(dps)
-
-
-def _em_constant(n: int, big_k: int, dps: int) -> HighFloat:
+def _em_constant(n: int, dps: int) -> HighFloat:
     # Constant of summation of 1/k^n (zeta(n), or gamma at n = 1): the head
-    # sum to big_k minus the Euler-Maclaurin groups of x^{-n} at big_k, all
-    # in fixed point with 16 guard bits and rounded once.  Groups are
-    # taken until one drops below the target, with at least four
-    # corrections applied; each comes as v 2^-wp big_k^-t, so the size
-    # tests compare exact ints.  ln K only enters at n = 1, where K must be
-    # a power of two so that ln K is an integer multiple of ln 2.
+    # sum to K = max(100, 2 dps) minus the Euler-Maclaurin groups of x^{-n}
+    # at K, all in fixed point with 16 guard bits and rounded once.  Groups
+    # are taken until one drops below the target, with at least four
+    # corrections applied; each comes as v 2^-wp K^-t, so the size tests
+    # compare exact ints.
     wp = dps_to_prec(dps) + 16
-    lnk = 0
-    if n == 1:
-        lnk = ((big_k.bit_length() - 1) * _ln2_series(dps)).round(dps).fixed(wp)
+    big_k = max(100, 2 * dps)
     total = sum((1 << wp) // k ** n for k in range(1, big_k + 1))
+    lnk = ln_fixed(big_k, wp) if n == 1 else 0
     groups = euler_maclaurin_fixed({(0, n): 1 << wp}, big_k, lnk, wp)
     v, t = next(groups)
     total -= v // big_k ** t
@@ -294,9 +285,10 @@ def _em_constant(n: int, big_k: int, dps: int) -> HighFloat:
 def _constant_cached(name: str, digits: int) -> HighFloat:
     dps = digits + _GUARD
     if name == "ln2":
-        value = _ln2_series(dps)
+        wp = dps_to_prec(dps) + 16
+        value = HighFloat(ln_fixed(2, wp), -wp).round(dps)
     elif name == "euler_gamma":
-        value = _em_constant(1, 2 ** max(7, int(math.ceil(math.log2(2 * dps)))), dps)
+        value = _em_constant(1, dps)
     elif name.startswith("zeta(") and name.endswith(")"):
         inner = name[5:-1]
         try:
@@ -307,7 +299,7 @@ def _constant_cached(name: str, digits: int) -> HighFloat:
             raise ValueError("zeta(1) divergent")
         if n < 1:
             raise ValueError(f"zeta argument must be >= 2, got {n}")
-        value = _em_constant(n, max(100, 2 * dps), dps)
+        value = _em_constant(n, dps)
     else:
         raise ValueError(f"unknown constant {name!r}")
     return value.round(digits)

@@ -11,6 +11,7 @@ import mpmath as mp
 import pytest
 
 from oddeuler import cli
+from oddeuler.highfloat import parse_real
 
 CSV_HEADER = "id,lhs_value,rhs_value,residual,tolerance,verdict,digits,K"
 
@@ -295,6 +296,25 @@ def test_verify_warns_when_the_error_estimate_exceeds_the_tolerance():
     rc, _, err = run_cli("verify")
     assert rc == 0
     assert "warning" not in err
+
+
+@pytest.mark.parametrize("digits", (20, 22, 24, 27, 28))
+def test_a_tolerance_typed_at_the_error_floor_gives_no_warning(digits, capsys):
+    # B2's estimate is the floor 10^(8 - digits); a tolerance typed equal to
+    # it is read as typed, not through a double that may lie below it
+    assert cli.main(["verify", "--id", "B2", "--digits", str(digits),
+                     "--tolerance", f"1e-{digits - 8}", "--format", "csv"]) == 0
+    assert "warning:" not in capsys.readouterr().err
+
+
+def test_verify_reads_the_typed_tolerance_at_digits_plus_10(monkeypatch):
+    seen = []
+    emit = cli.emit_report
+    monkeypatch.setattr(cli, "emit_report",
+                        lambda reports, fmt: seen.extend(reports) or emit(reports, fmt))
+    assert cli.main(["verify", "--id", "B2", "--digits", "40", "--tolerance", "1/3",
+                     "--format", "csv"]) == 0
+    assert [r.tolerance._mpf_ for r in seen] == [parse_real("1/3", 50).round(40)._mpf_]
 
 
 def test_resolved_config_echoed_to_stderr():

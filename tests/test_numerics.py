@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddeuler import numerics, summation
+from oddeuler.highfloat import HighFloat, dps_to_prec, ln_fixed
 from oddeuler.numerics import bernoulli, constant
 from oddeuler.harmonic import HarmonicKind, value_series
 from oddeuler.identities import FormalCombination, Identity, VerificationReport
@@ -64,14 +66,31 @@ def test_bernoulli_matches_the_recurrence_to_200(order):
 
 @pytest.mark.parametrize("digits", (10, 20, 40, 100, 300, 500))
 def test_ln2_within_one_ulp_of_mpmath(digits):
-    # the series too, at its own precision: rounding to digits would hide
-    # lost guard bits
+    # the guarded value too, at its own precision: rounding to digits would
+    # hide lost guard bits
+    wp = dps_to_prec(digits + 10) + 16
     for got, dps in ((constant("ln2", digits), digits),
-                     (numerics._ln2_series(digits + 10), digits + 10)):
+                     (HighFloat(ln_fixed(2, wp), -wp).round(digits + 10), digits + 10)):
         with mp.workdps(dps):
             ulp = mp.mpf(2) ** -mp.mp.prec  # ln 2 lies in [1/2, 1)
         with mp.workdps(dps + 20):
             assert abs(got - mp.log(2)) <= ulp
+
+
+# about 30 digit counts over the range the package asks for (fit's re-check
+# takes constants at twice the digits), both ends included
+BIT_DIGITS = sorted({10, 1010, *random.Random(2310).sample(range(11, 1010), 28)})
+
+
+@pytest.mark.parametrize("digits", BIT_DIGITS)
+def test_constants_are_mpmaths_bit_for_bit(digits):
+    # ln 2 and gamma at every sampled count, and zeta(n) at every fourth
+    zetas = (2, 3, 5, 8, 13, 25) if BIT_DIGITS.index(digits) % 4 == 0 else ()
+    with mp.workprec(dps_to_prec(digits)):
+        assert constant("ln2", digits)._mpf_ == (+mp.ln2)._mpf_
+        assert constant("euler_gamma", digits)._mpf_ == (+mp.euler)._mpf_
+        for n in zetas:
+            assert constant(f"zeta({n})", digits)._mpf_ == mp.zeta(n)._mpf_, n
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_CONSTANTS))

@@ -31,7 +31,7 @@ def test_compare_of_identical_runs_is_empty():
 
 def test_argvs_cover_goldens_fits_and_help_pages():
     argvs = same_bytes.argvs()
-    assert len(argvs) == 16 + 1 + 144 + 4 + 4 + 16 + 6 + 18 + 8
+    assert len(argvs) == 16 + 1 + 144 + 4 + 4 + 16 + 6 + 9 + 18 + 8
     assert len(set(argvs)) == len(argvs)
     assert ("lemma-check", "--format", "csv") in argvs
     assert ("lemma-check", "--kmax", "200", "--format", "csv") in argvs
@@ -42,4 +42,5 @@ def test_argvs_cover_goldens_fits_and_help_pages():
     assert set(same_bytes.SERIES_CORNERS) < set(argvs)
     assert set(same_bytes.ALGEBRA) < set(argvs)
     assert set(same_bytes.FORMATS) < set(argvs)
+    assert set(same_bytes.CONSTANTS) < set(argvs)
     assert set(same_bytes.USAGE_ERRORS) < set(argvs)
