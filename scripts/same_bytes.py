@@ -63,12 +63,12 @@ ALGEBRA = (("eval-expr", MIXED), ("eval-expr", MIXED, "--digits", "100"),
            ("reduce", "T1_2", "--m", "2", "--substitute", "--format", "json"))
 # printed and read decimals: a value whose rounding carries into one more
 # digit (1.0), one printed with an exponent (1.0e-24), 500 digits, and
-# --tolerance as a fraction, below 10^-400 and infinite (exit 2)
+# --tolerance as a fraction, below 10^-400, infinite and over zero (exit 2)
 FORMATS = (("eval-expr", "9999999999999999999999/10000000000000000000000", "--digits", "20"),
            ("eval-expr", "1/1000000000000000000000000", "--digits", "20"),
            ("eval-expr", "z3", "--digits", "500"),
            *(("verify", "--id", "B2", "--format", "csv", "--tolerance", tolerance)
-             for tolerance in ("1/3", "1e-400", "inf")))
+             for tolerance in ("1/3", "1e-400", "inf", "1/0")))
 # every bit of ln 2 and gamma reaches stdout at digit counts off the usual
 # grid: ln 2 alone, gamma through H1's value series, and ln 2 at 500 digits
 CONSTANTS = (*(("eval-expr", "ln2", "--digits", str(d)) for d in (20, 57, 123, 321, 500)),
@@ -79,7 +79,7 @@ CONSTANTS = (*(("eval-expr", "ln2", "--digits", str(d)) for d in (20, 57, 123, 3
 # leftover arguments, abbreviations, "--" and -h among other flags; then the
 # edges of what the table parser reads: a value after "=", a store_true flag
 # given one, a flag with no value, a repeated flag, a negative tolerance and
-# positionals that start with "-"
+# positionals that start with "-"; then each flag that a command does not read
 USAGE_ERRORS = ((), ("bogus",), ("--", "eval-sum", "h1/k^2"),
                 ("--digits", "40", "fit", "h1/k^2", "--weight", "3"),
                 ("fit",), ("fit", "h1/k^2", "--weight", "x"),
@@ -95,7 +95,15 @@ USAGE_ERRORS = ((), ("bogus",), ("--", "eval-sum", "h1/k^2"),
                 ("eval-sum", "h1/k^2", "--K"),
                 ("eval-expr", "z3", "--digits", "20", "--digits", "30"),
                 ("verify", "--id", "B2", "--tolerance", "-1"), ("eval-expr", "-7"),
-                ("eval-expr", "-7/4 * z3"))
+                ("eval-expr", "-7/4 * z3"),
+                ("eval-sum", "h1/k^2", "--tolerance", "1e-9"),
+                ("eval-sum", "h1/k^2", "--catalog", "a.jsonl"), ("eval-expr", "z3", "--K", "100"),
+                ("eval-expr", "z3", "--tolerance", "1e-9"),
+                ("eval-expr", "z3", "--catalog", "a.jsonl"),
+                ("fit", "h1/k^2", "--weight", "3", "--tolerance", "1e-9"),
+                ("fit", "h1/k^2", "--weight", "3", "--catalog", "a.jsonl"),
+                ("list", "--digits", "30"), ("list", "--K", "100"), ("list", "--tolerance", "1e-9"),
+                ("lemma-check", "--K", "100"), ("lemma-check", "--catalog", "a.jsonl"))
 
 
 def _load(name: str, path: Path):

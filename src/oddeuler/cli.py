@@ -8,9 +8,11 @@ with the same subcommand and configuration.
 Exit codes: 0 when every selected must_pass identity passes, 1 when at
 least one fails, 2 on usage or parse errors.
 
-main reads a plain argv from the _COMMANDS table without importing
-argparse; argparse's full parser, built from the same table, reads the
-rest and alone prints help, usage and errors.
+Each command takes exactly the flags it reads, declared in its _COMMANDS
+entry; the config file's keys are shared by all.  main reads a plain argv
+from that table without importing argparse; argparse's full parser, built
+from the same table, reads the rest and alone prints help, usage and
+errors.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 import types
 
@@ -133,7 +134,7 @@ def _resolve_config(args) -> None:
     args.opts = EvalOptions(digits=args.digits, K=args.K)
     try:
         args.tol = parse_real(args.tolerance, DOUBLE_DIGITS)
-    except ValueError:  # inf, nan or not a number
+    except (ValueError, ZeroDivisionError):  # inf, nan, p/0 or not a number
         args.tol = None
     if args.tol is None or not args.tol > 0:
         raise ValueError(f"tolerance must be a positive finite number, got {args.tolerance}")
@@ -319,36 +320,43 @@ def _cmd_lemma_check(args) -> int:
 # ---- argument parsing ------------------------------------------------------
 
 
-# (flag, add_argument keywords) of the flags of every command, then of the
-# commands that select catalog entries
-_COMMON = (("--digits", dict(type=int, help="significant decimal digits")),
-           ("--K", dict(type=int, help="direct summation cutoff")),
-           ("--tolerance", dict(help="pass/fail residual threshold")),
-           ("--format", dict(choices=_FORMATS, help="output format")),
-           ("--config", dict(help="flat 'key = value' config file")),
-           ("--catalog", dict(action="append", metavar="PATH",
-                              help="supplementary catalog file (repeatable)")))
-_SELECT = (("--id", dict(action="append", dest="ids", help="identity id to select (repeatable)")),
+# (flag, add_argument keywords) of the flags that several commands read;
+# each command lists exactly the flags it reads
+_DIGITS = ("--digits", dict(type=int, help="significant decimal digits"))
+_K = ("--K", dict(type=int, help="direct summation cutoff"))
+_TOLERANCE = ("--tolerance", dict(help="pass/fail residual threshold"))
+_OUTPUT = (("--format", dict(choices=_FORMATS, help="output format")),
+           ("--config", dict(help="flat 'key = value' config file")))
+_CATALOG = ("--catalog", dict(action="append", metavar="PATH",
+                              help="supplementary catalog file (repeatable)"))
+_SELECT = (_CATALOG,
+           ("--id", dict(action="append", dest="ids", help="identity id to select (repeatable)")),
            ("--family", dict(help="glob over identity ids, e.g. 'T1_*'")))
 
 # name -> (function, help text, own setting defaults under the config file's, arguments)
 _COMMANDS = {
-    "verify": (_cmd_verify, "verify catalogued identities", {}, _SELECT),
-    "eval-sum": (_cmd_eval_sum, "evaluate a sum given in SumSpec text form", {}, (("spec", {}),)),
-    "eval-expr": (_cmd_eval_expr, "evaluate a closed-form expression", {}, (("expr", {}),)),
-    "reduce": (_cmd_reduce, "emit a reduction as a combination of base sums", {}, (("rule", {}),
-        ("--m", dict(type=int, help="parameter for the parametric rule family")),
-        ("--substitute", dict(action="store_true",
-                              help="collapse the combination to a closed form")))),
-    "fit": (_cmd_fit, "fit a rational closed form to a sum", {}, (("spec", {}),
-        ("--weight", dict(type=int, required=True, help="weight of the fitted closed form")),
-        ("--include-ln2", dict(action="store_true",
-                               help="add ln 2 and the lower weights' zetas to the basis")),
-        ("--max-den", dict(type=int, default=256, help="largest coefficient denominator")))),
-    "list": (_cmd_list, "list the identity catalog", {}, _SELECT),
+    "verify": (_cmd_verify, "verify catalogued identities", {},
+               (_DIGITS, _K, _TOLERANCE, *_OUTPUT, *_SELECT)),
+    "eval-sum": (_cmd_eval_sum, "evaluate a sum given in SumSpec text form", {},
+                 (_DIGITS, _K, *_OUTPUT, ("spec", {}))),
+    "eval-expr": (_cmd_eval_expr, "evaluate a closed-form expression", {},
+                  (_DIGITS, *_OUTPUT, ("expr", {}))),
+    "reduce": (_cmd_reduce, "emit a reduction as a combination of base sums", {},
+               (_DIGITS, _K, _TOLERANCE, *_OUTPUT, _CATALOG, ("rule", {}),
+                ("--m", dict(type=int, help="parameter for the parametric rule family")),
+                ("--substitute", dict(action="store_true",
+                                      help="collapse the combination to a closed form")))),
+    "fit": (_cmd_fit, "fit a rational closed form to a sum", {},
+            (_DIGITS, _K, *_OUTPUT, ("spec", {}),
+             ("--weight", dict(type=int, required=True, help="weight of the fitted closed form")),
+             ("--include-ln2", dict(action="store_true",
+                                    help="add ln 2 and the lower weights' zetas to the basis")),
+             ("--max-den", dict(type=int, default=256, help="largest coefficient denominator")))),
+    "list": (_cmd_list, "list the identity catalog", {}, (*_OUTPUT, *_SELECT)),
     "lemma-check": (_cmd_lemma_check, "truncated vs closed residuals for the kernel lemmas",
                     {"tolerance": "1e-9"},
-                    (("--kmax", dict(type=int, default=20, help="largest k of the kernel rows")),)),
+                    (_DIGITS, _TOLERANCE, *_OUTPUT,
+                     ("--kmax", dict(type=int, default=20, help="largest k of the kernel rows")))),
 }
 
 
@@ -362,7 +370,7 @@ def _parse(argv: list[str]) -> types.SimpleNamespace | None:
         return None
     func, _, defaults, own = _COMMANDS[argv[0]]
     args, flags, positionals = {"func": func, "defaults": defaults}, {}, []
-    for name, options in _COMMON + own:
+    for name, options in own:
         if not name.startswith("-"):
             positionals.append(name)
             continue
@@ -403,21 +411,6 @@ def _parse(argv: list[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(**args)
 
 
-def _columns() -> int:
-    # shutil.get_terminal_size's columns without importing shutil: COLUMNS
-    # if positive, else the width of the terminal on stdout, else 80
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return columns or 80
-
-
 def _build_parser():
     """The full parser, argparse's, with every command as a subparser: the
     one source of help, usage and error text, built for the argvs that
@@ -427,14 +420,12 @@ def _build_parser():
     class Help(argparse.HelpFormatter):
         """A command's help: the flag of each setting in shown ends with the
         setting's default, the command's own over _SETTINGS', and each flag in
-        _BOUNDS with its range and its default.  Its width is argparse's
-        default, the terminal's columns less 2, found without the shutil
-        import that argparse would make."""
+        _BOUNDS with its range and its default."""
 
         shown = ("digits", "K", "tolerance", "format")  # each its own config key and dest
 
         def __init__(self, prog, defaults: dict):
-            super().__init__(prog, width=_columns() - 2)
+            super().__init__(prog)
             self.defaults = defaults
 
         def _get_help_string(self, action):
@@ -455,7 +446,7 @@ def _build_parser():
     for name, (func, text, defaults, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text,
                            formatter_class=functools.partial(Help, defaults=defaults))
-        for flag, options in _COMMON + flags:
+        for flag, options in flags:
             p.add_argument(flag, **options)
         p.set_defaults(func=func, defaults=defaults)
     return parser

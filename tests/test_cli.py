@@ -428,10 +428,12 @@ def test_fit_accepts_weight_1():
 
 
 # inf would pass every entry and nan, 0 or -1 fail every one; nan would
-# also pass lemma-check's spacing check; abc is no number at all
+# also pass lemma-check's spacing check; abc is no number at all, and 1/0
+# divides by zero
 @pytest.mark.parametrize("command,value", (
     ("verify", "inf"), ("verify", "nan"), ("verify", "0"), ("verify", "-1"),
-    ("lemma-check", "nan"), ("lemma-check", "-inf"), ("verify", "abc")))
+    ("lemma-check", "nan"), ("lemma-check", "-inf"), ("verify", "abc"), ("verify", "1/0"),
+    ("lemma-check", "1/0")))
 @pytest.mark.parametrize("source", ("flag", "config"))
 def test_tolerance_not_positive_finite_exits_2(command, value, source, tmp_path):
     if source == "flag":
@@ -484,7 +486,7 @@ def test_help_matches_golden(command):
     assert out == (DATA / "help" / f"{command}.txt").read_text()
 
 
-@pytest.mark.parametrize("command", (("verify",), ("eval-expr", "z3")))
+@pytest.mark.parametrize("command", (("verify",), ("eval-sum", "h1/k^2")))
 @pytest.mark.parametrize("flag,value,message", (
     ("--digits", "19", "error: digits must be >= 20, got 19"),
     ("--K", "99", "error: K must be >= 100, got 99")))
@@ -574,8 +576,9 @@ def test_start_up_and_a_fit_skip_the_record_machinery():
     ["eval-expr", "z3"]), ids=lambda argv: argv[0])
 def test_start_up_and_every_command_skip_mpmath_and_shutil(argv):
     # the package computes, rounds, parses and prints its numbers itself,
-    # and sizes its help without shutil: neither module is loaded at import
-    # or by the command, so none is merely imported later
+    # and a plain argv builds no argparse parser, whose help would import
+    # shutil for the terminal's width: no such module is loaded at import or
+    # by the command, so none is merely imported later
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = "\n".join([
         f"import sys, io, contextlib; sys.path[:0] = {[src] + sys.path!r}",
@@ -589,6 +592,42 @@ def test_start_up_and_every_command_skip_mpmath_and_shutil(argv):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] [] 0"
+
+
+# each command's flags, in the order of its help: exactly those its _cmd_* reads
+_FLAGS = {
+    "verify": ("--digits", "--K", "--tolerance", "--format", "--config", "--catalog", "--id",
+               "--family"),
+    "eval-sum": ("--digits", "--K", "--format", "--config"),
+    "eval-expr": ("--digits", "--format", "--config"),
+    "reduce": ("--digits", "--K", "--tolerance", "--format", "--config", "--catalog", "--m",
+               "--substitute"),
+    "fit": ("--digits", "--K", "--format", "--config", "--weight", "--include-ln2",
+            "--max-den"),
+    "list": ("--format", "--config", "--catalog", "--id", "--family"),
+    "lemma-check": ("--digits", "--tolerance", "--format", "--config", "--kmax")}
+
+
+# shared flags that these commands do not read, so do not take: each is an
+# unknown argument
+_UNREAD = (("eval-sum", "h1/k^2", "--tolerance", "1e-9"),
+           ("eval-sum", "h1/k^2", "--catalog", "a.jsonl"), ("eval-expr", "z3", "--K", "100"),
+           ("eval-expr", "z3", "--tolerance", "1e-9"), ("eval-expr", "z3", "--catalog", "a.jsonl"),
+           ("fit", "h1/k^2", "--weight", "3", "--tolerance", "1e-9"),
+           ("fit", "h1/k^2", "--weight", "3", "--catalog", "a.jsonl"),
+           ("list", "--digits", "30"), ("list", "--K", "100"), ("list", "--tolerance", "1e-9"),
+           ("lemma-check", "--K", "100"), ("lemma-check", "--catalog", "a.jsonl"))
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    assert {name: tuple(flag for flag, _ in entry[3] if flag.startswith("-"))
+            for name, entry in cli._COMMANDS.items()} == _FLAGS
+    for argv in _UNREAD:
+        assert cli._parse(list(argv)) is None, argv
+        rc, out, err = run_cli(*argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.splitlines()[-1] == ("oddeuler: error: unrecognized arguments: "
+                                        + " ".join(argv[-2:]))
 
 
 def _full_namespace(argv):
@@ -610,14 +649,14 @@ def _full_namespace(argv):
     ("verify", "--catalog", "a.jsonl", "--catalog=b.jsonl", "--config", "run.cfg"),
     ("eval-sum", "h1/k^2", "--K", "100", "--format", "json"),
     ("eval-sum", "--format=csv", "h1/k^2", "--digits", "20", "--digits", "30"),
-    ("eval-expr", "7/4*z3", "--tolerance=1e-9"),
+    ("verify", "--tolerance=1e-9"),
     ("reduce", "T1_2", "--m", "6", "--substitute"),
     ("fit", "h1/k^2", "--weight", "3", "--digits", "30", "--K", "300"),
     ("fit", "--include-ln2", "h1/k^2", "--weight", "3", "--max-den", "12", "--include-ln2"),
     ("list", "--family", "B*", "--format", "csv"),
     ("lemma-check",),
     ("lemma-check", "--kmax", "3", "--tolerance", "1e-5"),
-    ("eval-expr", "", "--tolerance", "1e-9=x")))
+    ("reduce", "", "--tolerance", "1e-9=x")))
 def test_one_command_parser_and_full_parser_give_the_same_namespace(argv):
     args = cli._parse(list(argv))
     assert args is not None
@@ -659,7 +698,7 @@ _INTS = ("3", "0", "+7", " 12", "1_0", "\u0663")
 _TEXTS = ("1e-9", "T1_2", "h1/k^2", "B*", "a=b", " -1", "")
 _BAD = ("x", "", "3.0", "xml", "1e-9")
 _DASHED = ("-1", "-7/4 * z3", "-", "--", "-h", "--help", "--wei", "--dig", "--include",
-           "--weight", "--m", "--id")
+           "--weight", "--m", "--id", "--K", "--tolerance", "--catalog")
 
 
 @st.composite
@@ -669,7 +708,7 @@ def _argvs(draw):
     # positionals and required flags most times; and a word that starts
     # with "-" now and then
     command = draw(st.sampled_from(tuple(cli._COMMANDS)))
-    table = cli._COMMON + cli._COMMANDS[command][3]
+    table = cli._COMMANDS[command][3]
     picks = draw(st.lists(st.sampled_from(table), max_size=5))
     picks += [item for item in table if (not item[0].startswith("-") or item[1].get("required"))
               and draw(st.integers(0, 5))]

@@ -31,13 +31,13 @@ def test_compare_of_identical_runs_is_empty():
 
 def test_argvs_cover_goldens_fits_and_help_pages():
     argvs = same_bytes.argvs()
-    assert len(argvs) == 16 + 1 + 144 + 4 + 4 + 16 + 6 + 9 + 25 + 8
+    assert len(argvs) == 16 + 1 + 144 + 4 + 4 + 16 + 7 + 9 + 37 + 8
     assert len(set(argvs)) == len(argvs)
     assert ("lemma-check", "--format", "csv") in argvs
     assert ("lemma-check", "--kmax", "200", "--format", "csv") in argvs
     assert argvs[-8:] == [("-h",)] + [(c, "-h") for c in same_bytes.COMMANDS]
-    # four usage errors are fits with --weight too
-    assert sum(argv[:1] == ("fit",) and "--weight" in argv for argv in argvs) == 144 + 4 + 4
+    # six usage errors are fits with --weight too
+    assert sum(argv[:1] == ("fit",) and "--weight" in argv for argv in argvs) == 144 + 4 + 6
     assert set(same_bytes.LARGE_FITS) < set(argvs)
     assert set(same_bytes.SERIES_CORNERS) < set(argvs)
     assert set(same_bytes.ALGEBRA) < set(argvs)
