@@ -15,9 +15,12 @@ on large bases (PSLQ on 11 to 30 entries), four ``eval-sum`` corners of
 the harmonic value series, typed closed forms (``eval-expr``) and
 substituted reductions (``reduce --substitute``), the decimal forms of
 printed values and of read tolerances (``FORMATS``), ln 2 and gamma at
-digit counts off the usual grid (``CONSTANTS``), argparse's usage
-errors and help paths with the edges of the table parser
-(``USAGE_ERRORS``), and the eight ``-h`` pages.
+digit counts off the usual grid (``CONSTANTS``), config files
+(``CONFIGS``, read from the files of ``CONFIG_FILES``, which are written
+into each side's directory and named by relative paths, so that the
+errors that name them match), argparse's usage errors and help paths
+with the edges of the table parser (``USAGE_ERRORS``), and the eight
+``-h`` pages.
 
 It prints each argv whose stdout, stderr or exit code differs, with a
 short diff of the streams that differ, then a count.  The exit code is 1
@@ -51,8 +54,8 @@ SERIES_CORNERS = (("eval-sum", "H100*h1/k^2"),
                   ("eval-sum", "h9*H7/k^2"),
                   ("eval-sum", "H1*h1*h2/(2k-1)^3", "--digits", "100", "--K", "100"))
 # typed closed forms and substituted reductions: ln 2 and zeta letters
-# mixed up to weight 5, a zero, and every T1_2 reduction up to the one whose
-# closed form is not catalogued (exit 2)
+# mixed up to weight 5, a zero, every T1_2 reduction up to the one whose
+# closed form is not catalogued (exit 2), and T1_2 without its m (exit 2)
 MIXED = ("z3 + ln2^3 + ln2*z2 + z2*z3 - ln2^2*z3 + 7/4*ln2*z4 + z5 - 3*ln2^5"
          " + ln2^2*z2^2 + z4*ln2")
 ALGEBRA = (("eval-expr", MIXED), ("eval-expr", MIXED, "--digits", "100"),
@@ -60,20 +63,39 @@ ALGEBRA = (("eval-expr", MIXED), ("eval-expr", MIXED, "--digits", "100"),
            *(("reduce", "T1_2", "--m", str(m), "--substitute") for m in range(1, 7)),
            *(("reduce", rule, "--substitute")
              for rule in ("T1_3_4", "T1_3_6", "T1_4_5", "T5", "s1_pair")),
-           ("reduce", "T1_2", "--m", "2", "--substitute", "--format", "json"))
+           ("reduce", "T1_2", "--m", "2", "--substitute", "--format", "json"),
+           ("reduce", "T1_2"))
 # printed and read decimals: a value whose rounding carries into one more
-# digit (1.0), one printed with an exponent (1.0e-24), 500 digits, and
-# --tolerance as a fraction, below 10^-400, infinite and over zero (exit 2)
+# digit (1.0), one printed with an exponent (1.0e-24), 500 digits,
+# --tolerance as a fraction, below 10^-400, infinite and over zero (exit 2),
+# and lemma-check's --tolerance just below the spacing 1e-39 (exit 2)
 FORMATS = (("eval-expr", "9999999999999999999999/10000000000000000000000", "--digits", "20"),
            ("eval-expr", "1/1000000000000000000000000", "--digits", "20"),
            ("eval-expr", "z3", "--digits", "500"),
            *(("verify", "--id", "B2", "--format", "csv", "--tolerance", tolerance)
-             for tolerance in ("1/3", "1e-400", "inf", "1/0")))
+             for tolerance in ("1/3", "1e-400", "inf", "1/0")),
+           ("lemma-check", "--kmax", "1", "--tolerance", "0.99999999999999999999e-39"))
 # every bit of ln 2 and gamma reaches stdout at digit counts off the usual
 # grid: ln 2 alone, gamma through H1's value series, and ln 2 at 500 digits
 CONSTANTS = (*(("eval-expr", "ln2", "--digits", str(d)) for d in (20, 57, 123, 321, 500)),
              *(("eval-sum", "H1/k^2", "--K", "100", "--digits", str(d)) for d in (20, 77, 250)),
              ("eval-expr", "z3*ln2^2", "--digits", "500"))
+# config files, by name: a setting is filled and echoed for every command
+# but checked only by the commands that take its flag
+CONFIG_FILES = {"b2_csv_d25.cfg": "digits = 25\nformat = csv\nid = B2\n",
+                "bad_key.cfg": "frobs = 12\n", "k50.cfg": "K = 50\n",
+                "digits501.cfg": "digits = 501\n", "tolerance_abc.cfg": "tolerance = abc\n"}
+# a flag over the file, a bad key, settings that a command does not take
+# (K, digits and tolerance) and that it takes (K and tolerance, exit 2),
+# and a flag over a file's bad tolerance
+CONFIGS = (("verify", "--config", "b2_csv_d25.cfg", "--digits", "30"),
+           ("verify", "--config", "bad_key.cfg"), ("eval-expr", "z3", "--config", "k50.cfg"),
+           ("list", "--id", "B2", "--config", "digits501.cfg"),
+           ("eval-sum", "h1/k^2", "--config", "tolerance_abc.cfg"),
+           ("fit", "h1/k^2", "--weight", "3", "--config", "tolerance_abc.cfg"),
+           ("eval-sum", "h1/k^2", "--config", "k50.cfg"),
+           ("verify", "--config", "tolerance_abc.cfg"),
+           ("lemma-check", "--kmax", "1", "--config", "tolerance_abc.cfg", "--tolerance", "1e-5"))
 # argparse's errors and help, before and after a command name: no command,
 # an invalid choice, flags ahead of the command, missing, bad, ambiguous and
 # leftover arguments, abbreviations, "--" and -h among other flags; then the
@@ -122,7 +144,7 @@ def argvs() -> list[tuple[str, ...]]:
     helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
     return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + \
         list(LARGE_FITS) + list(SERIES_CORNERS) + list(ALGEBRA) + list(FORMATS) + \
-        list(CONSTANTS) + list(USAGE_ERRORS) + helps
+        list(CONSTANTS) + list(CONFIGS) + list(USAGE_ERRORS) + helps
 
 
 def run(side_dir: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
@@ -159,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
             side_dir = Path(tmp) / side
             side_dir.mkdir()
             export(side, args.parent, side_dir)
+            for name, text in CONFIG_FILES.items():
+                (side_dir / name).write_text(text)
             results[side] = {argv: run(side_dir, argv) for argv in todo}
     differ = compare(results["parent"], results["change"])
     for cmd, fields in differ:

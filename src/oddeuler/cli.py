@@ -9,10 +9,10 @@ Exit codes: 0 when every selected must_pass identity passes, 1 when at
 least one fails, 2 on usage or parse errors.
 
 Each command takes exactly the flags it reads, declared in its _COMMANDS
-entry; the config file's keys are shared by all.  main reads a plain argv
-from that table without importing argparse; argparse's full parser, built
-from the same table, reads the rest and alone prints help, usage and
-errors.
+entry; the config file's keys are shared by all, and each command checks
+only the settings of its own flags.  main reads a plain argv from that
+table without importing argparse; argparse's full parser, built from the
+same table, reads the rest and alone prints help, usage and errors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import types
 
 from .highfloat import parse_real
 from .identities import (DEFAULT_TOLERANCE, adjudication_findings, catalog, fit_closed_form,
-                         reduce, select, substitute_bases, summarize, verify_all)
+                         read_tolerance, reduce, select, substitute_bases, summarize,
+                         verify_all)
 from .summation import EvalOptions, evaluate_sum, lemma_checks, parse_sumspec, sum_kernels
 from .zeta_algebra import evaluate, format_expr, parse_expr
 
@@ -34,8 +35,8 @@ REPORT_FIELDS = ("id", "lhs_value", "rhs_value", "residual", "tolerance",
                  "verdict", "digits", "K")
 
 _FORMATS = ("table", "json", "csv")
-# mpmath's default 53 bits, in digits: the tolerance checks and lemma-check's
-# residuals round at these, as mpmath did outside any workdps context
+# mpmath's default 53 bits, in digits: lemma-check's residuals round at
+# these, as mpmath did outside any workdps context
 DOUBLE_DIGITS = 15
 
 # lemma-check's largest k: the kernel cutoff 50k reaches the default
@@ -88,9 +89,10 @@ _SETTINGS = {"digits": ("digits", int, EvalOptions.digits, str),
              "family": ("family", str, None, lambda v: v or "*"),
              "catalog": ("catalog", _names, (), lambda v: "+".join(v) if v else "builtin")}
 
-# (dest, flag, low, high): the range of each command's own integer flag
-_BOUNDS = (("weight", "--weight", 1, MAX_FIT_WEIGHT), ("max_den", "--max-den", 1, None),
-           ("kmax", "--kmax", 1, LEMMA_KMAX))
+# (dest, name, low, high): the CLI's own caps on its integer settings;
+# digits' low end and K's range are EvalOptions'
+_BOUNDS = (("digits", "digits", None, MAX_DIGITS), ("weight", "--weight", 1, MAX_FIT_WEIGHT),
+           ("max_den", "--max-den", 1, None), ("kmax", "--kmax", 1, LEMMA_KMAX))
 
 
 def _read_config_file(path: str) -> dict:
@@ -120,30 +122,27 @@ def _read_config_file(path: str) -> dict:
 
 def _resolve_config(args) -> None:
     """Fill in every setting: a flag overrides the config file, which
-    overrides the command's defaults.  Adds the checked evaluation options
-    as opts and the tolerance at 53 bits as tol, and checks the command's
-    own flags."""
+    overrides the command's defaults.  Then check only the command's own,
+    the dests its flags put in args: the caps in _BOUNDS first, so nothing
+    is read at a refused digit count; EvalOptions' ranges, as opts (K only
+    under --K); and the tolerance, as tol."""
+    own = set(vars(args))
     read = _read_config_file(args.config) if args.config else {}
     for dest, _, default, _ in _SETTINGS.values():
         value = getattr(args, dest, None)
         if value is None:
             value = read.get(dest, args.defaults.get(dest, default))
         setattr(args, dest, tuple(value) if isinstance(value, list) else value)
-    if args.digits > MAX_DIGITS:
-        raise ValueError(f"digits must be <= {MAX_DIGITS}, got {args.digits}")
-    args.opts = EvalOptions(digits=args.digits, K=args.K)
-    try:
-        args.tol = parse_real(args.tolerance, DOUBLE_DIGITS)
-    except (ValueError, ZeroDivisionError):  # inf, nan, p/0 or not a number
-        args.tol = None
-    if args.tol is None or not args.tol > 0:
-        raise ValueError(f"tolerance must be a positive finite number, got {args.tolerance}")
-    for dest, flag, low, high in _BOUNDS:
-        value = getattr(args, dest, low)  # low passes: the command has no such flag
-        if value < low:
-            raise ValueError(f"{flag} must be >= {low}, got {value}")
+    for dest, name, low, high in [bound for bound in _BOUNDS if bound[0] in own]:
+        value = getattr(args, dest)
+        if low is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
         if high is not None and value > high:
-            raise ValueError(f"{flag} must be <= {high}, got {value}")
+            raise ValueError(f"{name} must be <= {high}, got {value}")
+    if "digits" in own:
+        args.opts = EvalOptions(digits=args.digits, **({"K": args.K} if "K" in own else {}))
+    if "tolerance" in own:
+        args.tol = read_tolerance(args.tolerance, args.digits)
 
 
 # ---- report emission -------------------------------------------------------
@@ -300,7 +299,7 @@ def _cmd_lemma_check(args) -> int:
                          f"got {args.kmax} * {args.digits}")
     # the sides are compared as printed: 10^(1 - digits) apart below 10
     spacing = f"1e{1 - args.digits}"
-    if args.tol < parse_real(spacing, DOUBLE_DIGITS):
+    if args.tol < parse_real(spacing, args.digits + 10):
         raise ValueError(f"--tolerance {args.tolerance} is below {spacing}, "
                          "the spacing of the printed values")
     rows = _lemma_rows(args.kmax, args.opts, args.tol)
@@ -419,8 +418,8 @@ def _build_parser():
 
     class Help(argparse.HelpFormatter):
         """A command's help: the flag of each setting in shown ends with the
-        setting's default, the command's own over _SETTINGS', and each flag in
-        _BOUNDS with its range and its default."""
+        setting's default, the command's own over _SETTINGS', and each other
+        flag in _BOUNDS with its range and its default."""
 
         shown = ("digits", "K", "tolerance", "format")  # each its own config key and dest
 
@@ -429,15 +428,15 @@ def _build_parser():
             self.defaults = defaults
 
         def _get_help_string(self, action):
+            if action.dest in self.shown:
+                _, _, default, show = _SETTINGS[action.dest]
+                return f"{action.help} (default {show(self.defaults.get(action.dest, default))})"
             for dest, _, low, high in _BOUNDS:
                 if action.dest == dest:
                     span = f"{low}..{high}" if high else f">= {low}"
                     default = "required" if action.required else f"default {action.default}"
                     return f"{action.help} ({span}, {default})"
-            if action.dest not in self.shown:
-                return action.help
-            _, _, default, show = _SETTINGS[action.dest]
-            return f"{action.help} (default {show(self.defaults.get(action.dest, default))})"
+            return action.help
 
     parser = argparse.ArgumentParser(
         prog="oddeuler", description="Verify and evaluate Euler sums over odd harmonic numbers.",

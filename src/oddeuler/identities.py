@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .highfloat import HighFloat, dps_to_prec, parse_real
 from .numerics import record
-from .summation import (EvalOptions, EvalResult, SumSpec, err_floor, evaluate_sum,
-                        parse_sumspec, read_sumspec, sum_specs)
+from .summation import (DEFAULT_OPTS, EvalOptions, EvalResult, SumSpec, err_floor,
+                        evaluate_sum, parse_sumspec, read_sumspec, sum_specs)
 from .zeta_algebra import (ZetaExpr, ZetaMonomial, canonicalize, evaluate, expect,
                            format_terms, parse_expr, parse_terms, read_posint, take,
                            tokenize)
@@ -96,9 +96,8 @@ def parse_combination(text: str) -> FormalCombination:
 
 
 def evaluate_combination(comb: FormalCombination,
-                         opts: EvalOptions | None = None) -> EvalResult:
+                         opts: EvalOptions = DEFAULT_OPTS) -> EvalResult:
     """Numeric value of a formal combination, with propagated error."""
-    opts = opts or EvalOptions()
     wp = opts.digits + 10  # every step rounds here, the results at digits
     total, err = evaluate(comb.constant, wp), HighFloat()
     for coef, spec, power in comb.parts:
@@ -197,21 +196,32 @@ class VerificationReport:
     err_estimate: HighFloat  # the lhs evaluation's own error estimate
 
 
-def verify(identity: Identity | str, opts: EvalOptions | None = None,
+def read_tolerance(text, digits: int) -> HighFloat:
+    """The tolerance typed as text, read at digits + 10; ValueError
+    unless it is a positive finite number."""
+    try:
+        tol = parse_real(str(text), digits + 10)
+    except (ValueError, ZeroDivisionError):  # inf, nan, p/0 or not a number
+        tol = None
+    if tol is None or not tol > 0:
+        raise ValueError(f"tolerance must be a positive finite number, got {text}")
+    return tol
+
+
+def verify(identity: Identity | str, opts: EvalOptions = DEFAULT_OPTS,
            tolerance=DEFAULT_TOLERANCE) -> VerificationReport:
     """Evaluate both sides and compare; verdict pass iff residual <= tolerance.
 
-    tolerance is the text of a number, read once at digits + 10.
+    tolerance is the text of a number, read once by read_tolerance.
     """
     if isinstance(identity, str):
         try:
             identity = catalog_by_id()[identity]
         except KeyError:
             raise KeyError(f"no catalog entry with id {identity!r}") from None
-    opts = opts or EvalOptions()
     digits, wp = opts.digits, opts.digits + 10
+    tol = read_tolerance(tolerance, digits)
     try:
-        tol = parse_real(str(tolerance), wp)
         evaluate_lhs = (evaluate_sum if isinstance(identity.lhs, SumSpec)
                         else evaluate_combination)
         lhs_result = evaluate_lhs(identity.lhs, opts)
@@ -242,7 +252,7 @@ def select(entries: list[Identity], ids=(), family: str | None = None) -> list[I
     return entries
 
 
-def verify_all(opts: EvalOptions | None = None, tolerance=DEFAULT_TOLERANCE,
+def verify_all(opts: EvalOptions = DEFAULT_OPTS, tolerance=DEFAULT_TOLERANCE,
                entries: list[Identity] | None = None,
                ids: list[str] | None = None) -> list[VerificationReport]:
     """Verify the selected entries, reports sorted by id; their sums are
@@ -270,13 +280,6 @@ def summarize(reports: list[VerificationReport],
 # ---- reduction rules -------------------------------------------------------
 
 
-def _t1_2_rule(m: int) -> FormalCombination:
-    if not 1 <= m <= 6:
-        raise ValueError(f"T1_2 rule supports m in 1..6, got {m}")
-    terms = " + ".join(f"z{2 * j}*[h1/k^{2 * m + 2 - 2 * j}]" for j in range(1, m + 1))
-    return parse_combination(f"{terms} - {m + 1}*[h1/k^{2 * m + 2}]")
-
-
 # rule id -> (combination, target)
 _FIXED_RULES = {
     "T1_3_4": ("3/4*z2*[h1/k^4] + 1/2*z2*[h2/k^3] - 5/4*[h2/k^5]", "h3/k^4"),
@@ -290,43 +293,47 @@ _FIXED_RULES = {
 }
 
 
-def reduction_target(rule: str, m: int | None = None) -> SumSpec:
-    """The sum a rule's combination claims to equal."""
+def _rule(rule: str, m: int | None) -> tuple[str, str]:
+    """The texts of a rule's combination and of its target sum: the
+    parametric T1_2 needs m in 1..6, a fixed rule takes none."""
     if rule == "T1_2":
         if m is None:
             raise ValueError("T1_2 rule needs the parameter m")
-        return parse_sumspec(f"h2/k^{2 * m + 1}")
-    if rule in _FIXED_RULES:
-        return parse_sumspec(_FIXED_RULES[rule][1])
-    raise KeyError(f"unknown reduction rule {rule!r}")
+        if not 1 <= m <= 6:
+            raise ValueError(f"T1_2 rule supports m in 1..6, got {m}")
+        terms = " + ".join(f"z{2 * j}*[h1/k^{2 * m + 2 - 2 * j}]" for j in range(1, m + 1))
+        return f"{terms} - {m + 1}*[h1/k^{2 * m + 2}]", f"h2/k^{2 * m + 1}"
+    if rule not in _FIXED_RULES:
+        raise KeyError(f"unknown reduction rule {rule!r}")
+    if m is not None:
+        raise ValueError(f"rule {rule!r} takes no parameter")
+    return _FIXED_RULES[rule]
 
 
-def reduce(rule: str, m: int | None = None, opts: EvalOptions | None = None,
+def reduction_target(rule: str, m: int | None = None) -> SumSpec:
+    """The sum a rule's combination claims to equal."""
+    return parse_sumspec(_rule(rule, m)[1])
+
+
+def reduce(rule: str, m: int | None = None, opts: EvalOptions = DEFAULT_OPTS,
            tolerance=DEFAULT_TOLERANCE) -> FormalCombination:
     """Emit a rule's combination of catalogued base sums.
 
     The parametric T1_2 family generalizes beyond its first two printed
     instances; emissions with m >= 3 are numerically verified against
-    the target sum, within tolerance (the text of a number, read at the
-    run's digits), before being returned.  Fixed-instance rules return
+    the target sum, within tolerance (the text of a number, read by
+    read_tolerance), before being returned.  Fixed-instance rules return
     exactly the transcribed combination, verified or not: three of them
     are adjudication subjects that do NOT equal their nominal target.
     """
-    if rule == "T1_2":
-        comb = _t1_2_rule(m if m is not None else 1)
-        if m is not None and m >= 3:
-            check = opts or EvalOptions()
-            got = evaluate_combination(comb, check).value
-            want = evaluate_sum(reduction_target(rule, m), check).value
-            if abs(got - want) > parse_real(str(tolerance), check.digits):
-                raise ArithmeticError(
-                    f"T1_2 emission at m={m} failed numeric verification")
-        return comb
-    if rule in _FIXED_RULES:
-        if m is not None:
-            raise ValueError(f"rule {rule!r} takes no parameter")
-        return parse_combination(_FIXED_RULES[rule][0])
-    raise KeyError(f"unknown reduction rule {rule!r}")
+    text, target = _rule(rule, m)
+    comb = parse_combination(text)
+    if rule == "T1_2" and m >= 3:
+        got = evaluate_combination(comb, opts).value
+        want = evaluate_sum(parse_sumspec(target), opts).value
+        if abs(got - want) > read_tolerance(tolerance, opts.digits):
+            raise ArithmeticError(f"T1_2 emission at m={m} failed numeric verification")
+    return comb
 
 
 def substitute_bases(comb: FormalCombination,
@@ -352,13 +359,10 @@ def substitute_bases(comb: FormalCombination,
 
 
 def reduction_residual(rule: str, m: int | None = None,
-                       opts: EvalOptions | None = None) -> HighFloat:
+                       opts: EvalOptions = DEFAULT_OPTS) -> HighFloat:
     """|combination value - target value| for one rule emission."""
-    opts = opts or EvalOptions()
-    comb = reduce(rule, m, opts)
-    target = reduction_target(rule, m)
-    return abs(evaluate_combination(comb, opts).value -
-               evaluate_sum(target, opts).value).round(opts.digits)
+    return abs(evaluate_combination(reduce(rule, m, opts), opts).value -
+               evaluate_sum(reduction_target(rule, m), opts).value).round(opts.digits)
 
 
 # ---- coefficient fitting ---------------------------------------------------
@@ -561,9 +565,8 @@ def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
 
 def fit_closed_form(spec: SumSpec, weight: int, include_ln2: bool = False,
                     max_den: int = 256,
-                    opts: EvalOptions | None = None) -> ZetaExpr | None:
+                    opts: EvalOptions = DEFAULT_OPTS) -> ZetaExpr | None:
     """Evaluate the sum, then fit its value; None when nothing matches."""
-    opts = opts or EvalOptions()
     value = evaluate_sum(spec, opts).value
     return fit_value(value, weight, include_ln2, max_den, opts.digits)
 
@@ -597,13 +600,12 @@ def finite_rearrangement_check(k: int) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def adjudication_findings(reports: list[VerificationReport],
-                          opts: EvalOptions | None = None) -> list[str]:
+                          opts: EvalOptions = DEFAULT_OPTS) -> list[str]:
     """Human-readable notes for the adjudicated entries present in reports.
 
     Derived from already-computed reports plus exact algebra only, so
     this never re-evaluates a sum.
     """
-    opts = opts or EvalOptions()
     digits = opts.digits
     by_id = {r.id: r for r in reports}
     notes = []

@@ -432,26 +432,24 @@ def _spec_series(spec: SumSpec, K: int) -> tuple:
     return spec.factors, spec.k_power, 2, 1, spec.odd_power, K
 
 
-def evaluate_sum(spec: SumSpec, opts: EvalOptions | None = None) -> EvalResult:
+def evaluate_sum(spec: SumSpec, opts: EvalOptions = DEFAULT_OPTS) -> EvalResult:
     """Partial sum to K plus Euler-Maclaurin tail.
 
     The error estimate is ten times the first omitted correction term,
     floored at err_floor(digits); doubling K moves the value by less
     than that estimate.
     """
-    opts = opts or DEFAULT_OPTS
     (value, omitted), = _sum_batch([_spec_series(spec, opts.K)], opts)
     err = max((10 * omitted).round(opts.digits), err_floor(opts.digits))
     return EvalResult(value.round(opts.digits), err, opts.K, opts.digits)
 
 
-def sum_specs(specs, opts: EvalOptions | None = None) -> None:
+def sum_specs(specs, opts: EvalOptions = DEFAULT_OPTS) -> None:
     """Memoize the sums of several specs, their heads summed together.
 
     evaluate_sum on any of them then reuses the memo; the values are
     those evaluate_sum computes alone, bit for bit.
     """
-    opts = opts or DEFAULT_OPTS
     _sum_batch([_spec_series(spec, opts.K) for spec in specs], opts)
 
 
@@ -532,22 +530,19 @@ def _kernel_series(kernel: tuple, k: int) -> tuple:
     return factors, c, b, -k, 1, max(2000, 50 * k) + (k if b < 0 else 0)
 
 
-def sum_kernels(kernel: tuple, ks, opts: EvalOptions | None = None) -> None:
+def sum_kernels(kernel: tuple, ks, opts: EvalOptions = DEFAULT_OPTS) -> None:
     """Memoize a kernel's truncated side at every k in ks, the heads
     summed together; the lemma evaluators then reuse the memo."""
-    opts = opts or DEFAULT_OPTS
     _sum_batch([_kernel_series(kernel, k) for k in ks], opts)
 
 
-def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions | None) -> HighFloat:
-    opts = opts or DEFAULT_OPTS
+def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions) -> HighFloat:
     (total, _), = _sum_batch([_kernel_series(kernel, k)], opts)
     return total.round(opts.digits)
 
 
-def _closed(terms: list, opts: EvalOptions | None) -> HighFloat:
-    digits = (opts or DEFAULT_OPTS).digits
-    return evaluate(ZetaExpr.from_terms(terms), digits + 15).round(digits)
+def _closed(terms: list, opts: EvalOptions) -> HighFloat:
+    return evaluate(ZetaExpr.from_terms(terms), opts.digits + 15).round(opts.digits)
 
 
 def _h(n: int, k: int) -> Fraction:
@@ -584,7 +579,7 @@ def _shifted_terms(n: int, k: int) -> list:
          for t in range(2, n + 1)]
 
 
-def shifted_kernel_closed(n: int, k: int, opts: EvalOptions | None = None) -> HighFloat:
+def shifted_kernel_closed(n: int, k: int, opts: EvalOptions = DEFAULT_OPTS) -> HighFloat:
     """Closed form of sum_i h(n, i) / (i (i + k)) for k >= 1.
 
     Finite data only: a ladder of full-harmonic over odd-power terms up
@@ -599,13 +594,13 @@ def shifted_kernel_closed(n: int, k: int, opts: EvalOptions | None = None) -> Hi
     return _closed(_shifted_terms(n, k), opts)
 
 
-def lemma1_aux(k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
+def lemma1_aux(k: int, opts: EvalOptions = DEFAULT_OPTS) -> tuple[HighFloat, HighFloat]:
     """(truncated, closed) for sum_i h(1, i) / (i (i + k))."""
     return (_kernel_truncated(AUX_KERNEL, k, opts),
             shifted_kernel_closed(1, k, opts))
 
 
-def recip_kernel_closed(p: int, k: int, opts: EvalOptions | None = None) -> HighFloat:
+def recip_kernel_closed(p: int, k: int, opts: EvalOptions = DEFAULT_OPTS) -> HighFloat:
     """Closed form of the two-sided sum_{i != k} 1/(i^p (k - i)), p >= 2."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
@@ -616,7 +611,7 @@ def recip_kernel_closed(p: int, k: int, opts: EvalOptions | None = None) -> High
                    + [(_z(p + 1 - j), Fraction(1, k ** j)) for j in range(1, p)], opts)
 
 
-def lemma2_g(n: int, k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
+def lemma2_g(n: int, k: int, opts: EvalOptions = DEFAULT_OPTS) -> tuple[HighFloat, HighFloat]:
     """(truncated, closed) for the two-sided sum_{i != k} 1/(i^{2n} (k - i)).
 
     The closed side at (n, k) = (1, 1) is zeta(2) - 2 and at (1, 2) is
@@ -628,7 +623,7 @@ def lemma2_g(n: int, k: int, opts: EvalOptions | None = None) -> tuple[HighFloat
             recip_kernel_closed(2 * n, k, opts))
 
 
-def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions | None = None) \
+def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions = DEFAULT_OPTS) \
         -> tuple[HighFloat, HighFloat]:
     """(truncated, closed) for the two-sided cross sum of order m.
 
@@ -651,7 +646,7 @@ def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions | None = None) \
             _closed(closed, opts))
 
 
-def lemma1_f(k: int, opts: EvalOptions | None = None) -> tuple[HighFloat, HighFloat]:
+def lemma1_f(k: int, opts: EvalOptions = DEFAULT_OPTS) -> tuple[HighFloat, HighFloat]:
     """Order-1 cross sum; closed side at k = 1 is 2 ln 2 - 3."""
     return lemma3_f(1, "odd", k, opts)
 

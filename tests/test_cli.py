@@ -83,6 +83,12 @@ def test_reduce_t1_2_check_reads_the_typed_tolerance(capsys):
     assert "T1_2 emission at m=3 failed numeric verification" in capsys.readouterr().err
 
 
+def test_reduce_t1_2_needs_m():
+    rc, out, err = run_cli("reduce", "T1_2")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == "error: T1_2 rule needs the parameter m"
+
+
 def test_reduce_combination_text():
     rc, out, _ = run_cli("reduce", "T1_2", "--m", "1")
     assert rc == 0
@@ -270,6 +276,27 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert "format=csv" in err.splitlines()[0]
     row = out.splitlines()[1].split(",")
     assert row[0] == "B2" and row[6] == "30"
+
+
+# a config key is filled and echoed for every command, but checked only by
+# the commands that take its flag (verify's tolerance = abc is checked in
+# test_tolerance_not_positive_finite_exits_2)
+_ECHO = "config: digits={} K={} tolerance={} format=table ids={} family=* catalog=builtin"
+
+
+@pytest.mark.parametrize("argv,text,rc,stderr", (
+    (("eval-expr", "z3"), "K = 50", 0, _ECHO.format(40, 50, "1e-11", "*")),
+    (("list", "--id", "B2"), "digits = 501", 0, _ECHO.format(501, 10000, "1e-11", "B2")),
+    (("eval-sum", "h1/k^2"), "tolerance = abc", 0, _ECHO.format(40, 10000, "abc", "*")),
+    (("eval-sum", "h1/k^2"), "K = 50", 2, "error: K must be >= 100, got 50")),
+    ids=("eval-expr-K", "list-digits", "eval-sum-tolerance", "eval-sum-K"))
+def test_a_config_setting_is_checked_only_by_the_commands_that_take_it(tmp_path, argv, text,
+                                                                      rc, stderr):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    got, out, err = run_cli(*argv, "--config", str(cfg))
+    assert (got, bool(out)) == (rc, rc == 0)
+    assert err.splitlines() == [stderr]
 
 
 def test_config_file_bad_key(tmp_path):
@@ -509,6 +536,16 @@ def test_lemma_check_rejects_tolerance_below_printed_spacing():
                          "--tolerance", "1e-19", "--format", "csv")
     assert rc == 0
     assert len(out.splitlines()) == 2 + 8
+
+
+def test_lemma_check_reads_the_tolerance_at_digits_plus_10():
+    # just below the spacing 1e-39: at 53 bits it would round up to the
+    # spacing and pass the check
+    rc, out, err = run_cli("lemma-check", "--kmax", "1",
+                           "--tolerance", "0.99999999999999999999e-39")
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == ("error: --tolerance 0.99999999999999999999e-39 is below "
+                                    "1e-39, the spacing of the printed values")
 
 
 def test_config_tolerance_overrides_lemma_default(tmp_path):

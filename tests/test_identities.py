@@ -12,10 +12,11 @@ from oddeuler.identities import (REFERENCE_ANCHORS, FormalCombination,
                                  adjudication_findings, catalog,
                                  catalog_by_id, evaluate_combination,
                                  finite_rearrangement_check,
-                                 parse_combination, reduce,
+                                 parse_combination, read_tolerance, reduce,
                                  reduction_residual, reduction_target,
                                  substitute_bases, summarize, verify,
                                  verify_all)
+from oddeuler.highfloat import parse_real
 from oddeuler.summation import EvalOptions, SumSpec, evaluate_sum, parse_sumspec
 from oddeuler.zeta_algebra import ExprSyntaxError, format_expr, parse_expr
 
@@ -123,6 +124,28 @@ def test_verdict_tolerance_boundary():
     assert r.verdict == "pass"
     r = verify("T5_1_eq81", OPTS, tolerance="10")
     assert r.verdict == "pass"
+
+
+@pytest.mark.parametrize("text", ("1/3", "1e-400"))
+def test_read_tolerance_reads_the_typed_text_at_digits_plus_10(text):
+    tol = read_tolerance(text, 40)
+    assert tol._mpf_ == parse_real(text, 50)._mpf_
+    assert tol > 0
+
+
+@pytest.mark.parametrize("text", ("0", "-1", "inf", "nan", "1/0", "abc"))
+def test_read_tolerance_refuses_what_is_not_positive_finite(text):
+    with pytest.raises(ValueError) as info:
+        read_tolerance(text, 40)
+    assert str(info.value) == f"tolerance must be a positive finite number, got {text}"
+
+
+@pytest.mark.parametrize("text", ("-1", "1/0"))
+def test_verify_refuses_a_tolerance_that_is_not_positive_finite(text):
+    # -1 once marked the entry fail, and 1/0 raised RuntimeError("B2: ")
+    with pytest.raises(ValueError) as info:
+        verify("B2", tolerance=text)
+    assert str(info.value) == f"tolerance must be a positive finite number, got {text}"
 
 
 def test_combined_identities_pass():
@@ -262,6 +285,18 @@ def test_reduce_rule_errors():
         reduce("T1_3_4", 2)
     with pytest.raises(ValueError):
         reduction_target("T1_2")
+
+
+@pytest.mark.parametrize("rule,m,error", (
+    ("T1_2", None, ValueError), ("T1_2", 0, ValueError), ("T1_2", 9, ValueError),
+    ("T1_3_4", 2, ValueError), ("nope", None, KeyError), ("nope", 2, KeyError)))
+def test_reduce_and_reduction_target_refuse_the_same_rules(rule, m, error):
+    # one dispatch serves both: the combination and its target
+    with pytest.raises(error) as by_reduce:
+        reduce(rule, m)
+    with pytest.raises(error) as by_target:
+        reduction_target(rule, m)
+    assert str(by_reduce.value) == str(by_target.value)
 
 
 def test_substitute_missing_base_reported():
