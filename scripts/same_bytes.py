@@ -14,8 +14,8 @@ and ``COLUMNS=80``.  The argvs are the golden ones (``tests/data/*.argv``),
 on large bases (PSLQ on 11 to 30 entries), four ``eval-sum`` corners of
 the harmonic value series, typed closed forms (``eval-expr``) and
 substituted reductions (``reduce --substitute``), the decimal forms of
-printed values and of read tolerances (``FORMATS``), ln 2 and gamma at
-digit counts off the usual grid (``CONSTANTS``), config files
+printed values and of read tolerances (``FORMATS``), ln 2, gamma and
+zeta values at digit counts off the usual grid (``CONSTANTS``), config files
 (``CONFIGS``, read from the files of ``CONFIG_FILES``, which are written
 into each side's directory and named by relative paths, so that the
 errors that name them match), argparse's usage errors and help paths
@@ -75,11 +75,14 @@ FORMATS = (("eval-expr", "9999999999999999999999/10000000000000000000000", "--di
            *(("verify", "--id", "B2", "--format", "csv", "--tolerance", tolerance)
              for tolerance in ("1/3", "1e-400", "inf", "1/0")),
            ("lemma-check", "--kmax", "1", "--tolerance", "0.99999999999999999999e-39"))
-# every bit of ln 2 and gamma reaches stdout at digit counts off the usual
-# grid: ln 2 alone, gamma through H1's value series, and ln 2 at 500 digits
+# every bit of the constants reaches stdout at digit counts off the usual
+# grid: ln 2 alone, gamma through H1's value series, ln 2 at 500 digits,
+# zeta values from z2 to z25, and zeta(3) and ln 2 through h3's odd series
 CONSTANTS = (*(("eval-expr", "ln2", "--digits", str(d)) for d in (20, 57, 123, 321, 500)),
              *(("eval-sum", "H1/k^2", "--K", "100", "--digits", str(d)) for d in (20, 77, 250)),
-             ("eval-expr", "z3*ln2^2", "--digits", "500"))
+             ("eval-expr", "z3*ln2^2", "--digits", "500"),
+             *(("eval-expr", "z2*z3 + z5 + z7 + z25", "--digits", str(d)) for d in (21, 99, 333)),
+             ("eval-sum", "h3/k^2", "--K", "100", "--digits", "77"))
 # config files, by name: a setting is filled and echoed for every command
 # but checked only by the commands that take its flag
 CONFIG_FILES = {"b2_csv_d25.cfg": "digits = 25\nformat = csv\nid = B2\n",

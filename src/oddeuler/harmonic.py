@@ -19,7 +19,7 @@ from itertools import accumulate, count, repeat, tee
 from operator import floordiv
 
 from .highfloat import HighFloat, dps_to_prec, ln_fixed
-from .numerics import Rational, _require_digits, constant, power_groups, record
+from .numerics import Rational, _require_digits, constant, ln2, power_groups, record
 
 EXACT_LIMIT = 10 ** 5
 
@@ -183,50 +183,33 @@ def value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict
     it is read-only.
     """
     n = kind.order
-    const = constant("euler_gamma" if n == 1 else f"zeta({n})", digits)
-    even = {(0, 0): const.fixed(prec), **power_groups(n, s_cap, prec)}
+    even = {(0, 0): constant(n, digits).fixed(prec), **power_groups(n, s_cap, prec)}
     if kind.parity == "even":
         return even
     # x -> 2x: (ln 2x)^a expands binomially, x^{-s} halves s times
-    ln2 = constant("ln2", digits).fixed(prec)
+    log2 = ln2(digits).fixed(prec)
     out: dict = {}
     for (a, s), c in even.items():
         for j in range(a + 1):
             key = (a - j, s)
             out[key] = out.get(key, 0) + \
-                (math.comb(a, j) * c * ln2 ** j >> (s + prec * j))
+                (math.comb(a, j) * c * log2 ** j >> (s + prec * j))
         out[(a, s)] -= c >> n
     return {k: v for k, v in out.items() if v}
-
-
-def _expansion_pieces(n: int, x: int, digits: int) -> list:
-    # Monomials of the H(n, x) value series valued at x, leading first,
-    # each product rounded at digits.  For n >= 2 they are negated and
-    # zeta(n) dropped, so that they add up to the tail zeta(n) - H(n, x);
-    # for n = 1 they add up to H(1, x) itself.  The series comes in fixed
-    # point with 16 guard bits.
-    prec = dps_to_prec(digits) + 16
-    series = {key: HighFloat(c, -prec).round(digits) for key, c in
-              value_series(HarmonicKind.even(n), n + 7, digits, prec).items()}
-    if n > 1:
-        series = {key: -c for key, c in series.items() if key != (0, 0)}
-    lnx = HighFloat(ln_fixed(x, prec), -prec).round(digits)
-    pieces = []
-    for (a, s), c in sorted(series.items(), key=lambda kv: (kv[0][1], -kv[0][0])):
-        if a:
-            c = (c * lnx.pow(a, digits)).round(digits)
-        pieces.append((c * HighFloat(x).pow(-s, digits)).round(digits))
-    return pieces
 
 
 def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> HighFloat:
     """Truncated asymptotic expansion with `terms` leading pieces.
 
-    Order 1 returns the expansion of the prefix value itself; order >= 2
-    returns the expansion of the remaining tail (limit minus prefix).
-    Odd kinds are always assembled from the even expansion through the
-    split identity, never expanded independently.  The pieces are
-    rounded at digits + 5, their sum once more, and that at digits.
+    The pieces are the monomials of the kind's own value series to
+    k^-(n+7), valued at k: the lowest power of 1/k first, and within a
+    power the higher power of ln k.  Order 1 expands the prefix itself:
+    ln k, gamma, 1/k, 1/k^2, ... for the even kind, and ln k / 2,
+    gamma / 2 + ln 2, 1/k^2, 1/k^4, ... for the odd.  Order n >= 2
+    expands the tail, limit minus prefix: k^(1-n), k^-n, k^(-1-n),
+    k^(-3-n), ... for the even kind, and the same without k^-n, which
+    cancels, for the odd.  Each piece is rounded at digits + 5, their sum
+    once more, and that at digits.
 
     >>> tail_expansion(HarmonicKind.even(2), 10, 3).text(16)
     '0.09516666666666667'
@@ -237,8 +220,15 @@ def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> 
         raise ValueError(f"terms must be between 1 and 6, got {terms}")
     _require_digits(digits)
     n, wp = kind.order, digits + 5
-    pieces = _expansion_pieces(n, k, wp)
-    if kind.parity == "odd":
-        pieces = [(a - b / 2 ** n).round(wp)
-                  for a, b in zip(_expansion_pieces(n, 2 * k, wp), pieces)]
-    return sum(pieces[:terms], HighFloat()).round(wp).round(digits)
+    prec = dps_to_prec(wp) + 16
+    series = {key: HighFloat(c, -prec).round(wp) for key, c in
+              value_series(kind, n + 7, wp, prec).items()}
+    if n > 1:
+        series = {key: -c for key, c in series.items() if key != (0, 0)}
+    lnk = HighFloat(ln_fixed(k, prec), -prec).round(wp)
+    pieces = []
+    for (a, s), c in sorted(series.items(), key=lambda kv: (kv[0][1], -kv[0][0]))[:terms]:
+        if a:
+            c = (c * lnk.pow(a, wp)).round(wp)
+        pieces.append((c * HighFloat(k).pow(-s, wp)).round(wp))
+    return sum(pieces, HighFloat()).round(wp).round(digits)

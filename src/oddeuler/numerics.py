@@ -282,41 +282,30 @@ def _em_constant(n: int, dps: int) -> HighFloat:
 
 
 @lru_cache(maxsize=None)
-def _constant_cached(name: str, digits: int) -> HighFloat:
-    dps = digits + _GUARD
-    if name == "ln2":
-        wp = dps_to_prec(dps) + 16
-        value = HighFloat(ln_fixed(2, wp), -wp).round(dps)
-    elif name == "euler_gamma":
-        value = _em_constant(1, dps)
-    elif name.startswith("zeta(") and name.endswith(")"):
-        inner = name[5:-1]
-        try:
-            n = int(inner)
-        except ValueError:
-            raise ValueError(f"unknown constant {name!r}") from None
-        if n == 1:
-            raise ValueError("zeta(1) divergent")
-        if n < 1:
-            raise ValueError(f"zeta argument must be >= 2, got {n}")
-        value = _em_constant(n, dps)
-    else:
-        raise ValueError(f"unknown constant {name!r}")
-    return value.round(digits)
+def constant(n: int, digits: int) -> HighFloat:
+    """The constant of summation of 1/k^n at digits: Euler's gamma at
+    n = 1, zeta(n) above.  It is computed at digits + 10 and rounded once
+    more at digits; n < 1 and digits < 10 are refused.
 
-
-def constant(name: str, digits: int) -> HighFloat:
-    """Named constant at the requested decimal precision.
-
-    Accepted names: ``zeta(n)`` for integer n >= 2, ``ln2``,
-    ``euler_gamma``.  Asking for ``zeta(1)`` raises (divergent), as does
-    any request below 10 digits.
-
-    >>> constant("zeta(2)", 17).text(17)
+    >>> constant(2, 17).text(17)
     '1.6449340668482264'
-    >>> constant("ln2", 17).text(17)
+    >>> constant(1, 17).text(17)
+    '0.57721566490153286'
+    """
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    _require_digits(digits)
+    return _em_constant(n, digits + _GUARD).round(digits)
+
+
+@lru_cache(maxsize=None)
+def ln2(digits: int) -> HighFloat:
+    """ln 2 at digits, from highfloat.ln_fixed at digits + 10, rounded at
+    those digits and once more at digits.
+
+    >>> ln2(17).text(17)
     '0.69314718055994531'
     """
     _require_digits(digits)
-    return _constant_cached(name, digits)
-
+    wp = dps_to_prec(digits + _GUARD) + 16
+    return HighFloat(ln_fixed(2, wp), -wp).round(digits + _GUARD).round(digits)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial
 
 from .highfloat import HighFloat
-from .numerics import Rational, _require_digits, bernoulli, constant, record
+from .numerics import Rational, _require_digits, bernoulli, constant, ln2, record
 
 
 # largest zeta index, harmonic order and k plus (2k-1) power that text may
@@ -243,8 +243,9 @@ def canonicalize(expr: ZetaExpr) -> ZetaExpr:
 def evaluate(expr: ZetaExpr, digits: int) -> HighFloat:
     """Numeric value at digits, each letter's constant taken at digits.
 
-    Each coefficient, power, product and partial sum is rounded at
-    digits + 5, and the total once more at digits.
+    This is the one place that values a letter: 1 is ln 2 and n >= 2 is
+    zeta(n).  Each coefficient, power, product and partial sum is rounded
+    at digits + 5, and the total once more at digits.
     """
     _require_digits(digits)
     wp = digits + 5
@@ -252,7 +253,7 @@ def evaluate(expr: ZetaExpr, digits: int) -> HighFloat:
     for mono, coef in expr.terms:
         v = HighFloat(coef.numerator).round(wp).div(coef.denominator, wp)
         for n, e in mono.factors:
-            v = (v * constant("ln2" if n == 1 else f"zeta({n})", digits).pow(e, wp)).round(wp)
+            v = (v * (ln2(digits) if n == 1 else constant(n, digits)).pow(e, wp)).round(wp)
         total = (total + v).round(wp)
     return total.round(digits)
 

@@ -89,6 +89,16 @@ def test_reduce_t1_2_needs_m():
     assert err.splitlines()[-1] == "error: T1_2 rule needs the parameter m"
 
 
+@pytest.mark.parametrize("argv, message", (
+    (("T5", "--tolerance", "abc"), "error: tolerance must be a positive finite number, got abc"),
+    (("T1_2", "--m", "1", "--K", "50"), "error: K must be >= 100, got 50")))
+def test_reduce_refuses_a_bad_flag_on_every_rule(argv, message):
+    # --K and --tolerance are reduce's own flags, so a bad value is refused
+    # whichever rule is asked for, although only T1_2 at m >= 3 reads them
+    rc, out, err = run_cli("reduce", *argv)
+    assert (rc, out, err) == (2, "", message + "\n")
+
+
 def test_reduce_combination_text():
     rc, out, _ = run_cli("reduce", "T1_2", "--m", "1")
     assert rc == 0

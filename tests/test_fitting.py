@@ -9,7 +9,7 @@ import pytest
 
 from oddeuler import identities
 from oddeuler.identities import _fit_basis, _pslq, fit_closed_form, fit_value
-from oddeuler.numerics import constant
+from oddeuler.numerics import constant, ln2
 from oddeuler.summation import EvalOptions, parse_sumspec
 from oddeuler.zeta_algebra import ZetaExpr, ZetaMonomial, evaluate, format_expr, parse_expr
 
@@ -30,14 +30,14 @@ def test_fit_no_closed_form():
 
 def test_fit_mixed_with_ln2():
     with mp.workdps(40):
-        value = 3 * constant("zeta(2)", 40) / 2 - 2 * constant("ln2", 40)
+        value = 3 * constant(2, 40) / 2 - 2 * ln2(40)
         got = fit_value(value, 2, include_ln2=True, max_den=16)
         assert got == parse_expr("3/2*z2 - 2*ln2")
 
 
 def test_fit_rejects_oversized_denominators():
     with mp.workdps(40):
-        value = constant("zeta(3)", 40) / 512
+        value = constant(3, 40) / 512
         assert fit_value(value, 3, max_den=256) is None
 
 

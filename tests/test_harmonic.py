@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddeuler.harmonic import (HarmonicKind, PrefixStream, even_odd_split,
+from oddeuler.harmonic import (HarmonicKind, PrefixStream, columns, even_odd_split,
                                harmonic_exact, tail_expansion)
 
 from conftest import FROZEN_CONSTANTS
@@ -85,6 +85,23 @@ def test_prefix_stream_floor_bound(parity):
             assert 0 <= gap <= k
 
 
+@pytest.mark.parametrize("parity", ("even", "odd"))
+def test_columns_floor_bound_and_stream_agree(parity):
+    # orders 1, 2 and 5 chain two ways: 2 divides 1's terms by base, 5
+    # divides 2's by base^3; each prefix lies within k units of 2^-prec
+    # below the exact value, and is PrefixStream's after k advances
+    kinds = tuple(HarmonicKind(parity, n) for n in (1, 2, 5))
+    stream = PrefixStream(kinds, digits=20, terms=500)
+    cols = columns(kinds, stream.prec)
+    for k in range(1, 501):
+        stream.advance()
+        for kind, streamed in zip(kinds, stream.prefixes):
+            prefix = next(cols[kind])
+            scaled = harmonic_exact(kind, k) * 2 ** stream.prec
+            assert scaled - k <= prefix <= scaled
+            assert prefix == streamed
+
+
 def test_tail_expansion_even_order2_example():
     # three correction terms of the order-2 tail at k = 10
     val = tail_expansion(HarmonicKind.even(2), 10, 3)
@@ -117,13 +134,53 @@ def test_tail_expansion_accuracy_improves():
 
 
 def test_tail_expansion_odd_consistency():
-    # odd tail = even tail at 2k minus 2^{-n} times even tail at k
+    # the odd tail from its own series, against lambda(3) - h(3, 25)
     with mp.workdps(40):
         lam3 = (1 - mp.mpf(2) ** -3) * mp.mpf(FROZEN_CONSTANTS["zeta(3)"])
         exact = harmonic_exact(HarmonicKind.odd(3), 25)
         true_tail = lam3 - mp.mpf(exact.numerator) / exact.denominator
         got = tail_expansion(HarmonicKind.odd(3), 25, 5, digits=40)
         assert abs(got - true_tail) < mp.mpf("1e-12")
+
+
+def _even_piece(n, j, x):
+    # piece j of the even kind's tail_expansion at x, leading first: ln x,
+    # gamma, 1/(2x) at order 1; x^(1-n)/(n-1), -x^-n/2 at order n >= 2;
+    # then the Euler-Maclaurin terms B_2r/(2r)! n(n+1)...(n+2r-2)
+    # x^(1-n-2r), negated at order 1, where the expansion is of the value
+    x = mp.mpf(x)
+    head = [mp.log(x), +mp.euler, 1 / (2 * x)] if n == 1 else \
+        [x ** (1 - n) / (n - 1), -x ** -n / 2]
+    if j < len(head):
+        return head[j]
+    r = j - len(head) + 1
+    term = mp.bernoulli(2 * r) / mp.factorial(2 * r) * mp.rf(n, 2 * r - 1) * x ** (1 - n - 2 * r)
+    return -term if n == 1 else term
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_odd_tail_expansion_against_the_split_identity(n):
+    # h(n, x) = H(n, 2x) - 2^-n H(n, x) taken piece by piece: the split of
+    # the even expansions differs from the odd kind's own by at most the
+    # first piece that the split leaves out (a piece that cancels in the
+    # split, x^-n, counts as one there but not in the odd series), and the
+    # odd expansion's error falls as terms grows
+    odd, even = HarmonicKind.odd(n), HarmonicKind.even(n)
+    with mp.workdps(50):
+        lam = (1 - mp.mpf(2) ** -n) * mp.zeta(n) if n > 1 else 0
+        for k in (10, 25, 100):
+            exact = harmonic_exact(odd, k)
+            true = abs(lam - mp.mpf(exact.numerator) / exact.denominator)
+            errs = []
+            for terms in range(2, 7):
+                got = tail_expansion(odd, k, terms)
+                split = tail_expansion(even, 2 * k, terms) - \
+                    tail_expansion(even, k, terms) / 2 ** n
+                omitted = _even_piece(n, terms, 2 * k) - _even_piece(n, terms, k) / 2 ** n
+                assert abs(got - split) <= abs(omitted) + mp.mpf("1e-36"), (k, terms)
+                errs.append(abs(got - true))
+            assert errs == sorted(errs, reverse=True), k
+            assert errs[0] > errs[2] > errs[4], k
 
 
 def test_tail_expansion_validation():

@@ -49,7 +49,7 @@ def test_lemma1_f_special_value():
 
 def test_lemma2_special_values():
     with mp.workdps(40):
-        z2 = constant("zeta(2)", 40)
+        z2 = constant(2, 40)
         _, c11 = lemma2_g(1, 1, OPTS)
         assert abs(c11 - (z2 - 2)) < mp.mpf("1e-25")
         _, c12 = lemma2_g(1, 2, OPTS)

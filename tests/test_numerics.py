@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oddeuler import numerics, summation
 from oddeuler.highfloat import HighFloat, dps_to_prec, ln_fixed
-from oddeuler.numerics import bernoulli, constant
+from oddeuler.numerics import bernoulli, constant, ln2
 from oddeuler.harmonic import HarmonicKind, value_series
 from oddeuler.identities import FormalCombination, Identity, VerificationReport
 from oddeuler.summation import (EvalOptions, EvalResult, SumSpec,
@@ -69,7 +69,7 @@ def test_ln2_within_one_ulp_of_mpmath(digits):
     # the guarded value too, at its own precision: rounding to digits would
     # hide lost guard bits
     wp = dps_to_prec(digits + 10) + 16
-    for got, dps in ((constant("ln2", digits), digits),
+    for got, dps in ((ln2(digits), digits),
                      (HighFloat(ln_fixed(2, wp), -wp).round(digits + 10), digits + 10)):
         with mp.workdps(dps):
             ulp = mp.mpf(2) ** -mp.mp.prec  # ln 2 lies in [1/2, 1)
@@ -87,44 +87,50 @@ def test_constants_are_mpmaths_bit_for_bit(digits):
     # ln 2 and gamma at every sampled count, and zeta(n) at every fourth
     zetas = (2, 3, 5, 8, 13, 25) if BIT_DIGITS.index(digits) % 4 == 0 else ()
     with mp.workprec(dps_to_prec(digits)):
-        assert constant("ln2", digits)._mpf_ == (+mp.ln2)._mpf_
-        assert constant("euler_gamma", digits)._mpf_ == (+mp.euler)._mpf_
+        assert ln2(digits)._mpf_ == (+mp.ln2)._mpf_
+        assert constant(1, digits)._mpf_ == (+mp.euler)._mpf_
         for n in zetas:
-            assert constant(f"zeta({n})", digits)._mpf_ == mp.zeta(n)._mpf_, n
+            assert constant(n, digits)._mpf_ == mp.zeta(n)._mpf_, n
+
+
+# the frozen table's names, as calls at a digit count
+FROZEN_CALLS = {"ln2": ln2, "euler_gamma": partial(constant, 1),
+                **{f"zeta({n})": partial(constant, n) for n in range(2, 10)}}
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_CONSTANTS))
 def test_constants_against_frozen(name):
-    got = constant(name, 50)
+    got = FROZEN_CALLS[name](50)
     assert close(got, FROZEN_CONSTANTS[name], "1e-48")
 
 
 def test_constants_against_mpmath_oracle():
     with mp.workdps(45):
-        assert close(constant("zeta(5)", 40), mp.nstr(mp.zeta(5), 45), "1e-38")
-        assert close(constant("ln2", 40), mp.nstr(mp.log(2), 45), "1e-38")
-        assert close(constant("euler_gamma", 40), mp.nstr(+mp.euler, 45),
-                     "1e-38")
+        assert close(constant(5, 40), mp.nstr(mp.zeta(5), 45), "1e-38")
+        assert close(ln2(40), mp.nstr(mp.log(2), 45), "1e-38")
+        assert close(constant(1, 40), mp.nstr(+mp.euler, 45), "1e-38")
 
 
-def test_zeta_one_rejected():
-    with pytest.raises(ValueError, match="zeta\\(1\\) divergent"):
-        constant("zeta(1)", 40)
+def test_order_below_one_rejected():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"order must be >= 1, got {n}"):
+            constant(n, 40)
 
 
 def test_low_precision_rejected():
-    with pytest.raises(ValueError, match="precision too low"):
-        constant("ln2", 5)
-
-
-def test_unknown_name_rejected():
-    with pytest.raises(ValueError):
-        constant("pi", 40)
+    # both functions, at 5 digits and at 9, the edge; 10 digits is taken
+    for digits in (5, 9):
+        with pytest.raises(ValueError, match="precision too low"):
+            ln2(digits)
+        with pytest.raises(ValueError, match="precision too low"):
+            constant(2, digits)
+    assert ln2(10).text(10) == "0.6931471806"
+    assert constant(2, 10).text(10) == "1.644934067"
 
 
 def test_constants_table():
     for name in ("zeta(3)", "ln2", "euler_gamma"):
-        assert close(constant(name, 45), FROZEN_CONSTANTS[name], "1e-43")
+        assert close(FROZEN_CALLS[name](45), FROZEN_CONSTANTS[name], "1e-43")
 
 
 def test_lambda_matches_definition():
@@ -142,7 +148,7 @@ def test_lambda_matches_definition():
 @given(n=st.integers(min_value=2, max_value=12),
        digits=st.integers(min_value=15, max_value=55))
 def test_zeta_matches_mpmath_everywhere(n, digits):
-    got = constant(f"zeta({n})", digits)
+    got = constant(n, digits)
     with mp.workdps(digits + 10):
         want = mp.zeta(n)
         assert abs(mp.mpf(got) - want) < mp.mpf(10) ** (2 - digits)
@@ -331,17 +337,17 @@ def test_power_groups_match_chained_derivatives(n):
 
 def _ref_value_series(kind, s_cap, digits, prec):
     n = kind.order
-    const = constant("euler_gamma" if n == 1 else f"zeta({n})", digits)
-    even = {(0, 0): mp.libmp.to_fixed(const._mpf_, prec), **_ref_power_groups(n, s_cap, prec)}
+    even = {(0, 0): mp.libmp.to_fixed(constant(n, digits)._mpf_, prec),
+            **_ref_power_groups(n, s_cap, prec)}
     if kind.parity == "even":
         return even
     # h(n, x) = H(n, 2x) - 2^-n H(n, x), with (ln 2x)^a expanded binomially
-    ln2 = mp.libmp.to_fixed(constant("ln2", digits)._mpf_, prec)
+    log2 = mp.libmp.to_fixed(ln2(digits)._mpf_, prec)
     out = {}
     for (a, s), c in even.items():
         for j in range(a + 1):
             out[(a - j, s)] = out.get((a - j, s), 0) + \
-                (math.comb(a, j) * c * ln2 ** j >> (s + prec * j))
+                (math.comb(a, j) * c * log2 ** j >> (s + prec * j))
         out[(a, s)] -= c >> n
     return {key: c for key, c in out.items() if c}
 
