@@ -77,12 +77,15 @@ FORMATS = (("eval-expr", "9999999999999999999999/10000000000000000000000", "--di
            ("lemma-check", "--kmax", "1", "--tolerance", "0.99999999999999999999e-39"))
 # every bit of the constants reaches stdout at digit counts off the usual
 # grid: ln 2 alone, gamma through H1's value series, ln 2 at 500 digits,
-# zeta values from z2 to z25, and zeta(3) and ln 2 through h3's odd series
+# zeta values from z2 to z25, zeta(3) and ln 2 through h3's odd series,
+# and zeta up to the top order, z100, at the digits cap and off the grid
 CONSTANTS = (*(("eval-expr", "ln2", "--digits", str(d)) for d in (20, 57, 123, 321, 500)),
              *(("eval-sum", "H1/k^2", "--K", "100", "--digits", str(d)) for d in (20, 77, 250)),
              ("eval-expr", "z3*ln2^2", "--digits", "500"),
              *(("eval-expr", "z2*z3 + z5 + z7 + z25", "--digits", str(d)) for d in (21, 99, 333)),
-             ("eval-sum", "h3/k^2", "--K", "100", "--digits", "77"))
+             ("eval-sum", "h3/k^2", "--K", "100", "--digits", "77"),
+             ("eval-expr", "z2 + z3 + z64 + z100", "--digits", "500"),
+             ("eval-expr", "z4*z99 - z50", "--digits", "37"))
 # config files, by name: a setting is filled and echoed for every command
 # but checked only by the commands that take its flag
 CONFIG_FILES = {"b2_csv_d25.cfg": "digits = 25\nformat = csv\nid = B2\n",

@@ -202,7 +202,7 @@ def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> 
     """Truncated asymptotic expansion with `terms` leading pieces.
 
     The pieces are the monomials of the kind's own value series to
-    k^-(n+7), valued at k: the lowest power of 1/k first, and within a
+    k^-(n+9), valued at k: the lowest power of 1/k first, and within a
     power the higher power of ln k.  Order 1 expands the prefix itself:
     ln k, gamma, 1/k, 1/k^2, ... for the even kind, and ln k / 2,
     gamma / 2 + ln 2, 1/k^2, 1/k^4, ... for the odd.  Order n >= 2
@@ -222,7 +222,7 @@ def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> 
     n, wp = kind.order, digits + 5
     prec = dps_to_prec(wp) + 16
     series = {key: HighFloat(c, -prec).round(wp) for key, c in
-              value_series(kind, n + 7, wp, prec).items()}
+              value_series(kind, n + 9, wp, prec).items()}
     if n > 1:
         series = {key: -c for key, c in series.items() if key != (0, 0)}
     lnk = HighFloat(ln_fixed(k, prec), -prec).round(wp)

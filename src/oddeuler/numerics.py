@@ -3,11 +3,12 @@
 Two number kinds flow through the rest of the package: `Rational` (exact,
 never rounded) and `highfloat.HighFloat`, a binary float rounded only
 where a caller names a digit count; every function here that returns one
-takes that count.  The constants zeta(n), ln 2 and Euler's gamma are
-computed here from head sums and the Euler-Maclaurin core below (shared
-with the harmonic and summation modules) rather than pulled from a
-library table, so the test suite can cross-check them against a second,
-independent route.  The cold-start kernels are int-only: Bernoulli
+takes that count.  The constants are computed here rather than pulled
+from a library table, so the test suite can cross-check them against a
+second, independent route: zeta(n) from Borwein's alternating sum over
+one list of integer weights per precision, Euler's gamma from a head sum
+and the Euler-Maclaurin core below (shared with the harmonic and
+summation modules).  The cold-start kernels are int-only: Bernoulli
 numbers come from a growing row of integer tangent numbers, and ln 2,
 like gamma's ln K, from highfloat.ln_fixed.
 """
@@ -248,6 +249,17 @@ def euler_maclaurin_fixed(series: dict, x: int, lnx: int, prec: int):
 
 
 # ---- constants from scratch --------------------------------------------
+#
+# zeta(s), s >= 2, is Borwein's alternating sum ("An efficient algorithm
+# for the Riemann zeta function", 2000, algorithm 2): with n terms and the
+# ints d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), (1 - 2^(1-s))
+# zeta(s) is sum_{k<n} (-1)^k (1 - d_k / d_n) / (k+1)^s to within
+# 2 (3 + sqrt 8)^-n / Gamma(s).  The weights depend on the precision
+# alone, so every order shares them.  The bound, in units of 2^-wp: the
+# least n with (3 + sqrt 8)^n >= 2^(wp+3) keeps the truncation of zeta
+# under 1/2; each term takes three floors (two in its weight, one in its
+# division), so the sum is off by at most 3 n units, which the last
+# division at most doubles and floors once more: zeta within 6 n + 2.
 
 
 def _require_digits(digits: int) -> None:
@@ -255,18 +267,52 @@ def _require_digits(digits: int) -> None:
         raise ValueError(f"precision too low: digits must be >= {_MIN_DIGITS}, got {digits}")
 
 
-def _em_constant(n: int, dps: int) -> HighFloat:
-    # Constant of summation of 1/k^n (zeta(n), or gamma at n = 1): the head
-    # sum to K = max(100, 2 dps) minus the Euler-Maclaurin groups of x^{-n}
-    # at K, all in fixed point with 16 guard bits and rounded once.  Groups
-    # are taken until one drops below the target, with at least four
+def _borwein_terms(wp: int) -> int:
+    return math.ceil((wp + 3) * math.log(2) / math.log(3 + math.sqrt(8)))
+
+
+def _zeta_prec(dps: int) -> int:
+    # 16 guard bits past the bound's 6 n + 2 units; n is taken 48 bits up,
+    # which covers wp while the bound has at most 32 bits
+    prec = dps_to_prec(dps)
+    return prec + 16 + (6 * _borwein_terms(prec + 48) + 2).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _borwein_weights(wp: int) -> tuple:
+    # c_k = 2^wp - floor(d_k floor(2^(wp+b) / d_n) / 2^b), k < n, with
+    # d_n < 2^b: one reciprocal, and c_k in [2^wp (1 - d_k / d_n), +2).
+    # t_i = d_i - d_(i-1) runs t_0 = 1, t_i = t_(i-1) 4 (n+i-1) (n-i+1)
+    # / ((2i-1) 2i), exact in ints.
+    n = _borwein_terms(wp)
+    d, t = [1], 1
+    for i in range(1, n + 1):
+        t = t * (4 * (n + i - 1) * (n - i + 1)) // ((2 * i - 1) * 2 * i)
+        d.append(d[-1] + t)
+    b = d[-1].bit_length()
+    inv = (1 << wp + b) // d[-1]
+    return tuple((1 << wp) - (dk * inv >> b) for dk in d[:-1])
+
+
+def _borwein_zeta(s: int, wp: int) -> int:
+    # zeta(s) 2^wp, s >= 2, within 6 n + 2 of it (the bound above)
+    c = _borwein_weights(wp)
+    total = sum(map(operator.floordiv, c[::2], (k ** s for k in range(1, len(c) + 1, 2)))) - \
+        sum(map(operator.floordiv, c[1::2], (k ** s for k in range(2, len(c) + 1, 2))))
+    return (total << s - 1) // ((1 << s - 1) - 1)
+
+
+def _em_constant(dps: int) -> HighFloat:
+    # Euler's gamma, the constant of summation of 1/k: the head sum to
+    # K = max(100, 2 dps) minus the Euler-Maclaurin groups of 1/x at K,
+    # all in fixed point with 16 guard bits and rounded once.  Groups are
+    # taken until one drops below the target, with at least four
     # corrections applied; each comes as v 2^-wp K^-t, so the size tests
     # compare exact ints.
     wp = dps_to_prec(dps) + 16
     big_k = max(100, 2 * dps)
-    total = sum((1 << wp) // k ** n for k in range(1, big_k + 1))
-    lnk = ln_fixed(big_k, wp) if n == 1 else 0
-    groups = euler_maclaurin_fixed({(0, n): 1 << wp}, big_k, lnk, wp)
+    total = sum((1 << wp) // k for k in range(1, big_k + 1))
+    groups = euler_maclaurin_fixed({(0, 1): 1 << wp}, big_k, ln_fixed(big_k, wp), wp)
     v, t = next(groups)
     total -= v // big_k ** t
     prev_v = prev_t = None
@@ -284,8 +330,10 @@ def _em_constant(n: int, dps: int) -> HighFloat:
 @lru_cache(maxsize=None)
 def constant(n: int, digits: int) -> HighFloat:
     """The constant of summation of 1/k^n at digits: Euler's gamma at
-    n = 1, zeta(n) above.  It is computed at digits + 10 and rounded once
-    more at digits; n < 1 and digits < 10 are refused.
+    n = 1, from the Euler-Maclaurin groups, and zeta(n) above, from
+    Borwein's weights at the working precision.  It is computed at
+    digits + 10 and rounded once more at digits; n < 1 and digits < 10
+    are refused.
 
     >>> constant(2, 17).text(17)
     '1.6449340668482264'
@@ -295,7 +343,11 @@ def constant(n: int, digits: int) -> HighFloat:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     _require_digits(digits)
-    return _em_constant(n, digits + _GUARD).round(digits)
+    dps = digits + _GUARD
+    if n == 1:
+        return _em_constant(dps).round(digits)
+    wp = _zeta_prec(dps)
+    return HighFloat(_borwein_zeta(n, wp), -wp).round(dps).round(digits)
 
 
 @lru_cache(maxsize=None)

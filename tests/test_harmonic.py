@@ -164,7 +164,7 @@ def test_odd_tail_expansion_against_the_split_identity(n):
     # the even expansions differs from the odd kind's own by at most the
     # first piece that the split leaves out (a piece that cancels in the
     # split, x^-n, counts as one there but not in the odd series), and the
-    # odd expansion's error falls as terms grows
+    # odd expansion's error falls as terms grows, strictly from 5 to 6
     odd, even = HarmonicKind.odd(n), HarmonicKind.even(n)
     with mp.workdps(50):
         lam = (1 - mp.mpf(2) ** -n) * mp.zeta(n) if n > 1 else 0
@@ -181,6 +181,7 @@ def test_odd_tail_expansion_against_the_split_identity(n):
                 errs.append(abs(got - true))
             assert errs == sorted(errs, reverse=True), k
             assert errs[0] > errs[2] > errs[4], k
+            assert errs[3] > errs[4], k  # the sixth piece counts
 
 
 def test_tail_expansion_validation():

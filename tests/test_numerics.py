@@ -18,7 +18,7 @@ from oddeuler.harmonic import HarmonicKind, value_series
 from oddeuler.identities import FormalCombination, Identity, VerificationReport
 from oddeuler.summation import (EvalOptions, EvalResult, SumSpec,
                                 reciprocal_sum_closed_form)
-from oddeuler.zeta_algebra import ZetaExpr, ZetaMonomial, evaluate, parse_expr
+from oddeuler.zeta_algebra import MAX_POWER, ZetaExpr, ZetaMonomial, evaluate, parse_expr
 
 from conftest import FROZEN_CONSTANTS, close
 
@@ -84,13 +84,30 @@ BIT_DIGITS = sorted({10, 1010, *random.Random(2310).sample(range(11, 1010), 28)}
 
 @pytest.mark.parametrize("digits", BIT_DIGITS)
 def test_constants_are_mpmaths_bit_for_bit(digits):
-    # ln 2 and gamma at every sampled count, and zeta(n) at every fourth
+    # ln 2 and gamma at every sampled count, zeta(n) at every fourth, and
+    # up to the top order, MAX_POWER, at the first and the last count
     zetas = (2, 3, 5, 8, 13, 25) if BIT_DIGITS.index(digits) % 4 == 0 else ()
+    if digits in (BIT_DIGITS[0], BIT_DIGITS[-1]):
+        zetas = (2, 3, 4, 5, 8, 13, 25, 64, MAX_POWER)
     with mp.workprec(dps_to_prec(digits)):
         assert ln2(digits)._mpf_ == (+mp.ln2)._mpf_
         assert constant(1, digits)._mpf_ == (+mp.euler)._mpf_
         for n in zetas:
             assert constant(n, digits)._mpf_ == mp.zeta(n)._mpf_, n
+
+
+@pytest.mark.parametrize("dps", (20, 114, 1010))
+@pytest.mark.parametrize("s", (2, 3, 100))
+def test_borwein_zeta_within_its_stated_bound(s, dps):
+    # the unrounded fixed-point zeta(s) lies within 6 n + 2 units of 2^-wp
+    # (the truncation plus 3 n floor units, at most doubled by the last
+    # division, and its floor), and 16 guard bits lie past that bound
+    wp = numerics._zeta_prec(dps)
+    bound = 6 * len(numerics._borwein_weights(wp)) + 2
+    assert bound < 1 << wp - dps_to_prec(dps) - 16
+    with mp.workprec(wp + 20):
+        err = mp.mpf(numerics._borwein_zeta(s, wp)) - mp.ldexp(mp.zeta(s), wp)
+    assert abs(err) <= bound, (err, bound)
 
 
 # the frozen table's names, as calls at a digit count
