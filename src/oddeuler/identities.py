@@ -428,18 +428,17 @@ def sqrt_fixed(x: int, prec: int) -> int:
     return isqrt_fast(x << prec)
 
 
-def _first_largest(gs: list[int], lgs: list[float], H: list[list[int]], prec: int) -> int:
+def _first_largest(gs: list[int], est: list[float], H: list[list[int]], prec: int) -> int:
     """The first i with the largest gs[i] |H_ii| >> prec*i: PSLQ's row to swap.
-    lgs[i] is log2(gs[i]) - prec*i.  The float log2 of a row's product is
-    good to far below 2^-16: once the largest is past 2^64, a row more than
-    2^-16 under it is smaller by more than 1, and so is its floor.  So only
-    the rows within 2^-16 of the top are multiplied out, and every row when
-    the top is below 2^64, where floors may tie."""
-    est = [lg + math.log2(abs(H[i][i])) if H[i][i] else -math.inf for i, lg in enumerate(lgs)]
+    est[i] is its float log2, or -inf at H_ii = 0, good to far below 2^-16:
+    once the largest is past 2^64, a row more than 2^-16 under it is smaller
+    by more than 1, and so is its floor.  So only the rows within 2^-16 of
+    the top are multiplied out, and every row when the top is below 2^64,
+    where floors may tie."""
     top = max(est)
     cut = top - 2 ** -16 if top > 64 else -math.inf
-    sz = {i: gs[i] * abs(H[i][i]) >> prec * i for i, v in enumerate(est) if v >= cut}
-    return max(sz, key=sz.get)
+    rows = [i for i, v in enumerate(est) if v >= cut]
+    return rows[0] if len(rows) == 1 else max(rows, key=lambda i: gs[i] * abs(H[i][i]) >> prec * i)
 
 
 def _pslq(x: list, prec: int, tol=None, maxcoeff: int = 1000,
@@ -447,13 +446,20 @@ def _pslq(x: list, prec: int, tol=None, maxcoeff: int = 1000,
     """mpmath 1.3.0's ``pslq`` at a working precision of prec bits: the same
     fixed-point integer operations in the same order on every value that is
     read, so the same result bit for bit.  The entries of x and tol are
-    HighFloats or values of mpmath, each entry rounded to prec bits first
-    as mpmath rounds it.  H is a list of rows without its always-zero last
-    column, B is kept transposed, and mpmath's A, which is never read, is
-    dropped.  A reduction factor t is a multiple of 2^prec, so
-    (t*v) >> prec is exactly (t >> prec)*v: y, H and B (in units of
-    2^-prec) update without shifts, and t = 0 is skipped.  Its square roots
-    are sqrt_fixed, looked up here at each call.
+    HighFloats or values of mpmath, each rounded to prec bits first as
+    mpmath rounds it; maxcoeff is a positive int.  H is a list of rows
+    without its always-zero last column, B is kept transposed, mpmath's A,
+    never read, is dropped, and the roots are sqrt_fixed, looked up at each
+    call.  It skips work whose result it knows:
+    - t = round(H_ij/H_jj) is a multiple of 2^prec, so y, H and B (in units
+      of 2^-prec) change in place by (t >> prec)*v, and not at all at t = 0.
+      At 2|H_ij| < |H_jj| the quotient is in (-1/2, 1/2): t = 0, no division.
+    - est, the row choice's log2 estimates, is refreshed only at m and m + 1:
+      the swap and rotation change the columns m and m + 1, and a reduction
+      of row i writes only left of H_ii.
+    - mpmath stops at ((2^(2 prec) // R) >> prec) // 100 >= maxcoeff, R the
+      largest |H_ij|; the floors nest to floor(2^prec / (100 R)), so that
+      holds exactly at R <= small = 2^prec // (100 maxcoeff).
     """
     n = len(x)
     if n < 2:
@@ -474,8 +480,7 @@ def _pslq(x: list, prec: int, tol=None, maxcoeff: int = 1000,
         return None
     g = sqrt_fixed((4 << prec) // 3, prec)
     gs = [g ** i for i in range(1, n)]
-    lgs = [math.log2(gi) - prec * i for i, gi in enumerate(gs)]
-    half = 1 << (prec - 1)
+    half, small = 1 << (prec - 1), (1 << prec) // (100 * maxcoeff)
     sq = [xk ** 2 >> prec for xk in x]
     s = [sqrt_fixed(sum(sq[k:]), prec) for k in range(n)]
     y = [(xk << prec) // s[0] for xk in x]
@@ -489,25 +494,34 @@ def _pslq(x: list, prec: int, tol=None, maxcoeff: int = 1000,
         H.append(row + [0] * (n - 2 - i))
     B = [[int(i == j) for j in range(n)] for i in range(n)]
 
+    def estimate(i):
+        h = H[i][i]
+        return math.log2(gs[i]) - prec * i + math.log2(abs(h)) if h else -math.inf
+
     def reduce_row(i, top, stop):
-        Hi = H[i]
+        Hi, Bi = H[i], B[i]
         for j in range(top, -1, -1):
-            Hj = H[j]
+            Hj, Bj = H[j], B[j]
             if not Hj[j]:
                 if stop:
                     return
                 continue
+            if 2 * abs(Hi[j]) < abs(Hj[j]):
+                continue
             t = ((Hi[j] << prec) // Hj[j] + half) >> prec
             if t:
                 y[j] += t * y[i]
-                Hi[:j + 1] = [a - t * b for a, b in zip(Hi, Hj[:j + 1])]
-                B[j] = [a + t * b for a, b in zip(B[j], B[i])]
+                for k in range(j + 1):
+                    Hi[k] -= t * Hj[k]
+                for k in range(n):
+                    Bj[k] += t * Bi[k]
 
     for i in range(1, n):
         reduce_row(i, i - 1, False)
+    est = [estimate(i) for i in range(n - 1)]
     for _ in range(maxsteps):
         # swap the rows m, m + 1 at the first largest g^(i+1) |H_ii|
-        m = _first_largest(gs, lgs, H, prec)
+        m = _first_largest(gs, est, H, prec)
         y[m], y[m + 1] = y[m + 1], y[m]
         H[m], H[m + 1] = H[m + 1], H[m]
         B[m], B[m + 1] = B[m + 1], B[m]
@@ -520,14 +534,15 @@ def _pslq(x: list, prec: int, tol=None, maxcoeff: int = 1000,
             for row in H[m:]:
                 t3, t4 = row[m], row[m + 1]
                 row[m], row[m + 1] = (t1 * t3 + t2 * t4) >> prec, (-t2 * t3 + t1 * t4) >> prec
+        for i in range(m, min(m + 2, n - 1)):
+            est[i] = estimate(i)
         for i in range(m + 1, n):
             reduce_row(i, min(i - 1, m + 1), True)
         for yi, Bi in zip(y, B):
-            if abs(yi) < tol and max(map(abs, Bi)) < maxcoeff:
+            if -tol < yi < tol and max(map(abs, Bi)) < maxcoeff:
                 return Bi
         # stop once mpmath's lower bound on a relation's norm reaches maxcoeff
-        recnorm = max(max(map(max, H)), -min(map(min, H)))
-        if not recnorm or ((1 << 2 * prec) // recnorm >> prec) // 100 >= maxcoeff:
+        if not any(abs(h) > small for row in H for h in row):
             break
     return None
 

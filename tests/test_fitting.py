@@ -184,12 +184,51 @@ def _diagonals():
         yield gs, [[0] * i + [h] for i, h in enumerate(diag)], prec
 
 
+def _estimates(gs, H, prec):
+    # each row's float log2 of g^(i+1) |H_ii| >> prec*i, worked out afresh
+    return [math.log2(gi) - prec * i + math.log2(abs(H[i][i])) if H[i][i] else -math.inf
+            for i, gi in enumerate(gs)]
+
+
 def test_row_choice_is_the_first_largest_of_all_rows_multiplied_out():
     # mpmath's choice: every g^(i+1) |H_ii| >> prec*i formed, the first largest
     for gs, H, prec in _diagonals():
         sz = [gi * abs(H[i][i]) >> prec * i for i, gi in enumerate(gs)]
-        lgs = [math.log2(gi) - prec * i for i, gi in enumerate(gs)]
-        assert identities._first_largest(gs, lgs, H, prec) == sz.index(max(sz)), (gs, H, prec)
+        est = _estimates(gs, H, prec)
+        assert identities._first_largest(gs, est, H, prec) == sz.index(max(sz)), (gs, H, prec)
+
+
+def _planted(n, digits, seed):
+    # n random reals at digits, x[0] = sum(c_i x_i) / 4480 with integer c_i
+    # up to 3,000 in size, and the relation (4480, -c_1, ..., -c_(n-1))
+    rng = random.Random(seed)
+    with mp.workdps(digits):
+        bits = mp.mp.prec
+        x = [mp.mpf(rng.getrandbits(bits)) / 2 ** bits for _ in range(n)]
+        c = [rng.randint(-3000, 3000) for _ in range(n - 1)]
+        x[0] = mp.fsum(ci * xi for ci, xi in zip(c, x[1:])) / 4480
+    return x, [4480] + [-ci for ci in c]
+
+
+def test_row_choice_estimates_stay_equal_to_a_fresh_computation(monkeypatch):
+    # _pslq refreshes only the estimates of the two rows a step moves; on
+    # every step the row choice must still see each row's own estimate
+    steps = []
+
+    def spy(gs, est, H, prec, real=identities._first_largest):
+        assert est == _estimates(gs, H, prec), (len(steps), est)
+        steps.append(len(est))
+        return real(gs, est, H, prec)
+
+    monkeypatch.setattr(identities, "_first_largest", spy)
+    for prec, x, kw in _pslq_grid():
+        _pslq(x, prec=prec, **kw)
+    grid = len(steps)
+    x, rel = _planted(14, 90, 14)
+    with mp.workdps(90):
+        got = _pslq(x, prec=mp.mp.prec, maxcoeff=10 ** 14, maxsteps=20000)
+    assert got in (rel, [-c for c in rel])
+    assert grid > 2000 and len(steps) - grid > 1000, (grid, len(steps))
 
 
 def test_pslq_matches_mpmath_on_a_seeded_grid(roots):
@@ -241,3 +280,43 @@ def test_sqrt_fixed_is_mpmaths_and_not_math_isqrt():
         assert got == mp.libmp.sqrt_fixed(x, prec), (x, prec)
         low += got != math.isqrt(x << prec)
     assert low > 0
+
+
+def test_pslq_matches_mpmath_on_a_long_planted_run(roots):
+    # the seeded grid's relations have coefficients up to 9 and end within
+    # a few steps; this one has coefficients up to 4,480 and takes over 1,000
+    x, rel = _planted(14, 90, 14)
+    with mp.workdps(90):
+        got, taken = _both(x, roots, maxcoeff=10 ** 14, maxsteps=20000)
+    assert got in (rel, [-c for c in rel]) and len(taken) > 1000, len(taken)
+
+
+def test_a_reduction_factor_is_zero_wherever_its_division_is_skipped():
+    # _pslq skips mpmath's t = round_fixed((h << prec) // d, prec) where
+    # 2|h| < |d|; at the edges 2|h| = |d| - 1, |d|, |d| + 1, both signs
+    rng = random.Random(7)
+    skipped = 0
+    for _ in range(2000):
+        prec = rng.randint(53, 2000)
+        h = rng.getrandbits(rng.randint(1, prec + 64)) + 1
+        for d in (2 * h + 1, 2 * h, 2 * h - 1, rng.getrandbits(rng.randint(1, prec + 64)) + 1):
+            for hs, ds in ((h, d), (-h, d), (h, -d), (-h, -d)):
+                t = mp.identification.round_fixed((hs << prec) // ds, prec)
+                skip = 2 * abs(hs) < abs(ds)
+                assert t == 0 or not skip, (hs, ds, prec)
+                assert t != 0 or d != 2 * h - 1, (hs, ds, prec)  # the rule is tight
+                skipped += skip
+    assert skipped > 8000
+
+
+def test_the_norm_threshold_is_mpmaths_stop_test():
+    # mpmath stops at ((1 << 2p) // R >> p) // 100 >= maxcoeff, R the largest
+    # |H_ij| (at R = 0 always); _pslq stops at R <= (1 << p) // (100 maxcoeff)
+    rng = random.Random(8)
+    for maxcoeff in (10, 1000, 10 ** 6, 10 ** 14):
+        for _ in range(300):
+            prec = rng.randint(53, 2000) + 60
+            small = (1 << prec) // (100 * maxcoeff)
+            for R in (0, small - 1, small, small + 1, rng.getrandbits(rng.randint(1, prec))):
+                stop = not R or ((1 << 2 * prec) // R >> prec) // 100 >= maxcoeff
+                assert (R <= small) == stop, (R, maxcoeff, prec)
