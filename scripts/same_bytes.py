@@ -19,8 +19,9 @@ zeta values at digit counts off the usual grid (``CONSTANTS``), config files
 (``CONFIGS``, read from the files of ``CONFIG_FILES``, which are written
 into each side's directory and named by relative paths, so that the
 errors that name them match), argparse's usage errors and help paths
-with the edges of the table parser (``USAGE_ERRORS``), and the eight
-``-h`` pages.
+with the edges of the table parser (``USAGE_ERRORS``), report formats,
+refusals and decimal extremes that no other group reaches (``BRANCHES``),
+and the eight ``-h`` pages.
 
 It prints each argv whose stdout, stderr or exit code differs, with a
 short diff of the streams that differ, then a count.  The exit code is 1
@@ -132,6 +133,22 @@ USAGE_ERRORS = ((), ("bogus",), ("--", "eval-sum", "h1/k^2"),
                 ("fit", "h1/k^2", "--weight", "3", "--catalog", "a.jsonl"),
                 ("list", "--digits", "30"), ("list", "--K", "100"), ("list", "--tolerance", "1e-9"),
                 ("lemma-check", "--K", "100"), ("lemma-check", "--catalog", "a.jsonl"))
+# paths that no other group reaches: JSON reports of verify, list, fit (a
+# closed form and no fit) and lemma-check; CSV from eval-sum and eval-expr;
+# an unmatched --family and an unknown --id (exit 2); a flag below and
+# above its range and lemma-check's kmax * digits budget (exit 2); a
+# tolerance read past 10^-400 and a value printed past 2^3500, which take
+# highfloat's directed rounding
+BRANCHES = (("verify", "--id", "B2", "--format", "json"),
+            ("list", "--family", "T1_*", "--format", "json"), ("list", "--family", "nomatch*"),
+            ("verify", "--id", "nosuch"), ("eval-sum", "h1/k^2", "--format", "csv"),
+            ("eval-expr", "z3", "--format", "csv"),
+            ("fit", "h1/k^2", "--weight", "3", "--format", "json"),
+            ("fit", "h1*h1/k^5", "--weight", "7", "--format", "json"),
+            ("lemma-check", "--kmax", "2", "--format", "json"),
+            ("lemma-check", "--kmax", "100", "--digits", "101"),
+            ("fit", "h1/k^2", "--weight", "0"), ("lemma-check", "--kmax", "201"),
+            ("verify", "--id", "B2", "--tolerance", "1e-2000"), ("eval-expr", "z2^5000"))
 
 
 def _load(name: str, path: Path):
@@ -150,7 +167,7 @@ def argvs() -> list[tuple[str, ...]]:
     helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
     return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + \
         list(LARGE_FITS) + list(SERIES_CORNERS) + list(ALGEBRA) + list(FORMATS) + \
-        list(CONSTANTS) + list(CONFIGS) + list(USAGE_ERRORS) + helps
+        list(CONSTANTS) + list(CONFIGS) + list(USAGE_ERRORS) + list(BRANCHES) + helps
 
 
 def run(side_dir: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:

@@ -18,17 +18,15 @@ same table, reads the rest and alone prints help, usage and errors.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import sys
 import types
 
-from .highfloat import parse_real
 from .identities import (DEFAULT_TOLERANCE, adjudication_findings, catalog, fit_closed_form,
                          read_tolerance, reduce, select, substitute_bases, summarize,
                          verify_all)
-from .summation import EvalOptions, evaluate_sum, lemma_checks, parse_sumspec, sum_kernels
+from .summation import EvalOptions, evaluate_sum, lemma_checks, parse_sumspec
 from .zeta_algebra import evaluate, format_expr, parse_expr
 
 REPORT_FIELDS = ("id", "lhs_value", "rhs_value", "residual", "tolerance",
@@ -279,17 +277,13 @@ def _cmd_list(args) -> int:
 
 def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
     rows = []
-    for name, kernel, fn in lemma_checks():
-        # one batch per check: its rows share the prefix columns
-        sum_kernels(kernel, range(1, kmax + 1), opts)
-        for k in range(1, kmax + 1):
-            trunc, closed = fn(k, opts)
-            resid = abs(trunc - closed).round(DOUBLE_DIGITS)
-            rows.append({"check": name, "k": str(k),
-                         "truncated": _fmt(trunc, opts.digits),
-                         "closed": _fmt(closed, opts.digits),
-                         "residual": _fmt(resid, opts.digits),
-                         "verdict": "pass" if resid <= tol else "fail"})
+    for name, (k, trunc, closed) in lemma_checks(range(1, kmax + 1), opts):
+        resid = abs(trunc - closed).round(DOUBLE_DIGITS)
+        rows.append({"check": name, "k": str(k),
+                     "truncated": _fmt(trunc, opts.digits),
+                     "closed": _fmt(closed, opts.digits),
+                     "residual": _fmt(resid, opts.digits),
+                     "verdict": "pass" if resid <= tol else "fail"})
     return rows
 
 
@@ -299,7 +293,7 @@ def _cmd_lemma_check(args) -> int:
                          f"got {args.kmax} * {args.digits}")
     # the sides are compared as printed: 10^(1 - digits) apart below 10
     spacing = f"1e{1 - args.digits}"
-    if args.tol < parse_real(spacing, args.digits + 10):
+    if args.tol < read_tolerance(spacing, args.digits):
         raise ValueError(f"--tolerance {args.tolerance} is below {spacing}, "
                          "the spacing of the printed values")
     rows = _lemma_rows(args.kmax, args.opts, args.tol)
@@ -413,40 +407,28 @@ def _parse(argv: list[str]) -> types.SimpleNamespace | None:
 def _build_parser():
     """The full parser, argparse's, with every command as a subparser: the
     one source of help, usage and error text, built for the argvs that
-    _parse declines."""
+    _parse declines.  The help of the flag of each setting in shown ends
+    with the setting's default, the command's own over _SETTINGS', and of
+    each other flag in _BOUNDS with its range and its default."""
     import argparse
 
-    class Help(argparse.HelpFormatter):
-        """A command's help: the flag of each setting in shown ends with the
-        setting's default, the command's own over _SETTINGS', and each other
-        flag in _BOUNDS with its range and its default."""
-
-        shown = ("digits", "K", "tolerance", "format")  # each its own config key and dest
-
-        def __init__(self, prog, defaults: dict):
-            super().__init__(prog)
-            self.defaults = defaults
-
-        def _get_help_string(self, action):
-            if action.dest in self.shown:
-                _, _, default, show = _SETTINGS[action.dest]
-                return f"{action.help} (default {show(self.defaults.get(action.dest, default))})"
-            for dest, _, low, high in _BOUNDS:
-                if action.dest == dest:
-                    span = f"{low}..{high}" if high else f">= {low}"
-                    default = "required" if action.required else f"default {action.default}"
-                    return f"{action.help} ({span}, {default})"
-            return action.help
-
+    shown = ("digits", "K", "tolerance", "format")  # each its own config key and dest
     parser = argparse.ArgumentParser(
-        prog="oddeuler", description="Verify and evaluate Euler sums over odd harmonic numbers.",
-        formatter_class=functools.partial(Help, defaults={}))
+        prog="oddeuler", description="Verify and evaluate Euler sums over odd harmonic numbers.")
     sub = parser.add_subparsers(dest="command", required=True)
+    bounds = {bound[0]: bound[2:] for bound in _BOUNDS}
     for name, (func, text, defaults, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text,
-                           formatter_class=functools.partial(Help, defaults=defaults))
+        p = sub.add_parser(name, help=text)
         for flag, options in flags:
-            p.add_argument(flag, **options)
+            action = p.add_argument(flag, **options)
+            if action.dest in shown:
+                _, _, default, show = _SETTINGS[action.dest]
+                action.help += f" (default {show(defaults.get(action.dest, default))})"
+            elif action.dest in bounds:
+                low, high = bounds[action.dest]
+                span = f"{low}..{high}" if high else f">= {low}"
+                default = "required" if action.required else f"default {action.default}"
+                action.help += f" ({span}, {default})"
         p.set_defaults(func=func, defaults=defaults)
     return parser
 

@@ -239,18 +239,18 @@ def _guard_bits(m: int, end: int, s_cap: int, tail_terms: int) -> int:
 
 
 def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
-             opts: EvalOptions, prec: int) -> tuple[int, HighFloat]:
+             opts: EvalOptions, prec: int, s_cap: int) -> tuple[int, HighFloat]:
     """(tail, |first omitted group|) for sum_{i>end} f(i) / (i^c (b i - a)^q).
 
     The tail is Euler-Maclaurin group 0 plus opts.tail_terms corrections,
-    as an int scaled by 2^prec.  The series is built in fixed point: the
-    power series from exact numerators, times each factor's value_series,
-    each product floored once per term, and ln(end) is highfloat.ln_fixed.
+    as an int scaled by 2^prec, of the series kept to x^-s_cap (_plan sets
+    both).  The series is built in fixed point: the power series from
+    exact numerators, times each factor's value_series, each product
+    floored once per term, and ln(end) is highfloat.ln_fixed.
     The omitted group is rounded at digits + 15 on its own, keeping its
     relative precision, since it becomes the printed error estimate.
     """
     wp = opts.digits + 15
-    s_cap = _series_cap(c, q, end, opts.digits)
     series = _power_series(c + q, b, a, q, s_cap, prec)
     for kind in factors:
         # the power series starts at x^-(c+q), so no factor term
@@ -368,12 +368,15 @@ def _heads(batch: list, prec: int) -> list[int]:
     return heads
 
 
-def _prec(series: tuple, opts: EvalOptions) -> int:
-    # the fixed-point scale a series is summed at: the bits of digits + 15,
-    # plus end.bit_length() and _guard_bits (the bound is stated in _sum_batch)
+def _plan(series: tuple, opts: EvalOptions) -> tuple[int, int]:
+    # (prec, s_cap): the fixed-point scale a series is summed at (the bits of
+    # digits + 15, end.bit_length() and _guard_bits) and the last power its
+    # tail keeps, set only here, so the guard bits cover the series the
+    # tail builds (the bound is stated in _sum_batch)
     factors, c, _, _, q, end = series
+    s_cap = _series_cap(c, q, end, opts.digits)
     return dps_to_prec(opts.digits + 15) + end.bit_length() + _guard_bits(
-        len(factors), end, _series_cap(c, q, end, opts.digits), opts.tail_terms)
+        len(factors), end, s_cap, opts.tail_terms), s_cap
 
 
 _sums: dict = {}  # (series, opts) -> (value, omitted); only _sum_batch writes it
@@ -409,12 +412,13 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     new = [series for series in dict.fromkeys(batch) if series not in done]
     if new and len(_sums) + len(new) > SUMS_MAX:
         _sums.clear()
-    groups: dict = {}
+    groups: dict = {}  # prec -> {series: s_cap}
     for series in new:
-        groups.setdefault(_prec(series, opts), []).append(series)
-    for prec, members in groups.items():
-        for series, head in zip(members, _heads(members, prec)):
-            tail, omitted = _em_tail(*series, opts, prec)
+        prec, s_cap = _plan(series, opts)
+        groups.setdefault(prec, {})[series] = s_cap
+    for prec, caps in groups.items():
+        for (series, s_cap), head in zip(caps.items(), _heads(list(caps), prec)):
+            tail, omitted = _em_tail(*series, opts, prec, s_cap)
             done[series] = HighFloat(head + tail, -prec).round(opts.digits + 15), omitted
             _sums[series, opts] = done[series]
     return [done[series] for series in batch]
@@ -528,12 +532,6 @@ def _kernel_series(kernel: tuple, k: int) -> tuple:
     # the two-sided head runs k longer, to end past its pole as far
     factors, c, b = kernel
     return factors, c, b, -k, 1, max(2000, 50 * k) + (k if b < 0 else 0)
-
-
-def sum_kernels(kernel: tuple, ks, opts: EvalOptions = DEFAULT_OPTS) -> None:
-    """Memoize a kernel's truncated side at every k in ks, the heads
-    summed together; the lemma evaluators then reuse the memo."""
-    _sum_batch([_kernel_series(kernel, k) for k in ks], opts)
 
 
 def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions) -> HighFloat:
@@ -651,13 +649,16 @@ def lemma1_f(k: int, opts: EvalOptions = DEFAULT_OPTS) -> tuple[HighFloat, HighF
     return lemma3_f(1, "odd", k, opts)
 
 
-def lemma_checks():
-    """(name, kernel, row) for the eight kernel checks, in report order;
-    row(k, opts) gives the (truncated, closed) pair at k, and the kernel
-    is the one its truncated side sums."""
-    yield "lemma1_aux", AUX_KERNEL, lemma1_aux
-    for n in (1, 2, 3):
-        yield f"lemma2_g n={n}", g_kernel(n), functools.partial(lemma2_g, n)
-    for m in (1, 2, 3, 4):
-        yield (f"lemma3_f m={m}", f_kernel(m),
-               functools.partial(lemma3_f, (m + 1) // 2, "odd" if m % 2 else "even"))
+def lemma_checks(ks, opts: EvalOptions = DEFAULT_OPTS):
+    """(name, (k, truncated, closed)) for the eight kernel checks at each k
+    in ks, in report order; each check's truncated sides are summed in one
+    batch, sharing their prefix columns, before its first row."""
+    ks = tuple(ks)  # each check reads it twice
+    checks = [("lemma1_aux", AUX_KERNEL, lemma1_aux)]
+    checks += [(f"lemma2_g n={n}", g_kernel(n), functools.partial(lemma2_g, n)) for n in (1, 2, 3)]
+    checks += [(f"lemma3_f m={m}", f_kernel(m), functools.partial(lemma3_f, n, parity))
+               for m, n, parity in ((1, 1, "odd"), (2, 1, "even"), (3, 2, "odd"), (4, 2, "even"))]
+    for name, kernel, row in checks:
+        _sum_batch([_kernel_series(kernel, k) for k in ks], opts)
+        for k in ks:
+            yield name, (k, *row(k, opts))

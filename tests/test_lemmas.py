@@ -1,5 +1,6 @@
 """Kernel lemmas: truncated two-sided sums against closed forms."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -130,6 +131,32 @@ def test_lemma3_frozen_values():
             frozen = mp.mpf(FROZEN_LEMMAS[key])
             assert abs(closed - frozen) < mp.mpf("1e-30"), key
             assert abs(trunc - frozen) < mp.mpf("1e-30"), key
+
+
+def test_lemma_checks_sum_each_check_in_one_walk_before_its_rows(monkeypatch):
+    # one _heads walk per check, over all its k, made before its first row
+    # and none while its rows are read; each row is the row summed alone
+    opts, ks = EvalOptions(digits=25), range(1, 6)
+    alone = {"lemma1_aux": lemma1_aux,
+             **{f"lemma2_g n={n}": functools.partial(lemma2_g, n) for n in (1, 2, 3)},
+             **{f"lemma3_f m={m}": functools.partial(lemma3_f, (m + 1) // 2,
+                                                      "odd" if m % 2 else "even")
+                for m in (1, 2, 3, 4)}}
+    summation._sums.clear()
+    walks, real = [], summation._heads
+    monkeypatch.setattr(summation, "_heads",
+                        lambda batch, prec: walks.append(len(batch)) or real(batch, prec))
+    rows = []
+    for name, row in summation.lemma_checks(ks, opts):
+        rows.append((name, row, len(walks)))
+    assert walks == [len(ks)] * len(alone)
+    assert [name for name, _, _ in rows] == [name for name in alone for _ in ks]
+    assert [walked for _, _, walked in rows] == [i for i in range(1, len(alone) + 1) for _ in ks]
+    for name, (k, trunc, closed), _ in rows:
+        summation._sums.clear()
+        lone = alone[name](k, opts)
+        assert (trunc._mpf_, closed._mpf_) == (lone[0]._mpf_, lone[1]._mpf_), (name, k)
+    assert [row[0] for _, row, _ in rows] == list(ks) * len(alone)
 
 
 def test_lemma_argument_validation():

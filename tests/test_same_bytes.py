@@ -31,13 +31,15 @@ def test_compare_of_identical_runs_is_empty():
 
 def test_argvs_cover_goldens_fits_and_help_pages():
     argvs = same_bytes.argvs()
-    assert len(argvs) == 16 + 1 + 144 + 4 + 4 + 17 + 8 + 15 + 9 + 37 + 8
+    assert len(argvs) == 16 + 1 + 144 + 4 + 4 + 17 + 8 + 15 + 9 + 37 + 14 + 8
     assert len(set(argvs)) == len(argvs)
     assert ("lemma-check", "--format", "csv") in argvs
     assert ("lemma-check", "--kmax", "200", "--format", "csv") in argvs
     assert argvs[-8:] == [("-h",)] + [(c, "-h") for c in same_bytes.COMMANDS]
-    # six usage errors and one config run are fits with --weight too
-    assert sum(argv[:1] == ("fit",) and "--weight" in argv for argv in argvs) == 144 + 4 + 6 + 1
+    # six usage errors, one config run and three branch runs are fits
+    # with --weight too
+    assert sum(argv[:1] == ("fit",) and "--weight" in argv
+               for argv in argvs) == 144 + 4 + 6 + 1 + 3
     assert set(same_bytes.LARGE_FITS) < set(argvs)
     assert set(same_bytes.SERIES_CORNERS) < set(argvs)
     assert set(same_bytes.ALGEBRA) < set(argvs)
@@ -48,3 +50,4 @@ def test_argvs_cover_goldens_fits_and_help_pages():
     assert all(argv[argv.index("--config") + 1] in same_bytes.CONFIG_FILES
                for argv in same_bytes.CONFIGS)
     assert set(same_bytes.USAGE_ERRORS) < set(argvs)
+    assert set(same_bytes.BRANCHES) < set(argvs)

@@ -297,7 +297,7 @@ def test_fixed_point_tail_matches_mpf_route(shape, end, digits, tail_terms):
     opts = EvalOptions(digits, 10 ** 4, tail_terms)
     wp_bits = mp.libmp.dps_to_prec(digits + 15)
     prec = wp_bits + end.bit_length() + 16
-    tail, omitted = _em_tail(*args, end, opts, prec)
+    tail, omitted = _em_tail(*args, end, opts, prec, _series_cap(args[1], args[4], end, digits))
     want_tail, want_omitted = _mpf_tail(*args, end, opts)
     with mp.workdps(digits + 40):
         assert abs(mp.mpf((tail, -prec)) - want_tail) <= mp.mpf(2) ** -wp_bits
@@ -321,6 +321,29 @@ def test_five_factors_meet_the_rounding_bound():
     want_tail, _ = _mpf_tail(factors, 7, 2, 1, 0, end, opts)
     with mp.workdps(wp + 20):
         assert abs(value - head - want_tail) <= mp.mpf(2) ** -mp.libmp.dps_to_prec(wp)
+
+
+def test_the_series_cap_is_planned_once_for_guard_bits_and_tail(monkeypatch):
+    # _plan alone calls _series_cap, once per new series, and the cap it
+    # returns, here a patched one, is the cap _guard_bits sizes and
+    # _em_tail keeps; memo hits and repeats plan nothing
+    _sums.clear()
+    caps, guards, tails = [], [], []
+    real_cap, real_guard, real_tail = _series_cap, _guard_bits, _em_tail
+    monkeypatch.setattr(summation, "_series_cap",
+                        lambda *args: caps.append(real_cap(*args) + 3) or caps[-1])
+    monkeypatch.setattr(summation, "_guard_bits", lambda m, end, s_cap, terms:
+                        guards.append(s_cap) or real_guard(m, end, s_cap, terms))
+    monkeypatch.setattr(summation, "_em_tail", lambda *args: tails.append(args[-1]) or
+                        real_tail(*args))
+    opts = EvalOptions(digits=25, K=300)
+    specs = [parse_sumspec(t) for t in ("h1/k^3", "h1*h2/k^3", "H1/(2k-1)^3")]
+    sum_specs(specs + specs[:1], opts)
+    sum_specs(specs, opts)
+    _sums.clear()  # its sums were taken with the patched cap
+    assert caps == [real_cap(c, q, opts.K, opts.digits) + 3
+                    for c, q in ((3, 0), (3, 0), (0, 3))]
+    assert guards == tails == caps
 
 
 def test_guard_bits_grow_past_four_factors():
@@ -539,7 +562,7 @@ def test_tail_asks_factors_only_for_the_powers_it_keeps():
     s_cap = _series_cap(300, 0, end, opts.digits)
     prec = mp.libmp.dps_to_prec(opts.digits + 15) + end.bit_length() + 16
     del numerics._bernoulli_cache[2:]
-    _em_tail((HarmonicKind.odd(1),), 300, 2, 1, 0, end, opts, prec)
+    _em_tail((HarmonicKind.odd(1),), 300, 2, 1, 0, end, opts, prec, s_cap)
     assert len(numerics._bernoulli_cache) - 1 <= s_cap - 300 + 2
 
 
