@@ -33,20 +33,17 @@ REPORT_FIELDS = ("id", "lhs_value", "rhs_value", "residual", "tolerance",
                  "verdict", "digits", "K")
 
 _FORMATS = ("table", "json", "csv")
-# mpmath's default 53 bits, in digits: lemma-check's residuals round at
-# these, as mpmath did outside any workdps context
-DOUBLE_DIGITS = 15
 
-# lemma-check's largest k: the kernel cutoff 50k reaches the default
-# K = 10^4 there, and each row's cost grows with it
+# lemma-check's largest k: the fifth band's kernel cutoff, 2000 * 5,
+# reaches the default K = 10^4 there, and each row's cost grows with it
 LEMMA_KMAX = 200
 # largest --digits: costs grow about quadratically, and lemma-check's
-# default rows take about 5 s at 500 digits and 31 s at 1000
+# default rows take about 4 s at 500 digits and 31 s at 1000
 MAX_DIGITS = 500
 # lemma-check's largest kmax * digits: each row's head grows with k and its
 # arithmetic with digits, so the two caps alone admit runs of minutes.
-# 10^4 admits the default kmax at the digits cap (20 * 500, about 5 s)
-# and the kmax cap at the default digits (200 * 40, about 2 s)
+# 10^4 admits the default kmax at the digits cap (20 * 500, about 4 s)
+# and the kmax cap at the default digits (200 * 40, about 1.5 s)
 LEMMA_BUDGET = 10 ** 4
 # largest fit --weight: the PSLQ basis grows fast (669 terms at weight
 # 41); weight 15 takes about 0.25 s at 40 digits and 7.5 s at 500, and
@@ -278,7 +275,7 @@ def _cmd_list(args) -> int:
 def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
     rows = []
     for name, (k, trunc, closed) in lemma_checks(range(1, kmax + 1), opts):
-        resid = abs(trunc - closed).round(DOUBLE_DIGITS)
+        resid = abs(trunc - closed)
         rows.append({"check": name, "k": str(k),
                      "truncated": _fmt(trunc, opts.digits),
                      "closed": _fmt(closed, opts.digits),

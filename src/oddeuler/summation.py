@@ -23,7 +23,9 @@ own so that it keeps its relative precision.
 
 Every sum goes through _sum_batch and its one memo, filled by batches;
 the lemma evaluators at the bottom compare its kernel sums with closed
-forms kept as exact ZetaExprs and valued by zeta_algebra.evaluate.
+forms kept as exact ZetaExprs and valued by zeta_algebra.evaluate.  The
+rows of a lemma check differ only in a = -k, so each band of them takes
+its tails from one Euler-Maclaurin basis (_basis).
 """
 
 from __future__ import annotations
@@ -216,10 +218,10 @@ def _power_series(c: int, b: int, a: int, q: int, s_cap: int, prec: int) -> dict
     return out
 
 
-def _series_cap(c: int, q: int, end: int, digits: int) -> int:
+def _series_cap(c: int, q: int, shrink: int, digits: int) -> int:
     # x^{-c} (b x - a)^{-q} = x^{-c-q} (b - a/x)^{-q}, kept to every power
-    # still worth 10^-(digits + 12) at end
-    return c + q + int(math.ceil((digits + 12) / math.log10(end))) + 2
+    # still worth 10^-(digits + 12) when each power falls by 1/shrink
+    return c + q + int(math.ceil((digits + 12) / math.log10(shrink))) + 2
 
 
 def _guard_bits(m: int, end: int, s_cap: int, tail_terms: int) -> int:
@@ -229,8 +231,15 @@ def _guard_bits(m: int, end: int, s_cap: int, tail_terms: int) -> int:
     # floor, spread over the end terms.  terms bounds the (a, s) pairs of
     # the series and of every group the tail values; each pair is floored
     # once in the power series, twice per factor and m + 1 times by group
-    # 0's antiderivative, and each group floors twice more.  Never fewer
-    # than the stream's default 16.
+    # 0's antiderivative, and each group floors twice more.  A kernel
+    # row's basis tail (_basis, _basis_tail) floors V's pairs twice per
+    # factor, as a series does; then, for each U_j, each of V's terms once
+    # and its monomial's tail at most m + 2 tail_terms + 4 times, a floor
+    # worth at most the term's value at end (under X^m), the sum once and
+    # the Horner step once.  Every floor at j is weighted by
+    # k^j end^-(c + j) <= 50^-j end^-c, so all of them together stay
+    # within the count for one series.  Never fewer than the stream's
+    # default 16.
     x_bound = 1 + math.log(end)
     terms = (m + 1) * (s_cap + 2 * tail_terms + 2)
     floors = terms * (3 * m + 2) + 2 * (tail_terms + 2)
@@ -263,6 +272,77 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
         tail -= v // end ** t
     v, t = next(groups)
     return tail, abs(HighFloat(v, -prec).round(wp).div(end ** t, wp))
+
+
+def _band(series: tuple) -> tuple | None:
+    # a lemma kernel row (a = -k, q = 1, from _kernel_series) shares its
+    # tail's basis with every row of its band, the series that differ from
+    # it only in a; a sum spec (a = 1) has no band and keeps _em_tail
+    factors, c, b, a, q, end = series
+    return (factors, c, b, end) if a < 0 and q == 1 else None
+
+
+@functools.lru_cache(maxsize=4096)
+def _monomial_tail(a: int, s: int, end: int, lnx: int, prec: int,
+                   tail_terms: int) -> tuple[int, int]:
+    # (w, v) for (ln x)^a x^-s with coefficient 2^prec: its groups
+    # 0..tail_terms at end are w 2^-prec end^-(s-1), each floored once to
+    # that power, and its first omitted group is
+    # v 2^-prec end^-(s+2 tail_terms+1).  Cached per end and scale, so
+    # the kernels of one end share them
+    groups = euler_maclaurin_fixed({(a, s): 1 << prec}, end, lnx, prec)
+    w = sum(g // end ** (t - s + 1) for g, t in islice(groups, tail_terms + 1))
+    g, t = next(groups)
+    return w, g // end ** (t - s - 2 * tail_terms - 1)
+
+
+def _basis(factors: tuple, c: int, end: int, opts: EvalOptions, prec: int,
+          s_cap: int) -> tuple[int, list]:
+    """The Euler-Maclaurin basis of a band: (u, [(W_j, v_j)]) for
+    j = 0..s_cap - c - 1.
+
+    U_j is x^-(c+1+j) V(x), V the product of the factors' value series,
+    kept to x^-s_cap, so that x^-c (b x - a)^-1 V(x) is
+    sum_j a^j b^-(j+1) U_j for every row of the band, term by term and
+    with the same powers kept as _em_tail's series.  The tail of U_j,
+    groups 0..opts.tail_terms, is W_j 2^-prec end^-(c+j), and its first
+    omitted group, whose lowest power is u + j with
+    u = c + 2 tail_terms + 2, is v_j 2^-prec end^-(u+j).  Both are sums
+    over V's terms of the coefficient times its monomial's tail, each
+    floored once to that power and the sum once more to 2^-prec.
+    """
+    vf = {(0, 0): 1 << prec}
+    for kind in factors:
+        vf = _series_mul(vf, value_series(kind, s_cap - c - 1, opts.digits + 15, prec),
+                         s_cap - c - 1, prec)
+    lnx, u = ln_fixed(end, prec) if factors else 0, c + 2 * opts.tail_terms + 2
+    terms = sorted(vf.items(), key=lambda term: term[0][1])  # U_j keeps a prefix
+    rows = []
+    for j in range(s_cap - c):
+        w = v = 0
+        for (a, s), coef in terms:
+            if s + c + 1 + j > s_cap:
+                break
+            mw, mv = _monomial_tail(a, s + c + 1 + j, end, lnx, prec, opts.tail_terms)
+            w += coef * mw // end ** s
+            v += coef * mv // end ** s
+        rows.append((w >> prec, v >> prec))
+    return u, rows
+
+
+def _basis_tail(basis: tuple, series: tuple, prec: int, wp: int) -> tuple[int, HighFloat]:
+    # (tail, |first omitted group|) of a row from its band's basis, as
+    # _em_tail gives them: sum_j a^j b^-(j+1) U_j by Horner in
+    # a / (b end), the top j first, on the basis's relative values, which
+    # floors once per step; |a / (b end)| <= 1/50 scales each floor down,
+    # so the floors grow neither with k nor with the band's other rows
+    _, c, b, a, _, end = series
+    u, rows = basis
+    acc = om = 0
+    for w, v in reversed(rows):
+        acc = w + acc * a // (b * end)
+        om = v + om * a // (b * end)
+    return -(acc // (b * end ** c)), abs(HighFloat(om, -prec).round(wp).div(abs(b) * end ** u, wp))
 
 
 # terms per block of the batched head walk: a block holds one list this
@@ -373,8 +453,11 @@ def _plan(series: tuple, opts: EvalOptions) -> tuple[int, int]:
     # digits + 15, end.bit_length() and _guard_bits) and the last power its
     # tail keeps, set only here, so the guard bits cover the series the
     # tail builds (the bound is stated in _sum_batch)
-    factors, c, _, _, q, end = series
-    s_cap = _series_cap(c, q, end, opts.digits)
+    # each power of a spec's series falls by 1/end at least, since a/b =
+    # 1/2; a kernel row's by its band's largest k / end, so every row of
+    # a band gets the band's cap and prec
+    factors, c, b, _, q, end = series
+    s_cap = _series_cap(c, q, end if _band(series) is None else _kernel_ratio(b), opts.digits)
     return dps_to_prec(opts.digits + 15) + end.bit_length() + _guard_bits(
         len(factors), end, s_cap, opts.tail_terms), s_cap
 
@@ -389,8 +472,10 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
 
     f is the product of the prefixes in factors (1 without any); a term
     with a zero denominator is skipped.  The head to end and the tail
-    (_em_tail) are fixed-point ints at one scale 2^-prec, so head plus
-    tail is rounded once.  The series not in _sums yet are
+    are fixed-point ints at one scale 2^-prec, so head plus tail is
+    rounded once.  A sum spec's tail is _em_tail of its own series; a
+    lemma kernel row's is _basis_tail of its band's basis, built once per
+    batch.  The series not in _sums yet are
     summed, one _heads walk per scale.  Both values are at the working
     precision digits + 15, and stay in _sums, the whole batch
     (cleared whole before new series would pass SUMS_MAX, so it holds at
@@ -404,7 +489,11 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     # Every caller's |denominator| is at least i, so the head is at most
     # end (m X^(m-1) + 2) units off.  Each floor of the tail moves it by
     # at most X^m units, since a unit in a coefficient of (ln x)^a x^-s
-    # is weighted by at most (ln end)^a end^(1-s) with s >= 2.  prec
+    # is weighted by at most (ln end)^a end^(1-s) with s >= 2.  In a
+    # basis tail a unit of V's (ln x)^a x^-s reaches every U_j, weighted
+    # by k^j, so by at most (ln end)^a end^-(s+c) sum_j (k / end)^j,
+    # under X^m as k / end <= 1/50, and a floor made for U_j or for the
+    # Horner step at j by at most 50^-j X^m: _guard_bits counts them.  prec
     # carries end.bit_length() + guard bits, and _guard_bits makes
     # end 2^guard exceed both together, so head plus tail is within
     # 2^-(bits of wp) for any number of factors.
@@ -417,8 +506,15 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
         prec, s_cap = _plan(series, opts)
         groups.setdefault(prec, {})[series] = s_cap
     for prec, caps in groups.items():
+        bases: dict = {}  # band -> its basis
         for (series, s_cap), head in zip(caps.items(), _heads(list(caps), prec)):
-            tail, omitted = _em_tail(*series, opts, prec, s_cap)
+            band = _band(series)
+            if band is None:
+                tail, omitted = _em_tail(*series, opts, prec, s_cap)
+            else:
+                if band not in bases:
+                    bases[band] = _basis(series[0], series[1], series[5], opts, prec, s_cap)
+                tail, omitted = _basis_tail(bases[band], series, prec, opts.digits + 15)
             done[series] = HighFloat(head + tail, -prec).round(opts.digits + 15), omitted
             _sums[series, opts] = done[series]
     return [done[series] for series in batch]
@@ -528,10 +624,22 @@ def f_kernel(m: int) -> tuple:
     return (HarmonicKind.odd(m),), 1, -1
 
 
+# A check's rows come in bands of KERNEL_BAND values of k: band n, k in
+# ((n - 1) 40, n 40], ends at 2000 n, and the two-sided head, which runs
+# past its pole at i = k, at 2040 n.  So each row's end is at least 50 k
+# (51 k), and the rows of a band share end, s_cap and prec, hence one
+# Euler-Maclaurin basis (_basis).
+KERNEL_BAND = 40
+
+
+def _kernel_ratio(b: int) -> int:
+    # the least end / k in a band
+    return 50 if b > 0 else 51
+
+
 def _kernel_series(kernel: tuple, k: int) -> tuple:
-    # the two-sided head runs k longer, to end past its pole as far
     factors, c, b = kernel
-    return factors, c, b, -k, 1, max(2000, 50 * k) + (k if b < 0 else 0)
+    return factors, c, b, -k, 1, _kernel_ratio(b) * KERNEL_BAND * -(-k // KERNEL_BAND)
 
 
 def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions) -> HighFloat:

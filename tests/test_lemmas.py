@@ -183,3 +183,23 @@ def test_lemma_precision_scales():
         assert abs(t20 - c20) < mp.mpf("1e-15")
         assert abs(t45 - c45) < mp.mpf("1e-35")
         assert abs(c45 - c20) < mp.mpf("1e-15")
+
+
+ROWS = {"lemma1_aux": lemma1_aux,
+        **{f"lemma2_g n={n}": functools.partial(lemma2_g, n) for n in (1, 2, 3)},
+        **{f"lemma3_f m={m}": functools.partial(lemma3_f, (m + 1) // 2, "odd" if m % 2 else "even")
+           for m in (1, 2, 3, 4)}}
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_truncated_sides_keep_37_digits_in_every_band(name):
+    # digits 40 against the closed side at 70, at both edges of the first
+    # three bands and deep in the fifth: the 4-term tail leaves 1.4e-37
+    # at k = 1, and a series cap sized from end alone, not from end / k,
+    # was off by 2.1e-32 at lemma1_aux(200)
+    opts = EvalOptions(digits=40)
+    for k in (1, 20, 40, 41, 80, 81, 100, 200):
+        trunc, _ = ROWS[name](k, opts)
+        _, closed = ROWS[name](k, EvalOptions(digits=70))
+        with mp.workdps(80):
+            assert abs(mp.mpf(trunc) - mp.mpf(closed)) < mp.mpf("2e-37"), k

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddeuler import numerics, summation
+from oddeuler.cli import LEMMA_KMAX
 from oddeuler.harmonic import HarmonicKind
 from oddeuler.summation import (HEAD_BLOCK, MAX_K, MAX_POWER, SUMS_MAX, EvalOptions, SumSpec,
                                 SumSpecSyntaxError, _em_tail, _guard_bits, _heads, _series_cap,
@@ -353,6 +354,59 @@ def test_guard_bits_grow_past_four_factors():
     assert _guard_bits(5, 10 ** 6, s_cap, 4) > 16
     x_bound = 1 + math.log(10 ** 6)
     assert 2 ** _guard_bits(5, 10 ** 6, s_cap, 4) > 5 * x_bound ** 4 + 2
+
+
+# the eight lemma-check kernels: shifted h1, and two-sided 1/i^2n and h_m
+KERNELS = ([summation.AUX_KERNEL] + [summation.g_kernel(n) for n in (1, 2, 3)]
+           + [summation.f_kernel(m) for m in (1, 2, 3, 4)])
+# the default rows, and the band-edge rows of --kmax 200
+BASIS_KS = sorted({*range(1, 21), 40, 41, 80, 81, 120, 121, 160, 161, 200})
+
+
+@pytest.mark.parametrize("digits", (25, 40, 100))
+@pytest.mark.parametrize("kernel", KERNELS, ids=str)
+def test_band_basis_matches_the_direct_tail(kernel, digits):
+    # each row's tail from its band's basis against _em_tail of the row's
+    # own series at the same end, prec and s_cap: each route is within
+    # _guard_bits' floor count times X^m units of the same truncated
+    # series' tail, and both give the omitted group to its working digits
+    opts = EvalOptions(digits)
+    bases = {}
+    for k in BASIS_KS:
+        series = summation._kernel_series(kernel, k)
+        prec, s_cap = summation._plan(series, opts)
+        end, band = series[5], summation._band(series)
+        if band not in bases:
+            bases[band] = summation._basis(kernel[0], kernel[1], end, opts, prec, s_cap)
+        tail, omitted = summation._basis_tail(bases[band], series, prec, digits + 15)
+        want, want_omitted = _em_tail(*series, opts, prec, s_cap)
+        m, terms = len(kernel[0]), opts.tail_terms
+        floors = (m + 1) * (s_cap + 2 * terms + 2) * (3 * m + 2) + 2 * (terms + 2)
+        assert abs(tail - want) <= 2 * floors * (1 + math.log(end)) ** m, k
+        with mp.workdps(digits + 40):
+            assert abs(mp.mpf(omitted) - mp.mpf(want_omitted)) <= \
+                mp.mpf(10) ** -(digits + 5) * mp.mpf(want_omitted), k
+    assert len(bases) == 5  # one per band
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=str)
+def test_kernel_rows_share_end_cap_and_prec_per_band(kernel):
+    # band n holds k in ((n - 1) 40, n 40]; each row's end is at least
+    # 50 k, 51 k for the two-sided head that runs past its pole, and the
+    # check at kmax sums to ceil(kmax / 40) ends
+    ratio = 50 if kernel[2] > 0 else 51
+    for digits in (25, 40, 100):
+        opts, plans = EvalOptions(digits), {}
+        for k in range(1, LEMMA_KMAX + 1):
+            series = summation._kernel_series(kernel, k)
+            assert series[5] >= ratio * k, k
+            plans.setdefault(-(-k // summation.KERNEL_BAND), set()).add(
+                (series[5], summation._plan(series, opts)))
+        assert all(len(plan) == 1 for plan in plans.values())
+        assert len(plans) == LEMMA_KMAX // summation.KERNEL_BAND
+    for kmax in (1, 20, 40, 41, 100, LEMMA_KMAX):
+        ends = {summation._kernel_series(kernel, k)[5] for k in range(1, kmax + 1)}
+        assert len(ends) == math.ceil(kmax / summation.KERNEL_BAND), kmax
 
 
 def _reference_head(prec, factors, c, b, a, q, end):
