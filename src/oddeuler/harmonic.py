@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat, tee
 from operator import floordiv
 
-from .highfloat import HighFloat, dps_to_prec, ln_fixed
+from .highfloat import HighFloat, dps_to_prec
 from .numerics import Rational, _require_digits, constant, ln2, power_groups, record
 
 EXACT_LIMIT = 10 ** 5
@@ -89,17 +89,6 @@ def harmonic_exact(kind: HarmonicKind, k: int) -> Rational:
     while len(prefix) <= k:
         prefix.append(prefix[-1] + kind.term(len(prefix)))
     return prefix[k]
-
-
-def even_odd_split(n: int, k: int) -> tuple[Rational, Rational]:
-    """Both sides of H(n, 2k) = h(n, k) + 2^{-n} H(n, k), exactly.
-
-    Returns (lhs, rhs); the two Fractions are equal for every n, k.
-    """
-    lhs = harmonic_exact(HarmonicKind.even(n), 2 * k)
-    rhs = harmonic_exact(HarmonicKind.odd(n), k) + \
-        Fraction(1, 2 ** n) * harmonic_exact(HarmonicKind.even(n), k)
-    return lhs, rhs
 
 
 # ---- streamed prefixes ---------------------------------------------------
@@ -197,38 +186,3 @@ def value_series(kind: HarmonicKind, s_cap: int, digits: int, prec: int) -> dict
         out[(a, s)] -= c >> n
     return {k: v for k, v in out.items() if v}
 
-
-def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> HighFloat:
-    """Truncated asymptotic expansion with `terms` leading pieces.
-
-    The pieces are the monomials of the kind's own value series to
-    k^-(n+9), valued at k: the lowest power of 1/k first, and within a
-    power the higher power of ln k.  Order 1 expands the prefix itself:
-    ln k, gamma, 1/k, 1/k^2, ... for the even kind, and ln k / 2,
-    gamma / 2 + ln 2, 1/k^2, 1/k^4, ... for the odd.  Order n >= 2
-    expands the tail, limit minus prefix: k^(1-n), k^-n, k^(-1-n),
-    k^(-3-n), ... for the even kind, and the same without k^-n, which
-    cancels, for the odd.  Each piece is rounded at digits + 5, their sum
-    once more, and that at digits.
-
-    >>> tail_expansion(HarmonicKind.even(2), 10, 3).text(16)
-    '0.09516666666666667'
-    """
-    if k < 10:
-        raise ValueError(f"k must be at least 10 for the asymptotic tail, got {k}")
-    if not 1 <= terms <= 6:
-        raise ValueError(f"terms must be between 1 and 6, got {terms}")
-    _require_digits(digits)
-    n, wp = kind.order, digits + 5
-    prec = dps_to_prec(wp) + 16
-    series = {key: HighFloat(c, -prec).round(wp) for key, c in
-              value_series(kind, n + 9, wp, prec).items()}
-    if n > 1:
-        series = {key: -c for key, c in series.items() if key != (0, 0)}
-    lnk = HighFloat(ln_fixed(k, prec), -prec).round(wp)
-    pieces = []
-    for (a, s), c in sorted(series.items(), key=lambda kv: (kv[0][1], -kv[0][0]))[:terms]:
-        if a:
-            c = (c * lnk.pow(a, wp)).round(wp)
-        pieces.append((c * HighFloat(k).pow(-s, wp)).round(wp))
-    return sum(pieces, HighFloat()).round(wp).round(digits)

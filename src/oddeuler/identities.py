@@ -310,11 +310,6 @@ def _rule(rule: str, m: int | None) -> tuple[str, str]:
     return _FIXED_RULES[rule]
 
 
-def reduction_target(rule: str, m: int | None = None) -> SumSpec:
-    """The sum a rule's combination claims to equal."""
-    return parse_sumspec(_rule(rule, m)[1])
-
-
 def reduce(rule: str, m: int | None = None, opts: EvalOptions = DEFAULT_OPTS,
            tolerance=DEFAULT_TOLERANCE) -> FormalCombination:
     """Emit a rule's combination of catalogued base sums.
@@ -356,13 +351,6 @@ def substitute_bases(comb: FormalCombination,
                              f"{spec.text()!r}")
         total = total + coef * closed[spec].pow_int(power)
     return canonicalize(total)
-
-
-def reduction_residual(rule: str, m: int | None = None,
-                       opts: EvalOptions = DEFAULT_OPTS) -> HighFloat:
-    """|combination value - target value| for one rule emission."""
-    return abs(evaluate_combination(reduce(rule, m, opts), opts).value -
-               evaluate_sum(reduction_target(rule, m), opts).value).round(opts.digits)
 
 
 # ---- coefficient fitting ---------------------------------------------------

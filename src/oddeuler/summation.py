@@ -38,7 +38,7 @@ from operator import floordiv, mul, rshift
 
 from .harmonic import EXACT_LIMIT, HarmonicKind, columns, harmonic_exact, value_series
 from .highfloat import HighFloat, dps_to_prec, ln_fixed
-from .numerics import Rational, euler_maclaurin_fixed, record
+from .numerics import euler_maclaurin_fixed, record
 from .zeta_algebra import (MAX_POWER, ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
                            take, tokenize)
 
@@ -175,16 +175,6 @@ class EvalResult:
     digits: int
 
 
-def term_exact(spec: SumSpec, k: int) -> Rational:
-    """Exact k-th summand as a Fraction."""
-    if k < 1:
-        raise ValueError(f"term index must be >= 1, got {k}")
-    value = Fraction(1, k ** spec.k_power * (2 * k - 1) ** spec.odd_power)
-    for kind in spec.factors:
-        value *= harmonic_exact(kind, k)
-    return value
-
-
 # ---- log-power series and the one summation routine ---------------------
 #
 # A series here is a dict {(a, s): c} standing for sum c (ln x)^a x^{-s},
@@ -317,6 +307,7 @@ def _basis(factors: tuple, c: int, end: int, opts: EvalOptions, prec: int,
                          s_cap - c - 1, prec)
     lnx, u = ln_fixed(end, prec) if factors else 0, c + 2 * opts.tail_terms + 2
     terms = sorted(vf.items(), key=lambda term: term[0][1])  # U_j keeps a prefix
+    powers = [end ** s for s in range(s_cap - c)]  # every s a term below can reach
     rows = []
     for j in range(s_cap - c):
         w = v = 0
@@ -324,8 +315,8 @@ def _basis(factors: tuple, c: int, end: int, opts: EvalOptions, prec: int,
             if s + c + 1 + j > s_cap:
                 break
             mw, mv = _monomial_tail(a, s + c + 1 + j, end, lnx, prec, opts.tail_terms)
-            w += coef * mw // end ** s
-            v += coef * mv // end ** s
+            w += coef * mw // powers[s]
+            v += coef * mv // powers[s]
         rows.append((w >> prec, v >> prec))
     return u, rows
 
@@ -733,8 +724,8 @@ def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions = DEFAULT_OPTS) \
         -> tuple[HighFloat, HighFloat]:
     """(truncated, closed) for the two-sided cross sum of order m.
 
-    parity 'odd' takes m = 2n - 1 and parity 'even' takes m = 2n, so
-    (1, 'odd') is the order-1 case also exposed as lemma1_f.
+    parity 'odd' takes m = 2n - 1 and parity 'even' takes m = 2n; the
+    order-1 case (1, 'odd') has the closed side 2 ln 2 - 3 at k = 1.
     """
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
@@ -750,11 +741,6 @@ def lemma3_f(n: int, parity: str, k: int, opts: EvalOptions = DEFAULT_OPTS) \
                for i in range(1, m // 2 + 1)]
     return (_kernel_truncated(f_kernel(m), k, opts),
             _closed(closed, opts))
-
-
-def lemma1_f(k: int, opts: EvalOptions = DEFAULT_OPTS) -> tuple[HighFloat, HighFloat]:
-    """Order-1 cross sum; closed side at k = 1 is 2 ln 2 - 3."""
-    return lemma3_f(1, "odd", k, opts)
 
 
 def lemma_checks(ks, opts: EvalOptions = DEFAULT_OPTS):

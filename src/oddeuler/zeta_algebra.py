@@ -30,7 +30,7 @@ itself negative.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial
 
@@ -169,12 +169,6 @@ class ZetaExpr:
     def __neg__(self) -> "ZetaExpr":
         return ZetaExpr(tuple((m, -c) for m, c in self.terms))
 
-    def scale(self, factor: Rational) -> "ZetaExpr":
-        factor = Fraction(factor)
-        if not factor:
-            return ZetaExpr()
-        return ZetaExpr(tuple((m, c * factor) for m, c in self.terms))
-
     def __mul__(self, other: "ZetaExpr") -> "ZetaExpr":
         out = []
         for ma, ca in self.terms:
@@ -192,20 +186,6 @@ class ZetaExpr:
 
     def __repr__(self) -> str:
         return f"ZetaExpr({format_expr(self)!r})"
-
-
-def combine(coeffs: Sequence[Rational], exprs: Sequence[ZetaExpr]) -> ZetaExpr:
-    """Exact linear combination sum(c_i * e_i)."""
-    if len(coeffs) != len(exprs):
-        raise ValueError("coefficient and expression counts differ")
-    total = ZetaExpr.zero()
-    for c, e in zip(coeffs, exprs):
-        total = total + e.scale(c)
-    return total
-
-
-def multiply(a: ZetaExpr, b: ZetaExpr) -> ZetaExpr:
-    return a * b
 
 
 def even_zeta_ratio(m: int) -> Fraction:

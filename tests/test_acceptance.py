@@ -15,7 +15,7 @@ import mpmath as mp
 import pytest
 
 from oddeuler.cli import LEMMA_CONVENTION
-from oddeuler.harmonic import HarmonicKind, even_odd_split, harmonic_exact
+from oddeuler.harmonic import HarmonicKind, harmonic_exact
 from oddeuler.identities import (REFERENCE_ANCHORS, adjudication_findings,
                                  catalog, fit_closed_form, fit_value, reduce,
                                  substitute_bases, summarize, verify,
@@ -133,11 +133,13 @@ def test_criterion_3_mutual_inconsistency_reported():
 
 
 def test_criterion_4_split_identity_exact():
+    # H(n, 2k) = h(n, k) + 2^-n H(n, k), both sides from exact prefixes
     for n in range(1, 7):
         for k in range(1, 201):
-            lhs, rhs = even_odd_split(n, k)
+            lhs = harmonic_exact(HarmonicKind.even(n), 2 * k)
+            rhs = harmonic_exact(HarmonicKind.odd(n), k) + \
+                Fraction(1, 2 ** n) * harmonic_exact(HarmonicKind.even(n), k)
             assert lhs == rhs, (n, k)
-            assert lhs == harmonic_exact(HarmonicKind.even(n), 2 * k), (n, k)
     _report("criterion 4a: even/odd split holds exactly for k <= 200, "
             "n <= 6", True)
 

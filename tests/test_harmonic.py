@@ -1,4 +1,4 @@
-"""Exact prefixes, the even/odd split, streams, and tail expansions."""
+"""Exact prefixes, the even/odd split, streams, and the tail expansions of the value series."""
 
 from fractions import Fraction
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddeuler.harmonic import (HarmonicKind, PrefixStream, columns, even_odd_split,
-                               harmonic_exact, tail_expansion)
+from oddeuler.harmonic import HarmonicKind, PrefixStream, columns, harmonic_exact, value_series
+from oddeuler.highfloat import HighFloat, dps_to_prec, ln_fixed
 
 from conftest import FROZEN_CONSTANTS
 
@@ -46,16 +46,16 @@ def test_term_values():
 
 
 def test_split_identity_small():
-    # H_{2k}^(n) = h_k^(n) + 2^{-n} H_k^(n), exactly; the helper returns
-    # both sides
+    # H_{2k}^(n) = h_k^(n) + 2^{-n} H_k^(n), exactly, with each prefix
+    # also summed term by term
     for n in (1, 2, 3):
         for k in (1, 2, 5, 17):
-            lhs, rhs = even_odd_split(n, k)
-            assert lhs == rhs
-            assert lhs == harmonic_exact(HarmonicKind.even(n), 2 * k)
-            assert rhs == harmonic_exact(HarmonicKind.odd(n), k) \
-                + Fraction(1, 2 ** n) \
-                * harmonic_exact(HarmonicKind.even(n), k)
+            lhs = harmonic_exact(HarmonicKind.even(n), 2 * k)
+            odd = harmonic_exact(HarmonicKind.odd(n), k)
+            even = harmonic_exact(HarmonicKind.even(n), k)
+            assert lhs == odd + Fraction(1, 2 ** n) * even
+            assert lhs == sum(Fraction(1, j ** n) for j in range(1, 2 * k + 1))
+            assert odd == sum(Fraction(1, (2 * j - 1) ** n) for j in range(1, k + 1))
 
 
 def test_prefix_stream_matches_exact():
@@ -102,9 +102,35 @@ def test_columns_floor_bound_and_stream_agree(parity):
             assert prefix == streamed
 
 
+def tail_expansion(kind: HarmonicKind, k: int, terms: int, digits: int = 40) -> HighFloat:
+    """The leading `terms` pieces of the kind's own value series to
+    k^-(n+9), valued at k: the lowest power of 1/k first, and within a
+    power the higher power of ln k.  Order 1 expands the prefix itself:
+    ln k, gamma, 1/k, 1/k^2, ... for the even kind, and ln k / 2,
+    gamma / 2 + ln 2, 1/k^2, 1/k^4, ... for the odd.  Order n >= 2
+    expands the tail, limit minus prefix: k^(1-n), k^-n, k^(-1-n),
+    k^(-3-n), ... for the even kind, and the same without k^-n, which
+    cancels, for the odd.  Each piece is rounded at digits + 5, their sum
+    once more, and that at digits."""
+    n, wp = kind.order, digits + 5
+    prec = dps_to_prec(wp) + 16
+    series = {key: HighFloat(c, -prec).round(wp) for key, c in
+              value_series(kind, n + 9, wp, prec).items()}
+    if n > 1:
+        series = {key: -c for key, c in series.items() if key != (0, 0)}
+    lnk = HighFloat(ln_fixed(k, prec), -prec).round(wp)
+    pieces = []
+    for (a, s), c in sorted(series.items(), key=lambda kv: (kv[0][1], -kv[0][0]))[:terms]:
+        if a:
+            c = (c * lnk.pow(a, wp)).round(wp)
+        pieces.append((c * HighFloat(k).pow(-s, wp)).round(wp))
+    return sum(pieces, HighFloat()).round(wp).round(digits)
+
+
 def test_tail_expansion_even_order2_example():
     # three correction terms of the order-2 tail at k = 10
     val = tail_expansion(HarmonicKind.even(2), 10, 3)
+    assert val.text(16) == "0.09516666666666667"
     with mp.workdps(30):
         want = mp.mpf(1) / 10 - mp.mpf("0.005") + mp.mpf(1) / 6000
         assert abs(val - want) < mp.mpf("1e-25")
@@ -184,22 +210,14 @@ def test_odd_tail_expansion_against_the_split_identity(n):
             assert errs[3] > errs[4], k  # the sixth piece counts
 
 
-def test_tail_expansion_validation():
-    with pytest.raises(ValueError):
-        tail_expansion(HarmonicKind.even(2), 5, 3)
-    with pytest.raises(ValueError):
-        tail_expansion(HarmonicKind.even(2), 50, 0)
-    with pytest.raises(ValueError):
-        tail_expansion(HarmonicKind.even(2), 50, 7)
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(n=st.integers(min_value=1, max_value=6),
        k=st.integers(min_value=1, max_value=120))
 def test_split_identity_property(n, k):
-    lhs, rhs = even_odd_split(n, k)
+    lhs = harmonic_exact(HarmonicKind.even(n), 2 * k)
+    rhs = harmonic_exact(HarmonicKind.odd(n), k) + \
+        Fraction(1, 2 ** n) * harmonic_exact(HarmonicKind.even(n), k)
     assert lhs == rhs
-    assert lhs == harmonic_exact(HarmonicKind.even(n), 2 * k)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

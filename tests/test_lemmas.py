@@ -10,9 +10,8 @@ import pytest
 from oddeuler import summation
 from oddeuler.harmonic import EXACT_LIMIT, HarmonicKind, harmonic_exact
 from oddeuler.numerics import constant
-from oddeuler.summation import (EvalOptions, lemma1_aux, lemma1_f, lemma2_g,
-                                lemma3_f, recip_kernel_closed,
-                                shifted_kernel_closed)
+from oddeuler.summation import (EvalOptions, lemma1_aux, lemma2_g, lemma3_f,
+                                recip_kernel_closed, shifted_kernel_closed)
 from oddeuler.zeta_algebra import parse_expr
 
 from conftest import FROZEN_LEMMAS
@@ -40,7 +39,7 @@ def test_lemma1_truncated_equals_closed():
 
 def test_lemma1_f_special_value():
     with mp.workdps(40):
-        trunc, closed = lemma1_f(1, OPTS)
+        trunc, closed = lemma3_f(1, "odd", 1, OPTS)
         want = 2 * mp.log(2) - 3
         assert abs(closed - want) < mp.mpf("1e-25")
         assert abs(trunc - closed) < mp.mpf("1e-12")
@@ -66,7 +65,7 @@ def test_closed_sides_are_exact_expressions(monkeypatch):
         (expr, digits)) or real_evaluate(expr, digits))
     for closed_side, text in ((lambda: lemma2_g(1, 1, OPTS)[1], "z2 - 2"),
                               (lambda: lemma2_g(1, 2, OPTS)[1], "1/2*z2"),
-                              (lambda: lemma1_f(1, OPTS)[1], "2*ln2 - 3"),
+                              (lambda: lemma3_f(1, "odd", 1, OPTS)[1], "2*ln2 - 3"),
                               # the odd-part zeta term sits outside the sign
                               (lambda: shifted_kernel_closed(2, 1, OPTS),
                                "3/2*z2 - 2*ln2")):
@@ -127,7 +126,7 @@ def test_lemma3_frozen_values():
         for key, (trunc, closed) in (
                 (("cross", 2, 4), lemma3_f(1, "even", 4, opts)),
                 (("cross", 3, 9), lemma3_f(2, "odd", 9, opts)),
-                (("cross", 1, 1), lemma1_f(1, opts))):
+                (("cross", 1, 1), lemma3_f(1, "odd", 1, opts))):
             frozen = mp.mpf(FROZEN_LEMMAS[key])
             assert abs(closed - frozen) < mp.mpf("1e-30"), key
             assert abs(trunc - frozen) < mp.mpf("1e-30"), key

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from oddeuler import numerics, summation
 from oddeuler.cli import LEMMA_KMAX
-from oddeuler.harmonic import HarmonicKind
+from oddeuler.harmonic import HarmonicKind, harmonic_exact
 from oddeuler.summation import (HEAD_BLOCK, MAX_K, MAX_POWER, SUMS_MAX, EvalOptions, SumSpec,
                                 SumSpecSyntaxError, _em_tail, _guard_bits, _heads, _series_cap,
                                 _spec_series, _sum_batch, _sums, evaluate_sum, format_sumspec,
-                                parse_sumspec, reciprocal_sum_closed_form, sum_specs, term_exact)
+                                parse_sumspec, reciprocal_sum_closed_form, sum_specs)
 from oddeuler.numerics import bernoulli
 from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr
 
@@ -80,6 +80,14 @@ def test_denominator_power_capped():
         assert err.value.pos == 3, text
     with pytest.raises(ValueError, match="<= 100"):
         SumSpec((), 0, 101)
+
+
+def term_exact(spec: SumSpec, k: int) -> Fraction:
+    """The exact k-th summand of spec, from exact harmonic prefixes."""
+    value = Fraction(1, k ** spec.k_power * (2 * k - 1) ** spec.odd_power)
+    for kind in spec.factors:
+        value *= harmonic_exact(kind, k)
+    return value
 
 
 def test_term_exact_examples():

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddeuler.zeta_algebra import (ExprSyntaxError, ZetaExpr, ZetaMonomial,
-                                   canonicalize, combine, even_zeta_ratio,
-                                   evaluate, format_expr, multiply,
-                                   parse_expr)
+                                   canonicalize, even_zeta_ratio, evaluate,
+                                   format_expr, parse_expr)
 
 from conftest import FROZEN_SUMS
 
@@ -81,16 +80,15 @@ def test_arithmetic():
     assert a + b == parse_expr("2*z3")
     assert a - b == parse_expr("4*z2")
     assert -(a - b) == parse_expr("-4*z2")
-    assert a.scale(Fraction(1, 2)) == parse_expr("1/2*z3 + z2")
-    prod = multiply(a, b)
+    assert ZetaExpr.const(Fraction(1, 2)) * a == parse_expr("1/2*z3 + z2")
+    prod = a * b
     assert prod == parse_expr("z3^2 - 4*z2^2")
-    assert a.pow_int(2) == multiply(a, a)
+    assert a.pow_int(2) == a * a
     assert a.pow_int(0) == ZetaExpr.const(1)
 
 
-def test_combine():
-    got = combine([Fraction(2), Fraction(-1)],
-                  [parse_expr("z2"), parse_expr("z3")])
+def test_linear_combination():
+    got = ZetaExpr.const(2) * parse_expr("z2") + ZetaExpr.const(-1) * parse_expr("z3")
     assert got == parse_expr("2*z2 - z3")
 
 
@@ -183,7 +181,7 @@ def test_ring_axioms_property(c1, c2, c3):
     a = ZetaExpr.zeta(2, c1) + ZetaExpr.ln2(c2)
     b = ZetaExpr.zeta(3, c3) + ZetaExpr.const(1)
     c = ZetaExpr.zeta(2) + ZetaExpr.zeta(3)
-    assert multiply(a, b) == multiply(b, a)
-    assert multiply(a, b + c) == multiply(a, b) + multiply(a, c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a - a == ZetaExpr.zero()
