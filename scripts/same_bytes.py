@@ -9,7 +9,7 @@ PARENT_REV`` for the parent, the tracked and untracked non-ignored files
 of the working tree for the change.  Every argv then runs in a fresh
 ``python -m oddeuler.cli`` process on each side, with ``PYTHONHASHSEED=0``
 and ``COLUMNS=80``.  The argvs are the golden ones (``tests/data/*.argv``),
-``lemma-check --kmax 200 --format csv``, the fit-sweep ops of
+three ``lemma-check`` corners (``LEMMA_CORNERS``), the fit-sweep ops of
 ``perfbench/checks.fit_ops()`` (PSLQ on at most 7 entries), four fits
 on large bases (PSLQ on 11 to 30 entries), four ``eval-sum`` corners of
 the harmonic value series, typed closed forms (``eval-expr``) and
@@ -48,6 +48,12 @@ LARGE_FITS = (("fit", "h1/k^14", "--weight", "15"),
               ("fit", "h1/k^14", "--weight", "15", "--include-ln2"),
               ("fit", "h1/k^14", "--weight", "13", "--digits", "100"),
               ("fit", "h1/k^12", "--weight", "13", "--include-ln2"))
+# lemma-check corners: every band at the kmax cap, one row at the digits
+# cap, where the planned ratio and tail terms are largest, and the first
+# row of the second band at 100 digits
+LEMMA_CORNERS = (("lemma-check", "--kmax", "200", "--format", "csv"),
+                 ("lemma-check", "--digits", "500", "--kmax", "1", "--format", "csv"),
+                 ("lemma-check", "--kmax", "41", "--digits", "100", "--format", "csv"))
 # value-series corners: an order of 100; an order above the series cap, so
 # that its group 0 is cut; two series multiplied; caps near 58 at 100 digits
 SERIES_CORNERS = (("eval-sum", "H100*h1/k^2"),
@@ -165,7 +171,7 @@ def argvs() -> list[tuple[str, ...]]:
               for path in sorted((ROOT / "tests" / "data").glob("*.argv"))]
     fits = [tuple(op["argv"]) for op in _load("checks", ROOT / "perfbench" / "checks.py").fit_ops()]
     helps = [("-h",)] + [(command, "-h") for command in COMMANDS]
-    return golden + [("lemma-check", "--kmax", "200", "--format", "csv")] + fits + \
+    return golden + list(LEMMA_CORNERS) + fits + \
         list(LARGE_FITS) + list(SERIES_CORNERS) + list(ALGEBRA) + list(FORMATS) + \
         list(CONSTANTS) + list(CONFIGS) + list(USAGE_ERRORS) + list(BRANCHES) + helps
 

@@ -25,7 +25,11 @@ Every sum goes through _sum_batch and its one memo, filled by batches;
 the lemma evaluators at the bottom compare its kernel sums with closed
 forms kept as exact ZetaExprs and valued by zeta_algebra.evaluate.  The
 rows of a lemma check differ only in a = -k, so each band of them takes
-its tails from one Euler-Maclaurin basis (_basis).
+its tails from one Euler-Maclaurin basis (_basis).  A kernel row's cutoff
+is internal and never printed, so it is planned: _kernel_plan picks the
+band's end (a ratio times its largest k) and its tail terms as the
+cheapest pair whose stated bound (_kernel_bound) is below
+10^-(digits + 2), where a sum spec keeps the K and tail terms it is given.
 """
 
 from __future__ import annotations
@@ -223,13 +227,15 @@ def _guard_bits(m: int, end: int, s_cap: int, tail_terms: int) -> int:
     # once in the power series, twice per factor and m + 1 times by group
     # 0's antiderivative, and each group floors twice more.  A kernel
     # row's basis tail (_basis, _basis_tail) floors V's pairs twice per
-    # factor, as a series does; then, for each U_j, each of V's terms once
-    # and its monomial's tail at most m + 2 tail_terms + 4 times, a floor
-    # worth at most the term's value at end (under X^m), the sum once and
-    # the Horner step once.  Every floor at j is weighted by
-    # k^j end^-(c + j) <= 50^-j end^-c, so all of them together stay
-    # within the count for one series.  Never fewer than the stream's
-    # default 16.
+    # factor, as a series does; then, for each U_j, each of V's at most
+    # (m + 1) s_cap terms once and its monomial's tail at most
+    # m + 2 tail_terms + 4 times, a floor worth at most the term's value at
+    # end (under X^m), the sum once and the Horner step once.  Every floor
+    # at j is weighted by k^j end^-(c + j) <= ratio^-j end^-c, and
+    # sum_j ratio^-j <= 2 for the planner's ratio >= 2, so all of them
+    # together, 2 ((m + 1) s_cap + m + 2 tail_terms + 6), stay within the
+    # count for one series, as the planner's tail_terms >= 2.  Never fewer
+    # than the stream's default 16.
     x_bound = 1 + math.log(end)
     terms = (m + 1) * (s_cap + 2 * tail_terms + 2)
     floors = terms * (3 * m + 2) + 2 * (tail_terms + 2)
@@ -237,19 +243,19 @@ def _guard_bits(m: int, end: int, s_cap: int, tail_terms: int) -> int:
     return max(16, math.ceil(math.log2(units)))
 
 
-def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
-             opts: EvalOptions, prec: int, s_cap: int) -> tuple[int, HighFloat]:
+def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int, digits: int,
+             prec: int, s_cap: int, terms: int) -> tuple[int, HighFloat]:
     """(tail, |first omitted group|) for sum_{i>end} f(i) / (i^c (b i - a)^q).
 
-    The tail is Euler-Maclaurin group 0 plus opts.tail_terms corrections,
-    as an int scaled by 2^prec, of the series kept to x^-s_cap (_plan sets
-    both).  The series is built in fixed point: the power series from
+    The tail is Euler-Maclaurin group 0 plus terms corrections, as an int
+    scaled by 2^prec, of the series kept to x^-s_cap (_plan sets all
+    three).  The series is built in fixed point: the power series from
     exact numerators, times each factor's value_series, each product
     floored once per term, and ln(end) is highfloat.ln_fixed.
     The omitted group is rounded at digits + 15 on its own, keeping its
     relative precision, since it becomes the printed error estimate.
     """
-    wp = opts.digits + 15
+    wp = digits + 15
     series = _power_series(c + q, b, a, q, s_cap, prec)
     for kind in factors:
         # the power series starts at x^-(c+q), so no factor term
@@ -257,7 +263,7 @@ def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int,
         series = _series_mul(series, value_series(kind, s_cap - c - q, wp, prec), s_cap, prec)
     groups = euler_maclaurin_fixed(series, end, ln_fixed(end, prec) if factors else 0, prec)
     tail = 0
-    for _ in range(opts.tail_terms + 1):
+    for _ in range(terms + 1):
         v, t = next(groups)
         tail -= v // end ** t
     v, t = next(groups)
@@ -286,8 +292,8 @@ def _monomial_tail(a: int, s: int, end: int, lnx: int, prec: int,
     return w, g // end ** (t - s - 2 * tail_terms - 1)
 
 
-def _basis(factors: tuple, c: int, end: int, opts: EvalOptions, prec: int,
-          s_cap: int) -> tuple[int, list]:
+def _basis(factors: tuple, c: int, end: int, digits: int, prec: int, s_cap: int,
+           terms: int) -> tuple[int, list]:
     """The Euler-Maclaurin basis of a band: (u, [(W_j, v_j)]) for
     j = 0..s_cap - c - 1.
 
@@ -295,26 +301,26 @@ def _basis(factors: tuple, c: int, end: int, opts: EvalOptions, prec: int,
     kept to x^-s_cap, so that x^-c (b x - a)^-1 V(x) is
     sum_j a^j b^-(j+1) U_j for every row of the band, term by term and
     with the same powers kept as _em_tail's series.  The tail of U_j,
-    groups 0..opts.tail_terms, is W_j 2^-prec end^-(c+j), and its first
-    omitted group, whose lowest power is u + j with
-    u = c + 2 tail_terms + 2, is v_j 2^-prec end^-(u+j).  Both are sums
-    over V's terms of the coefficient times its monomial's tail, each
-    floored once to that power and the sum once more to 2^-prec.
+    groups 0..terms, is W_j 2^-prec end^-(c+j), and its first omitted
+    group, whose lowest power is u + j with u = c + 2 terms + 2, is
+    v_j 2^-prec end^-(u+j).  Both are sums over V's terms of the
+    coefficient times its monomial's tail, each floored once to that power
+    and the sum once more to 2^-prec.
     """
     vf = {(0, 0): 1 << prec}
     for kind in factors:
-        vf = _series_mul(vf, value_series(kind, s_cap - c - 1, opts.digits + 15, prec),
+        vf = _series_mul(vf, value_series(kind, s_cap - c - 1, digits + 15, prec),
                          s_cap - c - 1, prec)
-    lnx, u = ln_fixed(end, prec) if factors else 0, c + 2 * opts.tail_terms + 2
-    terms = sorted(vf.items(), key=lambda term: term[0][1])  # U_j keeps a prefix
+    lnx, u = ln_fixed(end, prec) if factors else 0, c + 2 * terms + 2
+    ordered = sorted(vf.items(), key=lambda term: term[0][1])  # U_j keeps a prefix
     powers = [end ** s for s in range(s_cap - c)]  # every s a term below can reach
     rows = []
     for j in range(s_cap - c):
         w = v = 0
-        for (a, s), coef in terms:
+        for (a, s), coef in ordered:
             if s + c + 1 + j > s_cap:
                 break
-            mw, mv = _monomial_tail(a, s + c + 1 + j, end, lnx, prec, opts.tail_terms)
+            mw, mv = _monomial_tail(a, s + c + 1 + j, end, lnx, prec, terms)
             w += coef * mw // powers[s]
             v += coef * mv // powers[s]
         rows.append((w >> prec, v >> prec))
@@ -325,8 +331,9 @@ def _basis_tail(basis: tuple, series: tuple, prec: int, wp: int) -> tuple[int, H
     # (tail, |first omitted group|) of a row from its band's basis, as
     # _em_tail gives them: sum_j a^j b^-(j+1) U_j by Horner in
     # a / (b end), the top j first, on the basis's relative values, which
-    # floors once per step; |a / (b end)| <= 1/50 scales each floor down,
-    # so the floors grow neither with k nor with the band's other rows
+    # floors once per step; |a / (b end)| <= 1/ratio <= 1/2 scales each
+    # floor down, so the floors grow neither with k nor with the band's
+    # other rows
     _, c, b, a, _, end = series
     u, rows = basis
     acc = om = 0
@@ -439,18 +446,21 @@ def _heads(batch: list, prec: int) -> list[int]:
     return heads
 
 
-def _plan(series: tuple, opts: EvalOptions) -> tuple[int, int]:
-    # (prec, s_cap): the fixed-point scale a series is summed at (the bits of
-    # digits + 15, end.bit_length() and _guard_bits) and the last power its
-    # tail keeps, set only here, so the guard bits cover the series the
-    # tail builds (the bound is stated in _sum_batch)
-    # each power of a spec's series falls by 1/end at least, since a/b =
-    # 1/2; a kernel row's by its band's largest k / end, so every row of
-    # a band gets the band's cap and prec
+def _plan(series: tuple, opts: EvalOptions) -> tuple[int, int, int]:
+    # (prec, s_cap, terms): the fixed-point scale a series is summed at (the
+    # bits of digits + 15, end.bit_length() and _guard_bits), the last power
+    # its tail keeps and the corrections it takes, set only here, so the
+    # guard bits cover the series the tail builds (the bound is stated in
+    # _sum_batch).  Each power of a spec's series falls by 1/end at least,
+    # since a/b = 1/2, and a spec takes opts.tail_terms; a kernel row's
+    # falls by its band's largest k / end <= 1/ratio, and the row takes the
+    # planner's ratio and terms, so every row of a band gets one cap and prec
     factors, c, b, _, q, end = series
-    s_cap = _series_cap(c, q, end if _band(series) is None else _kernel_ratio(b), opts.digits)
+    shrink, terms = (end, opts.tail_terms) if _band(series) is None else \
+        _kernel_plan(opts.digits, b)
+    s_cap = _series_cap(c, q, shrink, opts.digits)
     return dps_to_prec(opts.digits + 15) + end.bit_length() + _guard_bits(
-        len(factors), end, s_cap, opts.tail_terms), s_cap
+        len(factors), end, s_cap, terms), s_cap, terms
 
 
 _sums: dict = {}  # (series, opts) -> (value, omitted); only _sum_batch writes it
@@ -483,8 +493,9 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     # is weighted by at most (ln end)^a end^(1-s) with s >= 2.  In a
     # basis tail a unit of V's (ln x)^a x^-s reaches every U_j, weighted
     # by k^j, so by at most (ln end)^a end^-(s+c) sum_j (k / end)^j,
-    # under X^m as k / end <= 1/50, and a floor made for U_j or for the
-    # Horner step at j by at most 50^-j X^m: _guard_bits counts them.  prec
+    # under 2 X^m / end as c >= 1 and k / end <= 1/ratio <= 1/2, and a
+    # floor made for U_j or for the Horner step at j by at most
+    # ratio^-j X^m / end: _guard_bits counts them.  prec
     # carries end.bit_length() + guard bits, and _guard_bits makes
     # end 2^guard exceed both together, so head plus tail is within
     # 2^-(bits of wp) for any number of factors.
@@ -492,19 +503,20 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     new = [series for series in dict.fromkeys(batch) if series not in done]
     if new and len(_sums) + len(new) > SUMS_MAX:
         _sums.clear()
-    groups: dict = {}  # prec -> {series: s_cap}
+    groups: dict = {}  # prec -> {series: (s_cap, terms)}
     for series in new:
-        prec, s_cap = _plan(series, opts)
-        groups.setdefault(prec, {})[series] = s_cap
-    for prec, caps in groups.items():
+        prec, s_cap, terms = _plan(series, opts)
+        groups.setdefault(prec, {})[series] = s_cap, terms
+    for prec, plans in groups.items():
         bases: dict = {}  # band -> its basis
-        for (series, s_cap), head in zip(caps.items(), _heads(list(caps), prec)):
+        for (series, (s_cap, terms)), head in zip(plans.items(), _heads(list(plans), prec)):
             band = _band(series)
             if band is None:
-                tail, omitted = _em_tail(*series, opts, prec, s_cap)
+                tail, omitted = _em_tail(*series, opts.digits, prec, s_cap, terms)
             else:
                 if band not in bases:
-                    bases[band] = _basis(series[0], series[1], series[5], opts, prec, s_cap)
+                    bases[band] = _basis(series[0], series[1], series[5], opts.digits, prec, s_cap,
+                                         terms)
                 tail, omitted = _basis_tail(bases[band], series, prec, opts.digits + 15)
             done[series] = HighFloat(head + tail, -prec).round(opts.digits + 15), omitted
             _sums[series, opts] = done[series]
@@ -616,25 +628,128 @@ def f_kernel(m: int) -> tuple:
 
 
 # A check's rows come in bands of KERNEL_BAND values of k: band n, k in
-# ((n - 1) 40, n 40], ends at 2000 n, and the two-sided head, which runs
-# past its pole at i = k, at 2040 n.  So each row's end is at least 50 k
-# (51 k), and the rows of a band share end, s_cap and prec, hence one
-# Euler-Maclaurin basis (_basis).
+# ((n - 1) 40, n 40], sums to end = ratio 40 n, ratio from _kernel_plan,
+# so each row's end is at least ratio k, and the rows of a band share end,
+# s_cap, prec and tail terms, hence one Euler-Maclaurin basis (_basis).
 KERNEL_BAND = 40
+# the ratios _kernel_plan tries: every one to 20, then about 10% apart
+_RATIOS = (*range(2, 20), *range(20, 50, 2), *range(50, 100, 5), *range(100, 300, 10),
+           *range(300, 1000, 25), *range(1000, 2001, 100))
+# a plan's head, KERNEL_BAND / 2 rows (the default check) to
+# end = 40 ratio, in basis products per unit of ratio: a head term costs
+# about a fifth of a product (0.16 against 0.7 us at digits 40 and 100,
+# Python 3.11 on a 2-vCPU VM)
+HEAD_COST = KERNEL_BAND ** 2 // 10
 
 
-def _kernel_ratio(b: int) -> int:
-    # the least end / k in a band
-    return 50 if b > 0 else 51
+def _kernel_bound(digits: int, b: int, ratio: int, terms: int) -> float:
+    """log10 of the stated bound on the error of a kernel row's sum at
+    digits, summed to end = ratio 40 n with terms corrections.
+
+    The row is sum_{i>=1} F(i), F(x) = V(x) x^-c / (b x + k), b = +-1,
+    V = 1 or one odd prefix h(m, x) with m <= 4, c <= 6 (the lemma
+    kernels), k <= end / ratio.  Its value is the head to end plus
+    EM_T(S), the Euler-Maclaurin groups 0..T of S, the series of F kept
+    to x^-s_cap (_series_cap at shrink ratio, so the binomial expansion
+    of (b x + k)^-1 keeps j <= J, J + 1 = s_cap - c), at x = end.  With
+    (s)_n = s (s + 1) ... (s + n - 1), N = 2 T + 2, w = ratio / (ratio - 1)
+    for b = -1 and 1 for b = 1, and |B_2r| / (2r)! = 2 zeta(2r) / (2 pi)^2r
+    <= 4 (2 pi)^-2r, the error is at most the sum of three parts:
+    - EM: sum_{i>end} F(i) - EM_T(F) is group T + 1 plus the remainder
+      of T + 1 corrections, int B_N({x}) / N! F^(N)(x) dx over
+      (end, inf), so at most 4 (2 pi)^-N (|F^(N-1)(end)| +
+      int |F^(N)|).  By Leibniz, with |(x^-c / (x + k))^(j)| <=
+      (c + 1)_j x^-(c+1+j) (for b = -1, |x - k| >= x / w costs w per
+      derivative, P = w^(N+2) in all), |h(1, x)^(i)| = |psi^(i)(x + 1/2)| / 2 <=
+      (i - 1)! (1 + i / x) / (2 x^i), h(m, x) <= 1.24 for m >= 2 with
+      smaller derivatives, and sum_i C(n, i) (i - 1)! (c + 1)_(n-i) <=
+      (c + 1)_n H_n: |F^(n)(x)| <= P (c + 1)_n x^-(c+1+n) Lambda, with
+      Lambda = (ln end + H_N (1 + N / end) + 1 / (N + 1)) / 2 + 1, which
+      also covers int ln x x^-(N+2).  c = 1 is the largest once
+      end >= N + 6, so EM <= 8 (2 pi)^-N P N! end^-(N+1) Lambda.
+    - Cap: EM_T(F - S), the first dropped power carried through the groups
+      the tail keeps.  F - S is F (-k / (b x))^(J+1), the binomial
+      remainder, a kernel like F with c + J + 1 for c and k^(J+1) as
+      factor, plus V's own truncation under each kept j: V's coefficient
+      at x^-t is at most 4 t! / pi^t, and its remainder after x^-t, with
+      its derivatives, at most twice the first omitted term.  Both parts
+      start at x^-(c+J+2), k^j <= (end / ratio)^j and end >= 40 ratio, so
+      Cap <= ratio^-(J+1) end^-1 (Lambda + delta) Q, with
+      delta = sum_{t<=J+1} 8 t! / (40 pi)^t, and Q = w / (J + 2) +
+      w / (2 end) + sum_{r=1..T} 4 (2 pi / w)^-2r (J + 3)_(2r-1) end^-2r
+      the groups 0..T of x^-(J+3) relative to end^-(J+2), given
+      end >= J + N + 6.
+    - Floors: the head and basis floors, which _guard_bits sizes, and the
+      rounding to digits + 15: 5 2^-(bits of digits + 15) for values
+      below 4.
+    Each part falls as end grows, so band 1, end = 40 ratio, is the worst.
+    Returns +inf where the conditions above fail.
+    """
+    end, n = KERNEL_BAND * ratio, 2 * terms + 2
+    top = _series_cap(0, 1, ratio, digits) - 1  # J: the last j any kernel keeps
+    if ratio < 2 or end < top + n + 6:
+        return math.inf
+    tau, lend = 2 * math.pi, math.log(end)
+    # H_N <= 1 + ln N
+    lam = (lend + (1 + math.log(n)) * (1 + n / end) + 1 / (n + 1)) / 2 + 1
+    w = ratio / (ratio - 1) if b < 0 else 1.0
+    em = math.log(8 * lam) + (n + 2) * math.log(w) + math.lgamma(n + 1) - n * math.log(tau) - \
+        (n + 1) * lend
+    # delta's terms fall and then rise, so the larger end term bounds each
+    delta = (top + 1) * 8 * max(1 / (KERNEL_BAND * math.pi), math.exp(
+        math.lgamma(top + 2) - (top + 1) * math.log(KERNEL_BAND * math.pi)))
+    # Q's corrections fall by (w (J + N) / (2 pi end))^2 < 1/9 a step
+    q = w / (top + 2) + w / (2 * end) + 4.5 * (top + 3) * (w / (tau * end)) ** 2
+    cap = -(top + 1) * math.log(ratio) - lend + math.log((lam + delta) * q)
+    floors = math.log(5) - dps_to_prec(digits + 15) * math.log(2)
+    peak = max(em, cap, floors)
+    return (peak + math.log(sum(math.exp(part - peak) for part in (em, cap, floors)))) / \
+        math.log(10)
 
 
-def _kernel_series(kernel: tuple, k: int) -> tuple:
+@functools.lru_cache(maxsize=None)
+def _kernel_plan(digits: int, b: int) -> tuple[int, int]:
+    """(ratio, terms): the cheapest band plan whose stated bound
+    (_kernel_bound) is below 10^-(digits + 2).
+
+    A plan's cost is modelled in basis products: its head, ratio
+    HEAD_COST, plus its basis, about J (J + 2 terms) products for J + 1
+    powers of the band's series.  The ratios are tried cheapest first by
+    the cost they would have with no corrections, until that alone is no
+    cheaper than the best plan found; each takes the least terms that
+    meets the target, found by bisection, since the bound falls with
+    terms while end >= J + N + 6.
+    """
+    def meets(terms: int) -> bool:
+        return _kernel_bound(digits, b, ratio, terms) < -(digits + 2)
+
+    tops = {ratio: _series_cap(0, 1, ratio, digits) - 1 for ratio in _RATIOS}  # J per ratio
+    best = None
+    for least, ratio in sorted((ratio * HEAD_COST + top * top, ratio)
+                               for ratio, top in tops.items()):
+        if best and least >= best[0]:
+            break
+        lo, hi = 2, (KERNEL_BAND * ratio - tops[ratio] - 8) // 2
+        if hi < lo or not meets(hi):
+            continue
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
+        if best is None or least + 2 * tops[ratio] * lo < best[0]:
+            best = least + 2 * tops[ratio] * lo, ratio, lo
+    if best is None:
+        raise ValueError(f"no kernel plan reaches {digits} digits")
+    return best[1:]
+
+
+def _kernel_series(kernel: tuple, k: int, digits: int) -> tuple:
     factors, c, b = kernel
-    return factors, c, b, -k, 1, _kernel_ratio(b) * KERNEL_BAND * -(-k // KERNEL_BAND)
+    return factors, c, b, -k, 1, \
+        _kernel_plan(digits, b)[0] * KERNEL_BAND * -(-k // KERNEL_BAND)
 
 
 def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions) -> HighFloat:
-    (total, _), = _sum_batch([_kernel_series(kernel, k)], opts)
+    (total, _), = _sum_batch([_kernel_series(kernel, k, opts.digits)], opts)
     return total.round(opts.digits)
 
 
@@ -753,6 +868,6 @@ def lemma_checks(ks, opts: EvalOptions = DEFAULT_OPTS):
     checks += [(f"lemma3_f m={m}", f_kernel(m), functools.partial(lemma3_f, n, parity))
                for m, n, parity in ((1, 1, "odd"), (2, 1, "even"), (3, 2, "odd"), (4, 2, "even"))]
     for name, kernel, row in checks:
-        _sum_batch([_kernel_series(kernel, k) for k in ks], opts)
+        _sum_batch([_kernel_series(kernel, k, opts.digits) for k in ks], opts)
         for k in ks:
             yield name, (k, *row(k, opts))

@@ -1,6 +1,7 @@
 """Kernel lemmas: truncated two-sided sums against closed forms."""
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -190,15 +191,60 @@ ROWS = {"lemma1_aux": lemma1_aux,
            for m in (1, 2, 3, 4)}}
 
 
+KERNELS = {"lemma1_aux": summation.AUX_KERNEL,
+           **{f"lemma2_g n={n}": summation.g_kernel(n) for n in (1, 2, 3)},
+           **{f"lemma3_f m={m}": summation.f_kernel(m) for m in (1, 2, 3, 4)}}
+
+
+def _errors(monkeypatch, name: str, ks, digits: int) -> list:
+    # |sum - closed| per k: the truncated side at its working digits,
+    # before it is rounded to digits, against the closed side at
+    # digits + 30, valued without summing the kernel there
+    opts = EvalOptions(digits)
+    sums = summation._sum_batch([summation._kernel_series(KERNELS[name], k, digits)
+                                 for k in ks], opts)
+    with monkeypatch.context() as patch:
+        patch.setattr(summation, "_kernel_truncated", lambda *args: None)
+        closed = [ROWS[name](k, EvalOptions(digits + 30))[1] for k in ks]
+    with mp.workdps(digits + 40):
+        return [abs(mp.mpf(value) - mp.mpf(side)) for (value, _), side in zip(sums, closed)]
+
+
+@pytest.mark.parametrize("digits", (25, 40, 100))
 @pytest.mark.parametrize("name", ROWS)
-def test_truncated_sides_keep_37_digits_in_every_band(name):
-    # digits 40 against the closed side at 70, at both edges of the first
-    # three bands and deep in the fifth: the 4-term tail leaves 1.4e-37
-    # at k = 1, and a series cap sized from end alone, not from end / k,
-    # was off by 2.1e-32 at lemma1_aux(200)
-    opts = EvalOptions(digits=40)
-    for k in (1, 20, 40, 41, 80, 81, 100, 200):
-        trunc, _ = ROWS[name](k, opts)
-        _, closed = ROWS[name](k, EvalOptions(digits=70))
-        with mp.workdps(80):
-            assert abs(mp.mpf(trunc) - mp.mpf(closed)) < mp.mpf("2e-37"), k
+def test_truncated_sides_meet_the_planned_target_in_every_band(monkeypatch, name, digits):
+    # within 10^-(digits + 2) at both edges of the first three bands and
+    # deep in the fifth: the 4-term tail at a fixed end of 50 k left
+    # 1.4e-37 at k = 1 and digits 40 and 100, and a series cap sized from
+    # end alone, not from end / k, was off by 2.1e-32 at lemma1_aux(200)
+    ks = (1, 20, 40, 41, 80, 81, 100, 200)
+    for k, error in zip(ks, _errors(monkeypatch, name, ks, digits)):
+        assert error < mp.mpf(10) ** -(digits + 2), k
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_truncated_sides_meet_the_planned_target_at_500_digits(monkeypatch, name):
+    error, = _errors(monkeypatch, name, (1,), 500)
+    assert error < mp.mpf(10) ** -502
+
+
+@pytest.mark.parametrize("plan", (None, (13, 4), (8, 3), (50, 3)), ids=str)
+def test_each_rows_planned_bound_covers_its_true_error(monkeypatch, plan):
+    # digits 40, the default rows: every row's error is within
+    # _kernel_bound of its plan, the planner's own or a forced one with
+    # few corrections, where the error shows; and the worst row comes
+    # within three digits of the bound, so the bound says something
+    if plan:
+        monkeypatch.setattr(summation, "_kernel_plan", lambda digits, b: plan)
+    summation._sums.clear()  # a forced plan may share a planned row's end
+    try:
+        worst = -math.inf
+        for name, kernel in KERNELS.items():
+            bound = summation._kernel_bound(40, kernel[2],
+                                            *summation._kernel_plan(40, kernel[2]))
+            for k, error in zip(range(1, 21), _errors(monkeypatch, name, range(1, 21), 40)):
+                assert error and float(mp.log10(error)) < bound, (name, k)
+                worst = max(worst, float(mp.log10(error)) - bound)
+        assert worst > -3
+    finally:
+        summation._sums.clear()

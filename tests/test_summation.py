@@ -306,7 +306,8 @@ def test_fixed_point_tail_matches_mpf_route(shape, end, digits, tail_terms):
     opts = EvalOptions(digits, 10 ** 4, tail_terms)
     wp_bits = mp.libmp.dps_to_prec(digits + 15)
     prec = wp_bits + end.bit_length() + 16
-    tail, omitted = _em_tail(*args, end, opts, prec, _series_cap(args[1], args[4], end, digits))
+    tail, omitted = _em_tail(*args, end, digits, prec, _series_cap(args[1], args[4], end, digits),
+                             tail_terms)
     want_tail, want_omitted = _mpf_tail(*args, end, opts)
     with mp.workdps(digits + 40):
         assert abs(mp.mpf((tail, -prec)) - want_tail) <= mp.mpf(2) ** -wp_bits
@@ -343,7 +344,7 @@ def test_the_series_cap_is_planned_once_for_guard_bits_and_tail(monkeypatch):
                         lambda *args: caps.append(real_cap(*args) + 3) or caps[-1])
     monkeypatch.setattr(summation, "_guard_bits", lambda m, end, s_cap, terms:
                         guards.append(s_cap) or real_guard(m, end, s_cap, terms))
-    monkeypatch.setattr(summation, "_em_tail", lambda *args: tails.append(args[-1]) or
+    monkeypatch.setattr(summation, "_em_tail", lambda *args: tails.append(args[-2]) or
                         real_tail(*args))
     opts = EvalOptions(digits=25, K=300)
     specs = [parse_sumspec(t) for t in ("h1/k^3", "h1*h2/k^3", "H1/(2k-1)^3")]
@@ -375,20 +376,22 @@ BASIS_KS = sorted({*range(1, 21), 40, 41, 80, 81, 120, 121, 160, 161, 200})
 @pytest.mark.parametrize("kernel", KERNELS, ids=str)
 def test_band_basis_matches_the_direct_tail(kernel, digits):
     # each row's tail from its band's basis against _em_tail of the row's
-    # own series at the same end, prec and s_cap: each route is within
-    # _guard_bits' floor count times X^m units of the same truncated
-    # series' tail, and both give the omitted group to its working digits
+    # own series at the same end, prec, s_cap and planned terms: each
+    # route is within _guard_bits' floor count times X^m units of the same
+    # truncated series' tail, and both give the omitted group to its
+    # working digits
     opts = EvalOptions(digits)
     bases = {}
     for k in BASIS_KS:
-        series = summation._kernel_series(kernel, k)
-        prec, s_cap = summation._plan(series, opts)
+        series = summation._kernel_series(kernel, k, digits)
+        prec, s_cap, terms = summation._plan(series, opts)
+        assert terms == summation._kernel_plan(digits, kernel[2])[1]
         end, band = series[5], summation._band(series)
         if band not in bases:
-            bases[band] = summation._basis(kernel[0], kernel[1], end, opts, prec, s_cap)
+            bases[band] = summation._basis(kernel[0], kernel[1], end, digits, prec, s_cap, terms)
         tail, omitted = summation._basis_tail(bases[band], series, prec, digits + 15)
-        want, want_omitted = _em_tail(*series, opts, prec, s_cap)
-        m, terms = len(kernel[0]), opts.tail_terms
+        want, want_omitted = _em_tail(*series, digits, prec, s_cap, terms)
+        m = len(kernel[0])
         floors = (m + 1) * (s_cap + 2 * terms + 2) * (3 * m + 2) + 2 * (terms + 2)
         assert abs(tail - want) <= 2 * floors * (1 + math.log(end)) ** m, k
         with mp.workdps(digits + 40):
@@ -400,21 +403,21 @@ def test_band_basis_matches_the_direct_tail(kernel, digits):
 @pytest.mark.parametrize("kernel", KERNELS, ids=str)
 def test_kernel_rows_share_end_cap_and_prec_per_band(kernel):
     # band n holds k in ((n - 1) 40, n 40]; each row's end is at least
-    # 50 k, 51 k for the two-sided head that runs past its pole, and the
-    # check at kmax sums to ceil(kmax / 40) ends
-    ratio = 50 if kernel[2] > 0 else 51
+    # the planner's ratio times k, and the check at kmax sums to
+    # ceil(kmax / 40) ends
     for digits in (25, 40, 100):
         opts, plans = EvalOptions(digits), {}
+        ratio = summation._kernel_plan(digits, kernel[2])[0]
         for k in range(1, LEMMA_KMAX + 1):
-            series = summation._kernel_series(kernel, k)
+            series = summation._kernel_series(kernel, k, digits)
             assert series[5] >= ratio * k, k
             plans.setdefault(-(-k // summation.KERNEL_BAND), set()).add(
                 (series[5], summation._plan(series, opts)))
         assert all(len(plan) == 1 for plan in plans.values())
         assert len(plans) == LEMMA_KMAX // summation.KERNEL_BAND
-    for kmax in (1, 20, 40, 41, 100, LEMMA_KMAX):
-        ends = {summation._kernel_series(kernel, k)[5] for k in range(1, kmax + 1)}
-        assert len(ends) == math.ceil(kmax / summation.KERNEL_BAND), kmax
+        for kmax in (1, 20, 40, 41, 100, LEMMA_KMAX):
+            ends = {summation._kernel_series(kernel, k, digits)[5] for k in range(1, kmax + 1)}
+            assert len(ends) == math.ceil(kmax / summation.KERNEL_BAND), kmax
 
 
 def _reference_head(prec, factors, c, b, a, q, end):
@@ -443,9 +446,8 @@ _h1, _h3 = HarmonicKind.odd(1), HarmonicKind.odd(3)
 HEAD_GRID = [(spec.factors, spec.k_power, 2, 1, spec.odd_power, 1000) for spec in map(
     parse_sumspec, ("1/(2k-1)^3", "1/k^3", "h1*h1/k^3", "h1*h1*h3/(k^2*(2k-1)^3)",
                     "h1*h1*h1*h1*h1/k^2", "H2*H2*h1/(k^4*(2k-1))"))]
-HEAD_GRID += [(factors, c, b, -k, 1, max(2000, 50 * k) + (k if b < 0 else 0))
-              for k in (1, 2, 200)
-              for factors, c, b in (((_h1,), 1, 1), ((), 2, -1), ((_h3,), 1, -1))]
+HEAD_GRID += [summation._kernel_series(kernel, k, 40) for k in (1, 2, 200)
+              for kernel in (((_h1,), 1, 1), ((), 2, -1), ((_h3,), 1, -1))]
 
 
 @pytest.mark.parametrize("args", HEAD_GRID, ids=str)
@@ -624,7 +626,7 @@ def test_tail_asks_factors_only_for_the_powers_it_keeps():
     s_cap = _series_cap(300, 0, end, opts.digits)
     prec = mp.libmp.dps_to_prec(opts.digits + 15) + end.bit_length() + 16
     del numerics._bernoulli_cache[2:]
-    _em_tail((HarmonicKind.odd(1),), 300, 2, 1, 0, end, opts, prec, s_cap)
+    _em_tail((HarmonicKind.odd(1),), 300, 2, 1, 0, end, opts.digits, prec, s_cap, opts.tail_terms)
     assert len(numerics._bernoulli_cache) - 1 <= s_cap - 300 + 2
 
 
@@ -711,3 +713,19 @@ def test_partial_sums_bound_value_property(k_terms):
     with mp.workdps(30):
         approx = mp.mpf(partial.numerator) / partial.denominator
         assert approx < full.value
+
+
+@pytest.mark.parametrize("digits", (25, 40, 100))
+def test_kernel_plan_is_the_cheapest_pair_that_meets_the_target(digits):
+    # against every ratio the planner may try, each with its least terms
+    # whose stated bound is below 10^-(digits + 2), by the planner's cost
+    for b in (1, -1):
+        costs = []
+        for ratio in summation._RATIOS:
+            top = _series_cap(0, 1, ratio, digits) - 1
+            for terms in range(2, (summation.KERNEL_BAND * ratio - top - 8) // 2 + 1):
+                if summation._kernel_bound(digits, b, ratio, terms) < -(digits + 2):
+                    costs.append((ratio * summation.HEAD_COST + top * (top + 2 * terms),
+                                  ratio, terms))
+                    break
+        assert summation._kernel_plan(digits, b) == min(costs)[1:]
