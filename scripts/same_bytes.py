@@ -61,12 +61,17 @@ SERIES_CORNERS = (("eval-sum", "H100*h1/k^2"),
                   ("eval-sum", "h9*H7/k^2"),
                   ("eval-sum", "H1*h1*h2/(2k-1)^3", "--digits", "100", "--K", "100"))
 # typed closed forms and substituted reductions: ln 2 and zeta letters
-# mixed up to weight 5, a zero, every T1_2 reduction up to the one whose
-# closed form is not catalogued (exit 2), and T1_2 without its m (exit 2)
+# mixed up to weight 5, a zero, a lone term at 10^-75 and one near 10^40,
+# a pair that cancels exactly (zeta(4) = 2/5 zeta(2)^2), every T1_2
+# reduction up to the one whose closed form is not catalogued (exit 2),
+# and T1_2 without its m (exit 2)
 MIXED = ("z3 + ln2^3 + ln2*z2 + z2*z3 - ln2^2*z3 + 7/4*ln2*z4 + z5 - 3*ln2^5"
          " + ln2^2*z2^2 + z4*ln2")
 ALGEBRA = (("eval-expr", MIXED), ("eval-expr", MIXED, "--digits", "100"),
            ("eval-expr", "49/8*z3^2 - 945/128*z6", "--format", "json"), ("eval-expr", "0"),
+           ("eval-expr", "1/1" + "0" * 75 + "*z3"),
+           ("eval-expr", "1" + "0" * 40 + "/7*z7^3 + z3", "--digits", "100"),
+           ("eval-expr", "z4 - 2/5*z2^2", "--digits", "100"),
            *(("reduce", "T1_2", "--m", str(m), "--substitute") for m in range(1, 7)),
            *(("reduce", rule, "--substitute")
              for rule in ("T1_3_4", "T1_3_6", "T1_4_5", "T5", "s1_pair")),

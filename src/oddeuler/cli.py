@@ -35,16 +35,16 @@ REPORT_FIELDS = ("id", "lhs_value", "rhs_value", "residual", "tolerance",
 _FORMATS = ("table", "json", "csv")
 
 # lemma-check's largest k: five bands of 40 rows, each row's head running
-# to the planned ratio times its band's largest k (13 * 200 at the default
+# to the planned ratio times its band's largest k (12 * 200 at the default
 # digits), so a row's cost grows with k
 LEMMA_KMAX = 200
 # largest --digits: costs grow about quadratically, and lemma-check's
-# default rows take about 4 s at 500 digits and 31 s at 1000
+# default rows take about 3.3 s at 500 digits and 26 s at 1000
 MAX_DIGITS = 500
 # lemma-check's largest kmax * digits: each row's head grows with k and its
 # arithmetic with digits, so the two caps alone admit runs of minutes.
-# 10^4 admits the default kmax at the digits cap (20 * 500, about 4 s)
-# and the kmax cap at the default digits (200 * 40, about 0.7 s)
+# 10^4 admits the default kmax at the digits cap (20 * 500, about 3.3 s)
+# and the kmax cap at the default digits (200 * 40, about 0.55 s)
 LEMMA_BUDGET = 10 ** 4
 # largest fit --weight: the PSLQ basis grows fast (669 terms at weight
 # 41); weight 15 takes about 0.25 s at 40 digits and 7.5 s at 500, and

@@ -27,9 +27,11 @@ forms kept as exact ZetaExprs and valued by zeta_algebra.evaluate.  The
 rows of a lemma check differ only in a = -k, so each band of them takes
 its tails from one Euler-Maclaurin basis (_basis).  A kernel row's cutoff
 is internal and never printed, so it is planned: _kernel_plan picks the
-band's end (a ratio times its largest k) and its tail terms as the
-cheapest pair whose stated bound (_kernel_bound) is below
-10^-(digits + 2), where a sum spec keeps the K and tail terms it is given.
+band's end (a ratio times its largest k), its tail terms and J, the last
+power of (b x + k)^-1 its series keeps, as the cheapest triple whose
+stated bound (_kernel_bound) is below 10^-(digits + 2).  That bound covers
+both kernel sides, so there is one plan per digit count.  A sum spec keeps
+the K and tail terms it is given, and _series_cap sizes its series.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from operator import floordiv, mul, rshift
 
 from .harmonic import EXACT_LIMIT, HarmonicKind, columns, harmonic_exact, value_series
@@ -212,10 +214,10 @@ def _power_series(c: int, b: int, a: int, q: int, s_cap: int, prec: int) -> dict
     return out
 
 
-def _series_cap(c: int, q: int, shrink: int, digits: int) -> int:
-    # x^{-c} (b x - a)^{-q} = x^{-c-q} (b - a/x)^{-q}, kept to every power
-    # still worth 10^-(digits + 12) when each power falls by 1/shrink
-    return c + q + int(math.ceil((digits + 12) / math.log10(shrink))) + 2
+def _series_cap(c: int, q: int, end: int, digits: int) -> int:
+    # a spec's x^{-c} (b x - a)^{-q} = x^{-c-q} (b - a/x)^{-q}, kept to every
+    # power still worth 10^-(digits + 12) when each power falls by 1/end
+    return c + q + int(math.ceil((digits + 12) / math.log10(end))) + 2
 
 
 def _guard_bits(m: int, end: int, s_cap: int, tail_terms: int) -> int:
@@ -452,13 +454,16 @@ def _plan(series: tuple, opts: EvalOptions) -> tuple[int, int, int]:
     # its tail keeps and the corrections it takes, set only here, so the
     # guard bits cover the series the tail builds (the bound is stated in
     # _sum_batch).  Each power of a spec's series falls by 1/end at least,
-    # since a/b = 1/2, and a spec takes opts.tail_terms; a kernel row's
-    # falls by its band's largest k / end <= 1/ratio, and the row takes the
-    # planner's ratio and terms, so every row of a band gets one cap and prec
-    factors, c, b, _, q, end = series
-    shrink, terms = (end, opts.tail_terms) if _band(series) is None else \
-        _kernel_plan(opts.digits, b)
-    s_cap = _series_cap(c, q, shrink, opts.digits)
+    # since a/b = 1/2, and a spec takes _series_cap and opts.tail_terms; a
+    # kernel row's falls by its band's largest k / end <= 1/ratio, and the
+    # row keeps the powers j <= J of (b x + k)^-1 and the terms of the
+    # planner's (ratio, terms, J), so every row of a band gets one cap and prec
+    factors, c, _, _, q, end = series
+    if _band(series) is None:
+        s_cap, terms = _series_cap(c, q, end, opts.digits), opts.tail_terms
+    else:
+        _, terms, top = _kernel_plan(opts.digits)
+        s_cap = c + 1 + top
     return dps_to_prec(opts.digits + 15) + end.bit_length() + _guard_bits(
         len(factors), end, s_cap, terms), s_cap, terms
 
@@ -642,16 +647,17 @@ _RATIOS = (*range(2, 20), *range(20, 50, 2), *range(50, 100, 5), *range(100, 300
 HEAD_COST = KERNEL_BAND ** 2 // 10
 
 
-def _kernel_bound(digits: int, b: int, ratio: int, terms: int) -> float:
+def _kernel_bound(digits: int, b: int, ratio: int, terms: int, top: int) -> float:
     """log10 of the stated bound on the error of a kernel row's sum at
-    digits, summed to end = ratio 40 n with terms corrections.
+    digits, summed to end = ratio 40 n with terms corrections and its
+    series kept to the powers j <= top = J of (b x + k)^-1.
 
     The row is sum_{i>=1} F(i), F(x) = V(x) x^-c / (b x + k), b = +-1,
     V = 1 or one odd prefix h(m, x) with m <= 4, c <= 6 (the lemma
     kernels), k <= end / ratio.  Its value is the head to end plus
     EM_T(S), the Euler-Maclaurin groups 0..T of S, the series of F kept
-    to x^-s_cap (_series_cap at shrink ratio, so the binomial expansion
-    of (b x + k)^-1 keeps j <= J, J + 1 = s_cap - c), at x = end.  With
+    to x^-s_cap, s_cap = c + 1 + J, so that the binomial expansion of
+    (b x + k)^-1 keeps j <= J, at x = end.  With
     (s)_n = s (s + 1) ... (s + n - 1), N = 2 T + 2, w = ratio / (ratio - 1)
     for b = -1 and 1 for b = 1, and |B_2r| / (2r)! = 2 zeta(2r) / (2 pi)^2r
     <= 4 (2 pi)^-2r, the error is at most the sum of three parts:
@@ -682,11 +688,12 @@ def _kernel_bound(digits: int, b: int, ratio: int, terms: int) -> float:
     - Floors: the head and basis floors, which _guard_bits sizes, and the
       rounding to digits + 15: 5 2^-(bits of digits + 15) for values
       below 4.
-    Each part falls as end grows, so band 1, end = 40 ratio, is the worst.
-    Returns +inf where the conditions above fail.
+    Each part falls as end grows, so band 1, end = 40 ratio, is the worst,
+    and grows with w, so the bound at b = -1 covers b = 1.  The parts are
+    summed from their logs, as J may reach end.  Returns +inf where the
+    conditions above fail.
     """
     end, n = KERNEL_BAND * ratio, 2 * terms + 2
-    top = _series_cap(0, 1, ratio, digits) - 1  # J: the last j any kernel keeps
     if ratio < 2 or end < top + n + 6:
         return math.inf
     tau, lend = 2 * math.pi, math.log(end)
@@ -695,57 +702,64 @@ def _kernel_bound(digits: int, b: int, ratio: int, terms: int) -> float:
     w = ratio / (ratio - 1) if b < 0 else 1.0
     em = math.log(8 * lam) + (n + 2) * math.log(w) + math.lgamma(n + 1) - n * math.log(tau) - \
         (n + 1) * lend
-    # delta's terms fall and then rise, so the larger end term bounds each
-    delta = (top + 1) * 8 * max(1 / (KERNEL_BAND * math.pi), math.exp(
-        math.lgamma(top + 2) - (top + 1) * math.log(KERNEL_BAND * math.pi)))
     # Q's corrections fall by (w (J + N) / (2 pi end))^2 < 1/9 a step
     q = w / (top + 2) + w / (2 * end) + 4.5 * (top + 3) * (w / (tau * end)) ** 2
-    cap = -(top + 1) * math.log(ratio) - lend + math.log((lam + delta) * q)
-    floors = math.log(5) - dps_to_prec(digits + 15) * math.log(2)
-    peak = max(em, cap, floors)
-    return (peak + math.log(sum(math.exp(part - peak) for part in (em, cap, floors)))) / \
-        math.log(10)
+    cap = -(top + 1) * math.log(ratio) - lend + math.log(q)
+    # delta's terms fall and then rise, so the larger end term bounds each
+    delta = math.log(8 * (top + 1)) + max(-math.log(KERNEL_BAND * math.pi), math.lgamma(top + 2) -
+                                          (top + 1) * math.log(KERNEL_BAND * math.pi))
+    parts = em, cap + math.log(lam), cap + delta, math.log(5) - dps_to_prec(digits + 15) * math.log(2)
+    peak = max(parts)
+    return (peak + math.log(sum(math.exp(part - peak) for part in parts))) / math.log(10)
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_plan(digits: int, b: int) -> tuple[int, int]:
-    """(ratio, terms): the cheapest band plan whose stated bound
-    (_kernel_bound) is below 10^-(digits + 2).
+def _kernel_plan(digits: int) -> tuple[int, int, int]:
+    """(ratio, terms, J): the cheapest band plan whose stated bound
+    (_kernel_bound) at b = -1, which covers both kernel sides, is below
+    10^-(digits + 2), so every band at one digit count has one end.
 
-    A plan's cost is modelled in basis products: its head, ratio
-    HEAD_COST, plus its basis, about J (J + 2 terms) products for J + 1
-    powers of the band's series.  The ratios are tried cheapest first by
-    the cost they would have with no corrections, until that alone is no
-    cheaper than the best plan found; each takes the least terms that
-    meets the target, found by bisection, since the bound falls with
-    terms while end >= J + N + 6.
+    A plan costs, in basis products, ratio HEAD_COST for its head and
+    about J (J + 2 terms) for its basis.  Cheapest first by their cost at
+    low, a J short of which the cap part alone (Lambda >= 1, delta >= 0,
+    Q >= w / end) misses the target, each ratio raises terms from 2 while
+    low is still cheaper than the best plan.  The bound falls as J grows
+    (while end >= J + N + 6), so a terms' least J is found by bisection,
+    below the least J of fewer terms: more terms at no smaller J cost more.
     """
-    def meets(terms: int) -> bool:
-        return _kernel_bound(digits, b, ratio, terms) < -(digits + 2)
+    def meets(terms: int, top: int) -> bool:
+        return _kernel_bound(digits, -1, ratio, terms, top) < -(digits + 2)
 
-    tops = {ratio: _series_cap(0, 1, ratio, digits) - 1 for ratio in _RATIOS}  # J per ratio
-    best = None
-    for least, ratio in sorted((ratio * HEAD_COST + top * top, ratio)
-                               for ratio, top in tops.items()):
-        if best and least >= best[0]:
+    # -1 keeps low a lower bound through the float rounding
+    lows = {ratio: max(1, int(((digits + 2) * math.log(10) - 2 * math.log(KERNEL_BAND * ratio) +
+                               math.log(ratio / (ratio - 1))) / math.log(ratio)) - 1)
+            for ratio in _RATIOS}
+    best = (math.inf,)  # (cost, ratio, terms, J)
+    for least, ratio in sorted((ratio * HEAD_COST + low * (low + 4), ratio)
+                               for ratio, low in lows.items()):
+        if least >= best[0]:
             break
-        lo, hi = 2, (KERNEL_BAND * ratio - tops[ratio] - 8) // 2
-        if hi < lo or not meets(hi):
-            continue
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
-        if best is None or least + 2 * tops[ratio] * lo < best[0]:
-            best = least + 2 * tops[ratio] * lo, ratio, lo
-    if best is None:
+        low, top = lows[ratio], None
+        for terms in count(2):
+            hi = KERNEL_BAND * ratio - 2 * terms - 8 if top is None else top - 1
+            if hi < low or ratio * HEAD_COST + low * (low + 2 * terms) >= best[0]:
+                break
+            if not meets(terms, hi):
+                continue
+            lo = low
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if meets(terms, mid) else (mid + 1, hi)
+            top = lo
+            best = min(best, (ratio * HEAD_COST + top * (top + 2 * terms), ratio, terms, top))
+    if best[0] == math.inf:
         raise ValueError(f"no kernel plan reaches {digits} digits")
     return best[1:]
 
 
 def _kernel_series(kernel: tuple, k: int, digits: int) -> tuple:
     factors, c, b = kernel
-    return factors, c, b, -k, 1, \
-        _kernel_plan(digits, b)[0] * KERNEL_BAND * -(-k // KERNEL_BAND)
+    return factors, c, b, -k, 1, _kernel_plan(digits)[0] * KERNEL_BAND * -(-k // KERNEL_BAND)
 
 
 def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions) -> HighFloat:

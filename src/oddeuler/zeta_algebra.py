@@ -32,9 +32,10 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from .highfloat import HighFloat
+from .highfloat import HighFloat, dps_to_prec
 from .numerics import Rational, _require_digits, bernoulli, constant, ln2, record
 
 
@@ -220,22 +221,38 @@ def canonicalize(expr: ZetaExpr) -> ZetaExpr:
     return ZetaExpr.from_terms(out)
 
 
+@lru_cache(maxsize=None)
+def _letter_power(n: int, e: int, digits: int) -> HighFloat:
+    # letter n's constant at digits, to the power e rounded at digits + 5
+    return (ln2(digits) if n == 1 else constant(n, digits)).pow(e, digits + 5)
+
+
 def evaluate(expr: ZetaExpr, digits: int) -> HighFloat:
     """Numeric value at digits, each letter's constant taken at digits.
 
     This is the one place that values a letter: 1 is ln 2 and n >= 2 is
-    zeta(n).  Each coefficient, power, product and partial sum is rounded
-    at digits + 5, and the total once more at digits.
+    zeta(n).  Each letter's power is rounded at digits + 5, p bits, and
+    cached; each term, its coefficient times the exact product of its
+    powers, is floored to a unit 2^(top - p), 2^top bounding every term by
+    bit lengths, so the ints add exactly and the total is rounded once, at
+    digits.  Before that rounding it is within 2^(top - p) sum (4 L + 1) of
+    sum c prod x^e at the letters' constants x: a term of L letters takes
+    4 L units from its powers, each within 2^(1-p) of x^e relative, and
+    one from its floor.
     """
     _require_digits(digits)
-    wp = digits + 5
-    total = HighFloat()
+    terms = []
     for mono, coef in expr.terms:
-        v = HighFloat(coef.numerator).round(wp).div(coef.denominator, wp)
+        man, exp = coef.numerator, 0
         for n, e in mono.factors:
-            v = (v * (ln2(digits) if n == 1 else constant(n, digits)).pow(e, wp)).round(wp)
-        total = (total + v).round(wp)
-    return total.round(digits)
+            power = _letter_power(n, e, digits)
+            man, exp = man * power.man, exp + power.exp
+        terms.append((man, exp, coef.denominator))
+    shift = dps_to_prec(digits + 5) - max((abs(man).bit_length() + exp - den.bit_length() + 1
+                                           for man, exp, den in terms), default=0)
+    total = sum((man << exp + shift) // den if exp + shift >= 0 else man // (den << -exp - shift)
+                for man, exp, den in terms)
+    return HighFloat(total, -shift).round(digits)
 
 
 # ---- text form ----------------------------------------------------------

@@ -228,21 +228,25 @@ def test_truncated_sides_meet_the_planned_target_at_500_digits(monkeypatch, name
     assert error < mp.mpf(10) ** -502
 
 
-@pytest.mark.parametrize("plan", (None, (13, 4), (8, 3), (50, 3)), ids=str)
+# forced plans: few corrections at the parent's series caps, where the
+# Euler-Maclaurin part shows, and a J well below the planner's 35, where
+# the cap part does
+@pytest.mark.parametrize("plan", (None, (13, 4, 49), (8, 3, 60), (50, 3, 33), (12, 7, 20),
+                                  (30, 7, 12)), ids=str)
 def test_each_rows_planned_bound_covers_its_true_error(monkeypatch, plan):
-    # digits 40, the default rows: every row's error is within
-    # _kernel_bound of its plan, the planner's own or a forced one with
-    # few corrections, where the error shows; and the worst row comes
+    # digits 40, the default rows and the band's last, k = 40, where
+    # k / end = 1 / ratio: every row's error is within _kernel_bound of
+    # its plan, the planner's own or a forced one; and the worst row comes
     # within three digits of the bound, so the bound says something
     if plan:
-        monkeypatch.setattr(summation, "_kernel_plan", lambda digits, b: plan)
+        monkeypatch.setattr(summation, "_kernel_plan", lambda digits: plan)
     summation._sums.clear()  # a forced plan may share a planned row's end
+    ks = (*range(1, 21), 40)
     try:
         worst = -math.inf
         for name, kernel in KERNELS.items():
-            bound = summation._kernel_bound(40, kernel[2],
-                                            *summation._kernel_plan(40, kernel[2]))
-            for k, error in zip(range(1, 21), _errors(monkeypatch, name, range(1, 21), 40)):
+            bound = summation._kernel_bound(40, kernel[2], *summation._kernel_plan(40))
+            for k, error in zip(ks, _errors(monkeypatch, name, ks, 40)):
                 assert error and float(mp.log10(error)) < bound, (name, k)
                 worst = max(worst, float(mp.log10(error)) - bound)
         assert worst > -3

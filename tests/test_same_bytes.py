@@ -31,7 +31,7 @@ def test_compare_of_identical_runs_is_empty():
 
 def test_argvs_cover_goldens_fits_and_help_pages():
     argvs = same_bytes.argvs()
-    assert len(argvs) == 16 + 3 + 144 + 4 + 4 + 17 + 8 + 15 + 9 + 37 + 14 + 8
+    assert len(argvs) == 16 + 3 + 144 + 4 + 4 + 20 + 8 + 15 + 9 + 37 + 14 + 8
     assert len(set(argvs)) == len(argvs)
     assert ("lemma-check", "--format", "csv") in argvs
     assert ("lemma-check", "--kmax", "200", "--format", "csv") in argvs

@@ -1,5 +1,6 @@
 """Series-accelerated summation against frozen oracle values."""
 
+import functools
 import itertools
 import math
 import random
@@ -385,7 +386,7 @@ def test_band_basis_matches_the_direct_tail(kernel, digits):
     for k in BASIS_KS:
         series = summation._kernel_series(kernel, k, digits)
         prec, s_cap, terms = summation._plan(series, opts)
-        assert terms == summation._kernel_plan(digits, kernel[2])[1]
+        assert terms == summation._kernel_plan(digits)[1]
         end, band = series[5], summation._band(series)
         if band not in bases:
             bases[band] = summation._basis(kernel[0], kernel[1], end, digits, prec, s_cap, terms)
@@ -403,16 +404,17 @@ def test_band_basis_matches_the_direct_tail(kernel, digits):
 @pytest.mark.parametrize("kernel", KERNELS, ids=str)
 def test_kernel_rows_share_end_cap_and_prec_per_band(kernel):
     # band n holds k in ((n - 1) 40, n 40]; each row's end is at least
-    # the planner's ratio times k, and the check at kmax sums to
-    # ceil(kmax / 40) ends
+    # the planner's ratio times k, its series keeps x^-(c + 1 + J), and
+    # the check at kmax sums to ceil(kmax / 40) ends
     for digits in (25, 40, 100):
         opts, plans = EvalOptions(digits), {}
-        ratio = summation._kernel_plan(digits, kernel[2])[0]
+        ratio, terms, top = summation._kernel_plan(digits)
         for k in range(1, LEMMA_KMAX + 1):
             series = summation._kernel_series(kernel, k, digits)
             assert series[5] >= ratio * k, k
-            plans.setdefault(-(-k // summation.KERNEL_BAND), set()).add(
-                (series[5], summation._plan(series, opts)))
+            plan = summation._plan(series, opts)
+            assert plan[1:] == (kernel[1] + 1 + top, terms), k
+            plans.setdefault(-(-k // summation.KERNEL_BAND), set()).add((series[5], plan))
         assert all(len(plan) == 1 for plan in plans.values())
         assert len(plans) == LEMMA_KMAX // summation.KERNEL_BAND
         for kmax in (1, 20, 40, 41, 100, LEMMA_KMAX):
@@ -715,17 +717,41 @@ def test_partial_sums_bound_value_property(k_terms):
         assert approx < full.value
 
 
+@functools.lru_cache(maxsize=None)
+def _plan_grid(digits: int) -> tuple:
+    # every (ratio, terms, J) with end >= J + N + 6 whose modelled cost is
+    # below the cheapest plan met so far, by ratio, then terms, then J, with
+    # the log10 of its two-sided bound: the cost grows with each of them,
+    # so no cheaper plan is passed over; and that cheapest plan
+    best, grid = None, {}
+    for ratio in summation._RATIOS:
+        head, end = ratio * summation.HEAD_COST, summation.KERNEL_BAND * ratio
+        if best and head >= best[0]:
+            break
+        for terms in itertools.count(2):
+            if 2 * terms + 8 > end:
+                break
+            for top in itertools.count(0):
+                cost = head + top * (top + 2 * terms)
+                if best and cost >= best[0] or top + 2 * terms + 8 > end:
+                    break
+                grid[ratio, terms, top] = summation._kernel_bound(digits, -1, ratio, terms, top)
+                if grid[ratio, terms, top] < -(digits + 2):
+                    best = cost, ratio, terms, top
+                    break
+    return best, grid
+
+
 @pytest.mark.parametrize("digits", (25, 40, 100))
 def test_kernel_plan_is_the_cheapest_pair_that_meets_the_target(digits):
-    # against every ratio the planner may try, each with its least terms
-    # whose stated bound is below 10^-(digits + 2), by the planner's cost
-    for b in (1, -1):
-        costs = []
-        for ratio in summation._RATIOS:
-            top = _series_cap(0, 1, ratio, digits) - 1
-            for terms in range(2, (summation.KERNEL_BAND * ratio - top - 8) // 2 + 1):
-                if summation._kernel_bound(digits, b, ratio, terms) < -(digits + 2):
-                    costs.append((ratio * summation.HEAD_COST + top * (top + 2 * terms),
-                                  ratio, terms))
-                    break
-        assert summation._kernel_plan(digits, b) == min(costs)[1:]
+    # the brute force over (ratio, terms, J) by the planner's cost
+    best, _ = _plan_grid(digits)
+    assert summation._kernel_plan(digits) == best[1:]
+
+
+@pytest.mark.parametrize("digits", (25, 40, 100))
+def test_the_two_sided_bound_covers_the_shifted_kernel(digits):
+    # each part grows with w, so b = 1 (w = 1) is bounded by b = -1, and
+    # one plan serves both kernel sides
+    for (ratio, terms, top), bound in _plan_grid(digits)[1].items():
+        assert summation._kernel_bound(digits, 1, ratio, terms, top) <= bound

@@ -1,5 +1,6 @@
 """Expression algebra: parsing, display, canonical form, evaluation."""
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddeuler.zeta_algebra import (ExprSyntaxError, ZetaExpr, ZetaMonomial,
+from oddeuler import cli
+from oddeuler.highfloat import dps_to_prec
+from oddeuler.numerics import constant, ln2
+from oddeuler.zeta_algebra import (MAX_POWER, ExprSyntaxError, ZetaExpr, ZetaMonomial,
                                    canonicalize, even_zeta_ratio, evaluate,
                                    format_expr, parse_expr)
 
@@ -157,6 +161,51 @@ def test_evaluate_below_ten_digits_raises():
     # even a constant expression, which asks for no letter's value
     with pytest.raises(ValueError, match="digits must be >= 10"):
         evaluate(ZetaExpr.const(1), 5)
+
+
+def _within_evaluate_bound(expr: ZetaExpr, digits: int) -> bool:
+    # evaluate's stated bound against mpmath: before its rounding at
+    # digits the total is within 2^(top - p) sum (4 L + 1) of
+    # sum c prod x^e at the letters' constants x (p the bits of
+    # digits + 5, 2^top < 4 max |term| up to the powers' rounding), and
+    # that rounding moves it by at most 2^-bits(digits) of itself
+    got = evaluate(expr, digits)
+    with mp.workdps(3 * digits + 60):
+        terms = [mp.mpf(coef.numerator) / coef.denominator
+                 * mp.fprod(mp.mpf(ln2(digits) if n == 1 else constant(n, digits)) ** e
+                            for n, e in mono.factors) for mono, coef in expr.terms]
+        scale = 4.001 * max(abs(term) for term in terms) * mp.mpf(2) ** -dps_to_prec(digits + 5)
+        bound = scale * sum(4 * len(mono.factors) + 1 for mono, _ in expr.terms) + \
+            abs(mp.mpf(got)) * mp.mpf(2) ** -dps_to_prec(digits)
+        return abs(mp.mpf(got) - mp.fsum(terms)) <= bound
+
+
+def test_evaluate_meets_its_bound_on_a_seeded_grid():
+    # coefficients from 10^-80 to 10^40, letter powers up to MAX_POWER
+    # (mostly low, so that terms meet), digits 20 to 500, and a pair that
+    # cancels exactly at the letters' true values
+    rng = random.Random(3401)
+    for digits in (20, 33, 40, 57, 100, 250, 500):
+        for _ in range(6):
+            expr = ZetaExpr.from_terms(
+                (ZetaMonomial.from_parts({n: rng.choice((1, 2, 3, rng.randint(4, MAX_POWER)))
+                                          for n in rng.sample((1, 2, 3, 5, 8, 11, 100),
+                                                              rng.randint(0, 3))}),
+                 Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12))
+                 * Fraction(10) ** rng.randint(-80, 40))
+                for _ in range(rng.randint(1, 5)))
+            assert _within_evaluate_bound(expr, digits), (digits, format_expr(expr))
+        assert _within_evaluate_bound(parse_expr("z4 - 2/5*z2^2"), digits), digits
+
+
+@pytest.mark.parametrize("text, printed", (
+    ("1/1" + "0" * 75 + "*z3", "1.202056903159594285399738161511449990765e-75"),
+    ("1/1" + "0" * 44 + "*z5", "1.036927755143369926331365486457034168057e-44")))
+def test_a_tiny_coefficient_keeps_every_digit(capsys, text, printed):
+    # the fixed-point sum takes its scale from its largest term, not from
+    # 2^-prec, so a lone term far below 1 prints as it always did
+    assert cli.main(["eval-expr", text]) == 0
+    assert capsys.readouterr().out == f"value = {printed}\ndigits = 40\n"
 
 
 # one term for every way ln 2 and zeta letters mix up to weight 5
