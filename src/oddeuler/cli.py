@@ -23,6 +23,7 @@ import json
 import sys
 import types
 
+from .highfloat import HighFloat
 from .identities import (DEFAULT_TOLERANCE, adjudication_findings, catalog, fit_closed_form,
                          read_tolerance, reduce, select, substitute_bases, summarize,
                          verify_all)
@@ -217,7 +218,7 @@ def _cmd_eval_sum(args) -> int:
 
 
 def _cmd_eval_expr(args) -> int:
-    value = evaluate(parse_expr(args.expr), args.digits + 10)
+    value = evaluate(parse_expr(args.expr).terms, args.digits + 10)
     _emit_fields({"value": _fmt(value, args.digits), "digits": args.digits}, args.format)
     return 0
 
@@ -276,10 +277,10 @@ def _cmd_list(args) -> int:
 def _lemma_rows(kmax: int, opts: EvalOptions, tol) -> list[dict]:
     rows = []
     for name, (k, trunc, closed) in lemma_checks(range(1, kmax + 1), opts):
-        resid = abs(trunc - closed)
-        rows.append({"check": name, "k": str(k),
-                     "truncated": _fmt(trunc, opts.digits),
-                     "closed": _fmt(closed, opts.digits),
+        texts = _fmt(trunc, opts.digits), _fmt(closed, opts.digits)
+        # the sides are compared as printed, so equal texts leave nothing
+        resid = abs(trunc - closed) if texts[0] != texts[1] else HighFloat()
+        rows.append({"check": name, "k": str(k), "truncated": texts[0], "closed": texts[1],
                      "residual": _fmt(resid, opts.digits),
                      "verdict": "pass" if resid <= tol else "fail"})
     return rows

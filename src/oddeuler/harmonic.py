@@ -19,7 +19,7 @@ from itertools import accumulate, count, repeat, tee
 from operator import floordiv
 
 from .highfloat import HighFloat, dps_to_prec
-from .numerics import Rational, _require_digits, constant, ln2, power_groups, record
+from .numerics import _require_digits, constant, ln2, power_groups, record
 
 EXACT_LIMIT = 10 ** 5
 
@@ -67,7 +67,7 @@ class HarmonicKind:
 _prefix_cache: dict[HarmonicKind, list[Fraction]] = {}
 
 
-def harmonic_exact(kind: HarmonicKind, k: int) -> Rational:
+def harmonic_exact(kind: HarmonicKind, k: int) -> Fraction:
     """Exact prefix value as a Fraction; prefixes are memoised per kind.
 
     >>> harmonic_exact(HarmonicKind.even(1), 4)

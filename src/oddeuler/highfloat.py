@@ -94,12 +94,10 @@ class HighFloat:
     """A binary float man 2^exp: an int mantissa, odd or 0, and an int
     exponent; zero is (0, 0).
 
-    +, -, * and unary minus are exact, and so is / by a power of two; any
-    other quotient is rounded to the bits of its longer operand, 53 at
-    least.  round, div and pow round at a decimal digit count, to the bits
-    dps_to_prec gives it, ties to even.  Comparisons are exact.  An int
-    takes part as itself; a value of mpmath, which reads _mpf_, is left to
-    mpmath's own operators.
+    +, -, * and unary minus are exact.  round, div and pow round at a
+    decimal digit count, to the bits dps_to_prec gives it, ties to even.
+    Comparisons are exact.  An int takes part as itself; a value of
+    mpmath, which reads _mpf_, is left to mpmath's own operators.
 
     >>> third = HighFloat(1).div(3, 15)
     >>> third._mpf_, third.text(20)
@@ -190,9 +188,6 @@ class HighFloat:
     def __sub__(self, other):
         return self + -other if isinstance(other, (int, HighFloat)) else NotImplemented
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if not isinstance(other, (int, HighFloat)):
             return NotImplemented
@@ -200,17 +195,6 @@ class HighFloat:
         return HighFloat(self.man * other.man, self.exp + other.exp)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, HighFloat)):
-            return NotImplemented
-        other = HighFloat.of(other)
-        if abs(other.man) == 1:
-            return HighFloat(self.man * other.man, self.exp - other.exp)
-        return _div(self, other, max(53, abs(self.man).bit_length(), abs(other.man).bit_length()))
-
-    def __pow__(self, n: int):
-        return HighFloat(self.man ** n, self.exp * n) if n >= 0 else NotImplemented
 
     def __neg__(self):
         return HighFloat(-self.man, self.exp)

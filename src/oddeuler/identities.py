@@ -56,7 +56,7 @@ class FormalCombination:
     """constant + sum of coef * (sum value)^power over base SumSpecs."""
 
     parts: tuple[tuple[ZetaExpr, SumSpec, int], ...]
-    constant: ZetaExpr = ZetaExpr.zero()
+    constant: ZetaExpr = ZetaExpr()
 
     def text(self) -> str:
         terms = [(c, mono.text()) for mono, c in self.constant.terms]
@@ -69,8 +69,6 @@ class FormalCombination:
                 body = f"{mono.text()}*{body}"
             terms.append((c, body))
         return format_terms(terms)
-
-    __str__ = text
 
 
 def _read_bracket(toks: list) -> tuple[SumSpec, int]:
@@ -99,10 +97,10 @@ def evaluate_combination(comb: FormalCombination,
                          opts: EvalOptions = DEFAULT_OPTS) -> EvalResult:
     """Numeric value of a formal combination, with propagated error."""
     wp = opts.digits + 10  # every step rounds here, the results at digits
-    total, err = evaluate(comb.constant, wp), HighFloat()
+    total, err = evaluate(comb.constant.terms, wp), HighFloat()
     for coef, spec, power in comb.parts:
         r = evaluate_sum(spec, opts)
-        cval = evaluate(coef, wp)
+        cval = evaluate(coef.terms, wp)
         total = (total + (cval * r.value.pow(power, wp)).round(wp)).round(wp)
         term = ((abs(cval) * power).round(wp) * abs(r.value).pow(power - 1, wp)).round(wp)
         err = (err + (term * r.err_estimate).round(wp)).round(wp)
@@ -225,7 +223,7 @@ def verify(identity: Identity | str, opts: EvalOptions = DEFAULT_OPTS,
         evaluate_lhs = (evaluate_sum if isinstance(identity.lhs, SumSpec)
                         else evaluate_combination)
         lhs_result = evaluate_lhs(identity.lhs, opts)
-        lhs, rhs = lhs_result.value, evaluate(identity.rhs, wp)
+        lhs, rhs = lhs_result.value, evaluate(identity.rhs.terms, wp)
         residual = abs(lhs - rhs).round(wp)
         verdict = "pass" if residual <= tol else "fail"
         return VerificationReport(identity.id, lhs.round(digits), rhs.round(digits),
@@ -253,11 +251,11 @@ def select(entries: list[Identity], ids=(), family: str | None = None) -> list[I
 
 
 def verify_all(opts: EvalOptions = DEFAULT_OPTS, tolerance=DEFAULT_TOLERANCE,
-               entries: list[Identity] | None = None,
-               ids: list[str] | None = None) -> list[VerificationReport]:
-    """Verify the selected entries, reports sorted by id; their sums are
-    summed together first, so each verify reads them from the memo."""
-    entries = select(catalog() if entries is None else entries, ids)
+               entries: list[Identity] | None = None) -> list[VerificationReport]:
+    """Verify the entries (the catalog when None), reports sorted by id;
+    their sums are summed together first, so each verify reads them from
+    the memo."""
+    entries = catalog() if entries is None else entries
     sum_specs([spec for e in entries for spec in
                ([e.lhs] if isinstance(e.lhs, SumSpec) else [p[1] for p in e.lhs.parts])],
               opts)
@@ -548,7 +546,7 @@ def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
     basis = _fit_basis(weight, include_ln2)
     if not basis:
         raise ValueError(f"empty fitting basis at weight {weight}")
-    vec = [value] + [evaluate(ZetaExpr(((mono, Fraction(1)),)), digits) for mono in basis]
+    vec = [value] + [evaluate([(mono, 1)], digits) for mono in basis]
     rel = _pslq(vec, dps_to_prec(digits), maxcoeff=10 ** 14, maxsteps=20000)
     if not rel or rel[0] == 0:
         return None
@@ -560,7 +558,7 @@ def fit_value(value: HighFloat, weight: int, include_ln2: bool = False,
     expr = ZetaExpr.from_terms(
         [(mono, c) for mono, c in zip(basis, coeffs) if c])
     check_digits = 2 * digits
-    again = evaluate(expr, check_digits)
+    again = evaluate(expr.terms, check_digits)
     if abs(again - value).round(check_digits) > HighFloat(10).pow(10 - digits, check_digits):
         return None
     return expr
@@ -622,7 +620,7 @@ def adjudication_findings(reports: list[VerificationReport],
     if r41 is not None:
         anchor = parse_real(REFERENCE_ANCHORS["T1_2_2"], digits)
         red = substitute_bases(reduce("T1_2", 2))
-        red_val = evaluate(red, digits)
+        red_val = evaluate(red.terms, digits)
         engine = r41.lhs_value
         notes.append(
             "finding T1_2_2_eq41: engine value "

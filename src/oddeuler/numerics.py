@@ -1,16 +1,17 @@
 """Exact rationals, frozen records, and self-contained constants.
 
-Two number kinds flow through the rest of the package: `Rational` (exact,
-never rounded) and `highfloat.HighFloat`, a binary float rounded only
-where a caller names a digit count; every function here that returns one
-takes that count.  The constants are computed here rather than pulled
-from a library table, so the test suite can cross-check them against a
-second, independent route: zeta(n) from Borwein's alternating sum over
-one list of integer weights per precision, Euler's gamma from a head sum
-and the Euler-Maclaurin core below (shared with the harmonic and
-summation modules).  The cold-start kernels are int-only: Bernoulli
-numbers come from a growing row of integer tangent numbers, and ln 2,
-like gamma's ln K, from highfloat.ln_fixed.
+Two number kinds flow through the rest of the package: the standard
+library's `Fraction` (exact, never rounded) and `highfloat.HighFloat`, a
+binary float rounded only where a caller names a digit count; every
+function here that returns one takes that count.  The constants are
+computed here rather than pulled from a library table, so the test suite
+can cross-check them against a second, independent route: zeta(n) from
+Borwein's alternating sum over one list of integer weights per
+precision, Euler's gamma from a head sum and the Euler-Maclaurin core
+below (shared with the harmonic and summation modules).  The cold-start
+kernels are int-only: Bernoulli numbers come from a growing row of
+integer tangent numbers, and ln 2, like gamma's ln K, from
+highfloat.ln_fixed.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .highfloat import HighFloat, dps_to_prec, ln_fixed
-
-# Exact arithmetic is deliberately the standard library type: lowest terms
-# and positive denominators are guaranteed by construction.
-Rational = Fraction
 
 _GUARD = 10
 _MIN_DIGITS = 10

@@ -23,7 +23,7 @@ own so that it keeps its relative precision.
 
 Every sum goes through _sum_batch and its one memo, filled by batches;
 the lemma evaluators at the bottom compare its kernel sums with closed
-forms kept as exact ZetaExprs and valued by zeta_algebra.evaluate.  The
+forms kept as exact term lists and valued by zeta_algebra.evaluate.  The
 rows of a lemma check differ only in a = -k, so each band of them takes
 its tails from one Euler-Maclaurin basis (_basis).  A kernel row's cutoff
 is internal and never printed, so it is planned: _kernel_plan picks the
@@ -82,22 +82,16 @@ class SumSpec:
         object.__setattr__(self, "factors", ordered)
 
     def text(self) -> str:
-        return format_sumspec(self)
-
-    __str__ = text
-
-
-def format_sumspec(spec: SumSpec) -> str:
-    numer = "*".join(f.label for f in spec.factors) or "1"
-    parts = []
-    if spec.k_power:
-        parts.append("k" if spec.k_power == 1 else f"k^{spec.k_power}")
-    if spec.odd_power:
-        parts.append("(2k-1)" if spec.odd_power == 1 else f"(2k-1)^{spec.odd_power}")
-    denom = "*".join(parts)
-    if len(parts) > 1:
-        denom = f"({denom})"
-    return f"{numer}/{denom}"
+        numer = "*".join(f.label for f in self.factors) or "1"
+        parts = []
+        if self.k_power:
+            parts.append("k" if self.k_power == 1 else f"k^{self.k_power}")
+        if self.odd_power:
+            parts.append("(2k-1)" if self.odd_power == 1 else f"(2k-1)^{self.odd_power}")
+        denom = "*".join(parts)
+        if len(parts) > 1:
+            denom = f"({denom})"
+        return f"{numer}/{denom}"
 
 
 def read_sumspec(toks: list) -> SumSpec:
@@ -598,15 +592,10 @@ def reciprocal_sum_closed_form(p: int, q: int) -> ZetaExpr:
     b1 = b.get(1, Fraction(0))
     if a1 != -b1 / 2:
         raise AssertionError("divergent pieces failed to pair up")
-    total = ZetaExpr.ln2(b1) if b1 else ZetaExpr.zero()
-    for i, coef in a.items():
-        if i >= 2:
-            total = total + ZetaExpr.zeta(i, coef)
-    for j, coef in b.items():
-        if j >= 2:
-            # (1 - 2^{-j}) zeta(j), kept expanded
-            total = total + ZetaExpr.zeta(j, coef * (1 - Fraction(1, 2 ** j)))
-    return total
+    return ZetaExpr.from_terms([(_z(1), b1)] + [(_z(i), coef) for i, coef in a.items() if i >= 2] +
+                               # (1 - 2^{-j}) zeta(j), kept expanded
+                               [(_z(j), coef * (1 - Fraction(1, 2 ** j)))
+                                for j, coef in b.items() if j >= 2])
 
 
 # ---- lemma evaluators ------------------------------------------------------
@@ -615,7 +604,7 @@ def reciprocal_sum_closed_form(p: int, q: int) -> ZetaExpr:
 # truncated side really sums the series (direct head plus Euler-Maclaurin
 # tail), so agreement is evidence and not circularity.  The closed side is
 # exact: (monomial, Fraction) pairs on 1, ln 2 and zeta values from exact
-# prefixes at k, summed once into a ZetaExpr and valued by zeta_algebra.evaluate.
+# prefixes at k, valued as they stand by zeta_algebra.evaluate.
 
 
 # A lemma's truncated side sums the kernel f(i) / (i^c (b i + k)) over i,
@@ -758,6 +747,8 @@ def _kernel_plan(digits: int) -> tuple[int, int, int]:
 
 
 def _kernel_series(kernel: tuple, k: int, digits: int) -> tuple:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     factors, c, b = kernel
     return factors, c, b, -k, 1, _kernel_plan(digits)[0] * KERNEL_BAND * -(-k // KERNEL_BAND)
 
@@ -768,7 +759,7 @@ def _kernel_truncated(kernel: tuple, k: int, opts: EvalOptions) -> HighFloat:
 
 
 def _closed(terms: list, opts: EvalOptions) -> HighFloat:
-    return evaluate(ZetaExpr.from_terms(terms), opts.digits + 15).round(opts.digits)
+    return evaluate(terms, opts.digits + 15).round(opts.digits)
 
 
 def _h(n: int, k: int) -> Fraction:

@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import factorial
 
 from .highfloat import HighFloat, dps_to_prec
-from .numerics import Rational, _require_digits, bernoulli, constant, ln2, record
+from .numerics import _require_digits, bernoulli, constant, ln2, record
 
 
 # largest zeta index, harmonic order and k plus (2k-1) power that text may
@@ -78,10 +78,6 @@ class ZetaMonomial:
             if n <= last:  # ascending from letter 1, hence distinct
                 raise ValueError("letters must be sorted, distinct and >= 1")
             last = n
-
-    @staticmethod
-    def one() -> "ZetaMonomial":
-        return ZetaMonomial()
 
     @staticmethod
     def from_parts(powers: dict[int, int]) -> "ZetaMonomial":
@@ -128,7 +124,7 @@ class ZetaExpr:
     terms: tuple[tuple[ZetaMonomial, Fraction], ...] = ()
 
     @staticmethod
-    def from_terms(items: Iterable[tuple[ZetaMonomial, Rational]]) -> "ZetaExpr":
+    def from_terms(items: Iterable[tuple[ZetaMonomial, Fraction | int]]) -> "ZetaExpr":
         acc: dict[ZetaMonomial, Fraction] = {}
         for mono, coef in items:
             c = acc.get(mono, Fraction(0)) + Fraction(coef)
@@ -139,27 +135,6 @@ class ZetaExpr:
         # display order: heaviest first, then by monomial
         return ZetaExpr(tuple(sorted(acc.items(),
                                      key=lambda kv: (-kv[0].weight, kv[0].sort_key()))))
-
-    @staticmethod
-    def zero() -> "ZetaExpr":
-        return ZetaExpr()
-
-    @staticmethod
-    def const(value: Rational) -> "ZetaExpr":
-        value = Fraction(value)
-        if not value:
-            return ZetaExpr()
-        return ZetaExpr(((ZetaMonomial.one(), value),))
-
-    @staticmethod
-    def zeta(n: int, coef: Rational = 1) -> "ZetaExpr":
-        if n < 2:
-            raise ValueError(f"zeta({n}) is not a valid factor")
-        return ZetaExpr.from_terms([(ZetaMonomial(((n, 1),)), Fraction(coef))])
-
-    @staticmethod
-    def ln2(coef: Rational = 1) -> "ZetaExpr":
-        return ZetaExpr.from_terms([(ZetaMonomial(((1, 1),)), Fraction(coef))])
 
     def __add__(self, other: "ZetaExpr") -> "ZetaExpr":
         return ZetaExpr.from_terms(list(self.terms) + list(other.terms))
@@ -180,7 +155,7 @@ class ZetaExpr:
     def pow_int(self, e: int) -> "ZetaExpr":
         if e < 0:
             raise ValueError("negative powers are not representable")
-        result = ZetaExpr.const(1)
+        result = ZetaExpr(((ZetaMonomial(), Fraction(1)),))
         for _ in range(e):
             result = result * self
         return result
@@ -227,8 +202,10 @@ def _letter_power(n: int, e: int, digits: int) -> HighFloat:
     return (ln2(digits) if n == 1 else constant(n, digits)).pow(e, digits + 5)
 
 
-def evaluate(expr: ZetaExpr, digits: int) -> HighFloat:
-    """Numeric value at digits, each letter's constant taken at digits.
+def evaluate(pairs: Iterable[tuple[ZetaMonomial, Fraction | int]], digits: int) -> HighFloat:
+    """Value at digits of the sum of (monomial, coefficient) pairs, such as
+    a ZetaExpr's terms; a monomial may repeat, and a zero coefficient
+    plays no part in the scale.  Each letter's constant is taken at digits.
 
     This is the one place that values a letter: 1 is ln 2 and n >= 2 is
     zeta(n).  Each letter's power is rounded at digits + 5, p bits, and
@@ -242,14 +219,14 @@ def evaluate(expr: ZetaExpr, digits: int) -> HighFloat:
     """
     _require_digits(digits)
     terms = []
-    for mono, coef in expr.terms:
+    for mono, coef in pairs:
         man, exp = coef.numerator, 0
         for n, e in mono.factors:
             power = _letter_power(n, e, digits)
             man, exp = man * power.man, exp + power.exp
         terms.append((man, exp, coef.denominator))
     shift = dps_to_prec(digits + 5) - max((abs(man).bit_length() + exp - den.bit_length() + 1
-                                           for man, exp, den in terms), default=0)
+                                           for man, exp, den in terms if man), default=0)
     total = sum((man << exp + shift) // den if exp + shift >= 0 else man // (den << -exp - shift)
                 for man, exp, den in terms)
     return HighFloat(total, -shift).round(digits)
@@ -315,7 +292,7 @@ def _read_term(toks: list, part) -> tuple:
         if take(toks, "/"):
             coef /= read_posint(toks, "denominator")
         if not take(toks, "*"):
-            return coef, ZetaMonomial.one(), None
+            return coef, ZetaMonomial(), None
         what = "symbol after '*'"
     while True:
         kind, value, pos = toks[0]

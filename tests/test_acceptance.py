@@ -17,9 +17,8 @@ import pytest
 from oddeuler.cli import LEMMA_CONVENTION
 from oddeuler.harmonic import HarmonicKind, harmonic_exact
 from oddeuler.identities import (REFERENCE_ANCHORS, adjudication_findings,
-                                 catalog, fit_closed_form, fit_value, reduce,
-                                 substitute_bases, summarize, verify,
-                                 verify_all)
+                                 catalog, fit_closed_form, fit_value, reduce, select,
+                                 substitute_bases, summarize, verify, verify_all)
 from oddeuler.summation import (EvalOptions, evaluate_sum, lemma1_aux,
                                 lemma2_g, lemma3_f, parse_sumspec,
                                 reciprocal_sum_closed_form)
@@ -80,7 +79,7 @@ CRITERION_2_IDS = ["s1", "s2", "T1_2_1", "T3_1", "T3_2", "eq70", "T4_1",
 
 
 def test_criterion_2_closed_forms_verify():
-    reports = verify_all(OPTS, tolerance="1e-11", ids=CRITERION_2_IDS)
+    reports = verify_all(OPTS, tolerance="1e-11", entries=select(catalog(), CRITERION_2_IDS))
     bad = [r.id for r in reports if r.verdict != "pass"]
     _report("criterion 2: all listed closed forms verify to 1e-11", not bad)
     assert not bad, bad
@@ -112,7 +111,7 @@ def test_criterion_3_mutual_inconsistency_reported():
     with mp.workdps(50):
         engine = evaluate_sum(parse_sumspec("h2/k^5"), OPTS).value
         reduced = substitute_bases(reduce("T1_2", 2))
-        red_val = evaluate(reduced, 50)
+        red_val = evaluate(reduced.terms, 50)
         self_validating = abs(engine - red_val) <= mp.mpf("1e-11")
         assert self_validating
         anchor_gap = abs(engine - mp.mpf(REFERENCE_ANCHORS["T1_2_2"]))
@@ -120,7 +119,7 @@ def test_criterion_3_mutual_inconsistency_reported():
         assert transcribed.verdict == "fail"
         assert anchor_gap > mp.mpf("1e-3")
         assert transcribed.residual > mp.mpf("1")
-    reports = verify_all(OPTS, ids=["T1_2_2", "T1_2_2_eq41"])
+    reports = verify_all(OPTS, entries=select(catalog(), ["T1_2_2", "T1_2_2_eq41"]))
     notes = "\n".join(adjudication_findings(reports, OPTS))
     assert "mutually inconsistent" in notes
     assert "self-validates" in notes
@@ -195,7 +194,7 @@ def test_criterion_6_reciprocal_sums():
                 else:
                     text = f"1/(k^{p}*(2k-1)^{q})"
                 value = evaluate_sum(parse_sumspec(text), OPTS).value
-                want = evaluate(expr, 50)
+                want = evaluate(expr.terms, 50)
                 worst = max(worst, abs(value - want))
         assert worst <= mp.mpf("1e-12"), mp.nstr(worst, 5)
     _report("criterion 6: reciprocal closed forms match summation to 1e-12 "
@@ -232,7 +231,7 @@ def test_criterion_7_fitting():
             continue
         expr = ZetaExpr.from_terms(terms)
         with mp.workdps(40):
-            value = evaluate(expr, 40)
+            value = evaluate(expr.terms, 40)
         back = fit_value(value, weight, max_den=64, digits=40)
         assert back == expr, format_expr(expr)
         done += 1

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -491,6 +492,18 @@ def test_lemma_check_runs_at_the_digits_cap():
     rc, out, _ = run_cli("lemma-check", "--digits", "500", "--kmax", "1", "--format", "csv")
     assert rc == 0
     assert len(out.splitlines()) == 2 + 8
+
+
+def test_lemma_rows_that_print_alike_have_no_residual(capsys):
+    # the sides are compared as printed: at --kmax 80 the truncated side
+    # of lemma1_aux k = 74 lies one binary ulp off its closed side, yet
+    # both print the same 40 digits
+    assert cli.main(["lemma-check", "--kmax", "80", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    assert len(rows) == 8 * 80
+    row = next(r for r in rows if r["check"] == "lemma1_aux" and r["k"] == "74")
+    assert row["truncated"] == row["closed"] and row["residual"] == "0.0"
+    assert all(r["residual"] == "0.0" for r in rows if r["truncated"] == r["closed"])
 
 
 def _goldens():

@@ -30,14 +30,14 @@ def test_fit_no_closed_form():
 
 def test_fit_mixed_with_ln2():
     with mp.workdps(40):
-        value = 3 * constant(2, 40) / 2 - 2 * ln2(40)
+        value = (3 * constant(2, 40)).div(2, 40) - 2 * ln2(40)
         got = fit_value(value, 2, include_ln2=True, max_den=16)
         assert got == parse_expr("3/2*z2 - 2*ln2")
 
 
 def test_fit_rejects_oversized_denominators():
     with mp.workdps(40):
-        value = constant(3, 40) / 512
+        value = constant(3, 40).div(512, 40)
         assert fit_value(value, 3, max_den=256) is None
 
 
@@ -111,7 +111,7 @@ def test_round_trip_twenty_random_expressions():
             continue
         expr = ZetaExpr.from_terms(terms)
         with mp.workdps(40):
-            value = evaluate(expr, 40)
+            value = evaluate(expr.terms, 40)
         got = fit_value(value, weight, max_den=64, digits=40)
         assert got == expr, format_expr(expr)
         done += 1

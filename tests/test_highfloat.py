@@ -84,8 +84,6 @@ def test_rounding_division_and_powers_match_mpmath():
             assert highfloat._pow(x, n, prec, rnd)._mpf_ == lib.mpf_pow_int(x._mpf_, n, prec, rnd)
             assert highfloat._div(x, y, prec, rnd)._mpf_ == lib.mpf_div(x._mpf_, y._mpf_, prec, rnd)
         assert (x < y) == (mp.mpf(x) < mp.mpf(y)) and x.fixed(prec) == lib.to_fixed(x._mpf_, prec)
-        assert (x / y)._mpf_ == lib.mpf_div(x._mpf_, y._mpf_, max(53, abs(x.man).bit_length(),
-                                                                 abs(y.man).bit_length()), "n")
 
 
 def _tolerance_texts():

@@ -13,7 +13,7 @@ from oddeuler.identities import (REFERENCE_ANCHORS, FormalCombination, _rule,
                                  catalog_by_id, evaluate_combination,
                                  finite_rearrangement_check,
                                  parse_combination, read_tolerance, reduce,
-                                 substitute_bases, summarize, verify,
+                                 select, substitute_bases, summarize, verify,
                                  verify_all)
 from oddeuler.highfloat import parse_real
 from oddeuler.summation import EvalOptions, SumSpec, evaluate_sum, parse_sumspec
@@ -100,11 +100,11 @@ def test_verify_quartered_combination_fails():
     with mp.workdps(30):
         assert mp.mpf("1.25") < r.residual < mp.mpf("1.26")
         # residual is exactly three quarters of the sum's value
-        assert abs(r.residual - 3 * r.lhs_value / 4) < mp.mpf("1e-20")
+        assert abs(r.residual - (3 * r.lhs_value).div(4, 30)) < mp.mpf("1e-20")
 
 
 def test_verify_all_sorted_and_counted():
-    reports = verify_all(OPTS, ids=["T3_1", "B2", "s1", "T1_2_2_eq41"])
+    reports = verify_all(OPTS, entries=select(catalog(), ["T3_1", "B2", "s1", "T1_2_2_eq41"]))
     assert [r.id for r in reports] == ["B2", "T1_2_2_eq41", "T3_1", "s1"]
     stats = summarize(reports)
     assert stats["total"] == 4
@@ -115,7 +115,7 @@ def test_verify_all_sorted_and_counted():
 
 def test_verify_all_unknown_ids():
     with pytest.raises(KeyError):
-        verify_all(ids=["s1", "not_there"])
+        verify_all(entries=select(catalog(), ["s1", "not_there"]))
 
 
 def test_verdict_tolerance_boundary():
@@ -215,7 +215,7 @@ def test_combination_with_power_evaluates():
     res = evaluate_combination(comb, EvalOptions(digits=30))
     base = evaluate_sum(parse_sumspec("h1/k^2"), EvalOptions(digits=30))
     with mp.workdps(40):
-        assert abs(res.value - base.value ** 2 / 2) < mp.mpf("1e-25")
+        assert abs(res.value - base.value.pow(2, 40).div(2, 40)) < mp.mpf("1e-25")
 
 
 # ---- reductions -------------------------------------------------------------
@@ -351,9 +351,9 @@ def test_finite_rearrangement_deficit_is_exactly_twice_h2():
 
 
 def test_adjudication_findings_content():
-    reports = verify_all(OPTS, ids=["T1_2_2", "T1_2_2_eq41",
-                                    "eq38_intermediate", "T1_3_6_eq87",
-                                    "T5_1_eq81", "s2"])
+    reports = verify_all(OPTS, entries=select(catalog(), ["T1_2_2", "T1_2_2_eq41",
+                                                          "eq38_intermediate", "T1_3_6_eq87",
+                                                          "T5_1_eq81", "s2"]))
     notes = adjudication_findings(reports, OPTS)
     joined = "\n".join(notes)
     assert "T1_2_2_eq41" in joined
@@ -365,5 +365,5 @@ def test_adjudication_findings_content():
 
 
 def test_adjudication_findings_empty_when_not_selected():
-    reports = verify_all(OPTS, ids=["B2"])
+    reports = verify_all(OPTS, entries=select(catalog(), ["B2"]))
     assert adjudication_findings(reports, OPTS) == []

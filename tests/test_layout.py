@@ -1,6 +1,6 @@
 """The library is what its commands run: every module-level function and
 class under src/oddeuler, and every method other than a dunder, is named
-by src/ code that is itself in use."""
+by src/ code that is itself in use, and nothing there has a second name."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "oddeuler"
 UNCALLED = {"reciprocal_sum_closed_form", "finite_rearrangement_check", "PrefixStream"}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# the reflected operators, which Python looks up under their own names
+REFLECTED = {"__radd__", "__rmul__"}
 
 
 def _names(nodes) -> set[str]:
@@ -87,3 +90,24 @@ def test_the_uncalled_names_are_defined_and_uncalled():
         refs = {name, "." + name}
         assert not any(refs & used for key, _, used in units
                        if key is None or key[1].split(".")[0] != name), name
+
+
+def _aliases() -> list[str]:
+    # module- and class-level assignments whose value is a bare name or
+    # attribute: a second name for something already named
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for body in [tree.body] + [c.body for c in tree.body if isinstance(c, ast.ClassDef)]:
+            for stmt in body:
+                if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or \
+                        not isinstance(stmt.value, (ast.Name, ast.Attribute)):
+                    continue
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                if not {ast.unparse(t) for t in targets} <= REFLECTED:
+                    found.append(f"{path.name}:{stmt.lineno}: {ast.unparse(stmt)}")
+    return found
+
+
+def test_no_definition_has_a_second_name():
+    assert _aliases() == []

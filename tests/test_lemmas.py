@@ -13,7 +13,7 @@ from oddeuler.harmonic import EXACT_LIMIT, HarmonicKind, harmonic_exact
 from oddeuler.numerics import constant
 from oddeuler.summation import (EvalOptions, lemma1_aux, lemma2_g, lemma3_f,
                                 recip_kernel_closed, shifted_kernel_closed)
-from oddeuler.zeta_algebra import parse_expr
+from oddeuler.zeta_algebra import ZetaExpr, parse_expr
 
 from conftest import FROZEN_LEMMAS
 
@@ -54,16 +54,17 @@ def test_lemma2_special_values():
         _, c11 = lemma2_g(1, 1, OPTS)
         assert abs(c11 - (z2 - 2)) < mp.mpf("1e-25")
         _, c12 = lemma2_g(1, 2, OPTS)
-        assert abs(c12 - z2 / 2) < mp.mpf("1e-25")
+        assert abs(c12 - z2.div(2, 40)) < mp.mpf("1e-25")
 
 
 def test_closed_sides_are_exact_expressions(monkeypatch):
-    # each closed side is one ZetaExpr, valued once at digits + 15; the
-    # docstrings' special values hold as structures, not only as numbers
+    # each closed side is one list of exact terms, valued once at
+    # digits + 15; merged, the terms give the docstrings' special values
+    # as structures, not only as numbers
     seen = []
     real_evaluate = summation.evaluate
-    monkeypatch.setattr(summation, "evaluate", lambda expr, digits: seen.append(
-        (expr, digits)) or real_evaluate(expr, digits))
+    monkeypatch.setattr(summation, "evaluate", lambda pairs, digits: seen.append(
+        (ZetaExpr.from_terms(pairs), digits)) or real_evaluate(pairs, digits))
     for closed_side, text in ((lambda: lemma2_g(1, 1, OPTS)[1], "z2 - 2"),
                               (lambda: lemma2_g(1, 2, OPTS)[1], "1/2*z2"),
                               (lambda: lemma3_f(1, "odd", 1, OPTS)[1], "2*ln2 - 3"),
@@ -74,7 +75,17 @@ def test_closed_sides_are_exact_expressions(monkeypatch):
         value = closed_side()
         assert seen == [(parse_expr(text), OPTS.digits + 15)], text
         with mp.workdps(OPTS.digits):
-            assert value == mp.mpf(real_evaluate(parse_expr(text), OPTS.digits + 15))
+            assert value == mp.mpf(real_evaluate(parse_expr(text).terms, OPTS.digits + 15))
+
+
+@pytest.mark.parametrize("row", (lemma1_aux, functools.partial(lemma2_g, 1),
+                                 functools.partial(lemma3_f, 1, "odd")),
+                         ids=("lemma1_aux", "lemma2_g", "lemma3_f"))
+@pytest.mark.parametrize("k", (0, -3))
+def test_a_row_below_k_one_is_refused(row, k):
+    # each row refuses k < 1 before it sums anything
+    with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+        row(k, OPTS)
 
 
 def test_ladder_memo_matches_the_direct_sum():

@@ -55,7 +55,7 @@ def test_z1_rejected_with_position():
 def test_zeta_index_capped_with_position():
     # zeta(n)'s constant stops converging for large n, so text may ask
     # for no index above MAX_POWER
-    assert parse_expr("z100") == ZetaExpr.zeta(100)
+    assert parse_expr("z100") == ZetaExpr.from_terms([(ZetaMonomial(((100, 1),)), 1)])
     for text, pos in (("z101", 0), ("7/4*z3 + 2*z650", 11), ("z2*z5000^2", 3)):
         with pytest.raises(ExprSyntaxError, match="zeta indices must be <= 100") as err:
             parse_expr(text)
@@ -84,15 +84,15 @@ def test_arithmetic():
     assert a + b == parse_expr("2*z3")
     assert a - b == parse_expr("4*z2")
     assert -(a - b) == parse_expr("-4*z2")
-    assert ZetaExpr.const(Fraction(1, 2)) * a == parse_expr("1/2*z3 + z2")
+    assert parse_expr("1/2") * a == parse_expr("1/2*z3 + z2")
     prod = a * b
     assert prod == parse_expr("z3^2 - 4*z2^2")
     assert a.pow_int(2) == a * a
-    assert a.pow_int(0) == ZetaExpr.const(1)
+    assert a.pow_int(0) == parse_expr("1")
 
 
 def test_linear_combination():
-    got = ZetaExpr.const(2) * parse_expr("z2") + ZetaExpr.const(-1) * parse_expr("z3")
+    got = parse_expr("2") * parse_expr("z2") + parse_expr("-1") * parse_expr("z3")
     assert got == parse_expr("2*z2 - z3")
 
 
@@ -115,15 +115,15 @@ def test_canonicalize():
 def test_canonicalize_preserves_value():
     e = parse_expr("3/4*z8 - 2*z4*z2 + z6*z3")
     with mp.workdps(40):
-        before = evaluate(e, 40)
-        after = evaluate(canonicalize(e), 40)
+        before = evaluate(e.terms, 40)
+        after = evaluate(canonicalize(e).terms, 40)
         assert abs(before - after) < mp.mpf("1e-35")
 
 
 def test_evaluate_weight6_value():
     e = parse_expr("49/8*z3^2 - 945/128*z6")
     with mp.workdps(40):
-        got = evaluate(e, 40)
+        got = evaluate(e.terms, 40)
         assert abs(got - mp.mpf(FROZEN_SUMS["h1*h2/k^3"])) < mp.mpf("1e-37")
 
 
@@ -132,15 +132,15 @@ def test_monomial_weight_and_text():
     assert m.factors == ((1, 1), (2, 2), (3, 1))
     assert m.weight == 8
     assert m.text() == "ln2*z2^2*z3"
-    assert ZetaMonomial.one().weight == 0
-    assert ZetaMonomial.one().text() == ""
+    assert ZetaMonomial().weight == 0
+    assert ZetaMonomial().text() == ""
 
 
 def test_monomial_validation():
     with pytest.raises(ValueError):
         ZetaMonomial.from_parts({1: -1})
     # zero exponents are normalized away, not rejected
-    assert ZetaMonomial.from_parts({2: 0}) == ZetaMonomial.one()
+    assert ZetaMonomial.from_parts({2: 0}) == ZetaMonomial()
 
 
 @pytest.mark.parametrize("factors", [((3, 1), (2, 1)), ((2, 1), (2, 1)), ((1, 2), (1, 1)),
@@ -153,29 +153,29 @@ def test_repeated_unsorted_or_empty_letters_raise(factors):
 def test_zeta_below_two_raises():
     # letter 1 is ln 2, so zeta(1) and zeta(0) have no letter
     for n in (1, 0):
-        with pytest.raises(ValueError, match=f"zeta\\({n}\\)"):
-            ZetaExpr.zeta(n)
+        with pytest.raises(ExprSyntaxError, match=f"zeta\\({n}\\)"):
+            parse_expr(f"z{n}")
 
 
 def test_evaluate_below_ten_digits_raises():
     # even a constant expression, which asks for no letter's value
     with pytest.raises(ValueError, match="digits must be >= 10"):
-        evaluate(ZetaExpr.const(1), 5)
+        evaluate(parse_expr("1").terms, 5)
 
 
-def _within_evaluate_bound(expr: ZetaExpr, digits: int) -> bool:
+def _within_evaluate_bound(pairs: list, digits: int) -> bool:
     # evaluate's stated bound against mpmath: before its rounding at
     # digits the total is within 2^(top - p) sum (4 L + 1) of
     # sum c prod x^e at the letters' constants x (p the bits of
     # digits + 5, 2^top < 4 max |term| up to the powers' rounding), and
     # that rounding moves it by at most 2^-bits(digits) of itself
-    got = evaluate(expr, digits)
+    got = evaluate(pairs, digits)
     with mp.workdps(3 * digits + 60):
         terms = [mp.mpf(coef.numerator) / coef.denominator
                  * mp.fprod(mp.mpf(ln2(digits) if n == 1 else constant(n, digits)) ** e
-                            for n, e in mono.factors) for mono, coef in expr.terms]
+                            for n, e in mono.factors) for mono, coef in pairs]
         scale = 4.001 * max(abs(term) for term in terms) * mp.mpf(2) ** -dps_to_prec(digits + 5)
-        bound = scale * sum(4 * len(mono.factors) + 1 for mono, _ in expr.terms) + \
+        bound = scale * sum(4 * len(mono.factors) + 1 for mono, _ in pairs) + \
             abs(mp.mpf(got)) * mp.mpf(2) ** -dps_to_prec(digits)
         return abs(mp.mpf(got) - mp.fsum(terms)) <= bound
 
@@ -183,8 +183,11 @@ def _within_evaluate_bound(expr: ZetaExpr, digits: int) -> bool:
 def test_evaluate_meets_its_bound_on_a_seeded_grid():
     # coefficients from 10^-80 to 10^40, letter powers up to MAX_POWER
     # (mostly low, so that terms meet), digits 20 to 500, and a pair that
-    # cancels exactly at the letters' true values
-    rng = random.Random(3401)
+    # cancels exactly at the letters' true values; each case also as
+    # unmerged pairs, from a second generator so that the cases stay put:
+    # every term split in two parts of its sign plus a zero coefficient,
+    # which must not set the scale, and then an int coefficient as well
+    rng, split = random.Random(3401), random.Random(3402)
     for digits in (20, 33, 40, 57, 100, 250, 500):
         for _ in range(6):
             expr = ZetaExpr.from_terms(
@@ -194,8 +197,14 @@ def test_evaluate_meets_its_bound_on_a_seeded_grid():
                  Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12))
                  * Fraction(10) ** rng.randint(-80, 40))
                 for _ in range(rng.randint(1, 5)))
-            assert _within_evaluate_bound(expr, digits), (digits, format_expr(expr))
-        assert _within_evaluate_bound(parse_expr("z4 - 2/5*z2^2"), digits), digits
+            assert _within_evaluate_bound(expr.terms, digits), (digits, format_expr(expr))
+            part = Fraction(split.randint(1, 99), 100)
+            pairs = [(mono, c) for mono, coef in expr.terms for c in (part * coef, coef - part * coef)]
+            pairs.append((expr.terms[0][0], 0))
+            assert _within_evaluate_bound(pairs, digits), (digits, pairs)
+            pairs.append((ZetaMonomial(), split.randint(-9, 9) or 1))
+            assert _within_evaluate_bound(pairs, digits), (digits, pairs)
+        assert _within_evaluate_bound(parse_expr("z4 - 2/5*z2^2").terms, digits), digits
 
 
 @pytest.mark.parametrize("text, printed", (
@@ -227,10 +236,10 @@ _coef = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(c1=_coef, c2=_coef, c3=_coef)
 def test_ring_axioms_property(c1, c2, c3):
-    a = ZetaExpr.zeta(2, c1) + ZetaExpr.ln2(c2)
-    b = ZetaExpr.zeta(3, c3) + ZetaExpr.const(1)
-    c = ZetaExpr.zeta(2) + ZetaExpr.zeta(3)
+    a = ZetaExpr.from_terms([(ZetaMonomial(((2, 1),)), c1), (ZetaMonomial(((1, 1),)), c2)])
+    b = ZetaExpr.from_terms([(ZetaMonomial(((3, 1),)), c3), (ZetaMonomial(), 1)])
+    c = parse_expr("z2 + z3")
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
-    assert a - a == ZetaExpr.zero()
+    assert a - a == ZetaExpr()
