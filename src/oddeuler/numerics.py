@@ -7,8 +7,9 @@ function here that returns one takes that count.  The constants are
 computed here rather than pulled from a library table, so the test suite
 can cross-check them against a second, independent route: zeta(n) from
 Borwein's alternating sum over one list of integer weights per
-precision, Euler's gamma from a head sum and the Euler-Maclaurin core
-below (shared with the harmonic and summation modules).  The cold-start
+precision, Euler's gamma from a head sum and an entry of the
+Euler-Maclaurin table below (which the summation module's tails read, as
+the harmonic module reads power_groups).  The cold-start
 kernels are int-only: Bernoulli numbers come from a growing row of
 integer tangent numbers, and ln 2, like gamma's ln K, from
 highfloat.ln_fixed.
@@ -126,11 +127,14 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
-# ---- log-power series and the Euler-Maclaurin core ----------------------
+# ---- log-power series and the Euler-Maclaurin table ---------------------
 #
 # A series is a dict {(a, s): c} standing for sum c (ln x)^a x^{-s}, with
-# int coefficients: fixed point, scaled by 2^prec.  The core is int-only;
-# a HighFloat enters where a caller values a series.
+# int coefficients: fixed point, scaled by 2^prec.  Its Euler-Maclaurin
+# groups at an integer end are its coefficients dotted with one table of
+# monomial tails (monomial_tails), whose entries are int-only; the table
+# and power_groups apply every Bernoulli scale and derivative of the
+# package.  A HighFloat enters where a caller values a series.
 
 
 @lru_cache(maxsize=None)
@@ -159,24 +163,6 @@ def _deriv_kernel(n: int, s: int, a: int) -> tuple:
     return kernel
 
 
-def _group0(series: dict) -> dict:
-    # The antiderivative plus f/2.  (ln x)^a / x integrates to
-    # (ln x)^{a+1}/(a+1); for s != 1, parts give -sum_j a!/(a-j)! (ln x)^{a-j}
-    # x^{1-s} / (s-1)^{j+1}, which is minus the integral over (x, inf)
-    # whenever s > 1.  Divisions floor, the halves too.
-    group: dict = {}
-    for (a, s), c in series.items():
-        if s == 1:
-            group[(a + 1, 0)] = group.get((a + 1, 0), 0) + c // (a + 1)
-            continue
-        for j in range(a + 1):
-            key = (a - j, s - 1)
-            group[key] = group.get(key, 0) + (-c * math.perm(a, j)) // (s - 1) ** (j + 1)
-    for key, c in series.items():
-        group[key] = group.get(key, 0) + c // 2
-    return group
-
-
 def power_groups(n: int, s_cap: int, prec: int) -> dict:
     """The Euler-Maclaurin groups of x^-n as one series, kept to x^-s_cap.
 
@@ -189,60 +175,85 @@ def power_groups(n: int, s_cap: int, prec: int) -> dict:
     >>> {key: c / 2 ** 60 for key, c in power_groups(2, 5, 60).items()}
     {(0, 1): -1.0, (0, 2): 0.5, (0, 3): -0.16666666666666666, (0, 5): 0.03333333333333333}
     """
-    groups = {key: c for key, c in _group0({(0, n): 1 << prec}).items() if key[1] <= s_cap}
+    one = 1 << prec
+    # group 0: ln x + 1 / (2x) at n = 1, else -x^(1-n) / (n - 1) + x^-n / 2
+    first = {(1, 0): one, (0, 1): one // 2} if n == 1 else \
+        {(0, n - 1): -one // (n - 1), (0, n): one // 2}
+    groups = {key: c for key, c in first.items() if key[1] <= s_cap}
     for r, s in enumerate(range(n + 1, s_cap + 1, 2), 1):
         scale = _group_scale(r)
         groups[(0, s)] = (-math.perm(s - 1, s - n) << prec) * scale.numerator // scale.denominator
     return groups
 
 
-def euler_maclaurin_fixed(series: dict, x: int, lnx: int, prec: int):
-    """The Euler-Maclaurin groups of series valued at the integer x.
+@lru_cache(maxsize=64)
+def _tail_scales(prec: int, terms: int) -> tuple:
+    # floor(B_2r / (2r)! 2^prec) for r = 1..terms + 1: a table's Bernoulli
+    # scales, in fixed point
+    return tuple((scale.numerator << prec) // scale.denominator
+                 for scale in map(_group_scale, range(1, terms + 2)))
 
-    Fixed point throughout: the coefficients of series are ints scaled by
-    2^prec, and lnx is ln x scaled the same way (any int when no term
-    carries a log).  Group 0's divisions floor; the derivatives are exact
-    integer multiples.  Each group's (ln x)^a factors collapse into one
-    int per power of 1/x, Horner runs in 1/x from the highest power down,
-    and the group's B_{2r}/(2r)! is applied once, as an exact rational.
-    Group r >= 1 is valued straight from the series: a term with a log
-    adds c sum_b K[b] (ln x)^b, K its _deriv_kernel, to its power of 1/x,
-    and a term without one c K[0] 2^prec, K[0] being minus a falling
-    factorial.
 
-    Each group comes as (v, t) with value v 2^-prec x^-t, where x^-t is
-    the group's lowest power: v // x**t is the value to within one unit
-    of 2^-prec, and v itself keeps the group's relative precision.
+@lru_cache(maxsize=64)
+def _tail_table(end: int, prec: int, terms: int) -> dict:
+    # the entries of one table, which monomial_tails fills as they are asked for
+    return {}
 
-    >>> groups = euler_maclaurin_fixed({(0, 2): 1 << 60}, 10, 0, 60)
-    >>> [(v / 2.0 ** 60, t) for v, t in (next(groups), next(groups))]
-    [(-0.95, 1), (-0.16666666666666666, 3)]
+
+def monomial_tails(keys, end: int, prec: int, terms: int) -> dict:
+    """The Euler-Maclaurin table at end: {(a, s): (w, v)}, holding every
+    (a, s) in keys, s >= 1, for the monomial (ln x)^a x^-s.
+
+    The monomial's groups 0..terms at end are w 2^-prec end^-(s-1), and
+    its first omitted group is v 2^-prec end^-(s+2 terms+1).  Each group
+    is in closed form, on the powers of ln end p_b =
+    floor(ln_fixed(end, prec)^b 2^(-prec (b-1))):
+    - group 0 is the antiderivative plus x^-s / 2: (ln x)^(a+1) / (a+1)
+      at s = 1, and -sum_j a!/(a-j)! (ln x)^(a-j) x^(1-s) / (s-1)^(j+1)
+      above; each of its terms is floored once;
+    - group r >= 1 is B_2r/(2r)! times the (2r-1)-th derivative,
+      x^-(s+2r-1) sum_b K[b] (ln x)^b with K from _deriv_kernel, and for
+      a = 0 K[0] = -s (s + 1) ... (s + 2r - 2), stepped in r by two
+      small-int products.  Its scale is floor(B_2r/(2r)! 2^prec), and
+      groups 1..terms are summed by Horner in 1/end^2 at 2^-2prec, then
+      floored once to 2^-prec.
+    So, in units of 2^-prec and with lnx taken as exact, w is within
+    a + 4 + A + R of its value, A = sum_{j<a} a!/(a-j)! (s-1)^-(j+1)
+    (A = 1 at s = 1) and R = sum_{r<=terms} end^-2r sum_b |K_(2r-1)[b]|
+    X^b with X = 1 + ln end (the floors of p_b and of the scales), and v
+    within 1 + sum_b |K_(2 terms+1)[b]| X^b.  There is one table per
+    (end, prec, terms), kept, and each entry is computed the first time
+    it is asked for.
+
+    >>> [c / 2.0 ** 60 for c in monomial_tails([(0, 2)], 10, 60, 1)[0, 2]]
+    [-0.9516666666666667, 0.03333333333333334]
     """
-    # (ln x)^a up to one past the series' top power: the antiderivative
-    # of (ln x)^a / x raises a
-    powers = [1 << prec]
-    for _ in range(max(a for a, _ in series) + 1):
-        powers.append(powers[-1] * lnx >> prec)
-    by_power: dict = {}
-    for (a, t), c in _group0(series).items():
-        by_power[t] = by_power.get(t, 0) + c * powers[a]
-    # the terms with a log, and those without: the (2r-1)-th derivative
-    # of x^-s is -s (s + 1) ... (s + 2r - 2) x^(-s-2r+1), and its dot with
-    # powers a shift; a constant's derivatives vanish
-    logs = [(a, s, c) for (a, s), c in series.items() if a]
-    flat = [(s, c) for (a, s), c in series.items() if s and not a]
-    scale = Fraction(1)
-    for r in itertools.count(1):
-        low = min(by_power)
+    table = _tail_table(end, prec, terms)
+    new = [key for key in dict.fromkeys(keys) if key not in table]
+    if not new:
+        return table
+    top = max(a + (s == 1) for a, s in new)
+    lnx = ln_fixed(end, prec) if top else 0
+    powers = [1 << prec] + [lnx ** b >> prec * (b - 1) for b in range(1, top + 1)]
+    scales, end2 = _tail_scales(prec, terms), end * end
+    for a, s in new:
+        if s == 1:
+            w = powers[a + 1] // (a + 1)
+        else:
+            w = sum(-math.perm(a, j) * powers[a - j] // (s - 1) ** (j + 1) for j in range(a + 1))
+        w += powers[a] // (2 * end)
+        groups, k0 = [], -s << prec
+        for r, scale in enumerate(scales, 1):
+            if a:
+                groups.append(scale * sum(map(operator.mul, _deriv_kernel(2 * r - 1, s, a), powers)))
+            else:
+                groups.append(scale * k0)
+                k0 *= (s + 2 * r - 1) * (s + 2 * r)
         acc = 0
-        for t in range(max(by_power), low - 1, -1):
-            acc = acc // x + by_power.get(t, 0)
-        yield acc * scale.numerator // (scale.denominator << prec), low
-        n, scale = 2 * r - 1, _group_scale(r)
-        by_power = {s + n: -c * math.perm(s + n - 1, n) << prec for s, c in flat}
-        for a, s, c in logs:
-            by_power[s + n] = by_power.get(s + n, 0) + \
-                c * sum(map(operator.mul, _deriv_kernel(n, s, a), powers))
+        for group in reversed(groups[:-1]):
+            acc = group + acc // end2
+        table[a, s] = w + (acc // end2 >> prec), groups[-1] >> prec
+    return table
 
 
 # ---- constants from scratch --------------------------------------------
@@ -302,26 +313,18 @@ def _borwein_zeta(s: int, wp: int) -> int:
 def _em_constant(dps: int) -> HighFloat:
     # Euler's gamma, the constant of summation of 1/k: the head sum to
     # K = max(100, 2 dps) minus the Euler-Maclaurin groups of 1/x at K,
-    # all in fixed point with 16 guard bits and rounded once.  Groups are
-    # taken until one drops below the target, with at least four
-    # corrections applied; each comes as v 2^-wp K^-t, so the size tests
-    # compare exact ints.
+    # entry (0, 1) of the table at K, all in fixed point with 16 guard bits
+    # and rounded once.  Its corrections run to the first, from the fourth
+    # on, whose size |B_2r| / (2r) K^-2r is below the target
+    # 10^-(dps + 2), an exact test; each is smaller than the one before, as
+    # (2r + 1) 2r < (2 pi K)^2 for every r taken.
     wp = dps_to_prec(dps) + 16
     big_k = max(100, 2 * dps)
-    total = sum((1 << wp) // k for k in range(1, big_k + 1))
-    groups = euler_maclaurin_fixed({(0, 1): 1 << wp}, big_k, ln_fixed(big_k, wp), wp)
-    v, t = next(groups)
-    total -= v // big_k ** t
-    prev_v = prev_t = None
-    for r, (v, t) in enumerate(groups, 1):
-        # |v| big_k^-t >= |prev_v| big_k^-prev_t
-        if prev_v is not None and abs(v) * big_k ** prev_t >= abs(prev_v) * big_k ** t:
-            raise ArithmeticError("correction terms stopped decreasing")
-        total -= v // big_k ** t
-        prev_v, prev_t = v, t
-        # |v| 2^-wp big_k^-t < 10^-(dps + 2), the target
-        if r >= 4 and abs(v) * 10 ** (dps + 2) < big_k ** t << wp:
-            return HighFloat(total, -wp).round(dps)
+    terms = next(r for r in itertools.count(4)
+                 if abs(bernoulli(2 * r)) * 10 ** (dps + 2) < 2 * r * big_k ** (2 * r))
+    w, _ = monomial_tails([(0, 1)], big_k, wp, terms)[0, 1]
+    total = sum((1 << wp) // k for k in range(1, big_k + 1)) - w
+    return HighFloat(total, -wp).round(dps)
 
 
 @lru_cache(maxsize=None)

@@ -11,15 +11,14 @@ a whole batch of series that share their columns and quotients,
 followed by an Euler-Maclaurin tail: the summand is expanded into a
 log-power series of monomials c * (ln x)^a * x^{-s} (the harmonic
 factors' expansions times a binomial expansion of the denominator),
-which the shared Euler-Maclaurin core in numerics integrates and
-corrects exactly, so the result carries 30+ correct digits at the
-default K.  The tail is fixed point as well, at the head's scale
-2^-prec: coefficients are rounded to ints once, the derivatives are
-exact integer multiples, each group is a Horner sum in 1/K with its
-Bernoulli factor applied once as an exact rational, and head plus tail
-is rounded to a HighFloat once.  ln K is highfloat.ln_fixed, and the
-first omitted group, which becomes the error estimate, is rounded on its
-own so that it keeps its relative precision.
+whose coefficients are dotted with one table of monomial tails at K
+(numerics.monomial_tails, each entry's groups in closed form), so the
+result carries 30+ correct digits at the default K.  The tail is fixed
+point as well, at the head's scale 2^-prec: coefficients are rounded to
+ints once, the dot sums by Horner in 1/K at 2^-2prec, and head plus tail
+is rounded to a HighFloat once.  The first omitted group, which becomes
+the error estimate, is the same dot with each entry's first omitted
+group, rounded on its own so that it keeps its relative precision.
 
 Every sum goes through _sum_batch and its one memo, filled by batches;
 the lemma evaluators at the bottom compare its kernel sums with closed
@@ -31,7 +30,9 @@ band's end (a ratio times its largest k), its tail terms and J, the last
 power of (b x + k)^-1 its series keeps, as the cheapest triple whose
 stated bound (_kernel_bound) is below 10^-(digits + 2).  That bound covers
 both kernel sides, so there is one plan per digit count.  A sum spec keeps
-the K and tail terms it is given, and _series_cap sizes its series.
+the K and tail terms it is given, _series_cap sizes its series, and its
+tail is that series dotted with the table (_table_tail); the bands and
+the specs at one (end, prec, terms) read one table.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from itertools import count, islice, repeat
 from operator import floordiv, mul, rshift
 
 from .harmonic import EXACT_LIMIT, HarmonicKind, columns, harmonic_exact, value_series
-from .highfloat import HighFloat, dps_to_prec, ln_fixed
-from .numerics import euler_maclaurin_fixed, record
+from .highfloat import HighFloat, dps_to_prec
+from .numerics import monomial_tails, record
 from .zeta_algebra import (MAX_POWER, ExprSyntaxError, ZetaExpr, ZetaMonomial, evaluate, expect,
                            take, tokenize)
 
@@ -218,74 +219,78 @@ def _guard_bits(m: int, end: int, s_cap: int, tail_terms: int) -> int:
     # Guard bits, beyond end.bit_length(), for a head over m prefixes and
     # its tail (the bound is stated in _sum_batch): 2^guard covers
     # m X^(m-1) + 2 units per head term plus X^m units for each tail
-    # floor, spread over the end terms.  terms bounds the (a, s) pairs of
-    # the series and of every group the tail values; each pair is floored
-    # once in the power series, twice per factor and m + 1 times by group
-    # 0's antiderivative, and each group floors twice more.  A kernel
-    # row's basis tail (_basis, _basis_tail) floors V's pairs twice per
-    # factor, as a series does; then, for each U_j, each of V's at most
-    # (m + 1) s_cap terms once and its monomial's tail at most
-    # m + 2 tail_terms + 4 times, a floor worth at most the term's value at
-    # end (under X^m), the sum once and the Horner step once.  Every floor
-    # at j is weighted by k^j end^-(c + j) <= ratio^-j end^-c, and
-    # sum_j ratio^-j <= 2 for the planner's ratio >= 2, so all of them
-    # together, 2 ((m + 1) s_cap + m + 2 tail_terms + 6), stay within the
-    # count for one series, as the planner's tail_terms >= 2.  Never fewer
+    # floor, spread over the end terms.  A tail dots a series with the
+    # table of numerics.monomial_tails.  The series has at most
+    # (m + 1) s_cap pairs (a, s), each floored once in the power series
+    # and twice per factor.  The table's floors count as
+    # m + 4 + 3 m! + tail_terms, and the dot's as 2.  A kernel row's basis
+    # tail (_basis, _basis_tail) floors V's pairs twice per factor, as a
+    # series does; then, for each U_j, the table's floors, the dot's two
+    # and the Horner step's one, each weighted by k^j end^-(c + j) <=
+    # ratio^-j end^-c, and sum_j ratio^-j <= 2 for the planner's
+    # ratio >= 2: 2 (m + 3 m! + tail_terms + 7) covers both.  Never fewer
     # than the stream's default 16.
     x_bound = 1 + math.log(end)
-    terms = (m + 1) * (s_cap + 2 * tail_terms + 2)
-    floors = terms * (3 * m + 2) + 2 * (tail_terms + 2)
+    floors = (m + 1) * s_cap * (2 * m + 1) + 2 * (m + 3 * math.factorial(m) + tail_terms + 7)
     units = m * x_bound ** (m - 1) + 2 + floors * x_bound ** m / end
     return max(16, math.ceil(math.log2(units)))
 
 
-def _em_tail(factors: tuple, c: int, b: int, a: int, q: int, end: int, digits: int,
-             prec: int, s_cap: int, terms: int) -> tuple[int, HighFloat]:
-    """(tail, |first omitted group|) for sum_{i>end} f(i) / (i^c (b i - a)^q).
-
-    The tail is Euler-Maclaurin group 0 plus terms corrections, as an int
-    scaled by 2^prec, of the series kept to x^-s_cap (_plan sets all
-    three).  The series is built in fixed point: the power series from
-    exact numerators, times each factor's value_series, each product
-    floored once per term, and ln(end) is highfloat.ln_fixed.
-    The omitted group is rounded at digits + 15 on its own, keeping its
-    relative precision, since it becomes the printed error estimate.
-    """
-    wp = digits + 15
+def _log_series(factors: tuple, c: int, b: int, a: int, q: int, s_cap: int, digits: int,
+                prec: int) -> dict:
+    # the log-power series of f(x) / (x^c (b x - a)^q), f the product of
+    # the factors' value series, kept to x^-s_cap: the power series from
+    # exact numerators, times each factor's value_series, each product
+    # floored once per term
     series = _power_series(c + q, b, a, q, s_cap, prec)
     for kind in factors:
         # the power series starts at x^-(c+q), so no factor term
         # beyond x^-(s_cap-c-q) survives the product
-        series = _series_mul(series, value_series(kind, s_cap - c - q, wp, prec), s_cap, prec)
-    groups = euler_maclaurin_fixed(series, end, ln_fixed(end, prec) if factors else 0, prec)
-    tail = 0
-    for _ in range(terms + 1):
-        v, t = next(groups)
-        tail -= v // end ** t
-    v, t = next(groups)
-    return tail, abs(HighFloat(v, -prec).round(wp).div(end ** t, wp))
+        series = _series_mul(series, value_series(kind, s_cap - c - q, digits + 15, prec),
+                             s_cap, prec)
+    return series
+
+
+def _dot(terms: list, table: dict, end: int, shift: int) -> tuple[int, int]:
+    # (W, V) for sum c (ln x)^a x^-(s+shift) over terms ((a, s), c), s
+    # ascending from s0: its groups 0..T at end are W 2^-2prec
+    # end^-(s0+shift-1), and its first omitted group is V 2^-2prec
+    # end^-(s0+shift+2T+1), T the table's terms.  Each coefficient weights
+    # its table entry, and the powers are summed by Horner in 1/end from
+    # the top down, all at 2^-2prec
+    acc = om = 0
+    at = terms[-1][0][1]
+    for (a, s), c in reversed(terms):
+        if s < at:
+            acc, om, at = acc // end ** (at - s), om // end ** (at - s), s
+        w, v = table[a, s + shift]
+        acc += c * w
+        om += c * v
+    return acc, om
+
+
+def _table_tail(series: dict, end: int, prec: int, terms: int, wp: int) -> tuple[int, HighFloat]:
+    """(tail, |first omitted group|) of a series at end, from the table.
+
+    The tail is sum_{i>end} of the series, Euler-Maclaurin groups 0..terms
+    with their sign turned, as an int scaled by 2^prec: the series dotted
+    with numerics.monomial_tails at (end, prec, terms), floored once more.
+    The omitted group is rounded at wp digits on its own, keeping its
+    relative precision, since it becomes the printed error estimate.
+    """
+    ordered = sorted(series.items(), key=lambda term: term[0][1])
+    low = ordered[0][0][1]
+    w, v = _dot(ordered, monomial_tails(series, end, prec, terms), end, 0)
+    return -(w // end ** (low - 1) >> prec), \
+        abs(HighFloat(v, -2 * prec).round(wp).div(end ** (low + 2 * terms + 1), wp))
 
 
 def _band(series: tuple) -> tuple | None:
     # a lemma kernel row (a = -k, q = 1, from _kernel_series) shares its
     # tail's basis with every row of its band, the series that differ from
-    # it only in a; a sum spec (a = 1) has no band and keeps _em_tail
+    # it only in a; a sum spec (a = 1) has no band and dots its own series
     factors, c, b, a, q, end = series
     return (factors, c, b, end) if a < 0 and q == 1 else None
-
-
-@functools.lru_cache(maxsize=4096)
-def _monomial_tail(a: int, s: int, end: int, lnx: int, prec: int,
-                   tail_terms: int) -> tuple[int, int]:
-    # (w, v) for (ln x)^a x^-s with coefficient 2^prec: its groups
-    # 0..tail_terms at end are w 2^-prec end^-(s-1), each floored once to
-    # that power, and its first omitted group is
-    # v 2^-prec end^-(s+2 tail_terms+1).  Cached per end and scale, so
-    # the kernels of one end share them
-    groups = euler_maclaurin_fixed({(a, s): 1 << prec}, end, lnx, prec)
-    w = sum(g // end ** (t - s + 1) for g, t in islice(groups, tail_terms + 1))
-    g, t = next(groups)
-    return w, g // end ** (t - s - 2 * tail_terms - 1)
 
 
 def _basis(factors: tuple, c: int, end: int, digits: int, prec: int, s_cap: int,
@@ -296,36 +301,29 @@ def _basis(factors: tuple, c: int, end: int, digits: int, prec: int, s_cap: int,
     U_j is x^-(c+1+j) V(x), V the product of the factors' value series,
     kept to x^-s_cap, so that x^-c (b x - a)^-1 V(x) is
     sum_j a^j b^-(j+1) U_j for every row of the band, term by term and
-    with the same powers kept as _em_tail's series.  The tail of U_j,
-    groups 0..terms, is W_j 2^-prec end^-(c+j), and its first omitted
-    group, whose lowest power is u + j with u = c + 2 terms + 2, is
-    v_j 2^-prec end^-(u+j).  Both are sums over V's terms of the
-    coefficient times its monomial's tail, each floored once to that power
-    and the sum once more to 2^-prec.
+    with the same powers kept as _log_series.  The tail of U_j, groups
+    0..terms, is W_j 2^-prec end^-(c+j), and its first omitted group,
+    whose lowest power is u + j with u = c + 2 terms + 2, is
+    v_j 2^-prec end^-(u+j).  Both are V's terms dotted with the entries of
+    the band's table (numerics.monomial_tails), floored once to 2^-prec.
     """
-    vf = {(0, 0): 1 << prec}
-    for kind in factors:
-        vf = _series_mul(vf, value_series(kind, s_cap - c - 1, digits + 15, prec),
-                         s_cap - c - 1, prec)
-    lnx, u = ln_fixed(end, prec) if factors else 0, c + 2 * terms + 2
+    vf = _log_series(factors, 0, 1, 0, 0, s_cap - c - 1, digits, prec)  # V, with c = q = 0
     ordered = sorted(vf.items(), key=lambda term: term[0][1])  # U_j keeps a prefix
-    powers = [end ** s for s in range(s_cap - c)]  # every s a term below can reach
-    rows = []
+    lows = {a: s for (a, s), _ in reversed(ordered)}  # each log power's lowest s in V
+    table = monomial_tails([(a, t) for a, s in lows.items() for t in range(s + c + 1, s_cap + 1)],
+                           end, prec, terms)
+    rows, kept = [], len(ordered)
     for j in range(s_cap - c):
-        w = v = 0
-        for (a, s), coef in ordered:
-            if s + c + 1 + j > s_cap:
-                break
-            mw, mv = _monomial_tail(a, s + c + 1 + j, end, lnx, prec, terms)
-            w += coef * mw // powers[s]
-            v += coef * mv // powers[s]
+        while ordered[kept - 1][0][1] + c + 1 + j > s_cap:
+            kept -= 1
+        w, v = _dot(ordered[:kept], table, end, c + 1 + j)
         rows.append((w >> prec, v >> prec))
-    return u, rows
+    return c + 2 * terms + 2, rows
 
 
 def _basis_tail(basis: tuple, series: tuple, prec: int, wp: int) -> tuple[int, HighFloat]:
     # (tail, |first omitted group|) of a row from its band's basis, as
-    # _em_tail gives them: sum_j a^j b^-(j+1) U_j by Horner in
+    # _table_tail gives them: sum_j a^j b^-(j+1) U_j by Horner in
     # a / (b end), the top j first, on the basis's relative values, which
     # floors once per step; |a / (b end)| <= 1/ratio <= 1/2 scales each
     # floor down, so the floors grow neither with k nor with the band's
@@ -473,9 +471,11 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     f is the product of the prefixes in factors (1 without any); a term
     with a zero denominator is skipped.  The head to end and the tail
     are fixed-point ints at one scale 2^-prec, so head plus tail is
-    rounded once.  A sum spec's tail is _em_tail of its own series; a
+    rounded once.  A sum spec's tail is _table_tail of its own series; a
     lemma kernel row's is _basis_tail of its band's basis, built once per
-    batch.  The series not in _sums yet are
+    batch.  Both read numerics.monomial_tails, one table per (end, prec,
+    terms) for every series of a batch and every band at that end.  The
+    series not in _sums yet are
     summed, one _heads walk per scale.  Both values are at the working
     precision digits + 15, and stay in _sums, the whole batch
     (cleared whole before new series would pass SUMS_MAX, so it holds at
@@ -487,14 +487,27 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
     # m i X^(m-1) off; the shift and the division (two stages, one floor
     # exactly) floor once more each.
     # Every caller's |denominator| is at least i, so the head is at most
-    # end (m X^(m-1) + 2) units off.  Each floor of the tail moves it by
-    # at most X^m units, since a unit in a coefficient of (ln x)^a x^-s
-    # is weighted by at most (ln end)^a end^(1-s) with s >= 2.  In a
-    # basis tail a unit of V's (ln x)^a x^-s reaches every U_j, weighted
-    # by k^j, so by at most (ln end)^a end^-(s+c) sum_j (k / end)^j,
-    # under 2 X^m / end as c >= 1 and k / end <= 1/ratio <= 1/2, and a
-    # floor made for U_j or for the Horner step at j by at most
-    # ratio^-j X^m / end: _guard_bits counts them.  prec
+    # end (m X^(m-1) + 2) units off.  A tail is a series dotted with the
+    # table, so its floors are of three kinds:
+    # - a unit in a series coefficient of (ln x)^a x^-s is weighted by its
+    #   entry w end^(1-s) 2^-prec, about X^a end^(1-s), under X^m as
+    #   s >= 2;
+    # - an entry's own floors, a + 4 + A + R units (numerics.monomial_tails)
+    #   are weighted by |coefficient| end^(1-s), and these weights sum to
+    #   at most X^m, as each factor's series, its coefficients made
+    #   positive, is under X at end and the denominator's under
+    #   end^(1-c-q).  A <= 3 a! - 1, and R <= tail_terms X^a / end wherever
+    #   the weight is above 2^-prec: each (s + 1) ... (s + 2r - 1) is under
+    #   end^(2r-1) for a kernel row (end >= s + 2 tail_terms) and under
+    #   end^(2r+s-2) for a spec (end >= 100, tail_terms <= 8), and
+    #   sum_b |K[b]| X^b <= X^a (s + 1) ... (s + n).  So the table moves
+    #   the tail by at most (m + 4 + 3 m! + tail_terms) X^m units;
+    # - the dot sums at 2^-2prec and floors twice more.
+    # In a basis tail a unit of V's (ln x)^a x^-s reaches every U_j,
+    # weighted by k^j, so by at most X^a end^-(s+c) sum_j (k / end)^j,
+    # under 2 X^m / end as c >= 1 and k / end <= 1/ratio <= 1/2, and the
+    # table's floors for U_j, and the floors of U_j and of the Horner step
+    # at j, by ratio^-j as much: _guard_bits counts them.  prec
     # carries end.bit_length() + guard bits, and _guard_bits makes
     # end 2^guard exceed both together, so head plus tail is within
     # 2^-(bits of wp) for any number of factors.
@@ -511,7 +524,8 @@ def _sum_batch(batch: list, opts: EvalOptions) -> list[tuple[HighFloat, HighFloa
         for (series, (s_cap, terms)), head in zip(plans.items(), _heads(list(plans), prec)):
             band = _band(series)
             if band is None:
-                tail, omitted = _em_tail(*series, opts.digits, prec, s_cap, terms)
+                tail, omitted = _table_tail(_log_series(*series[:5], s_cap, opts.digits, prec),
+                                            series[5], prec, terms, opts.digits + 15)
             else:
                 if band not in bases:
                     bases[band] = _basis(series[0], series[1], series[5], opts.digits, prec, s_cap,

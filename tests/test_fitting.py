@@ -10,7 +10,7 @@ import pytest
 from oddeuler import identities
 from oddeuler.identities import _fit_basis, _pslq, fit_closed_form, fit_value
 from oddeuler.numerics import constant, ln2
-from oddeuler.summation import EvalOptions, parse_sumspec
+from oddeuler.summation import parse_sumspec
 from oddeuler.zeta_algebra import ZetaExpr, ZetaMonomial, evaluate, format_expr, parse_expr
 
 

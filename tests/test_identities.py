@@ -1,14 +1,13 @@
 """Catalog loading, verification, reductions, and adjudication findings."""
 
 import json
-from fractions import Fraction
 from importlib import resources
 
 import mpmath as mp
 import pytest
 
 from oddeuler.harmonic import HarmonicKind, harmonic_exact
-from oddeuler.identities import (REFERENCE_ANCHORS, FormalCombination, _rule,
+from oddeuler.identities import (REFERENCE_ANCHORS, _rule,
                                  adjudication_findings, catalog,
                                  catalog_by_id, evaluate_combination,
                                  finite_rearrangement_check,

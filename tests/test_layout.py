@@ -1,11 +1,13 @@
 """The library is what its commands run: every module-level function and
 class under src/oddeuler, and every method other than a dunder, is named
-by src/ code that is itself in use, and nothing there has a second name."""
+by src/ code that is itself in use, and nothing there has a second name;
+and no test module imports a name it never reads."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "oddeuler"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "oddeuler"
 
 # kept although no src/ code names them: the partial-fraction engine of
 # acceptance criterion 6, the rearrangement check README's findings cite,
@@ -111,3 +113,22 @@ def _aliases() -> list[str]:
 
 def test_no_definition_has_a_second_name():
     assert _aliases() == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    # names a module's import statements bind, at any depth, that no
+    # ast.Name in the module reads; "import a.b" binds a
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({alias.asname or alias.name.split(".")[0]: node.lineno
+                          for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_test_module_imports_a_name_it_never_reads():
+    assert [found for path in sorted(TESTS.glob("*.py")) for found in _unused_imports(path)] == []

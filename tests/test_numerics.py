@@ -280,55 +280,86 @@ def _ref_groups(series):
         deriv = _ref_deriv(_ref_deriv(deriv))
 
 
-def _ref_fixed(series, x, lnx, prec):
-    powers = [1 << prec]
-    for _ in range(max(a for a, _ in series) + 1):
-        powers.append(powers[-1] * lnx >> prec)
-    for scale, group in _ref_groups(series):
-        by_power = {}
-        for (a, t), c in group.items():
-            by_power[t] = by_power.get(t, 0) + c * powers[a]
-        low, acc = min(by_power), 0
-        for t in range(max(by_power), low - 1, -1):
-            acc = acc // x + by_power.get(t, 0)
-        yield acc * scale.numerator // (scale.denominator << prec), low
-
-
 EM_PREC = 200
 
 
-def _em_series(name):
-    one = 1 << EM_PREC
-    if name == "x^-2":
-        return {(0, 2): one}
-    if name == "logs 0-3, s from 0":
-        # every log power at every s, s = 0 log keys included, mixed signs
-        return {(a, s): (-1) ** (a + s) * (3 * a + 5 * s + 7) * one // 11
-                for a in range(4) for s in range(6) if a or s}
-    if name == "a constant and gaps":
-        # the constant is the only s = 0 key: its vanishing derivatives add
-        # no power of 1/x
-        return {(0, 0): one // 3, (1, 1): -one // 7, (3, 4): one // 5, (0, 9): -one}
-    if name in ("H1", "h1"):
-        # value series of the prefixes: only some powers of 1/x occur
-        kind = HarmonicKind.even(1) if name == "H1" else HarmonicKind.odd(1)
-        return value_series(kind, 24, 55, EM_PREC)
-    # a lemma tail's series: the shifted kernel's power series times h1's
-    power = summation._power_series(2, 1, -7, 1, 24, EM_PREC)
-    return summation._series_mul(power, value_series(HarmonicKind.odd(1), 22, 55, EM_PREC),
-                                 24, EM_PREC)
+# ---- the table of monomial tails --------------------------------------------
+#
+# Each entry against its groups taken exactly, from chained derivatives in
+# Fractions valued at ln x = lnx 2^-prec, within the floors that
+# numerics.monomial_tails states; then against mpmath's Hurwitz zeta.
 
 
-EM_NAMES = ("x^-2", "logs 0-3, s from 0", "a constant and gaps", "H1", "h1", "h1 tail")
+def _entry_floors(a, s, x, terms):
+    # the stated floors of an entry's w and v, in units of 2^-prec
+    big_x = 1 + math.log(x)
+
+    def size(n):
+        return sum(abs(k) * big_x ** b for b, k in enumerate(numerics._deriv_kernel(n, s, a)))
+
+    spread = 1 if s == 1 else sum(math.perm(a, j) / (s - 1) ** (j + 1) for j in range(a))
+    rest = sum(size(2 * r - 1) / x ** (2 * r) for r in range(1, terms + 1))
+    return a + 4 + spread + rest, 1 + size(2 * terms + 1)
 
 
+def _exact_entry(a, s, x, lam, terms):
+    # (w, v) of (ln x)^a x^-s in Fractions at ln x = lam: group 0 is the
+    # antiderivative plus f/2, group r B_2r/(2r)! times 2r - 1 chained
+    # derivatives; w relative to x^-(s-1), v to x^-(s+2 terms+1)
+    if s == 1:
+        group = {(a + 1, 0): Fraction(1, a + 1)}
+    else:
+        group = {(a - j, s - 1): Fraction(-math.perm(a, j), (s - 1) ** (j + 1))
+                 for j in range(a + 1)}
+    group[(a, s)] = group.get((a, s), 0) + Fraction(1, 2)
+
+    def value(series):
+        return sum(c * lam ** e / Fraction(x) ** t for (e, t), c in series.items())
+
+    w, deriv = value(group), _ref_deriv({(a, s): Fraction(1)})
+    for r in range(1, terms + 2):
+        g = bernoulli(2 * r) / math.factorial(2 * r) * value(deriv)
+        w += g if r <= terms else 0
+        deriv = _ref_deriv(_ref_deriv(deriv))
+    return w * x ** (s - 1), g * x ** (s + 2 * terms + 1)
+
+
+@pytest.mark.parametrize("terms", (0, 1, 4, 8))
 @pytest.mark.parametrize("x", (100, 2007, 10 ** 4))
-@pytest.mark.parametrize("name", EM_NAMES)
-def test_euler_maclaurin_fixed_matches_chained_derivatives(name, x):
-    series = _em_series(name)
-    lnx = mp.libmp.to_fixed(mp.libmp.mpf_log(mp.libmp.from_int(x), EM_PREC + 8), EM_PREC)
-    got = list(itertools.islice(numerics.euler_maclaurin_fixed(series, x, lnx, EM_PREC), 30))
-    assert got == list(itertools.islice(_ref_fixed(series, x, lnx, EM_PREC), 30))
+def test_monomial_tails_match_chained_derivatives(x, terms):
+    keys = [(a, s) for a in range(4) for s in range(1, 9)]
+    table = numerics.monomial_tails(keys, x, EM_PREC, terms)
+    lam = Fraction(ln_fixed(x, EM_PREC), 1 << EM_PREC)
+    for a, s in keys:
+        want_w, want_v = _exact_entry(a, s, x, lam, terms)
+        w, v = table[a, s]
+        w_floors, v_floors = _entry_floors(a, s, x, terms)
+        assert abs(w - want_w * 2 ** EM_PREC) <= w_floors, (a, s)
+        assert abs(v - want_v * 2 ** EM_PREC) <= v_floors, (a, s)
+    # one table per (end, prec, terms): asking again computes nothing
+    assert numerics.monomial_tails(keys[:3], x, EM_PREC, terms) is table
+
+
+@pytest.mark.parametrize("digits", (40, 100))
+@pytest.mark.parametrize("end", (480, 1000, 10 ** 4))
+def test_monomial_tails_against_hurwitz_zeta(end, digits):
+    # sum_{i>end} (ln i)^a i^-s is (-1)^a zeta^(a)(s, end + 1), from
+    # mpmath: each entry's tail, its groups with the sign turned, is within
+    # its first omitted group plus the stated floors and the floor of ln end
+    # itself, worth a X^a units at most, at the kernel planner's terms.
+    # mpmath's Hurwitz zeta loses about (s - 1) log10(end) digits, so each
+    # is taken that much above the entry's precision
+    terms = summation._kernel_plan(digits)[1]
+    prec = dps_to_prec(digits + 15) + end.bit_length() + 16
+    keys = [(a, s) for a in range(3) for s in range(2, 41)]
+    table = numerics.monomial_tails(keys, end, prec, terms)
+    for a, s in keys:
+        with mp.workdps(digits + 30 + math.ceil((s - 1) * math.log10(end))):
+            w, v = table[a, s]
+            true = (-1) ** a * mp.zeta(s, end + 1, a) * mp.mpf(end) ** (s - 1) * mp.mpf(2) ** prec
+            omitted = abs(v) / mp.mpf(end) ** (2 * terms + 2)
+            floors = _entry_floors(a, s, end, terms)[0] + a * (1 + math.log(end)) ** a
+            assert abs(true + w) <= omitted + floors, (a, s)
 
 
 def _ref_power_groups(n, s_cap, prec):

@@ -16,11 +16,11 @@ from oddeuler import numerics, summation
 from oddeuler.cli import LEMMA_KMAX
 from oddeuler.harmonic import HarmonicKind, harmonic_exact
 from oddeuler.summation import (HEAD_BLOCK, MAX_K, MAX_POWER, SUMS_MAX, EvalOptions, SumSpec,
-                                SumSpecSyntaxError, _em_tail, _guard_bits, _heads, _series_cap,
-                                _spec_series, _sum_batch, _sums, evaluate_sum, parse_sumspec,
-                                reciprocal_sum_closed_form, sum_specs)
+                                SumSpecSyntaxError, _guard_bits, _heads, _log_series, _series_cap,
+                                _spec_series, _sum_batch, _sums, _table_tail, evaluate_sum,
+                                parse_sumspec, reciprocal_sum_closed_form, sum_specs)
 from oddeuler.numerics import bernoulli
-from oddeuler.zeta_algebra import evaluate, format_expr, parse_expr
+from oddeuler.zeta_algebra import evaluate, parse_expr
 
 from conftest import FROZEN_SUMS, FROZEN_SUMS_30
 
@@ -275,7 +275,7 @@ def _mpf_series(factors, c, b, a, q, s_cap):
 
 def _mpf_tail(factors, c, b, a, q, end, opts):
     # the mpf reference at the working precision: (tail, |first omitted
-    # group|) like _em_tail
+    # group|) like _table_tail
     wp = opts.digits + 15
     with mp.workdps(wp):
         series = _mpf_series(factors, c, b, a, q, _series_cap(c, q, end, opts.digits))
@@ -307,8 +307,8 @@ def test_fixed_point_tail_matches_mpf_route(shape, end, digits, tail_terms):
     opts = EvalOptions(digits, 10 ** 4, tail_terms)
     wp_bits = mp.libmp.dps_to_prec(digits + 15)
     prec = wp_bits + end.bit_length() + 16
-    tail, omitted = _em_tail(*args, end, digits, prec, _series_cap(args[1], args[4], end, digits),
-                             tail_terms)
+    series = _log_series(*args, _series_cap(args[1], args[4], end, digits), digits, prec)
+    tail, omitted = _table_tail(series, end, prec, tail_terms, digits + 15)
     want_tail, want_omitted = _mpf_tail(*args, end, opts)
     with mp.workdps(digits + 40):
         assert abs(mp.mpf((tail, -prec)) - want_tail) <= mp.mpf(2) ** -wp_bits
@@ -337,16 +337,16 @@ def test_five_factors_meet_the_rounding_bound():
 def test_the_series_cap_is_planned_once_for_guard_bits_and_tail(monkeypatch):
     # _plan alone calls _series_cap, once per new series, and the cap it
     # returns, here a patched one, is the cap _guard_bits sizes and
-    # _em_tail keeps; memo hits and repeats plan nothing
+    # _log_series keeps; memo hits and repeats plan nothing
     _sums.clear()
     caps, guards, tails = [], [], []
-    real_cap, real_guard, real_tail = _series_cap, _guard_bits, _em_tail
+    real_cap, real_guard, real_series = _series_cap, _guard_bits, _log_series
     monkeypatch.setattr(summation, "_series_cap",
                         lambda *args: caps.append(real_cap(*args) + 3) or caps[-1])
     monkeypatch.setattr(summation, "_guard_bits", lambda m, end, s_cap, terms:
                         guards.append(s_cap) or real_guard(m, end, s_cap, terms))
-    monkeypatch.setattr(summation, "_em_tail", lambda *args: tails.append(args[-2]) or
-                        real_tail(*args))
+    monkeypatch.setattr(summation, "_log_series", lambda *args: tails.append(args[5]) or
+                        real_series(*args))
     opts = EvalOptions(digits=25, K=300)
     specs = [parse_sumspec(t) for t in ("h1/k^3", "h1*h2/k^3", "H1/(2k-1)^3")]
     sum_specs(specs + specs[:1], opts)
@@ -376,11 +376,11 @@ BASIS_KS = sorted({*range(1, 21), 40, 41, 80, 81, 120, 121, 160, 161, 200})
 @pytest.mark.parametrize("digits", (25, 40, 100))
 @pytest.mark.parametrize("kernel", KERNELS, ids=str)
 def test_band_basis_matches_the_direct_tail(kernel, digits):
-    # each row's tail from its band's basis against _em_tail of the row's
-    # own series at the same end, prec, s_cap and planned terms: each
-    # route is within _guard_bits' floor count times X^m units of the same
-    # truncated series' tail, and both give the omitted group to its
-    # working digits
+    # each row's tail from its band's basis against the row's own series
+    # dotted with the table (_table_tail) at the same end, prec, s_cap and
+    # planned terms: each route is within _guard_bits' floor count times
+    # X^m units of the same truncated series' tail, and both give the
+    # omitted group to its working digits
     opts = EvalOptions(digits)
     bases = {}
     for k in BASIS_KS:
@@ -391,9 +391,10 @@ def test_band_basis_matches_the_direct_tail(kernel, digits):
         if band not in bases:
             bases[band] = summation._basis(kernel[0], kernel[1], end, digits, prec, s_cap, terms)
         tail, omitted = summation._basis_tail(bases[band], series, prec, digits + 15)
-        want, want_omitted = _em_tail(*series, digits, prec, s_cap, terms)
+        want, want_omitted = _table_tail(_log_series(*series[:5], s_cap, digits, prec), end,
+                                         prec, terms, digits + 15)
         m = len(kernel[0])
-        floors = (m + 1) * (s_cap + 2 * terms + 2) * (3 * m + 2) + 2 * (terms + 2)
+        floors = (m + 1) * s_cap * (2 * m + 1) + 2 * (m + 3 * math.factorial(m) + terms + 7)
         assert abs(tail - want) <= 2 * floors * (1 + math.log(end)) ** m, k
         with mp.workdps(digits + 40):
             assert abs(mp.mpf(omitted) - mp.mpf(want_omitted)) <= \
@@ -628,7 +629,8 @@ def test_tail_asks_factors_only_for_the_powers_it_keeps():
     s_cap = _series_cap(300, 0, end, opts.digits)
     prec = mp.libmp.dps_to_prec(opts.digits + 15) + end.bit_length() + 16
     del numerics._bernoulli_cache[2:]
-    _em_tail((HarmonicKind.odd(1),), 300, 2, 1, 0, end, opts.digits, prec, s_cap, opts.tail_terms)
+    series = _log_series((HarmonicKind.odd(1),), 300, 2, 1, 0, s_cap, opts.digits, prec)
+    _table_tail(series, end, prec, opts.tail_terms, opts.digits + 15)
     assert len(numerics._bernoulli_cache) - 1 <= s_cap - 300 + 2
 
 
